@@ -9,6 +9,9 @@ Frank-Wolfe over the doubly-stochastic relaxation: each step linearizes
 the objective, solves a LAP for the best vertex direction, takes an
 exact line-search step (the objective is quadratic along a segment), and
 the final interior point is projected to a permutation by one more LAP.
+Graphs are held as factors (the embedding rows of a Gram graph), so the
+solver works on small summaries of the iterate and never forms an n x n
+similarity matrix.
 
 Seed pairs occupy indices 0..s-1 of both graphs and always appear in the
 output (hard seeding). The solved part is one-to-one by construction.
@@ -26,35 +29,59 @@ from .hypotheses import HypothesisSet, Matching
 INIT_MODES = ("barycenter", "randomized")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SimilarityGraph:
-    """Symmetric matrix of pairwise inner products, plus the row order.
+    """Symmetric similarity matrix held as a factor ``g = left @ right.T``.
 
-    ``order[i]`` is the embedding-row index behind graph vertex i; the
-    diagonal holds squared row norms (all ones after normalization).
+    ``SimilarityGraph(rows=X)`` is the Gram graph of embedding rows X:
+    both factors are X, so it is symmetric by construction and its n x n
+    matrix is never formed. ``SimilarityGraph(g)`` stores a hand-built
+    matrix exactly, as ``left = g, right = I``, after a symmetry check.
+    ``order[i]`` is the embedding-row index behind graph vertex i
+    (default ``0..n-1``); the diagonal of a Gram graph holds squared row
+    norms (all ones after normalization).
     """
 
-    g: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
     order: tuple[int, ...]
 
-    def __post_init__(self):
-        g = np.asarray(self.g, dtype=np.float64)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "order", tuple(int(i) for i in self.order))
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise ValueError("graph matrix must be square")
-        if len(self.order) != g.shape[0]:
+    def __init__(self, g=None, order=None, *, rows=None):
+        if (g is None) == (rows is None):
+            raise ValueError("give exactly one of a matrix g and embedding rows")
+        if rows is not None:
+            left = right = np.asarray(rows, dtype=np.float64)
+            if left.ndim != 2:
+                raise ValueError("embedding rows must form a 2-D array")
+        else:
+            left = np.asarray(g, dtype=np.float64)
+            if left.ndim != 2 or left.shape[0] != left.shape[1]:
+                raise ValueError("graph matrix must be square")
+            if left.size and np.abs(left - left.T).max() > 1e-9:
+                raise ValueError("graph matrix must be symmetric within 1e-9")
+            right = np.eye(left.shape[0])
+        order = tuple(int(i) for i in (range(left.shape[0]) if order is None else order))
+        if len(order) != left.shape[0]:
             raise ValueError("order length must match matrix size")
-        if g.size and np.abs(g - g.T).max() > 1e-9:
-            raise ValueError("graph matrix must be symmetric within 1e-9")
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "order", order)
 
     @property
     def n(self) -> int:
-        return int(self.g.shape[0])
+        return int(self.left.shape[0])
+
+    @property
+    def g(self) -> np.ndarray:
+        """The dense n x n matrix, formed on each access."""
+        return self.left @ self.right.T
 
 
 def build_graph(vectors: np.ndarray, order=None) -> SimilarityGraph:
-    """Gram matrix of the selected embedding rows: g[i][j] = <row_i, row_j>."""
+    """Gram graph of the selected embedding rows: g[i][j] = <row_i, row_j>.
+
+    Only the selected rows are kept; no n x n matrix is formed.
+    """
     vectors = np.asarray(vectors, dtype=np.float64)
     if order is None:
         order = range(vectors.shape[0])
@@ -63,31 +90,57 @@ def build_graph(vectors: np.ndarray, order=None) -> SimilarityGraph:
         raise IndexError("order contains out-of-range row indices")
     if len(set(order)) != len(order):
         raise ValueError("order contains repeated row indices")
-    rows = vectors[order]
-    g = rows @ rows.T
-    g = (g + g.T) / 2.0  # exact symmetry despite float matmul noise
-    return SimilarityGraph(g=g, order=tuple(order))
+    return SimilarityGraph(order=order, rows=vectors[order])
 
 
-def _blocks(matrix: np.ndarray, s: int):
-    return matrix[:s, :s], matrix[:s, s:], matrix[s:, :s], matrix[s:, s:]
+class _FactoredProblem:
+    """The seeded trace objective through r x r summaries of the free block P.
+
+    Write ``Gx = La Ra^T`` and ``Gy = Lb Rb^T``, and split each factor
+    into seed rows (1) and free rows (2). Both graphs are symmetric, so
+    with ``S = Ra1^T Rb1``, ``Y = La2^T P Lb2`` and ``Z = Ra2^T P Rb2``::
+
+        f(P)      = <S, La1^T Lb1> + <2 S + Z, Y>
+        grad f(P) = La2 (2 S + 2 Z) Lb2^T
+
+    Y and Z are linear in P and are row gathers at a permutation vertex,
+    so a Frank-Wolfe step updates them in O(m r^2); only the gradient
+    costs O(m^2 r). ``relabel`` reorders the rows of Gy first.
+    """
+
+    def __init__(self, gx: SimilarityGraph, gy: SimilarityGraph, s: int, relabel=None):
+        lb, rb = gy.left, gy.right
+        if relabel is not None:
+            lb, rb = lb[relabel], rb[relabel]
+        self.la2, self.ra2, self.lb2, self.rb2 = gx.left[s:], gx.right[s:], lb[s:], rb[s:]
+        self.seed = gx.right[:s].T @ rb[:s]
+        self.fixed = float((self.seed * (gx.left[:s].T @ lb[:s])).sum())
+
+    def summaries(self, p: np.ndarray):
+        """(Y, Z) of a doubly-stochastic P."""
+        return self.la2.T @ p @ self.lb2, self.ra2.T @ p @ self.rb2
+
+    def vertex_summaries(self, cols: np.ndarray):
+        """(Y, Z) of the permutation matrix with a one at (i, cols[i])."""
+        return self.la2.T @ self.lb2[cols], self.ra2.T @ self.rb2[cols]
+
+    def objective(self, y: np.ndarray, z: np.ndarray) -> float:
+        return self.fixed + float((y * (2.0 * self.seed + z)).sum())
+
+    def gradient(self, z: np.ndarray) -> np.ndarray:
+        return self.la2 @ (2.0 * (self.seed + z)) @ self.lb2.T
 
 
 def trace_objective(gx: SimilarityGraph, gy: SimilarityGraph, s: int, p: np.ndarray) -> float:
     """tr(Gx^T Q Gy Q^T) with Q = diag(I_s, P), for a doubly-stochastic P."""
-    a11, a12, a21, a22 = _blocks(gx.g, s)
-    b11, b12, b21, b22 = _blocks(gy.g, s)
-    p = np.asarray(p, dtype=np.float64)
-    constant = a21 @ b21.T + a12.T @ b12
-    return float((a11 * b11).sum() + (p * constant).sum() + (a22 * (p @ b22 @ p.T)).sum())
+    problem = _FactoredProblem(gx, gy, s)
+    return problem.objective(*problem.summaries(np.asarray(p, dtype=np.float64)))
 
 
 def trace_gradient(gx: SimilarityGraph, gy: SimilarityGraph, s: int, p: np.ndarray) -> np.ndarray:
     """Gradient of :func:`trace_objective` with respect to the free block P."""
-    a11, a12, a21, a22 = _blocks(gx.g, s)
-    b11, b12, b21, b22 = _blocks(gy.g, s)
-    p = np.asarray(p, dtype=np.float64)
-    return a21 @ b21.T + a12.T @ b12 + a22 @ p @ b22.T + a22.T @ p @ b22
+    problem = _FactoredProblem(gx, gy, s)
+    return problem.gradient(problem.summaries(np.asarray(p, dtype=np.float64))[1])
 
 
 def _best_step(a: float, b: float) -> float:
@@ -141,6 +194,11 @@ def sgm(
     Iteration stops when ``||P_next - P||_F < eps`` or after
     ``max_iters`` steps. If ``history`` is a list, one record per
     iteration is appended (objective, step size, iterate delta).
+
+    With m = n - s free vertices and graph factors of rank r (the
+    embedding dimension for Gram graphs), one iteration costs one
+    O(m^2 r) product for the gradient, the O(m^3) LAP for the direction
+    and O(m^2) elementwise work on P; see :class:`_FactoredProblem`.
     """
     if gx.n != gy.n:
         raise ValueError(f"graph sizes differ: {gx.n} vs {gy.n}")
@@ -151,51 +209,41 @@ def sgm(
     if init not in INIT_MODES:
         raise ValueError(f"init must be one of {INIT_MODES}, got {init!r}")
 
-    n = gx.n
-    m = n - s
-    a = gx.g
-    b = gy.g
-
-    sigma = None
+    m = gx.n - s
+    sigma = relabel = None
     if shuffle_input:
         sigma = rng.permutation(m)
-        full = np.concatenate([np.arange(s), s + sigma])
-        b = b[np.ix_(full, full)]
-
-    a11, a12, a21, a22 = _blocks(a, s)
-    b11, b12, b21, b22 = _blocks(b, s)
-    constant = a21 @ b21.T + a12.T @ b12
-    fixed_term = float((a11 * b11).sum())
+        relabel = np.concatenate([np.arange(s), s + sigma])
+    problem = _FactoredProblem(gx, gy, s, relabel)
 
     if init == "barycenter":
         p = np.full((m, m), 1.0 / m)
     else:
         p = _random_doubly_stochastic(rng, m)
+    y, z = problem.summaries(p)
+    rows = np.arange(m)
 
     for iteration in range(1, max_iters + 1):
-        grad = constant + a22 @ p @ b22.T + a22.T @ p @ b22
+        grad = problem.gradient(z)
         direction = solve_lap(grad, maximize=True).perm
-        q = np.zeros((m, m))
-        q[np.arange(m), direction] = 1.0
-        step_dir = q - p
-        quad = float((a22 * (step_dir @ b22 @ step_dir.T)).sum())
-        lin = float((grad * step_dir).sum())
-        alpha = _best_step(quad, lin)
-        p_next = p + alpha * step_dir
-        delta = float(np.linalg.norm(p_next - p))
+        yq, zq = problem.vertex_summaries(direction)
+        step = -p  # D = Q - P, with Q the direction's permutation matrix
+        step[rows, direction] += 1.0
+        # f(P + t D) - f(P) = t <grad, D> + t^2 <Y(D), Z(D)>
+        alpha = _best_step(float(((yq - y) * (zq - z)).sum()), float(np.vdot(grad, step)))
+        delta = alpha * float(np.linalg.norm(step))
+        step *= alpha
+        p += step
+        y, z = y + alpha * (yq - y), z + alpha * (zq - z)
         if history is not None:
-            objective = fixed_term + float(
-                (p_next * constant).sum() + (a22 * (p_next @ b22 @ p_next.T)).sum()
-            )
             history.append(
                 {
                     "iteration": iteration,
                     "alpha": alpha,
                     "delta": delta,
-                    "objective": objective,
+                    "objective": problem.objective(y, z),
                 }
             )
-        p = p_next
         if delta < eps:
             break
 

@@ -26,7 +26,6 @@ import numpy as np
 from . import evaluation
 from .embeddings import EmbeddingMatrix, load_embeddings, normalize
 from .graph_matching import (
-    SimilarityGraph,
     build_graph,
     sgm,
     soft_sgm,
@@ -160,14 +159,6 @@ class Dataset:
         return {w: i for i, w in enumerate(self.tgt_words)}
 
     @cached_property
-    def gram_x(self) -> np.ndarray:
-        return build_graph(self.x).g
-
-    @cached_property
-    def gram_y(self) -> np.ndarray:
-        return build_graph(self.y).g
-
-    @cached_property
     def gold_full(self) -> Lexicon:
         return Lexicon(tuple(self.gold_seeds.pairs) + tuple(self.gold_test.pairs))
 
@@ -260,11 +251,11 @@ def _sgm_run(
     """One seeded-graph-matching run over the restricted graphs."""
     pairs = [(t, s) for s, t in seeds] if reverse else list(seeds)
     if reverse:
-        a_words, a_row, a_gram = ds.tgt_words, ds.tgt_row, ds.gram_y
-        b_words, b_row, b_gram = ds.src_words, ds.src_row, ds.gram_x
+        a_words, a_row, a_vecs = ds.tgt_words, ds.tgt_row, ds.y
+        b_words, b_row, b_vecs = ds.src_words, ds.src_row, ds.x
     else:
-        a_words, a_row, a_gram = ds.src_words, ds.src_row, ds.gram_x
-        b_words, b_row, b_gram = ds.tgt_words, ds.tgt_row, ds.gram_y
+        a_words, a_row, a_vecs = ds.src_words, ds.src_row, ds.x
+        b_words, b_row, b_vecs = ds.tgt_words, ds.tgt_row, ds.y
     order_a = _seed_order(a_words, a_row, pairs, 0)
     order_b = _seed_order(b_words, b_row, pairs, 1)
     if len(pairs) == len(a_words):
@@ -272,11 +263,9 @@ def _sgm_run(
         # and the matching is the seed pairing itself.
         matching = Matching(perm=np.arange(len(pairs)), seed_count=len(pairs))
     else:
-        gx = SimilarityGraph(g=a_gram[np.ix_(order_a, order_a)], order=tuple(order_a))
-        gy = SimilarityGraph(g=b_gram[np.ix_(order_b, order_b)], order=tuple(order_b))
         matching = sgm(
-            gx,
-            gy,
+            build_graph(a_vecs, order_a),
+            build_graph(b_vecs, order_b),
             s=len(pairs),
             rng=rng,
             max_iters=spec.sgm_max_iters,
@@ -362,13 +351,10 @@ def run_single(spec: ExperimentSpec, dataset: Dataset | None = None):
         return _sgm_run(ds, spec, gold, rng, reverse=False)
     if spec.method == "softsgm":
         # Gold seeds already occupy the leading restricted rows.
-        order = tuple(range(ds.n))
-        gx = SimilarityGraph(g=ds.gram_x, order=order)
-        gy = SimilarityGraph(g=ds.gram_y, order=order)
         master = np.random.SeedSequence(entropy=spec.rng_seed, spawn_key=(_RNG_SOFT,))
         dist = soft_sgm(
-            gx,
-            gy,
+            build_graph(ds.x),
+            build_graph(ds.y),
             s=len(gold),
             runs=spec.soft_runs,
             master_seed=master,

@@ -98,6 +98,18 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="repeated"):
             build_graph(np.eye(3), order=[0, 1, 1])
 
+    def test_keeps_the_selected_rows_as_both_factors(self):
+        rows = np.arange(12.0).reshape(4, 3)
+        g = build_graph(rows, [2, 0, 3, 1])
+        assert g.left is g.right
+        np.testing.assert_array_equal(g.left, rows[[2, 0, 3, 1]])
+
+    def test_needs_exactly_one_of_matrix_and_rows(self):
+        with pytest.raises(ValueError, match="exactly one"):
+            SimilarityGraph(order=())
+        with pytest.raises(ValueError, match="exactly one"):
+            SimilarityGraph(np.eye(2), rows=np.eye(2))
+
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             SimilarityGraph(np.array([[1.0, 2.0], [0.0, 1.0]]), order=(0, 1))
@@ -213,23 +225,27 @@ class TestSgm:
         for trial in range(5):
             n = int(rng.integers(5, 8))
             s = int(rng.integers(0, 3))
-            gx = random_graph(n, 4, rng)
-            gy = random_graph(n, 4, rng)
             m = n - s
             p = sinkhorn(rng.uniform(size=(m, m)))
-            grad = trace_gradient(gx, gy, s, p)
-            step = 1e-6
-            fd = np.zeros_like(grad)
-            for i in range(m):
-                for j in range(m):
-                    bump = np.zeros((m, m))
-                    bump[i, j] = step
-                    fd[i, j] = (
-                        trace_objective(gx, gy, s, p + bump)
-                        - trace_objective(gx, gy, s, p - bump)
-                    ) / (2 * step)
-            rel = np.abs(grad - fd).max() / max(1e-12, np.abs(fd).max())
-            assert rel < 1e-6
+            # a hand-built pair, a Gram pair, and one of each
+            gram_x = build_graph(rng.normal(size=(n, 4)))
+            gram_y = build_graph(rng.normal(size=(n, 3)))
+            dense_x = random_graph(n, 4, rng)
+            dense_y = random_graph(n, 4, rng)
+            for gx, gy in ((dense_x, dense_y), (gram_x, gram_y), (gram_x, dense_y)):
+                grad = trace_gradient(gx, gy, s, p)
+                step = 1e-6
+                fd = np.zeros_like(grad)
+                for i in range(m):
+                    for j in range(m):
+                        bump = np.zeros((m, m))
+                        bump[i, j] = step
+                        fd[i, j] = (
+                            trace_objective(gx, gy, s, p + bump)
+                            - trace_objective(gx, gy, s, p - bump)
+                        ) / (2 * step)
+                rel = np.abs(grad - fd).max() / max(1e-12, np.abs(fd).max())
+                assert rel < 1e-6
 
     def test_direction_invariant_under_gradient_scaling(self):
         rng = np.random.default_rng(8)

@@ -1,0 +1,220 @@
+"""The factored Frank-Wolfe solver against the dense FAQ loop it replaced,
+against scipy's FAQ, and across BLAS thread counts."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy.optimize import quadratic_assignment
+
+import bilex
+from bilex import SimilarityGraph, build_graph, sgm, solve_lap, trace_objective
+from bilex.graph_matching import INIT_MODES, _best_step, _random_doubly_stochastic
+from bilex.hypotheses import Matching
+
+
+def dense_sgm(gx, gy, s, rng, max_iters=30, eps=0.03, shuffle_input=True,
+              init="barycenter", history=None):
+    """The dense FAQ loop: four m^3 products for the gradient and two for
+    the line search per iteration, on the materialized n x n graphs."""
+    n = gx.n
+    m = n - s
+    a = gx.g
+    b = gy.g
+
+    def blocks(matrix):
+        return matrix[:s, :s], matrix[:s, s:], matrix[s:, :s], matrix[s:, s:]
+
+    sigma = None
+    if shuffle_input:
+        sigma = rng.permutation(m)
+        full = np.concatenate([np.arange(s), s + sigma])
+        b = b[np.ix_(full, full)]
+
+    a11, a12, a21, a22 = blocks(a)
+    b11, b12, b21, b22 = blocks(b)
+    constant = a21 @ b21.T + a12.T @ b12
+    fixed_term = float((a11 * b11).sum())
+
+    if init == "barycenter":
+        p = np.full((m, m), 1.0 / m)
+    else:
+        p = _random_doubly_stochastic(rng, m)
+
+    for iteration in range(1, max_iters + 1):
+        grad = constant + a22 @ p @ b22.T + a22.T @ p @ b22
+        direction = solve_lap(grad, maximize=True).perm
+        q = np.zeros((m, m))
+        q[np.arange(m), direction] = 1.0
+        step_dir = q - p
+        quad = float((a22 * (step_dir @ b22 @ step_dir.T)).sum())
+        lin = float((grad * step_dir).sum())
+        alpha = _best_step(quad, lin)
+        p_next = p + alpha * step_dir
+        delta = float(np.linalg.norm(p_next - p))
+        if history is not None:
+            objective = fixed_term + float(
+                (p_next * constant).sum() + (a22 * (p_next @ b22 @ p_next.T)).sum()
+            )
+            history.append({"iteration": iteration, "alpha": alpha,
+                            "delta": delta, "objective": objective})
+        p = p_next
+        if delta < eps:
+            break
+
+    projected = solve_lap(p, maximize=True).perm
+    solved = sigma[projected] if sigma is not None else projected
+    return Matching(perm=np.concatenate([np.arange(s), s + solved]), seed_count=s)
+
+
+def assert_same_solve(gx, gy, s, seed, **options):
+    """Equal permutations, iteration counts and objective traces."""
+    fast_history, dense_history = [], []
+    fast = sgm(gx, gy, s, np.random.default_rng(seed), history=fast_history, **options)
+    dense = dense_sgm(gx, gy, s, np.random.default_rng(seed), history=dense_history,
+                      **options)
+    np.testing.assert_array_equal(fast.perm, dense.perm)
+    assert len(fast_history) == len(dense_history)
+    for got, want in zip(fast_history, dense_history):
+        scale = max(1.0, abs(want["objective"]))
+        assert got["objective"] == pytest.approx(want["objective"], abs=1e-9 * scale)
+        assert got["delta"] == pytest.approx(want["delta"], abs=1e-9)
+    return len(fast_history)
+
+
+def noisy_planted_rows(n, d, s, noise, rng):
+    """Rows X and a noisy copy whose free rows are hidden-permuted."""
+    x = rng.normal(size=(n, d))
+    hidden = np.concatenate([np.arange(s), s + rng.permutation(n - s)])
+    return x, x[hidden] + noise * rng.normal(size=(n, d))
+
+
+def symmetric(n, rng):
+    bump = rng.normal(size=(n, n))
+    return SimilarityGraph(bump + bump.T)
+
+
+@pytest.mark.parametrize("shuffle_input", [True, False])
+@pytest.mark.parametrize("init", INIT_MODES)
+@pytest.mark.parametrize("s", [0, 3])
+class TestDenseOracle:
+    def test_gram_graphs(self, s, init, shuffle_input):
+        rng = np.random.default_rng(100 + s)
+        iterations = 0
+        for trial in range(8):
+            n = int(rng.integers(s + 4, 40))
+            x, y = noisy_planted_rows(n, int(rng.integers(2, 8)), s, 0.5, rng)
+            iterations += assert_same_solve(
+                build_graph(x), build_graph(y), s, trial,
+                init=init, shuffle_input=shuffle_input, eps=1e-6,
+            )
+        assert iterations > 16  # the instances make Frank-Wolfe work
+
+    def test_indefinite_hand_built_graphs(self, s, init, shuffle_input):
+        rng = np.random.default_rng(200 + s)
+        for trial in range(8):
+            n = int(rng.integers(s + 2, 25))
+            assert_same_solve(symmetric(n, rng), symmetric(n, rng), s, trial,
+                              init=init, shuffle_input=shuffle_input)
+
+    def test_gram_against_hand_built(self, s, init, shuffle_input):
+        rng = np.random.default_rng(300 + s)
+        for trial in range(6):
+            n = int(rng.integers(s + 2, 25))
+            gram = build_graph(rng.normal(size=(n, 4)))
+            assert_same_solve(gram, symmetric(n, rng), s, trial,
+                              init=init, shuffle_input=shuffle_input)
+            assert_same_solve(symmetric(n, rng), gram, s, trial,
+                              init=init, shuffle_input=shuffle_input)
+
+    def test_duplicate_embedding_rows(self, s, init, shuffle_input):
+        # Repeated rows make whole blocks of the gradient equal, so most
+        # directions come from the LAP's lex-min tie-breaking.
+        rng = np.random.default_rng(400 + s)
+        for trial in range(8):
+            distinct = rng.normal(size=(int(rng.integers(2, 5)), 3))
+            n = int(rng.integers(s + 4, 30))
+            x = distinct[rng.integers(0, len(distinct), size=n)]
+            y = distinct[rng.integers(0, len(distinct), size=n)]
+            assert_same_solve(build_graph(x), build_graph(y), s, trial,
+                              init=init, shuffle_input=shuffle_input)
+
+
+@pytest.mark.parametrize("shuffle_input", [True, False])
+@pytest.mark.parametrize("init", INIT_MODES)
+@pytest.mark.parametrize("s", [0, 1])
+def test_dense_oracle_on_diag4(s, init, shuffle_input):
+    gx = SimilarityGraph(np.diag([2.0, 2.0, 3.0, 4.0]))
+    gy = SimilarityGraph(np.diag([1.0, 3.0, 4.0, 2.0]))
+    for trial in range(5):
+        assert_same_solve(gx, gy, s, trial, init=init, shuffle_input=shuffle_input)
+
+
+def test_dense_oracle_at_pipeline_scale():
+    rng = np.random.default_rng(7)
+    x, y = noisy_planted_rows(400, 20, 40, 1.0, rng)
+    assert assert_same_solve(build_graph(x), build_graph(y), 40, 0, max_iters=8) >= 5
+
+
+class TestScipyFaq:
+    @pytest.mark.parametrize("n, d, s", [(12, 3, 2), (30, 5, 4), (60, 8, 0), (80, 6, 10)])
+    def test_planted_isomorphic_instances(self, n, d, s):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, d))
+        rho = np.concatenate([np.arange(s), s + rng.permutation(n - s)])
+        planted = np.empty(n, dtype=int)
+        planted[rho] = np.arange(n)  # source vertex i is target vertex planted[i]
+        gx, gy = build_graph(x), build_graph(x[rho])
+
+        ours = sgm(gx, gy, s, np.random.default_rng(0))
+        seeds = np.column_stack([np.arange(s), np.arange(s)]).astype(int)
+        theirs = quadratic_assignment(
+            gx.g, gy.g, method="faq",
+            options={"maximize": True, "partial_match": seeds,
+                     "rng": np.random.default_rng(0)},
+        )
+        np.testing.assert_array_equal(ours.perm, planted)
+        np.testing.assert_array_equal(theirs.col_ind, planted)
+
+        p = np.zeros((n - s, n - s))
+        p[np.arange(n - s), planted[s:] - s] = 1.0
+        assert trace_objective(gx, gy, s, p) == pytest.approx(theirs.fun, rel=1e-9)
+
+
+_THREADED_SOLVE = """
+import hashlib, sys
+import numpy as np
+from bilex import build_graph, sgm
+rng = np.random.default_rng(5)
+n, d, s = 750, 50, 50
+x = rng.normal(size=(n, d))
+hidden = np.concatenate([np.arange(s), s + rng.permutation(n - s)])
+y = x[hidden] + 1.5 * rng.normal(size=(n, d))
+history = []
+matching = sgm(build_graph(x), build_graph(y), s, np.random.default_rng(1),
+               max_iters=4, history=history)
+sys.stdout.write(hashlib.sha256(matching.perm.astype(np.int64).tobytes()).hexdigest())
+sys.stdout.write(" %d" % len(history))
+"""
+
+
+def test_permutation_identical_across_blas_threads_at_scale():
+    # m = 700 and d = 50 are large enough for BLAS to split the gradient
+    # product across threads.
+    def solve(threads: str) -> str:
+        env = dict(os.environ)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = threads
+        src = str(Path(bilex.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", _THREADED_SOLVE], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    one, two = solve("1"), solve("2")
+    assert one == two
+    assert one.endswith(" 4")
