@@ -20,7 +20,6 @@ from .embeddings import (
 from .evaluation import MetricsReport, metrics_report, p_at_1, prf_at_5
 from .graph_matching import (
     SimilarityGraph,
-    SoftMatchDistribution,
     build_graph,
     sgm,
     soft_sgm,
@@ -58,7 +57,6 @@ from .procrustes import (
     OrthogonalMap,
     build_csls_index,
     csls_matrix,
-    csls_score,
     extract_hypotheses,
     extract_one_to_one,
     solve_procrustes,
@@ -80,14 +78,12 @@ __all__ = [
     "OrthogonalMap",
     "RunResult",
     "SimilarityGraph",
-    "SoftMatchDistribution",
     "SplitLexicon",
     "assemble",
     "build_csls_index",
     "build_dataset",
     "build_graph",
     "csls_matrix",
-    "csls_score",
     "drop_missing",
     "extract_hypotheses",
     "extract_one_to_one",

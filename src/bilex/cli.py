@@ -23,7 +23,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+import typing
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -47,13 +48,12 @@ EXIT_IO = 2
 EXIT_PARSE = 3
 EXIT_NUMERIC = 4
 
-_SPEC_FIELDS = {f.name for f in fields(pipelines.ExperimentSpec)}
-_INT_KEYS = {
-    "seeds", "h", "iters", "proc_inner", "csls_k", "soft_runs", "rng_seed",
-    "top_k", "max_words", "normalize_passes", "sgm_max_iters",
+# ExperimentSpec field -> the type a config value is coerced to
+# (``int | None`` coerces as ``int``).
+_SPEC_TYPES = {
+    name: next(a for a in typing.get_args(hint) or (hint,) if a is not type(None))
+    for name, hint in typing.get_type_hints(pipelines.ExperimentSpec).items()
 }
-_FLOAT_KEYS = {"sgm_eps"}
-_BOOL_KEYS = {"shuffle_input"}
 
 
 class HypothesisFormatError(ValueError):
@@ -130,20 +130,16 @@ def _add_spec_arguments(parser) -> None:
 
 
 def _coerce(key: str, raw: str):
-    if key not in _SPEC_FIELDS:
+    if key not in _SPEC_TYPES:
         raise ValueError(f"unknown config key {key!r}")
-    if key in _BOOL_KEYS:
-        lowered = raw.lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"config key {key!r}: expected a boolean, got {raw!r}")
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    return raw
+    if _SPEC_TYPES[key] is not bool:
+        return _SPEC_TYPES[key](raw)
+    lowered = raw.lower()
+    if lowered in ("1", "true", "yes", "on"):
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"config key {key!r}: expected a boolean, got {raw!r}")
 
 
 def _read_config(path) -> dict:
@@ -164,7 +160,7 @@ def _build_spec(args) -> pipelines.ExperimentSpec:
     config = _read_config(args.config) if args.config else {}
     merged = {key: _coerce(key, raw) for key, raw in config.items()}
     merged.update(
-        {key: value for key, value in vars(args).items() if key in _SPEC_FIELDS}
+        {key: value for key, value in vars(args).items() if key in _SPEC_TYPES}
     )
     required = ("src_emb", "tgt_emb", "dictionary", "seeds")
     missing = [key for key in required if key not in merged]
@@ -251,7 +247,7 @@ def _cmd_run(args) -> int:
         "rng_seed": spec.rng_seed,
         "spec": asdict(spec),
         "iterations": result.iterations,
-        "metrics": result.metrics.to_dict(),
+        "metrics": asdict(result.metrics),
         "metrics_rounded": result.metrics.rounded(),
         "timings": result.timings,
     }
@@ -281,7 +277,7 @@ def _cmd_eval(args) -> int:
         f"test={report.test_size}"
     )
     payload = json.dumps(
-        {"metrics": report.to_dict(), "metrics_rounded": rounded},
+        {"metrics": asdict(report), "metrics_rounded": rounded},
         indent=2,
         sort_keys=True,
     )

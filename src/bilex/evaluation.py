@@ -7,7 +7,7 @@ and rounded to one decimal only for display.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .hypotheses import HypothesisSet
 from .lexicon import Lexicon
@@ -26,24 +26,8 @@ class MetricsReport:
     def rounded(self) -> dict:
         """Percentages to one decimal, matching tabular reporting."""
         return {
-            "p_at_1": round(self.p_at_1, 1),
-            "precision_at_5": round(self.precision_at_5, 1),
-            "recall_at_5": round(self.recall_at_5, 1),
-            "f1_at_5": round(self.f1_at_5, 1),
-            "total_hyps": self.total_hyps,
-            "test_size": self.test_size,
-            "correct_hyps": self.correct_hyps,
-        }
-
-    def to_dict(self) -> dict:
-        return {
-            "p_at_1": self.p_at_1,
-            "precision_at_5": self.precision_at_5,
-            "recall_at_5": self.recall_at_5,
-            "f1_at_5": self.f1_at_5,
-            "total_hyps": self.total_hyps,
-            "test_size": self.test_size,
-            "correct_hyps": self.correct_hyps,
+            key: round(value, 1) if isinstance(value, float) else value
+            for key, value in asdict(self).items()
         }
 
 
@@ -55,13 +39,13 @@ def _gold_map(gold_test: Lexicon) -> dict:
     return dict(gold_test.pairs)
 
 
-def _tally(hyps: HypothesisSet, gold: dict):
+def _tally(entries: dict, gold: dict):
     """(total emitted pairs, correct pairs, covered test words)."""
     total = 0
     correct_pairs = 0
     covered = 0
     for src, tgt in gold.items():
-        ranked = hyps.entries.get(src, ())
+        ranked = entries.get(src, ())
         if len(ranked) > 5:
             raise ValueError(f"hypothesis list for {src!r} longer than 5")
         total += len(ranked)
@@ -75,15 +59,26 @@ def _tally(hyps: HypothesisSet, gold: dict):
     return total, correct_pairs, covered
 
 
+def _p_at_1(hyps: HypothesisSet, gold: dict) -> float:
+    top = hyps.top1()
+    hits = sum(1 for src, tgt in gold.items() if top.get(src) == tgt)
+    return 100.0 * hits / len(gold)
+
+
+def _prf(total: int, correct_pairs: int, covered: int, test_size: int):
+    """(precision, recall, f1) percentages from a tally."""
+    precision = 100.0 * correct_pairs / total if total else 0.0
+    recall = 100.0 * covered / test_size
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return precision, recall, f1
+
+
 def p_at_1(hyps: HypothesisSet, gold_test: Lexicon) -> float:
     """Percentage of test words whose top hypothesis is the gold target.
 
     Test words with no hypothesis count as wrong.
     """
-    gold = _gold_map(gold_test)
-    top = hyps.top1()
-    hits = sum(1 for src, tgt in gold.items() if top.get(src) == tgt)
-    return 100.0 * hits / len(gold)
+    return _p_at_1(hyps, _gold_map(gold_test))
 
 
 def prf_at_5(hyps: HypothesisSet, gold_test: Lexicon):
@@ -94,27 +89,22 @@ def prf_at_5(hyps: HypothesisSet, gold_test: Lexicon):
     in their list; F1 is the harmonic mean (zero when both are zero).
     """
     gold = _gold_map(gold_test)
-    total, correct_pairs, covered = _tally(hyps, gold)
-    precision = 100.0 * correct_pairs / total if total else 0.0
-    recall = 100.0 * covered / len(gold)
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1, total
+    total, correct_pairs, covered = _tally(hyps.entries, gold)
+    return (*_prf(total, correct_pairs, covered, len(gold)), total)
 
 
 def metrics_report(hyps: HypothesisSet, gold_test: Lexicon) -> MetricsReport:
     """Full report; hypothesis lists are truncated to 5 for the @5 metrics."""
     gold = _gold_map(gold_test)
-    truncated = HypothesisSet(
-        {src: ranked[:5] for src, ranked in hyps.entries.items()}
-    )
-    total, correct_pairs, _ = _tally(truncated, gold)
-    precision, recall, f1, _ = prf_at_5(truncated, gold_test)
+    truncated = {src: ranked[:5] for src, ranked in hyps.entries.items()}
+    total, correct_pairs, covered = _tally(truncated, gold)
+    precision, recall, f1 = _prf(total, correct_pairs, covered, len(gold))
     return MetricsReport(
-        p_at_1=p_at_1(hyps, gold_test),
+        p_at_1=_p_at_1(hyps, gold),
         precision_at_5=precision,
         recall_at_5=recall,
         f1_at_5=f1,
         total_hyps=total,
-        test_size=len(gold_test),
+        test_size=len(gold),
         correct_hyps=correct_pairs,
     )

@@ -253,27 +253,6 @@ def sgm(
     return Matching(perm=perm, seed_count=s)
 
 
-@dataclass(frozen=True)
-class SoftMatchDistribution:
-    """Empirical match distribution from repeated randomized SGM runs."""
-
-    counts: dict[int, dict[int, int]]
-    runs: int
-
-    def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError("runs must be positive")
-        for src, per_target in self.counts.items():
-            total = sum(per_target.values())
-            if total != self.runs:
-                raise ValueError(
-                    f"counts for source {src} sum to {total}, expected {self.runs}"
-                )
-
-    def probability(self, src: int, tgt: int) -> float:
-        return self.counts.get(src, {}).get(tgt, 0) / self.runs
-
-
 def _child_seed(master, index: int) -> np.random.SeedSequence:
     if isinstance(master, np.random.SeedSequence):
         return np.random.SeedSequence(
@@ -291,46 +270,48 @@ def soft_sgm(
     max_iters: int = 30,
     eps: float = 0.03,
     shuffle_input: bool = True,
-) -> SoftMatchDistribution:
-    """Tally matches over ``runs`` SGM runs with random initializations.
+) -> np.ndarray:
+    """Stack the matchings of ``runs`` SGM runs with random initializations.
 
+    Row ``r`` of the returned ``(runs, n)`` array is run ``r``'s ``perm``.
     Run ``r`` draws its generator from a substream derived deterministically
     from ``master_seed`` and ``r`` alone, so results do not depend on
     scheduling and runs could execute in parallel.
     """
     if runs < 1:
         raise ValueError("runs must be positive")
-    counts: dict[int, dict[int, int]] = {i: {} for i in range(gx.n)}
-    for run in range(runs):
-        rng = np.random.default_rng(_child_seed(master_seed, run))
-        matching = sgm(
-            gx,
-            gy,
-            s,
-            rng,
-            max_iters=max_iters,
-            eps=eps,
-            shuffle_input=shuffle_input,
-            init="randomized",
-        )
-        for src, tgt in matching.pairs():
-            per_target = counts[src]
-            per_target[tgt] = per_target.get(tgt, 0) + 1
-    return SoftMatchDistribution(counts=counts, runs=runs)
+    return np.stack(
+        [
+            sgm(
+                gx,
+                gy,
+                s,
+                np.random.default_rng(_child_seed(master_seed, run)),
+                max_iters=max_iters,
+                eps=eps,
+                shuffle_input=shuffle_input,
+                init="randomized",
+            ).perm
+            for run in range(runs)
+        ]
+    )
 
 
-def top_k_from_distribution(dist: SoftMatchDistribution, k: int = 5) -> HypothesisSet:
+def top_k_from_distribution(perms: np.ndarray, k: int = 5) -> HypothesisSet:
     """Up to ``k`` targets per source by descending empirical probability.
 
-    Ties break toward the smaller target index; sources that saw fewer
-    than ``k`` distinct targets get shorter lists.
+    ``perms`` is a ``(runs, n)`` stack of matchings; a target's probability
+    for source i is the share of runs matching i to it. Ties break toward
+    the smaller target index; sources that saw fewer than ``k`` distinct
+    targets get shorter lists.
     """
     if k < 1:
         raise ValueError("k must be positive")
+    perms = np.asarray(perms)
+    runs = perms.shape[0]
     entries = {}
-    for src, per_target in dist.counts.items():
-        ranked = sorted(per_target.items(), key=lambda item: (-item[1], item[0]))
-        entries[src] = tuple(
-            (tgt, count / dist.runs) for tgt, count in ranked[:k]
-        )
+    for src in range(perms.shape[1]):
+        targets, counts = np.unique(perms[:, src], return_counts=True)
+        ranked = np.lexsort((targets, -counts))[:k]
+        entries[src] = tuple((int(targets[i]), counts[i] / runs) for i in ranked)
     return HypothesisSet(entries)

@@ -35,14 +35,6 @@ class Matching:
     def n(self) -> int:
         return int(self.perm.shape[0])
 
-    @property
-    def seed_part(self) -> tuple[tuple[int, int], ...]:
-        return tuple((i, i) for i in range(self.seed_count))
-
-    @property
-    def solved_part(self) -> dict[int, int]:
-        return {i: int(self.perm[i]) for i in range(self.seed_count, self.n)}
-
     def pairs(self) -> list[tuple[int, int]]:
         return [(i, int(j)) for i, j in enumerate(self.perm)]
 

@@ -39,13 +39,6 @@ class Lexicon:
     def targets(self) -> tuple[str, ...]:
         return tuple(t for _, t in self.pairs)
 
-    def mapping(self) -> dict[str, str]:
-        """Source -> target map; first occurrence wins on repeated sources."""
-        out: dict[str, str] = {}
-        for src, tgt in self.pairs:
-            out.setdefault(src, tgt)
-        return out
-
     def pair_set(self) -> frozenset[tuple[str, str]]:
         return frozenset(self.pairs)
 

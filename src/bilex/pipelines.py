@@ -16,7 +16,6 @@ from the experiment's single rng seed and fixed structural indices
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -34,8 +33,6 @@ from .graph_matching import (
 from .hypotheses import HypothesisSet, Matching
 from .lexicon import Lexicon, drop_missing, filter_one_to_one, load_dictionary, split
 from .procrustes import extract_hypotheses, solve_procrustes
-
-logger = logging.getLogger(__name__)
 
 METHODS = ("procrustes", "sgm", "softsgm", "iterproc", "itersgm", "combined")
 STRATEGIES = ("add_all", "stochastic", "active")
@@ -162,6 +159,19 @@ class Dataset:
     def gold_full(self) -> Lexicon:
         return Lexicon(tuple(self.gold_seeds.pairs) + tuple(self.gold_test.pairs))
 
+    @cached_property
+    def swapped(self) -> Dataset:
+        """The same data with the two languages' roles exchanged."""
+        return Dataset(
+            src_full=self.tgt_full,
+            tgt_full=self.src_full,
+            src_words=self.tgt_words,
+            tgt_words=self.src_words,
+            gold_seeds=Lexicon(tuple((t, s) for s, t in self.gold_seeds)),
+            gold_test=Lexicon(tuple((t, s) for s, t in self.gold_test)),
+            vocab_mode=self.vocab_mode,
+        )
+
 
 def build_dataset(
     src_emb: EmbeddingMatrix,
@@ -198,37 +208,23 @@ def assemble(spec: ExperimentSpec) -> Dataset:
 # Engines
 
 
-def _proc_run(ds: Dataset, spec: ExperimentSpec, seeds, reverse: bool) -> HypothesisSet:
-    """One Euclidean run: fit W on the seed pairs, extract top-k via CSLS.
-
-    The reverse direction is a fresh solve with the two languages'
-    roles swapped, not a reuse of the forward map's transpose.
-    """
-    pairs = [(t, s) for s, t in seeds] if reverse else list(seeds)
-    if not pairs:
-        raise ValueError("empty seed set after conflict resolution")
-    if reverse:
-        side_full, other_full = ds.tgt_full, ds.src_full
-        side_words, side_mat = ds.tgt_words, ds.y
-        cand_words, cand_mat = ds.src_words, ds.x
-    else:
-        side_full, other_full = ds.src_full, ds.tgt_full
-        side_words, side_mat = ds.src_words, ds.x
-        cand_words, cand_mat = ds.tgt_words, ds.y
+def _proc_run(ds: Dataset, spec: ExperimentSpec, pairs) -> HypothesisSet:
+    """One Euclidean run: fit W on the seed pairs, extract top-k via CSLS."""
     if ds.vocab_mode == "top_n":
-        side_words, side_mat = side_full.vocab, side_full.vectors
-        cand_words, cand_mat = other_full.vocab, other_full.vectors
-
-    xbar = side_full.vectors[[side_full.index[a] for a, _ in pairs]]
-    ybar = other_full.vectors[[other_full.index[b] for _, b in pairs]]
+        words, mat = ds.src_full.vocab, ds.src_full.vectors
+        cand_words, cand_mat = ds.tgt_full.vocab, ds.tgt_full.vectors
+    else:
+        words, mat, cand_words, cand_mat = ds.src_words, ds.x, ds.tgt_words, ds.y
+    xbar = ds.src_full.vectors[[ds.src_full.index[a] for a, _ in pairs]]
+    ybar = ds.tgt_full.vectors[[ds.tgt_full.index[b] for _, b in pairs]]
     mapping = solve_procrustes(xbar, ybar)
-    mapped = mapping.apply(side_mat)
+    mapped = mapping.apply(mat)
     indexed = extract_hypotheses(
         mapped, cand_mat, top_k=spec.top_k, scorer="csls", csls_k=spec.csls_k
     )
     return HypothesisSet(
         {
-            side_words[i]: tuple((cand_words[j], score) for j, score in ranked)
+            words[i]: tuple((cand_words[j], score) for j, score in ranked)
             for i, ranked in indexed.entries.items()
         }
     )
@@ -242,30 +238,19 @@ def _seed_order(words, row_of, pairs, side: int) -> list[int]:
 
 
 def _sgm_run(
-    ds: Dataset,
-    spec: ExperimentSpec,
-    seeds,
-    rng: np.random.Generator,
-    reverse: bool,
+    ds: Dataset, spec: ExperimentSpec, pairs, rng: np.random.Generator
 ) -> tuple[HypothesisSet, Matching]:
     """One seeded-graph-matching run over the restricted graphs."""
-    pairs = [(t, s) for s, t in seeds] if reverse else list(seeds)
-    if reverse:
-        a_words, a_row, a_vecs = ds.tgt_words, ds.tgt_row, ds.y
-        b_words, b_row, b_vecs = ds.src_words, ds.src_row, ds.x
-    else:
-        a_words, a_row, a_vecs = ds.src_words, ds.src_row, ds.x
-        b_words, b_row, b_vecs = ds.tgt_words, ds.tgt_row, ds.y
-    order_a = _seed_order(a_words, a_row, pairs, 0)
-    order_b = _seed_order(b_words, b_row, pairs, 1)
-    if len(pairs) == len(a_words):
+    order_a = _seed_order(ds.src_words, ds.src_row, pairs, 0)
+    order_b = _seed_order(ds.tgt_words, ds.tgt_row, pairs, 1)
+    if len(pairs) == ds.n:
         # Iteration can saturate the seed set; every vertex is then fixed
         # and the matching is the seed pairing itself.
         matching = Matching(perm=np.arange(len(pairs)), seed_count=len(pairs))
     else:
         matching = sgm(
-            build_graph(a_vecs, order_a),
-            build_graph(b_vecs, order_b),
+            build_graph(ds.x, order_a),
+            build_graph(ds.y, order_b),
             s=len(pairs),
             rng=rng,
             max_iters=spec.sgm_max_iters,
@@ -273,19 +258,43 @@ def _sgm_run(
             shuffle_input=spec.shuffle_input,
         )
     entries = {
-        a_words[order_a[i]]: ((b_words[order_b[int(j)]], 1.0),)
+        ds.src_words[order_a[i]]: ((ds.tgt_words[order_b[int(j)]], 1.0),)
         for i, j in enumerate(matching.perm)
     }
     return HypothesisSet(entries), matching
 
 
-def _engine_run(ds, spec, engine: str, seeds, reverse: bool, rng) -> HypothesisSet:
-    if engine == "proc":
-        return _proc_run(ds, spec, seeds, reverse)
+def _engine_run(ds, spec, engine: str, seeds, direction: int, key: tuple) -> HypothesisSet:
+    """One engine run in one direction.
+
+    The reverse direction is a fresh solve with the two languages' roles
+    swapped, not a reuse of the forward solution. The graph engine draws
+    its rng substream from ``(*key, direction)``.
+    """
     if not seeds:
         raise ValueError("empty seed set after conflict resolution")
-    hyps, _ = _sgm_run(ds, spec, seeds, rng, reverse)
-    return hyps
+    if direction == _REVERSE:
+        ds, seeds = ds.swapped, [(t, s) for s, t in seeds]
+    if engine == "proc":
+        return _proc_run(ds, spec, seeds)
+    return _sgm_run(ds, spec, seeds, _rng(spec.rng_seed, *key, direction))[0]
+
+
+def _round(ds, spec, engine: str, seeds_fwd, seeds_rev, key: tuple):
+    """One bidirectional round: (forward, reverse, their top-1 intersection)."""
+    forward = _engine_run(ds, spec, engine, seeds_fwd, _FORWARD, key)
+    reverse = _engine_run(ds, spec, engine, seeds_rev, _REVERSE, key)
+    return forward, reverse, intersect_hypotheses(forward.top1(), reverse.top1())
+
+
+def _round_record(ds: Dataset, forward: HypothesisSet, inter) -> dict:
+    """Record fields shared by every round: forward p@1 and intersection quality."""
+    correct = oracle_judge(inter, ds.gold_full)
+    return {
+        "forward_p1": evaluation.p_at_1(forward, ds.gold_test),
+        "intersection_size": len(inter),
+        "intersection_precision": 100.0 * len(correct) / len(inter) if inter else None,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +354,10 @@ def run_single(spec: ExperimentSpec, dataset: Dataset | None = None):
     ds = dataset if dataset is not None else assemble(spec)
     gold = list(ds.gold_seeds.pairs)
     if spec.method == "procrustes":
-        return _proc_run(ds, spec, gold, reverse=False), None
+        return _proc_run(ds, spec, gold), None
     if spec.method == "sgm":
         rng = _rng(spec.rng_seed, _RNG_SINGLE_SGM, _FORWARD)
-        return _sgm_run(ds, spec, gold, rng, reverse=False)
+        return _sgm_run(ds, spec, gold, rng)
     if spec.method == "softsgm":
         # Gold seeds already occupy the leading restricted rows.
         master = np.random.SeedSequence(entropy=spec.rng_seed, spawn_key=(_RNG_SOFT,))
@@ -398,67 +407,45 @@ def iterate(
     engine_id = 0 if engine == "proc" else 1
     gold = list(ds.gold_seeds.pairs)
     gold_set = set(gold)
-    seeds_fwd = list(gold)
-    seeds_rev = list(gold)
+    # Gold seeds are kept by the Euclidean engine, whose seeding is soft.
+    base = gold if engine == "proc" else []
+    seeds_fwd = seeds_rev = gold
     records: list[dict] = []
-    forward = None
-    pool_covered = False
-    t = 0
-    while True:
-        t += 1
+    pool_covered = spec.strategy != "stochastic"
+    for t in range(1, MAX_ITERATIONS + 1):
         if seed_log is not None:
             seed_log.append((list(seeds_fwd), list(seeds_rev)))
-        forward = _engine_run(
-            ds, spec, engine, seeds_fwd, False,
-            _rng(spec.rng_seed, _RNG_ITER, engine_id, t, _FORWARD),
+        forward, reverse, inter = _round(
+            ds, spec, engine, seeds_fwd, seeds_rev, (_RNG_ITER, engine_id, t)
         )
-        reverse = _engine_run(
-            ds, spec, engine, seeds_rev, True,
-            _rng(spec.rng_seed, _RNG_ITER, engine_id, t, _REVERSE),
-        )
-        inter = intersect_hypotheses(forward.top1(), reverse.top1())
-        correct = oracle_judge(inter, ds.gold_full)
         records.append(
             {
                 "iteration": t,
-                "forward_p1": evaluation.p_at_1(forward, ds.gold_test),
-                "intersection_size": len(inter),
-                "intersection_precision": (
-                    100.0 * len(correct) / len(inter) if inter else None
-                ),
+                **_round_record(ds, forward, inter),
                 "seeds_forward": len(seeds_fwd),
                 "seeds_reverse": len(seeds_rev),
                 "forward_hypotheses": forward.total_hypotheses(),
             }
         )
-        if t >= MAX_ITERATIONS:
+        if t >= spec.iters and pool_covered:
             break
         if spec.strategy == "add_all":
-            if t >= spec.iters:
-                break
-            base = gold if engine == "proc" else []
             seeds_fwd = seeds_rev = resolve_seed_conflicts(base, inter)
         elif spec.strategy == "active":
-            if t >= spec.iters:
-                break
             union = union_hypotheses(forward.top1(), reverse.top1())
             verified = oracle_judge(union, ds.gold_full)
-            base = gold if engine == "proc" else []
             seeds_fwd = seeds_rev = resolve_seed_conflicts(base, verified)
         else:  # stochastic
-            if t >= spec.iters and pool_covered:
-                break
             pool = [pair for pair in inter if pair not in gold_set]
             take = min(t * spec.h, len(pool))
             pool_covered = take >= len(pool)
-            seeds_fwd = resolve_seed_conflicts(
-                gold, _sample(pool, take, _rng(spec.rng_seed, _RNG_SAMPLE, engine_id, t, _FORWARD))
+            seeds_fwd, seeds_rev = (
+                resolve_seed_conflicts(
+                    gold,
+                    _sample(pool, take, _rng(spec.rng_seed, _RNG_SAMPLE, engine_id, t, d)),
+                )
+                for d in (_FORWARD, _REVERSE)
             )
-            seeds_rev = resolve_seed_conflicts(
-                gold, _sample(pool, take, _rng(spec.rng_seed, _RNG_SAMPLE, engine_id, t, _REVERSE))
-            )
-        if not seeds_fwd or not seeds_rev:
-            raise ValueError("empty seed set after conflict resolution")
     return records, forward
 
 
@@ -475,65 +462,27 @@ def run_combined(spec: ExperimentSpec, dataset: Dataset | None = None):
     """
     ds = dataset if dataset is not None else assemble(spec)
     gold = list(ds.gold_seeds.pairs)
-    seeds = list(gold)
-    last_forward: dict[str, HypothesisSet | None] = {"sgm": None, "proc": None}
+    seeds = gold
+    last_forward: dict[str, HypothesisSet] = {}
     order = ("sgm", "proc") if spec.start == "sgm" else ("proc", "sgm")
     records: list[dict] = []
-
-    def sgm_component(cycle: int) -> dict:
-        nonlocal seeds
-        forward = _engine_run(
-            ds, spec, "sgm", seeds, False,
-            _rng(spec.rng_seed, _RNG_COMBINED, cycle, _FORWARD),
-        )
-        reverse = _engine_run(
-            ds, spec, "sgm", seeds, True,
-            _rng(spec.rng_seed, _RNG_COMBINED, cycle, _REVERSE),
-        )
-        inter = intersect_hypotheses(forward.top1(), reverse.top1())
-        seeds = resolve_seed_conflicts(gold, inter)
-        last_forward["sgm"] = forward
-        correct = oracle_judge(inter, ds.gold_full)
-        return {
-            "component": "sgm",
-            "forward_p1": evaluation.p_at_1(forward, ds.gold_test),
-            "intersection_size": len(inter),
-            "intersection_precision": (
-                100.0 * len(correct) / len(inter) if inter else None
-            ),
-            "seeds_after": len(seeds),
-        }
-
-    def proc_component(cycle: int) -> dict | None:
-        nonlocal seeds
-        if spec.proc_inner == 0:
-            return None
-        inter: list = []
-        forward = None
-        for _ in range(spec.proc_inner):
-            forward = _proc_run(ds, spec, seeds, reverse=False)
-            reverse = _proc_run(ds, spec, seeds, reverse=True)
-            inter = intersect_hypotheses(forward.top1(), reverse.top1())
-            seeds = resolve_seed_conflicts(gold, inter)
-        last_forward["proc"] = forward
-        correct = oracle_judge(inter, ds.gold_full)
-        return {
-            "component": "proc",
-            "inner_iterations": spec.proc_inner,
-            "forward_p1": evaluation.p_at_1(forward, ds.gold_test),
-            "intersection_size": len(inter),
-            "intersection_precision": (
-                100.0 * len(correct) / len(inter) if inter else None
-            ),
-            "seeds_after": len(seeds),
-        }
-
     for cycle in range(1, spec.iters + 1):
         components = []
-        for name in order:
-            info = sgm_component(cycle) if name == "sgm" else proc_component(cycle)
-            if info is not None:
-                components.append(info)
+        for engine in order:
+            rounds = 1 if engine == "sgm" else spec.proc_inner
+            if rounds == 0:
+                continue
+            for _ in range(rounds):
+                forward, _, inter = _round(
+                    ds, spec, engine, seeds, seeds, (_RNG_COMBINED, cycle)
+                )
+                seeds = resolve_seed_conflicts(gold, inter)
+            last_forward[engine] = forward
+            info = {"component": engine}
+            if engine == "proc":
+                info["inner_iterations"] = rounds
+            info.update(_round_record(ds, forward, inter), seeds_after=len(seeds))
+            components.append(info)
         records.append(
             {
                 "iteration": cycle,
@@ -542,13 +491,9 @@ def run_combined(spec: ExperimentSpec, dataset: Dataset | None = None):
             }
         )
 
-    pull = "proc" if spec.pull == "proc" else "sgm"
-    final = last_forward[pull]
+    final = last_forward.get(spec.pull)
     if final is None:
-        final = _engine_run(
-            ds, spec, pull, seeds, False,
-            _rng(spec.rng_seed, _RNG_COMBINED, 0, _FORWARD),
-        )
+        final = _engine_run(ds, spec, spec.pull, seeds, _FORWARD, (_RNG_COMBINED, 0))
     return records, final
 
 

@@ -118,13 +118,6 @@ def _top_k_row_mean(matrix: np.ndarray, k: int) -> np.ndarray:
     return top.mean(axis=1)
 
 
-def csls_score(i: int, j: int, cosines: np.ndarray, index: CslsIndex) -> float:
-    """2 cos(i, j) minus both neighborhood averages."""
-    if not (0 <= i < cosines.shape[0] and 0 <= j < cosines.shape[1]):
-        raise IndexError(f"({i}, {j}) outside cosine matrix {cosines.shape}")
-    return float(2.0 * cosines[i, j] - index.src_avgs[i] - index.tgt_avgs[j])
-
-
 def csls_matrix(cosines: np.ndarray, index: CslsIndex) -> np.ndarray:
     """CSLS scores for every (source, target) pair at once."""
     return 2.0 * cosines - index.src_avgs[:, None] - index.tgt_avgs[None, :]

@@ -51,7 +51,7 @@ def test_criterion_1_diag4_golden():
     gx = graph_of(np.diag([2.0, 2.0, 3.0, 4.0]))
     gy = graph_of(np.diag([1.0, 3.0, 4.0, 2.0]))
     matching = sgm(gx, gy, 1, np.random.default_rng(0))
-    assert matching.solved_part == {1: 3, 2: 1, 3: 2}
+    assert matching.pairs() == [(0, 0), (1, 3), (2, 1), (3, 2)]
 
     best_perm, best_val = None, None
     for tail in itertools.permutations(range(1, 4)):
@@ -196,7 +196,7 @@ def test_criterion_7_behavioral_contracts():
             np.random.default_rng(trial), init="randomized",
         )
         assert sorted(matching.perm.tolist()) == list(range(n))
-        assert matching.seed_part == tuple((i, i) for i in range(s))
+        assert matching.pairs()[:s] == [(i, i) for i in range(s)]
 
     # (b) a Procrustes-style extraction can be many-to-one
     def unit(rows):

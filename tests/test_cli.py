@@ -1,16 +1,20 @@
 """CLI subcommands, exit codes, and file round-trips."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from bilex import ExperimentSpec
 from bilex.cli import (
     EXIT_IO,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_USAGE,
+    _build_parser,
+    _build_spec,
     main,
 )
 from conftest import write_pairs, write_vec
@@ -162,6 +166,30 @@ class TestRun:
         assert report["spec"]["method"] == "procrustes"  # flag beats config
         assert report["spec"]["rng_seed"] == 3
         assert report["spec"]["seeds"] == 6
+
+    # Declared annotation -> (config text, the value the spec must hold).
+    CONFIG_SAMPLES = {
+        "str": ("value", "value"),
+        "int": ("7", 7),
+        "int | None": ("7", 7),
+        "float": ("0.25", 0.25),
+        "bool": ("false", False),
+    }
+
+    @pytest.mark.parametrize(
+        "field", dataclasses.fields(ExperimentSpec), ids=lambda f: f.name
+    )
+    def test_config_value_reaches_spec_with_declared_type(self, tmp_path, field):
+        raw, expected = self.CONFIG_SAMPLES[field.type]
+        config = tmp_path / "exp.cfg"
+        config.write_text(
+            f"src-emb=s.vec\ntgt-emb=t.vec\ndictionary=d.tsv\nseeds=3\n{field.name}={raw}\n",
+            encoding="utf-8",
+        )
+        spec = _build_spec(_build_parser().parse_args(["run", "--config", str(config)]))
+        value = getattr(spec, field.name)
+        assert value == expected
+        assert type(value) is type(expected)
 
     def test_report_round_trips(self, tmp_path, planted_files):
         src, tgt, dictionary = planted_files(n=24, d=6, seed=6)

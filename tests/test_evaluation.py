@@ -1,5 +1,7 @@
 """Metric computations against hand-counted and recount oracles."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -122,7 +124,9 @@ class TestMetricsReport:
         assert report.p_at_1 == pytest.approx(100 / 3)
         rounded = report.rounded()
         assert rounded["p_at_1"] == 33.3
-        assert report.to_dict()["p_at_1"] == report.p_at_1
+        assert asdict(report)["p_at_1"] == report.p_at_1
+        assert rounded.keys() == asdict(report).keys()
+        assert rounded["total_hyps"] == 5
 
     def test_truncates_long_lists_to_five(self):
         gold = lex(("a", "1"))

@@ -7,7 +7,6 @@ import pytest
 
 from bilex import (
     SimilarityGraph,
-    SoftMatchDistribution,
     build_graph,
     sgm,
     soft_sgm,
@@ -120,8 +119,7 @@ class TestSgm:
         gx = graph_of(DIAG4_GX)
         gy = graph_of(DIAG4_GY)
         matching = sgm(gx, gy, 1, np.random.default_rng(0))
-        assert matching.seed_part == ((0, 0),)
-        assert matching.solved_part == {1: 3, 2: 1, 3: 2}
+        assert matching.pairs() == [(0, 0), (1, 3), (2, 1), (3, 2)]
         assert frobenius_objective(gx, gy, matching.perm) == pytest.approx(
             brute_force_min(gx, gy, 1)
         )
@@ -164,10 +162,10 @@ class TestSgm:
             gx = random_graph(n, 3, rng)
             gy = random_graph(n, 3, rng)
             matching = sgm(gx, gy, s, np.random.default_rng(trial), init="randomized")
-            assert matching.seed_part == tuple((i, i) for i in range(s))
+            assert matching.pairs()[:s] == [(i, i) for i in range(s)]
             assert sorted(matching.perm.tolist()) == list(range(n))
-            solved_targets = list(matching.solved_part.values())
-            assert len(set(solved_targets)) == len(solved_targets)
+            solved_targets = matching.perm[s:].tolist()
+            assert len(set(solved_targets)) == n - s
 
     def test_objective_monotone_under_line_search(self):
         rng = np.random.default_rng(4)
@@ -257,6 +255,11 @@ class TestSgm:
             )
 
 
+def first_column_stack(targets, n=8):
+    """A permutation stack whose column 0 holds ``targets`` run by run."""
+    return np.array([[t] + [j for j in range(n) if j != t] for t in targets])
+
+
 class TestSoftSgm:
     def test_degenerate_distribution_on_identical_graphs(self):
         # Identical graphs with heterogeneous row norms and dense seed
@@ -265,10 +268,10 @@ class TestSoftSgm:
         rng = np.random.default_rng(300)
         rows = rng.normal(size=(7, 3)) * rng.uniform(0.5, 2.0, size=(7, 1))
         g = graph_of(rows @ rows.T)
-        dist = soft_sgm(g, g, 2, runs=6, master_seed=0)
-        for src in range(7):
-            assert dist.counts[src] == {src: 6}
-            assert dist.probability(src, src) == 1.0
+        perms = soft_sgm(g, g, 2, runs=6, master_seed=0)
+        np.testing.assert_array_equal(perms, np.tile(np.arange(7), (6, 1)))
+        hyps = top_k_from_distribution(perms, k=5)
+        assert hyps.entries == {src: ((src, 1.0),) for src in range(7)}
 
     def test_single_run_equals_one_sgm(self):
         from bilex.graph_matching import _child_seed
@@ -276,46 +279,62 @@ class TestSoftSgm:
         rng = np.random.default_rng(10)
         gx = random_graph(6, 3, rng)
         gy = random_graph(6, 3, rng)
-        dist = soft_sgm(gx, gy, 1, runs=1, master_seed=42)
+        perms = soft_sgm(gx, gy, 1, runs=1, master_seed=42)
         single = sgm(
             gx, gy, 1,
             np.random.default_rng(_child_seed(42, 0)),
             init="randomized",
         )
-        for src, tgt in single.pairs():
-            assert dist.counts[src] == {tgt: 1}
+        np.testing.assert_array_equal(perms, single.perm[None, :])
 
-    def test_counts_always_sum_to_runs(self):
+    def test_every_row_is_a_permutation(self):
         rng = np.random.default_rng(11)
         gx = random_graph(8, 3, rng)
         gy = random_graph(8, 3, rng)
-        dist = soft_sgm(gx, gy, 2, runs=9, master_seed=5)
+        perms = soft_sgm(gx, gy, 2, runs=9, master_seed=5)
+        assert perms.shape == (9, 8)
+        for perm in perms:
+            assert sorted(perm.tolist()) == list(range(8))
+            assert perm[:2].tolist() == [0, 1]
+        hyps = top_k_from_distribution(perms, k=8)
         for src in range(8):
-            assert sum(dist.counts[src].values()) == 9
+            assert sum(p for _, p in hyps.entries[src]) == pytest.approx(1.0)
 
     def test_runs_must_be_positive(self):
         g = graph_of(np.eye(3))
         with pytest.raises(ValueError):
             soft_sgm(g, g, 1, runs=0)
 
-    def test_inconsistent_counts_rejected(self):
-        with pytest.raises(ValueError, match="sum to"):
-            SoftMatchDistribution(counts={0: {1: 3}}, runs=5)
-
 
 class TestTopKFromDistribution:
     def test_degenerate_gives_single_hypothesis(self):
-        dist = SoftMatchDistribution(counts={0: {4: 10}}, runs=10)
-        hyps = top_k_from_distribution(dist, k=5)
+        hyps = top_k_from_distribution(first_column_stack([4] * 10), k=5)
         assert hyps.entries[0] == ((4, 1.0),)
 
     def test_tie_break_and_truncation(self):
-        dist = SoftMatchDistribution(counts={0: {7: 4, 2: 4, 5: 2}}, runs=10)
-        hyps = top_k_from_distribution(dist, k=5)
+        perms = first_column_stack([7, 2, 5, 7, 2, 7, 5, 2, 7, 2])
+        hyps = top_k_from_distribution(perms, k=5)
         assert [t for t, _ in hyps.entries[0]] == [2, 7, 5]
         assert [p for _, p in hyps.entries[0]] == [0.4, 0.4, 0.2]
+        two = top_k_from_distribution(perms, k=2)
+        assert [t for t, _ in two.entries[0]] == [2, 7]
 
     def test_k1_is_argmax(self):
-        dist = SoftMatchDistribution(counts={0: {3: 6, 1: 4}}, runs=10)
-        hyps = top_k_from_distribution(dist, k=1)
+        hyps = top_k_from_distribution(first_column_stack([1, 3, 3, 1, 3, 3, 1, 3, 1, 3]), k=1)
         assert hyps.entries[0] == ((3, 0.6),)
+        assert all(len(ranked) == 1 for ranked in hyps.entries.values())
+
+    def test_matches_tally_and_sort_reference(self):
+        # The dict-of-counts ranking the stack replaced, on random stacks
+        # with many tied counts.
+        rng = np.random.default_rng(12)
+        for runs, n, k in ((7, 6, 3), (4, 5, 5), (10, 3, 1)):
+            perms = np.array([rng.permutation(n) for _ in range(runs)])
+            want = {}
+            for src in range(n):
+                counts = {}
+                for tgt in perms[:, src].tolist():
+                    counts[tgt] = counts.get(tgt, 0) + 1
+                ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+                want[src] = tuple((tgt, count / runs) for tgt, count in ranked[:k])
+            assert top_k_from_distribution(perms, k=k).entries == want

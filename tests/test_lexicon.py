@@ -65,8 +65,8 @@ class TestFilterOneToOne:
             )
             out = filter_one_to_one(Lexicon(pairs))
             assert out.is_one_to_one()
-            mapping = out.mapping()
-            assert len(set(mapping.values())) == len(mapping)
+            assert len(set(out.sources())) == len(out)
+            assert len(set(out.targets())) == len(out)
 
 
 class TestSplit:

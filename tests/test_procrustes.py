@@ -7,7 +7,6 @@ from bilex import (
     OrthogonalMap,
     build_csls_index,
     csls_matrix,
-    csls_score,
     extract_hypotheses,
     extract_one_to_one,
     solve_procrustes,
@@ -119,9 +118,7 @@ class TestCslsScore:
         tgt = np.tile(np.array([0.5, np.sqrt(0.75)]), (3, 1))
         cosines = src @ tgt.T
         idx = build_csls_index(src, tgt, k=2)
-        for i in range(3):
-            for j in range(3):
-                assert csls_score(i, j, cosines, idx) == pytest.approx(0.0, abs=1e-12)
+        np.testing.assert_allclose(csls_matrix(cosines, idx), 0.0, atol=1e-12)
 
     def test_definition_restated(self):
         rng = np.random.default_rng(6)
@@ -129,12 +126,12 @@ class TestCslsScore:
         tgt = unit_rows(rng.normal(size=(6, 4)))
         cosines = src @ tgt.T
         idx = build_csls_index(src, tgt, k=3)
+        scores = csls_matrix(cosines, idx)
+        assert scores.shape == (5, 6)
         for i in range(5):
             for j in range(6):
                 manual = 2 * cosines[i, j] - idx.src_avgs[i] - idx.tgt_avgs[j]
-                assert csls_score(i, j, cosines, idx) == pytest.approx(
-                    manual, abs=1e-12
-                )
+                assert scores[i, j] == pytest.approx(manual, abs=1e-12)
         np.testing.assert_allclose(
             csls_matrix(cosines, idx),
             2 * cosines - idx.src_avgs[:, None] - idx.tgt_avgs[None, :],
@@ -154,11 +151,11 @@ class TestCslsScore:
             scores.argmax(axis=1), cosines.argmax(axis=1)
         )
 
-    def test_bounds_checked(self):
+    def test_shape_must_match_index(self):
         src = np.eye(2)
         idx = build_csls_index(src, src, k=1)
-        with pytest.raises(IndexError):
-            csls_score(0, 5, src @ src.T, idx)
+        with pytest.raises(ValueError):
+            csls_matrix(np.zeros((2, 5)), idx)
 
 
 class TestExtractHypotheses:
