@@ -53,18 +53,15 @@ from .pipelines import (
     union_hypotheses,
 )
 from .procrustes import (
-    CslsIndex,
     OrthogonalMap,
-    build_csls_index,
-    csls_matrix,
     extract_hypotheses,
     extract_one_to_one,
+    score_blocks,
     solve_procrustes,
 )
 
 __all__ = [
     "Assignment",
-    "CslsIndex",
     "Dataset",
     "DictionaryFormatError",
     "EmbeddingFormatError",
@@ -80,10 +77,8 @@ __all__ = [
     "SimilarityGraph",
     "SplitLexicon",
     "assemble",
-    "build_csls_index",
     "build_dataset",
     "build_graph",
-    "csls_matrix",
     "drop_missing",
     "extract_hypotheses",
     "extract_one_to_one",
@@ -101,6 +96,7 @@ __all__ = [
     "run",
     "run_combined",
     "run_single",
+    "score_blocks",
     "sgm",
     "soft_sgm",
     "solve_lap",

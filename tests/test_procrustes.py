@@ -5,12 +5,12 @@ import pytest
 
 from bilex import (
     OrthogonalMap,
-    build_csls_index,
-    csls_matrix,
     extract_hypotheses,
     extract_one_to_one,
+    score_blocks,
     solve_procrustes,
 )
+from bilex.procrustes import SCORERS, _top_k_means
 from conftest import random_orthogonal
 
 
@@ -76,65 +76,87 @@ class TestSolveProcrustes:
             OrthogonalMap(np.array([[1.0, 0.1], [0.0, 1.0]]))
 
 
+def csls_scores(src, tgt, k):
+    """The full score matrix, stacked from the scorer's blocks."""
+    return np.vstack([block for _, block in score_blocks(src, tgt, "csls", k)])
+
+
+def neighborhood_means(src, tgt, k):
+    """Source and target CSLS means, as the scorer computes them."""
+    return (
+        _top_k_means(src @ tgt.T, k, sequential=False),
+        _top_k_means(tgt @ src.T, k, sequential=True),
+    )
+
+
 class TestCslsIndex:
     def test_all_equal_cosines(self):
         # Every source at the same angle from every target.
         src = np.tile(np.array([1.0, 0.0]), (4, 1))
         c = 0.3
         tgt = np.tile(np.array([c, np.sqrt(1 - c * c)]), (5, 1))
-        idx = build_csls_index(src, tgt, k=3)
-        np.testing.assert_allclose(idx.src_avgs, c, atol=1e-12)
-        np.testing.assert_allclose(idx.tgt_avgs, c, atol=1e-12)
+        src_avgs, tgt_avgs = neighborhood_means(src, tgt, k=3)
+        np.testing.assert_allclose(src_avgs, c, atol=1e-12)
+        np.testing.assert_allclose(tgt_avgs, c, atol=1e-12)
 
     def test_top_two_of_three_targets_against_sort_oracle(self):
         rng = np.random.default_rng(4)
         src = unit_rows(rng.normal(size=(6, 4)))
         tgt = unit_rows(rng.normal(size=(3, 4)))
-        idx = build_csls_index(src, tgt, k=2)
+        src_avgs, tgt_avgs = neighborhood_means(src, tgt, k=2)
         cosines = src @ tgt.T
         for i in range(6):
             expected = np.sort(cosines[i])[-2:].mean()
-            assert idx.src_avgs[i] == pytest.approx(expected, abs=1e-12)
+            assert src_avgs[i] == pytest.approx(expected, abs=1e-12)
         for j in range(3):
             expected = np.sort(cosines[:, j])[-2:].mean()
-            assert idx.tgt_avgs[j] == pytest.approx(expected, abs=1e-12)
+            assert tgt_avgs[j] == pytest.approx(expected, abs=1e-12)
 
     def test_k_equal_to_vocab_size_is_row_mean(self):
         rng = np.random.default_rng(5)
         src = unit_rows(rng.normal(size=(4, 3)))
         tgt = unit_rows(rng.normal(size=(4, 3)))
-        idx = build_csls_index(src, tgt, k=4)
+        src_avgs, _ = neighborhood_means(src, tgt, k=4)
         cosines = src @ tgt.T
-        np.testing.assert_allclose(idx.src_avgs, cosines.mean(axis=1), atol=1e-12)
+        np.testing.assert_allclose(src_avgs, cosines.mean(axis=1), atol=1e-12)
 
-    def test_k_too_large_raises(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            build_csls_index(np.eye(3), np.eye(3), k=4)
+    def test_k_larger_than_candidate_set_is_clamped(self):
+        rng = np.random.default_rng(13)
+        src = unit_rows(rng.normal(size=(3, 4)))
+        tgt = unit_rows(rng.normal(size=(5, 4)))
+        np.testing.assert_array_equal(csls_scores(src, tgt, 4), csls_scores(src, tgt, 3))
+
+    def test_k_must_be_positive(self):
+        with pytest.raises(ValueError, match="positive"):
+            csls_scores(np.eye(3), np.eye(3), 0)
+
+    def test_means_outside_unit_interval_raise(self):
+        # Rows of norm 2 give cosines of 4: not a cosine scoring input.
+        with pytest.raises(ValueError, match="unit-norm"):
+            csls_scores(2.0 * np.eye(3), 2.0 * np.eye(3), 2)
 
 
 class TestCslsScore:
     def test_all_equal_cosines_score_zero(self):
         src = np.tile(np.array([1.0, 0.0]), (3, 1))
         tgt = np.tile(np.array([0.5, np.sqrt(0.75)]), (3, 1))
-        cosines = src @ tgt.T
-        idx = build_csls_index(src, tgt, k=2)
-        np.testing.assert_allclose(csls_matrix(cosines, idx), 0.0, atol=1e-12)
+        np.testing.assert_allclose(csls_scores(src, tgt, 2), 0.0, atol=1e-12)
 
     def test_definition_restated(self):
         rng = np.random.default_rng(6)
         src = unit_rows(rng.normal(size=(5, 4)))
         tgt = unit_rows(rng.normal(size=(6, 4)))
         cosines = src @ tgt.T
-        idx = build_csls_index(src, tgt, k=3)
-        scores = csls_matrix(cosines, idx)
+        src_avgs, tgt_avgs = neighborhood_means(src, tgt, k=3)
+        scores = csls_scores(src, tgt, 3)
         assert scores.shape == (5, 6)
         for i in range(5):
             for j in range(6):
-                manual = 2 * cosines[i, j] - idx.src_avgs[i] - idx.tgt_avgs[j]
+                manual = 2 * cosines[i, j] - src_avgs[i] - tgt_avgs[j]
                 assert scores[i, j] == pytest.approx(manual, abs=1e-12)
         np.testing.assert_allclose(
-            csls_matrix(cosines, idx),
-            2 * cosines - idx.src_avgs[:, None] - idx.tgt_avgs[None, :],
+            scores,
+            2 * cosines - src_avgs[:, None] - tgt_avgs[None, :],
             atol=1e-12,
         )
 
@@ -145,17 +167,16 @@ class TestCslsScore:
         src = unit_rows(rng.normal(size=(12, 16)))
         tgt = unit_rows(src + 0.01 * rng.normal(size=src.shape))
         cosines = src @ tgt.T
-        idx = build_csls_index(src, tgt, k=3)
-        scores = csls_matrix(cosines, idx)
+        scores = csls_scores(src, tgt, 3)
         np.testing.assert_array_equal(
             scores.argmax(axis=1), cosines.argmax(axis=1)
         )
 
     def test_shape_must_match_index(self):
-        src = np.eye(2)
-        idx = build_csls_index(src, src, k=1)
-        with pytest.raises(ValueError):
-            csls_matrix(np.zeros((2, 5)), idx)
+        # Source and target rows of different dimension cannot be scored.
+        for scorer in SCORERS:
+            with pytest.raises(ValueError):
+                list(score_blocks(np.eye(2), np.eye(5, 3), scorer, 1))
 
 
 class TestExtractHypotheses:
