@@ -55,7 +55,6 @@ from .pipelines import (
 from .procrustes import (
     OrthogonalMap,
     extract_hypotheses,
-    extract_one_to_one,
     score_blocks,
     solve_procrustes,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "build_graph",
     "drop_missing",
     "extract_hypotheses",
-    "extract_one_to_one",
     "filter_one_to_one",
     "intersect_hypotheses",
     "iterate",

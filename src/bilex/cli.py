@@ -15,7 +15,9 @@ Exit codes: 0 success, 1 usage/spec error, 2 I/O error, 3 input parse
 error, 4 numeric failure. All randomness flows from ``--rng-seed``.
 Linear-algebra thread counts can be capped with the usual BLAS
 environment variables (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``,
-``MKL_NUM_THREADS``); results do not depend on them.
+``MKL_NUM_THREADS``). At desk scale results do not depend on them; at
+scale BLAS can round a few entries differently on different thread
+counts, so pin the count to compare dumps bit for bit.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ _SPEC_TYPES = {
     name: next(a for a in typing.get_args(hint) or (hint,) if a is not type(None))
     for name, hint in typing.get_type_hints(pipelines.ExperimentSpec).items()
 }
+_SPEC_HELP = {"h": "Stochastic-Add sample growth", "iters": "iterations / cycles N"}
 
 
 class HypothesisFormatError(ValueError):
@@ -102,31 +105,23 @@ def _build_parser() -> _Parser:
 
 
 def _add_spec_arguments(parser) -> None:
+    """One flag per ExperimentSpec field: ``--field-name``, except
+    ``--dict`` for ``dictionary`` and ``--no-shuffle-input``."""
     s = argparse.SUPPRESS
     g = parser.add_argument_group("experiment spec")
-    g.add_argument("--src-emb", dest="src_emb", default=s)
-    g.add_argument("--tgt-emb", dest="tgt_emb", default=s)
-    g.add_argument("--dict", dest="dictionary", default=s)
-    g.add_argument("--seeds", type=int, default=s)
-    g.add_argument("--method", choices=pipelines.METHODS, default=s)
-    g.add_argument("--strategy", choices=pipelines.STRATEGIES, default=s)
-    g.add_argument("--h", type=int, default=s, help="Stochastic-Add sample growth")
-    g.add_argument("--iters", type=int, default=s, help="iterations / cycles N")
-    g.add_argument("--proc-inner", dest="proc_inner", type=int, default=s)
-    g.add_argument("--start", choices=("iterproc", "sgm"), default=s)
-    g.add_argument("--pull", choices=("proc", "sgm"), default=s)
-    g.add_argument("--csls-k", dest="csls_k", type=int, default=s)
-    g.add_argument("--soft-runs", dest="soft_runs", type=int, default=s)
-    g.add_argument("--rng-seed", dest="rng_seed", type=int, default=s)
-    g.add_argument("--vocab-mode", dest="vocab_mode", choices=pipelines.VOCAB_MODES, default=s)
-    g.add_argument("--top-k", dest="top_k", type=int, default=s)
-    g.add_argument("--max-words", dest="max_words", type=int, default=s)
-    g.add_argument("--normalize-passes", dest="normalize_passes", type=int, default=s)
-    g.add_argument("--sgm-max-iters", dest="sgm_max_iters", type=int, default=s)
-    g.add_argument("--sgm-eps", dest="sgm_eps", type=float, default=s)
-    g.add_argument(
-        "--no-shuffle-input", dest="shuffle_input", action="store_false", default=s
-    )
+    for name, kind in _SPEC_TYPES.items():
+        dashed = "dict" if name == "dictionary" else name.replace("_", "-")
+        if kind is bool:
+            g.add_argument(f"--no-{dashed}", dest=name, action="store_false", default=s)
+            continue
+        g.add_argument(
+            f"--{dashed}",
+            dest=name,
+            type=kind,
+            choices=pipelines.CHOICES.get(name),
+            default=s,
+            help=_SPEC_HELP.get(name),
+        )
 
 
 def _coerce(key: str, raw: str):

@@ -37,16 +37,14 @@ class SimilarityGraph:
     both factors are X, so it is symmetric by construction and its n x n
     matrix is never formed. ``SimilarityGraph(g)`` stores a hand-built
     matrix exactly, as ``left = g, right = I``, after a symmetry check.
-    ``order[i]`` is the embedding-row index behind graph vertex i
-    (default ``0..n-1``); the diagonal of a Gram graph holds squared row
-    norms (all ones after normalization).
+    The diagonal of a Gram graph holds squared row norms (all ones after
+    normalization).
     """
 
     left: np.ndarray
     right: np.ndarray
-    order: tuple[int, ...]
 
-    def __init__(self, g=None, order=None, *, rows=None):
+    def __init__(self, g=None, *, rows=None):
         if (g is None) == (rows is None):
             raise ValueError("give exactly one of a matrix g and embedding rows")
         if rows is not None:
@@ -60,12 +58,8 @@ class SimilarityGraph:
             if left.size and np.abs(left - left.T).max() > 1e-9:
                 raise ValueError("graph matrix must be symmetric within 1e-9")
             right = np.eye(left.shape[0])
-        order = tuple(int(i) for i in (range(left.shape[0]) if order is None else order))
-        if len(order) != left.shape[0]:
-            raise ValueError("order length must match matrix size")
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-        object.__setattr__(self, "order", order)
 
     @property
     def n(self) -> int:
@@ -80,6 +74,7 @@ class SimilarityGraph:
 def build_graph(vectors: np.ndarray, order=None) -> SimilarityGraph:
     """Gram graph of the selected embedding rows: g[i][j] = <row_i, row_j>.
 
+    Vertex i is embedding row ``order[i]`` (default: every row in turn).
     Only the selected rows are kept; no n x n matrix is formed.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
@@ -90,7 +85,7 @@ def build_graph(vectors: np.ndarray, order=None) -> SimilarityGraph:
         raise IndexError("order contains out-of-range row indices")
     if len(set(order)) != len(order):
         raise ValueError("order contains repeated row indices")
-    return SimilarityGraph(order=order, rows=vectors[order])
+    return SimilarityGraph(rows=vectors[order])
 
 
 class _FactoredProblem:

@@ -34,9 +34,14 @@ from .hypotheses import HypothesisSet, Matching
 from .lexicon import Lexicon, drop_missing, filter_one_to_one, load_dictionary, split
 from .procrustes import extract_hypotheses, solve_procrustes
 
-METHODS = ("procrustes", "sgm", "softsgm", "iterproc", "itersgm", "combined")
-STRATEGIES = ("add_all", "stochastic", "active")
-VOCAB_MODES = ("restricted", "top_n")
+# Allowed values of the enumerated ExperimentSpec fields.
+CHOICES = {
+    "method": ("procrustes", "sgm", "softsgm", "iterproc", "itersgm", "combined"),
+    "strategy": ("add_all", "stochastic", "active"),
+    "start": ("iterproc", "sgm"),
+    "pull": ("proc", "sgm"),
+    "vocab_mode": ("restricted", "top_n"),
+}
 
 # Hard cap on refinement iterations; Stochastic-Add runs until its growing
 # sample covers the intersection, which must terminate even if the
@@ -87,21 +92,11 @@ class ExperimentSpec:
 
     def validate(self) -> list[str]:
         """All problems with this spec, as human-readable messages."""
-        problems = []
-        if self.method not in METHODS:
-            problems.append(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.strategy not in STRATEGIES:
-            problems.append(
-                f"strategy must be one of {STRATEGIES}, got {self.strategy!r}"
-            )
-        if self.start not in ("iterproc", "sgm"):
-            problems.append(f"start must be 'iterproc' or 'sgm', got {self.start!r}")
-        if self.pull not in ("proc", "sgm"):
-            problems.append(f"pull must be 'proc' or 'sgm', got {self.pull!r}")
-        if self.vocab_mode not in VOCAB_MODES:
-            problems.append(
-                f"vocab_mode must be one of {VOCAB_MODES}, got {self.vocab_mode!r}"
-            )
+        problems = [
+            f"{name} must be one of {allowed}, got {getattr(self, name)!r}"
+            for name, allowed in CHOICES.items()
+            if getattr(self, name) not in allowed
+        ]
         if self.vocab_mode == "top_n" and self.method not in ("procrustes", "iterproc"):
             problems.append(
                 "vocab_mode 'top_n' only applies to procrustes/iterproc; the "
@@ -133,7 +128,6 @@ class Dataset:
     tgt_words: tuple[str, ...]
     gold_seeds: Lexicon
     gold_test: Lexicon
-    vocab_mode: str = "restricted"
 
     @property
     def n(self) -> int:
@@ -169,7 +163,6 @@ class Dataset:
             tgt_words=self.src_words,
             gold_seeds=Lexicon(tuple((t, s) for s, t in self.gold_seeds)),
             gold_test=Lexicon(tuple((t, s) for s, t in self.gold_test)),
-            vocab_mode=self.vocab_mode,
         )
 
 
@@ -178,7 +171,6 @@ def build_dataset(
     tgt_emb: EmbeddingMatrix,
     lexicon: Lexicon,
     seed_count: int,
-    vocab_mode: str = "restricted",
 ) -> Dataset:
     """Filter the lexicon, split it, and lay out the restricted vocabulary."""
     usable = drop_missing(filter_one_to_one(lexicon), src_emb.index, tgt_emb.index)
@@ -192,7 +184,6 @@ def build_dataset(
         tgt_words=tgt_words,
         gold_seeds=parts.seeds,
         gold_test=parts.test,
-        vocab_mode=vocab_mode,
     )
 
 
@@ -201,7 +192,7 @@ def assemble(spec: ExperimentSpec) -> Dataset:
     src = normalize(load_embeddings(spec.src_emb, spec.max_words), spec.normalize_passes)
     tgt = normalize(load_embeddings(spec.tgt_emb, spec.max_words), spec.normalize_passes)
     lexicon = load_dictionary(spec.dictionary)
-    return build_dataset(src, tgt, lexicon, spec.seeds, spec.vocab_mode)
+    return build_dataset(src, tgt, lexicon, spec.seeds)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +201,7 @@ def assemble(spec: ExperimentSpec) -> Dataset:
 
 def _proc_run(ds: Dataset, spec: ExperimentSpec, pairs) -> HypothesisSet:
     """One Euclidean run: fit W on the seed pairs, extract top-k via CSLS."""
-    if ds.vocab_mode == "top_n":
+    if spec.vocab_mode == "top_n":
         words, mat = ds.src_full.vocab, ds.src_full.vectors
         cand_words, cand_mat = ds.tgt_full.vocab, ds.tgt_full.vectors
     else:
@@ -328,16 +319,7 @@ def oracle_judge(pairs, gold_full: Lexicon) -> list[tuple]:
 
 def resolve_seed_conflicts(gold_pairs, hypothesis_pairs) -> list[tuple]:
     """One-to-one seed set: gold wins collisions, the rest admitted in order."""
-    out = []
-    used_src: set = set()
-    used_tgt: set = set()
-    for src, tgt in [*gold_pairs, *hypothesis_pairs]:
-        if src in used_src or tgt in used_tgt:
-            continue
-        used_src.add(src)
-        used_tgt.add(tgt)
-        out.append((src, tgt))
-    return out
+    return list(filter_one_to_one(Lexicon((*gold_pairs, *hypothesis_pairs))).pairs)
 
 
 def _sample(pool, count, rng) -> list:

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import solve_lap
-from .hypotheses import HypothesisSet, Matching
+# Nothing here calls solve_lap; perfbench/tracer.py wraps this name.
+from .assignment import solve_lap  # noqa: F401
+from .hypotheses import HypothesisSet
 
 SCORERS = ("csls", "cosine")
 
@@ -169,23 +170,3 @@ def extract_hypotheses(
         for i, c, v in zip(range(rows.start, rows.stop), cand.tolist(), vals.tolist()):
             entries[i] = tuple(zip(c, v))
     return HypothesisSet(entries)
-
-
-def extract_one_to_one(
-    mapped_src: np.ndarray,
-    tgt: np.ndarray,
-    scorer: str = "csls",
-    csls_k: int = 10,
-) -> Matching:
-    """Globally optimal one-to-one extraction: maximize total score by LAP."""
-    mapped_src = np.asarray(mapped_src, dtype=np.float64)
-    tgt = np.asarray(tgt, dtype=np.float64)
-    if mapped_src.shape[0] != tgt.shape[0]:
-        raise ValueError(
-            f"one-to-one extraction needs equal sizes, got "
-            f"{mapped_src.shape[0]} and {tgt.shape[0]}"
-        )
-    scores = np.empty((mapped_src.shape[0], tgt.shape[0]))
-    for rows, block in score_blocks(mapped_src, tgt, scorer, csls_k):
-        scores[rows] = block
-    return Matching(perm=solve_lap(scores, maximize=True).perm, seed_count=0)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bilex
 from bilex import EmbeddingMatrix, ExperimentSpec, Lexicon, normalize
 
 
@@ -34,6 +38,18 @@ def make_spec(**overrides) -> ExperimentSpec:
     values = dict(src_emb="-", tgt_emb="-", dictionary="-", seeds=15)
     values.update(overrides)
     return ExperimentSpec(**values)
+
+
+def blas_env(threads: str) -> dict[str, str]:
+    """This environment with BLAS capped at ``threads`` threads and the
+    imported package's ``src`` directory first on ``PYTHONPATH``, for
+    running ``bilex`` in a subprocess."""
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = threads
+    src = str(Path(bilex.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def random_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:

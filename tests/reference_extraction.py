@@ -1,10 +1,9 @@
 """CSLS extraction as it was before the blocked scorer.
 
 The dense ``_score_matrix``, ``build_csls_index``, ``_top_k_row_mean``,
-``csls_matrix``, ``extract_hypotheses`` and ``extract_one_to_one`` are
-kept verbatim as an oracle for ``bilex.procrustes``: on the same inputs
-they must give equal hypothesis entries, scores included, and the same
-one-to-one permutation.
+``csls_matrix`` and ``extract_hypotheses`` are kept verbatim as an
+oracle for ``bilex.procrustes``: on the same inputs they must give equal
+hypothesis entries, scores included.
 """
 
 from __future__ import annotations
@@ -13,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from bilex.assignment import solve_lap
-from bilex.hypotheses import HypothesisSet, Matching
+from bilex.hypotheses import HypothesisSet
 from bilex.procrustes import SCORERS
 
 
@@ -128,21 +126,3 @@ def extract_hypotheses(
         order = np.lexsort((cand, -vals))[:k]  # descending score, then index
         entries[i] = tuple((int(cand[o]), float(vals[o])) for o in order)
     return HypothesisSet(entries)
-
-
-def extract_one_to_one(
-    mapped_src: np.ndarray,
-    tgt: np.ndarray,
-    scorer: str = "csls",
-    csls_k: int = 10,
-) -> Matching:
-    """Globally optimal one-to-one extraction: maximize total score by LAP."""
-    mapped_src = np.asarray(mapped_src, dtype=np.float64)
-    tgt = np.asarray(tgt, dtype=np.float64)
-    if mapped_src.shape[0] != tgt.shape[0]:
-        raise ValueError(
-            f"one-to-one extraction needs equal sizes, got "
-            f"{mapped_src.shape[0]} and {tgt.shape[0]}"
-        )
-    scores = _score_matrix(mapped_src, tgt, scorer, csls_k)
-    return Matching(perm=solve_lap(scores, maximize=True).perm, seed_count=0)

@@ -28,7 +28,6 @@ from bilex.pipelines import (
     assemble,
     intersect_hypotheses,
     oracle_judge,
-    resolve_seed_conflicts,
     union_hypotheses,
 )
 from bilex.procrustes import extract_hypotheses, solve_procrustes
@@ -51,7 +50,7 @@ def _proc_run(ds: Dataset, spec: ExperimentSpec, seeds, reverse: bool) -> Hypoth
         side_full, other_full = ds.src_full, ds.tgt_full
         side_words, side_mat = ds.src_words, ds.x
         cand_words, cand_mat = ds.tgt_words, ds.y
-    if ds.vocab_mode == "top_n":
+    if spec.vocab_mode == "top_n":
         side_words, side_mat = side_full.vocab, side_full.vectors
         cand_words, cand_mat = other_full.vocab, other_full.vectors
 
@@ -68,6 +67,20 @@ def _proc_run(ds: Dataset, spec: ExperimentSpec, seeds, reverse: bool) -> Hypoth
             for i, ranked in indexed.entries.items()
         }
     )
+
+
+def resolve_seed_conflicts(gold_pairs, hypothesis_pairs) -> list[tuple]:
+    """One-to-one seed set: gold wins collisions, the rest admitted in order."""
+    out = []
+    used_src: set = set()
+    used_tgt: set = set()
+    for src, tgt in [*gold_pairs, *hypothesis_pairs]:
+        if src in used_src or tgt in used_tgt:
+            continue
+        used_src.add(src)
+        used_tgt.add(tgt)
+        out.append((src, tgt))
+    return out
 
 
 def _seed_order(words, row_of, pairs, side: int) -> list[int]:

@@ -29,7 +29,14 @@ from bilex import (
     trace_gradient,
     trace_objective,
 )
-from conftest import make_planted, make_spec, random_orthogonal, write_pairs, write_vec
+from conftest import (
+    blas_env,
+    make_planted,
+    make_spec,
+    random_orthogonal,
+    write_pairs,
+    write_vec,
+)
 
 
 def report(number: int, text: str) -> None:
@@ -38,7 +45,7 @@ def report(number: int, text: str) -> None:
 
 def graph_of(matrix):
     matrix = np.asarray(matrix, dtype=float)
-    return SimilarityGraph((matrix + matrix.T) / 2, order=range(matrix.shape[0]))
+    return SimilarityGraph((matrix + matrix.T) / 2)
 
 
 def frobenius(gx, gy, perm):
@@ -258,9 +265,6 @@ def test_criterion_9_determinism_across_thread_counts(tmp_path):
 
     def run_cli(tag: str, threads: str) -> bytes:
         hyps = tmp_path / f"h_{tag}.tsv"
-        env = dict(os.environ)
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[var] = threads
         proc = subprocess.run(
             [
                 sys.executable, "-m", "bilex.cli", "run",
@@ -270,7 +274,7 @@ def test_criterion_9_determinism_across_thread_counts(tmp_path):
                 "--dict", str(tmp_path / "d.tsv"),
                 "--rng-seed", "11", "--hyps", str(hyps),
             ],
-            env=env,
+            env=blas_env(threads),
             capture_output=True,
             text=True,
         )

@@ -17,7 +17,19 @@ from bilex.cli import (
     _build_spec,
     main,
 )
+from bilex.pipelines import CHOICES
 from conftest import write_pairs, write_vec
+
+SPEC_FIELDS = dataclasses.fields(ExperimentSpec)
+REQUIRED_CONFIG = "src-emb=s.vec\ntgt-emb=t.vec\ndictionary=d.tsv\nseeds=3\n"
+
+
+def spec_flag(name: str, raw: str) -> list[str]:
+    """The ``bilex run`` arguments that set spec field ``name`` to ``raw``
+    (the boolean's flag can only set it false)."""
+    if name == "shuffle_input":
+        return ["--no-shuffle-input"]
+    return ["--dict" if name == "dictionary" else "--" + name.replace("_", "-"), raw]
 
 
 class TestPrep:
@@ -167,7 +179,8 @@ class TestRun:
         assert report["spec"]["rng_seed"] == 3
         assert report["spec"]["seeds"] == 6
 
-    # Declared annotation -> (config text, the value the spec must hold).
+    # Declared annotation -> (config text, the value the spec must hold);
+    # an enumerated field takes its last allowed value, never its default.
     CONFIG_SAMPLES = {
         "str": ("value", "value"),
         "int": ("7", 7),
@@ -177,16 +190,23 @@ class TestRun:
     }
 
     @pytest.mark.parametrize(
-        "field", dataclasses.fields(ExperimentSpec), ids=lambda f: f.name
+        "field,form",
+        [pytest.param(field, "config", id=field.name) for field in SPEC_FIELDS]
+        + [pytest.param(field, "flag", id=f"{field.name}-flag") for field in SPEC_FIELDS],
     )
-    def test_config_value_reaches_spec_with_declared_type(self, tmp_path, field):
-        raw, expected = self.CONFIG_SAMPLES[field.type]
+    def test_config_value_reaches_spec_with_declared_type(self, tmp_path, field, form):
+        if field.name in CHOICES:
+            raw = expected = CHOICES[field.name][-1]
+        else:
+            raw, expected = self.CONFIG_SAMPLES[field.type]
         config = tmp_path / "exp.cfg"
-        config.write_text(
-            f"src-emb=s.vec\ntgt-emb=t.vec\ndictionary=d.tsv\nseeds=3\n{field.name}={raw}\n",
-            encoding="utf-8",
-        )
-        spec = _build_spec(_build_parser().parse_args(["run", "--config", str(config)]))
+        argv = ["run", "--config", str(config)]
+        if form == "config":
+            config.write_text(f"{REQUIRED_CONFIG}{field.name}={raw}\n", encoding="utf-8")
+        else:
+            config.write_text(REQUIRED_CONFIG, encoding="utf-8")
+            argv += spec_flag(field.name, raw)
+        spec = _build_spec(_build_parser().parse_args(argv))
         value = getattr(spec, field.name)
         assert value == expected
         assert type(value) is type(expected)
@@ -238,6 +258,20 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             main(["run", "--method", "warp"])
         assert err.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("name", list(CHOICES))
+    def test_unknown_choice_is_usage_error(self, tmp_path, name, capsys):
+        assert f"{name} must be one of" in " ".join(
+            ExperimentSpec("s.vec", "t.vec", "d.tsv", 3, **{name: "warp"}).validate()
+        )
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"{REQUIRED_CONFIG}{name}=warp\n", encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == EXIT_USAGE
+        assert f"spec error: {name} must be one of" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            main(["run", *spec_flag(name, "warp")])
+        assert err.value.code == EXIT_USAGE
+        assert "invalid choice: 'warp'" in capsys.readouterr().err
 
     def test_invalid_spec_is_usage_error(self, tmp_path, planted_files, capsys):
         src, tgt, dictionary = planted_files(n=10, d=4, seed=7)

@@ -22,7 +22,7 @@ DIAG4_GY = np.diag([1.0, 3.0, 4.0, 2.0])
 
 def graph_of(matrix):
     matrix = np.asarray(matrix, dtype=float)
-    return SimilarityGraph((matrix + matrix.T) / 2, order=range(matrix.shape[0]))
+    return SimilarityGraph((matrix + matrix.T) / 2)
 
 
 def random_graph(n, d, rng):
@@ -105,13 +105,13 @@ class TestBuildGraph:
 
     def test_needs_exactly_one_of_matrix_and_rows(self):
         with pytest.raises(ValueError, match="exactly one"):
-            SimilarityGraph(order=())
+            SimilarityGraph()
         with pytest.raises(ValueError, match="exactly one"):
             SimilarityGraph(np.eye(2), rows=np.eye(2))
 
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
-            SimilarityGraph(np.array([[1.0, 2.0], [0.0, 1.0]]), order=(0, 1))
+            SimilarityGraph(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 class TestSgm:

@@ -19,9 +19,9 @@ from bilex import (
 from conftest import make_planted, make_spec
 
 
-def planted_dataset(n=60, d=10, noise=0.0, seed=0, seeds=15, vocab_mode="restricted"):
+def planted_dataset(n=60, d=10, noise=0.0, seed=0, seeds=15):
     src, tgt, lexicon = make_planted(n=n, d=d, noise=noise, seed=seed)
-    return build_dataset(src, tgt, lexicon, seeds, vocab_mode)
+    return build_dataset(src, tgt, lexicon, seeds)
 
 
 class TestCombiners:
@@ -302,13 +302,24 @@ class TestRunDispatch:
     def test_top_n_mode_searches_full_vocabulary(self):
         # Extra target words outside the dictionary become candidates.
         src, tgt, lexicon = make_planted(n=20, d=6, seed=11)
-        ds_restricted = build_dataset(src, tgt, lexicon, 5, "restricted")
-        ds_full = build_dataset(src, tgt, lexicon, 5, "top_n")
+        ds_full = build_dataset(src, tgt, lexicon, 5)
         trimmed = Lexicon(lexicon.pairs[:12])  # words 12.. exist only in vocab
-        ds_trim = build_dataset(src, tgt, trimmed, 5, "top_n")
-        hyps, _ = run_single(make_spec(method="procrustes", seeds=5), ds_trim)
+        ds_trim = build_dataset(src, tgt, trimmed, 5)
+        spec = make_spec(method="procrustes", seeds=5, vocab_mode="top_n")
+        hyps, _ = run_single(spec, ds_trim)
         candidates = {t for r in hyps.entries.values() for t, _ in r}
         assert candidates - set(ds_trim.tgt_words)  # non-dictionary words reachable
         assert len(hyps.entries) == len(src.vocab)  # every loaded word is mapped
-        assert len(ds_restricted.tgt_words) == len(ds_full.tgt_words) == 20
+        assert len(ds_full.tgt_words) == 20  # the restricted layout, whatever the mode
         assert len(ds_trim.tgt_words) == 12
+
+    @pytest.mark.parametrize("method", ["procrustes", "iterproc"])
+    def test_top_n_spec_maps_every_loaded_word(self, method):
+        # The spec alone chooses the vocabulary: a top_n spec run on a
+        # dataset from build_dataset searches and maps every loaded word.
+        src, tgt, lexicon = make_planted(n=80, d=6, seed=12)
+        ds = build_dataset(src, tgt, Lexicon(lexicon.pairs[:40]), 10)
+        spec = make_spec(method=method, seeds=10, iters=2, vocab_mode="top_n")
+        result = run(spec, ds)
+        assert len(ds.src_words) == 40
+        assert len(result.hypotheses.entries) == len(src.vocab) == 80

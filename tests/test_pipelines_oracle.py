@@ -25,9 +25,9 @@ COMBINED_GRID = [
 ]
 
 
-def dataset(noise, seed, vocab_mode="restricted"):
+def dataset(noise, seed):
     src, tgt, lexicon = make_planted(n=60, d=8, noise=noise, seed=seed)
-    return build_dataset(src, tgt, lexicon, 12, vocab_mode)
+    return build_dataset(src, tgt, lexicon, 12)
 
 
 def assert_same_hypotheses(got, want):
@@ -62,7 +62,7 @@ def test_iterate_matches_reference(noise, seed, config, drawn):
         method="iter" + engine, strategy=config["strategy"], iters=3, h=4,
         seeds=12, rng_seed=seed, vocab_mode=config["vocab_mode"],
     )
-    ds = dataset(noise, seed, config["vocab_mode"])
+    ds = dataset(noise, seed)
     log, want_log = [], []
     records, hyps = iterate(spec, engine, ds, seed_log=log)
     want_records, want_hyps = reference.iterate(spec, engine, ds, seed_log=want_log)

@@ -6,7 +6,6 @@ import pytest
 from bilex import (
     OrthogonalMap,
     extract_hypotheses,
-    extract_one_to_one,
     score_blocks,
     solve_procrustes,
 )
@@ -251,45 +250,6 @@ class TestExtractHypotheses:
     def test_unknown_scorer_raises(self):
         with pytest.raises(ValueError, match="scorer"):
             extract_hypotheses(np.eye(2), np.eye(2), top_k=1, scorer="manhattan")
-
-
-class TestExtractOneToOne:
-    def test_identical_point_sets(self):
-        rng = np.random.default_rng(10)
-        pts = unit_rows(rng.normal(size=(7, 5)))
-        matching = extract_one_to_one(pts, pts, scorer="cosine")
-        np.testing.assert_array_equal(matching.perm, np.arange(7))
-
-    def test_three_by_three_against_brute_force(self):
-        import itertools
-
-        rng = np.random.default_rng(11)
-        src = unit_rows(rng.normal(size=(3, 4)))
-        tgt = unit_rows(rng.normal(size=(3, 4)))
-        scores = src @ tgt.T
-        matching = extract_one_to_one(src, tgt, scorer="cosine")
-        got = scores[np.arange(3), matching.perm].sum()
-        best = max(
-            sum(scores[i, p[i]] for i in range(3))
-            for p in itertools.permutations(range(3))
-        )
-        assert got == pytest.approx(best, abs=1e-12)
-
-    def test_shared_nearest_target_reassigned(self):
-        src = unit_rows(np.array([[1.0, 0.02, 0.0], [1.0, -0.02, 0.0]]))
-        tgt = unit_rows(np.array([[1.0, 0.0, 0.0], [0.8, 0.0, 0.6]]))
-        scores = src @ tgt.T
-        assert scores[0].argmax() == scores[1].argmax() == 0
-        matching = extract_one_to_one(src, tgt, scorer="cosine")
-        assert sorted(matching.perm.tolist()) == [0, 1]
-        # greedy in source order: source 0 grabs target 0, source 1 settles
-        greedy = scores[0, 0] + scores[1, 1]
-        lap_total = scores[np.arange(2), matching.perm].sum()
-        assert lap_total >= greedy - 1e-12
-
-    def test_unequal_sizes_raise(self):
-        with pytest.raises(ValueError, match="equal sizes"):
-            extract_one_to_one(np.eye(3), np.eye(2, 3))
 
 
 class TestSoftSeeding:

@@ -1,19 +1,17 @@
 """The factored Frank-Wolfe solver against the dense FAQ loop it replaced,
 against scipy's FAQ, and across BLAS thread counts."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import quadratic_assignment
 
-import bilex
 from bilex import SimilarityGraph, build_graph, sgm, solve_lap, trace_objective
 from bilex.graph_matching import INIT_MODES, _best_step, _random_doubly_stochastic
 from bilex.hypotheses import Matching
+from conftest import blas_env
 
 
 def dense_sgm(gx, gy, s, rng, max_iters=30, eps=0.03, shuffle_input=True,
@@ -205,13 +203,10 @@ def test_permutation_identical_across_blas_threads_at_scale():
     # m = 700 and d = 50 are large enough for BLAS to split the gradient
     # product across threads.
     def solve(threads: str) -> str:
-        env = dict(os.environ)
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            env[var] = threads
-        src = str(Path(bilex.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        done = subprocess.run([sys.executable, "-c", _THREADED_SOLVE], env=env,
-                              capture_output=True, text=True, timeout=300)
+        done = subprocess.run(
+            [sys.executable, "-c", _THREADED_SOLVE], env=blas_env(threads),
+            capture_output=True, text=True, timeout=300,
+        )
         assert done.returncode == 0, done.stderr
         return done.stdout
 
