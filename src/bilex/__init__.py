@@ -54,6 +54,7 @@ from .pipelines import (
 )
 from .procrustes import (
     OrthogonalMap,
+    TopK,
     extract_hypotheses,
     score_blocks,
     solve_procrustes,
@@ -75,6 +76,7 @@ __all__ = [
     "RunResult",
     "SimilarityGraph",
     "SplitLexicon",
+    "TopK",
     "assemble",
     "build_dataset",
     "build_graph",

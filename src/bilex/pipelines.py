@@ -199,8 +199,13 @@ def assemble(spec: ExperimentSpec) -> Dataset:
 # Engines
 
 
-def _proc_run(ds: Dataset, spec: ExperimentSpec, pairs) -> HypothesisSet:
-    """One Euclidean run: fit W on the seed pairs, extract top-k via CSLS."""
+def _proc_run(ds: Dataset, spec: ExperimentSpec, pairs):
+    """One Euclidean run: fit W on the seed pairs, extract top-k via CSLS.
+
+    Returns (forward, reverse). When W is unique its transpose solves the
+    reverse problem, and the reverse hypotheses rank each target's
+    sources from the same scores; otherwise reverse is None.
+    """
     if spec.vocab_mode == "top_n":
         words, mat = ds.src_full.vocab, ds.src_full.vectors
         cand_words, cand_mat = ds.tgt_full.vocab, ds.tgt_full.vectors
@@ -209,16 +214,12 @@ def _proc_run(ds: Dataset, spec: ExperimentSpec, pairs) -> HypothesisSet:
     xbar = ds.src_full.vectors[[ds.src_full.index[a] for a, _ in pairs]]
     ybar = ds.tgt_full.vectors[[ds.tgt_full.index[b] for _, b in pairs]]
     mapping = solve_procrustes(xbar, ybar)
-    mapped = mapping.apply(mat)
-    indexed = extract_hypotheses(
-        mapped, cand_mat, top_k=spec.top_k, scorer="csls", csls_k=spec.csls_k
+    rows, columns = extract_hypotheses(
+        mapped_src=mapping.apply(mat), tgt=cand_mat,
+        top_k=spec.top_k, scorer="csls", csls_k=spec.csls_k,
     )
-    return HypothesisSet(
-        {
-            words[i]: tuple((cand_words[j], score) for j, score in ranked)
-            for i, ranked in indexed.entries.items()
-        }
-    )
+    forward = rows.hypotheses(words, cand_words)
+    return forward, columns.hypotheses(cand_words, words) if mapping.unique else None
 
 
 def _seed_order(words, row_of, pairs, side: int) -> list[int]:
@@ -255,11 +256,12 @@ def _sgm_run(
     return HypothesisSet(entries), matching
 
 
-def _engine_run(ds, spec, engine: str, seeds, direction: int, key: tuple) -> HypothesisSet:
-    """One engine run in one direction.
+def _engine_run(ds, spec, engine: str, seeds, direction: int, key: tuple):
+    """One engine run in one direction: (hypotheses, reverse or None).
 
-    The reverse direction is a fresh solve with the two languages' roles
-    swapped, not a reuse of the forward solution. The graph engine draws
+    The reverse direction swaps the two languages' roles. A Procrustes
+    run whose map is unique also returns the hypotheses of the opposite
+    direction on the same seeds; the graph engine never does, and draws
     its rng substream from ``(*key, direction)``.
     """
     if not seeds:
@@ -268,13 +270,19 @@ def _engine_run(ds, spec, engine: str, seeds, direction: int, key: tuple) -> Hyp
         ds, seeds = ds.swapped, [(t, s) for s, t in seeds]
     if engine == "proc":
         return _proc_run(ds, spec, seeds)
-    return _sgm_run(ds, spec, seeds, _rng(spec.rng_seed, *key, direction))[0]
+    return _sgm_run(ds, spec, seeds, _rng(spec.rng_seed, *key, direction))[0], None
 
 
 def _round(ds, spec, engine: str, seeds_fwd, seeds_rev, key: tuple):
-    """One bidirectional round: (forward, reverse, their top-1 intersection)."""
-    forward = _engine_run(ds, spec, engine, seeds_fwd, _FORWARD, key)
-    reverse = _engine_run(ds, spec, engine, seeds_rev, _REVERSE, key)
+    """One bidirectional round: (forward, reverse, their top-1 intersection).
+
+    When both directions hold the same seed pairs and the forward map is
+    unique, the reverse comes from the forward run's scores: one solve
+    and one scoring pass. Otherwise the reverse is a fresh solve.
+    """
+    forward, reverse = _engine_run(ds, spec, engine, seeds_fwd, _FORWARD, key)
+    if reverse is None or set(seeds_fwd) != set(seeds_rev):
+        reverse = _engine_run(ds, spec, engine, seeds_rev, _REVERSE, key)[0]
     return forward, reverse, intersect_hypotheses(forward.top1(), reverse.top1())
 
 
@@ -336,7 +344,7 @@ def run_single(spec: ExperimentSpec, dataset: Dataset | None = None):
     ds = dataset if dataset is not None else assemble(spec)
     gold = list(ds.gold_seeds.pairs)
     if spec.method == "procrustes":
-        return _proc_run(ds, spec, gold), None
+        return _proc_run(ds, spec, gold)[0], None
     if spec.method == "sgm":
         rng = _rng(spec.rng_seed, _RNG_SINGLE_SGM, _FORWARD)
         return _sgm_run(ds, spec, gold, rng)
@@ -380,6 +388,9 @@ def iterate(
     independently for each direction, and keeps iterating until the
     sample covers the pool (hard cap MAX_ITERATIONS). Active-Learning
     feeds the oracle-verified subset of the union of both directions.
+    Each round solves both directions; a Euclidean round whose directions
+    share their seed pairs and whose map is unique takes the reverse from
+    the forward scores (see ``_round``), and otherwise solves it afresh.
 
     Returns (per-iteration records, final forward hypotheses).
     """
@@ -475,7 +486,7 @@ def run_combined(spec: ExperimentSpec, dataset: Dataset | None = None):
 
     final = last_forward.get(spec.pull)
     if final is None:
-        final = _engine_run(ds, spec, spec.pull, seeds, _FORWARD, (_RNG_COMBINED, 0))
+        final = _engine_run(ds, spec, spec.pull, seeds, _FORWARD, (_RNG_COMBINED, 0))[0]
     return records, final
 
 

@@ -8,12 +8,17 @@ CSLS, the hubness-penalized similarity
     csls(x, y) = 2 cos(x, y) - avg_k(x) - avg_k(y)
 
 where ``avg_k(v)`` is v's mean cosine to its k nearest neighbors in the
-opposite space (k = 10 unless stated otherwise).
+opposite space (k = 10 unless stated otherwise). Both scores are
+symmetric, so the same pass also ranks the sources of each target: when
+W is unique, ``W^T`` solves the reverse problem and those columns are
+its extraction.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,12 +28,21 @@ from .hypotheses import HypothesisSet
 
 SCORERS = ("csls", "cosine")
 
+logger = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class OrthogonalMap:
-    """A d x d orthogonal matrix applied on the right of row vectors."""
+    """A d x d orthogonal matrix applied on the right of row vectors.
+
+    ``rank`` is the numerical rank of ``X^T Y`` when the map was fitted by
+    :func:`solve_procrustes`, and None otherwise. A fitted map is the
+    unique solution exactly when its rank is d; the reverse problem
+    (target onto source) is then solved by ``w.T``.
+    """
 
     w: np.ndarray
+    rank: int | None = None
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=np.float64)
@@ -45,6 +59,10 @@ class OrthogonalMap:
     def dim(self) -> int:
         return int(self.w.shape[0])
 
+    @property
+    def unique(self) -> bool:
+        return self.rank == self.dim
+
     def apply(self, vectors: np.ndarray) -> np.ndarray:
         return np.asarray(vectors, dtype=np.float64) @ self.w
 
@@ -53,7 +71,11 @@ def solve_procrustes(src_seed: np.ndarray, tgt_seed: np.ndarray) -> OrthogonalMa
     """Orthogonal map minimizing ``||src_seed @ W - tgt_seed||_F``.
 
     Both inputs are s x d matrices whose rows are paired seed vectors.
-    No reflection constraint is imposed: det(W) may be -1.
+    No reflection constraint is imposed: det(W) may be -1. The rank of
+    ``X^T Y`` counts singular values above numpy's ``matrix_rank``
+    tolerance; below d (for instance with fewer seeds than dimensions)
+    the map is fixed only on the seeds' span, the rest is whichever basis
+    LAPACK returns, and a warning is logged.
     """
     src = np.asarray(src_seed, dtype=np.float64)
     tgt = np.asarray(tgt_seed, dtype=np.float64)
@@ -61,8 +83,16 @@ def solve_procrustes(src_seed: np.ndarray, tgt_seed: np.ndarray) -> OrthogonalMa
         raise ValueError(f"seed matrices must share shape, got {src.shape} and {tgt.shape}")
     if src.shape[0] < 1:
         raise ValueError("at least one seed pair is required")
-    u, _, vt = np.linalg.svd(src.T @ tgt)
-    return OrthogonalMap(u @ vt)
+    u, sv, vt = np.linalg.svd(src.T @ tgt)
+    d = src.shape[1]
+    rank = int((sv > sv.max(initial=0.0) * d * np.finfo(np.float64).eps).sum())
+    if rank < d:
+        logger.warning(
+            "Procrustes map is not unique: X^T Y has rank %d < d = %d "
+            "(%d seed pairs); off the seeds' span it is an arbitrary basis",
+            rank, d, src.shape[0],
+        )
+    return OrthogonalMap(u @ vt, rank)
 
 
 # Bytes of one float64 block of similarities. Extraction holds a few
@@ -130,12 +160,85 @@ def score_blocks(mapped_src, tgt, scorer: str = "csls", csls_k: int = 10):
             ]
         )
     for rows in _row_blocks(n_src, n_tgt):
-        cosines = mapped_src[rows] @ tgt.T
-        if scorer == "cosine":
-            yield rows, cosines
-            continue
-        src_avgs = _top_k_means(cosines, k, sequential=False)
-        yield rows, 2.0 * cosines - src_avgs[:, None] - tgt_avgs[None, :]
+        scores = mapped_src[rows] @ tgt.T
+        if scorer == "csls":
+            # 2 cos - src_avgs - tgt_avgs, evaluated in place in that order
+            src_avgs = _top_k_means(scores, k, sequential=False)
+            scores *= 2.0
+            scores -= src_avgs[:, None]
+            scores -= tgt_avgs
+        yield rows, scores
+
+
+class TopK(NamedTuple):
+    """The best candidates of each query row, best first.
+
+    ``index[i]`` holds candidate indices by descending ``score[i]``, ties
+    toward the smaller index; both arrays are (n_queries, k).
+    """
+
+    index: np.ndarray
+    score: np.ndarray
+
+    def hypotheses(self, keys=None, labels=None) -> HypothesisSet:
+        """Row i keyed by ``keys[i]``, candidate j named ``labels[j]``
+        (indices when not given)."""
+        index = self.index.tolist()
+        if labels is not None:
+            index = [[labels[j] for j in row] for row in index]
+        keys = range(len(index)) if keys is None else keys
+        return HypothesisSet(
+            {key: tuple(zip(c, v)) for key, c, v in zip(keys, index, self.score.tolist())}
+        )
+
+
+class _ColumnTopK:
+    """Running top-k of every column over row blocks taken in row order.
+
+    A score is a candidate when it is at least its column's floor, a
+    value that k scores already seen reach; ties are kept, so no block
+    order can lose one. Candidates are merged, by descending score then
+    ascending row, only once they outnumber the kept ones.
+    """
+
+    def __init__(self, n_cols: int, k: int):
+        self.k = k
+        self.floor = np.full(n_cols, -np.inf)
+        # (rows, cols, scores) of the kept entries, then of the candidates
+        self.parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
+        self.pending = 0
+
+    def add(self, first_row: int, scores: np.ndarray) -> None:
+        n_rows = scores.shape[0]
+        if first_row == 0 and n_rows >= self.k:
+            # The first block's k-th value per column is a floor at once,
+            # so that block does not become candidates wholesale.
+            self.floor = np.partition(scores, n_rows - self.k, axis=0)[n_rows - self.k].copy()
+        flat = np.flatnonzero(scores >= self.floor)
+        rows, cols = np.divmod(flat, scores.shape[1])
+        self.parts.append((rows + first_row, cols, scores.ravel()[flat]))
+        self.pending += flat.size
+        if self.pending > self.k * self.floor.size:
+            self._merge()
+
+    def _merge(self) -> None:
+        rows, cols, vals = (np.concatenate(part) for part in zip(*self.parts))
+        # Equal (column, score) entries already appear by ascending row:
+        # kept rows precede later blocks' rows, and each block is scanned
+        # row-major. The stable sort keeps that order as the tie-break.
+        order = np.lexsort((-vals, cols))
+        rank = np.arange(order.size) - np.searchsorted(cols[order], cols[order])
+        order, rank = order[rank < self.k], rank[rank < self.k]
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        kth = rank == self.k - 1
+        self.floor[cols[kth]] = vals[kth]
+        self.parts, self.pending = [(rows, cols, vals)], 0
+
+    def result(self) -> TopK:
+        self._merge()
+        rows, _, vals = self.parts[0]
+        shape = (self.floor.size, self.k)
+        return TopK(rows.reshape(shape), vals.reshape(shape))
 
 
 def extract_hypotheses(
@@ -144,19 +247,24 @@ def extract_hypotheses(
     top_k: int = 5,
     scorer: str = "csls",
     csls_k: int = 10,
-) -> HypothesisSet:
-    """Top ``top_k`` targets per source row, descending score.
+) -> tuple[TopK, TopK]:
+    """Top ``top_k`` targets per source row and sources per target column.
 
-    Ties break toward the smaller target index. Several sources may share
-    a target (many-to-one is allowed); lists are shorter than ``top_k``
-    only when the candidate set is.
+    Returns ``(rows, columns)``: ``rows`` ranks the targets of each
+    source, ``columns`` the sources of each target, both by descending
+    score with ties toward the smaller index, from the same scores.
+    Several sources may share a target (many-to-one is allowed); lists
+    are shorter than ``top_k`` only when the candidate set is. When the
+    map is orthogonal and unique, ``columns`` is the reverse direction's
+    extraction: CSLS is symmetric in its two arguments.
     """
     if top_k < 1:
         raise ValueError("top_k must be positive")
-    entries = {}
+    n_src, n_tgt = len(mapped_src), len(tgt)
+    k = min(top_k, n_tgt)
+    ranked = TopK(np.empty((n_src, k), dtype=np.intp), np.empty((n_src, k)))
+    columns = _ColumnTopK(n_tgt, min(top_k, n_src))
     for rows, scores in score_blocks(mapped_src, tgt, scorer, csls_k):
-        n_tgt = scores.shape[1]
-        k = min(top_k, n_tgt)
         cand = np.argpartition(scores, n_tgt - k, axis=1)[:, n_tgt - k :]
         vals = np.take_along_axis(scores, cand, axis=1)
         order = np.lexsort((cand, -vals), axis=1)  # descending score, then index
@@ -167,6 +275,6 @@ def extract_hypotheses(
         for r in np.flatnonzero((scores >= vals[:, -1:]).sum(axis=1) > k):
             cand[r] = np.lexsort((np.arange(n_tgt), -scores[r]))[:k]
             vals[r] = scores[r, cand[r]]
-        for i, c, v in zip(range(rows.start, rows.stop), cand.tolist(), vals.tolist()):
-            entries[i] = tuple(zip(c, v))
-    return HypothesisSet(entries)
+        ranked.index[rows], ranked.score[rows] = cand, vals
+        columns.add(rows.start, scores)
+    return ranked, columns.result()

@@ -1,9 +1,14 @@
-"""CSLS extraction as it was before the blocked scorer.
+"""CSLS extraction as it was before the blocked scorer, and before the
+column pass.
 
 The dense ``_score_matrix``, ``build_csls_index``, ``_top_k_row_mean``,
 ``csls_matrix`` and ``extract_hypotheses`` are kept verbatim as an
 oracle for ``bilex.procrustes``: on the same inputs they must give equal
-hypothesis entries, scores included.
+hypothesis entries, scores included. ``blocked_score_blocks`` and
+``blocked_extract_hypotheses`` are the row-only blocked extractor that
+the column pass replaced, kept verbatim apart from their names; they use
+the package's unchanged block helpers, so a patched ``_BLOCK_BYTES``
+reaches both.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from bilex.hypotheses import HypothesisSet
-from bilex.procrustes import SCORERS
+from bilex.procrustes import SCORERS, _row_blocks, _top_k_means
 
 
 @dataclass(frozen=True)
@@ -125,4 +130,74 @@ def extract_hypotheses(
         vals = scores[i, cand]
         order = np.lexsort((cand, -vals))[:k]  # descending score, then index
         entries[i] = tuple((int(cand[o]), float(vals[o])) for o in order)
+    return HypothesisSet(entries)
+
+
+def blocked_score_blocks(mapped_src, tgt, scorer: str = "csls", csls_k: int = 10):
+    """Yield ``(rows, scores)`` over consecutive blocks of source rows.
+
+    ``scores`` holds the cosine or CSLS score of each source row in the
+    slice ``rows`` against every target. CSLS takes two passes: one over
+    target blocks for the target neighborhood means, then one over source
+    blocks that scores each block. Each pass costs one O(n_src n_tgt d)
+    product in total, and no n_src x n_tgt array is ever held.
+    """
+    mapped_src = np.asarray(mapped_src, dtype=np.float64)
+    tgt = np.asarray(tgt, dtype=np.float64)
+    if tgt.shape[0] == 0:
+        raise ValueError("candidate target set is empty")
+    if scorer not in SCORERS:
+        raise ValueError(f"scorer must be one of {SCORERS}, got {scorer!r}")
+    n_src, n_tgt = mapped_src.shape[0], tgt.shape[0]
+    if scorer == "csls":
+        # Small candidate sets clamp k so desk-scale runs still work.
+        k = min(csls_k, n_tgt, n_src)
+        if k < 1:
+            raise ValueError("k must be positive")
+        tgt_avgs = np.concatenate(
+            [
+                _top_k_means(tgt[rows] @ mapped_src.T, k, sequential=True)
+                for rows in _row_blocks(n_tgt, n_src)
+            ]
+        )
+    for rows in _row_blocks(n_src, n_tgt):
+        cosines = mapped_src[rows] @ tgt.T
+        if scorer == "cosine":
+            yield rows, cosines
+            continue
+        src_avgs = _top_k_means(cosines, k, sequential=False)
+        yield rows, 2.0 * cosines - src_avgs[:, None] - tgt_avgs[None, :]
+
+
+def blocked_extract_hypotheses(
+    mapped_src: np.ndarray,
+    tgt: np.ndarray,
+    top_k: int = 5,
+    scorer: str = "csls",
+    csls_k: int = 10,
+) -> HypothesisSet:
+    """Top ``top_k`` targets per source row, descending score.
+
+    Ties break toward the smaller target index. Several sources may share
+    a target (many-to-one is allowed); lists are shorter than ``top_k``
+    only when the candidate set is.
+    """
+    if top_k < 1:
+        raise ValueError("top_k must be positive")
+    entries = {}
+    for rows, scores in blocked_score_blocks(mapped_src, tgt, scorer, csls_k):
+        n_tgt = scores.shape[1]
+        k = min(top_k, n_tgt)
+        cand = np.argpartition(scores, n_tgt - k, axis=1)[:, n_tgt - k :]
+        vals = np.take_along_axis(scores, cand, axis=1)
+        order = np.lexsort((cand, -vals), axis=1)  # descending score, then index
+        cand = np.take_along_axis(cand, order, axis=1)
+        vals = np.take_along_axis(vals, order, axis=1)
+        # A score tie across the partition boundary could exclude a smaller
+        # index; rank the whole row in that case.
+        for r in np.flatnonzero((scores >= vals[:, -1:]).sum(axis=1) > k):
+            cand[r] = np.lexsort((np.arange(n_tgt), -scores[r]))[:k]
+            vals[r] = scores[r, cand[r]]
+        for i, c, v in zip(range(rows.start, rows.stop), cand.tolist(), vals.tolist()):
+            entries[i] = tuple(zip(c, v))
     return HypothesisSet(entries)

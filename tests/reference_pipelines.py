@@ -4,7 +4,8 @@
 runs they call, are kept verbatim as an oracle for
 ``bilex.pipelines``: on the same spec and dataset they must produce the
 same records, seed log and final hypotheses. Helpers whose code did not
-change are imported from the package.
+change are imported from the package; the row-only blocked extractor
+comes from ``reference_extraction``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from bilex.pipelines import (
     oracle_judge,
     union_hypotheses,
 )
-from bilex.procrustes import extract_hypotheses, solve_procrustes
+from bilex.procrustes import solve_procrustes
+from reference_extraction import blocked_extract_hypotheses as extract_hypotheses
 
 
 def _proc_run(ds: Dataset, spec: ExperimentSpec, seeds, reverse: bool) -> HypothesisSet:

@@ -212,7 +212,7 @@ def test_criterion_7_behavioral_contracts():
 
     sources = unit([[1.0, 0.05, 0.0], [1.0, -0.05, 0.0]])
     targets = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    shared = extract_hypotheses(sources, targets, top_k=1, scorer="csls", csls_k=1)
+    shared = extract_hypotheses(sources, targets, top_k=1, scorer="csls", csls_k=1)[0].hypotheses()
     assert shared.top1() == {0: 0, 1: 0}
 
     # (c) a corrupted seed pair is absent from Procrustes top-1 output
@@ -221,7 +221,7 @@ def test_criterion_7_behavioral_contracts():
     claimed = np.arange(12)
     claimed[[0, 1]] = [1, 0]
     w = solve_procrustes(x, y[claimed])
-    top1 = extract_hypotheses(w.apply(x), y, top_k=1, scorer="cosine").top1()
+    top1 = extract_hypotheses(w.apply(x), y, top_k=1, scorer="cosine")[0].hypotheses().top1()
     assert top1[0] != 1
     report(7, "hard seeding, many-to-one, and soft seeding all exhibited")
 

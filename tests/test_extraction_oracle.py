@@ -1,6 +1,9 @@
 """Blocked CSLS extraction against the dense code kept in
 ``reference_extraction``: equal hypothesis entries, scores bit for bit;
-plus its memory bound and its determinism across BLAS thread counts."""
+its column rankings against the dense code run on the transposed
+problem; its row rankings against the row-only blocked extractor they
+replaced; plus its memory bound and its determinism across BLAS thread
+counts."""
 
 import subprocess
 import sys
@@ -35,7 +38,7 @@ def grid_rows(rng, n):
 
 
 def assert_same(src, tgt, **kwargs):
-    got = extract_hypotheses(src, tgt, **kwargs)
+    got = extract_hypotheses(src, tgt, **kwargs)[0].hypotheses()
     want = reference.extract_hypotheses(src, tgt, **kwargs)
     assert list(got.entries.items()) == list(want.entries.items())
 
@@ -110,7 +113,7 @@ def test_float_inputs_over_many_blocks_agree_with_dense(monkeypatch):
     src = unit_rows(rng.normal(size=(130, 16)))
     tgt = unit_rows(rng.normal(size=(101, 16)))
     monkeypatch.setattr(procrustes, "_BLOCK_BYTES", 8 * 7 * 101)
-    got = extract_hypotheses(src, tgt, top_k=5).entries
+    got = extract_hypotheses(src, tgt, top_k=5)[0].hypotheses().entries
     want = reference.extract_hypotheses(src, tgt, top_k=5).entries
     assert list(got) == list(want)
     for i in want:
@@ -118,6 +121,134 @@ def test_float_inputs_over_many_blocks_agree_with_dense(monkeypatch):
         np.testing.assert_allclose(
             [s for _, s in got[i]], [s for _, s in want[i]], rtol=0, atol=1e-14
         )
+
+
+def column_entries(src, tgt, **kwargs):
+    return extract_hypotheses(src, tgt, **kwargs)[1].hypotheses().entries
+
+
+def assert_columns_solve_transposed(src, tgt, **kwargs):
+    """Column j ranks the sources of target j as the transposed problem
+    (targets mapped onto sources) ranks them, scores included."""
+    want = reference.extract_hypotheses(tgt, src, **kwargs).entries
+    assert list(column_entries(src, tgt, **kwargs).items()) == list(want.items())
+
+
+def assert_columns_of_dense_scores(src, tgt, top_k, scorer, csls_k):
+    """Column j is column j of the dense score matrix, ranked by
+    descending score, then ascending source."""
+    scores = reference._score_matrix(src, tgt, scorer, csls_k)
+    rows = np.arange(scores.shape[0])
+    want = {}
+    for j, column in enumerate(scores.T):
+        best = np.lexsort((rows, -column))[:top_k]
+        want[j] = tuple((int(i), float(column[i])) for i in best)
+    got = column_entries(src, tgt, top_k=top_k, scorer=scorer, csls_k=csls_k)
+    assert list(got.items()) == list(want.items())
+
+
+@pytest.mark.parametrize("scorer", ["csls", "cosine"])
+def test_columns_solve_transposed_problem_on_grid(monkeypatch, scorer):
+    # Grid rows make every score exact in both directions when the
+    # clamped csls_k is a power of two. Otherwise the neighborhood means
+    # round, and the two directions round 2 cos - r(x) - r(y) in opposite
+    # orders, so equal scores can differ in the last bit and break their
+    # tie differently; test_columns_rank_the_forward_scores covers those
+    # sizes exactly.
+    rng = np.random.default_rng(37)
+    for n_src in SIZES:
+        for n_tgt in SIZES:
+            monkeypatch.setattr(procrustes, "_BLOCK_BYTES", 8 * B * n_tgt)
+            src, tgt = grid_rows(rng, n_src), grid_rows(rng, n_tgt)
+            for csls_k in (1, 2, 4):
+                k = min(csls_k, n_src, n_tgt)
+                if scorer == "csls" and k & (k - 1):
+                    continue
+                for top_k in (1, 3, 20):
+                    assert_columns_solve_transposed(
+                        src, tgt, top_k=top_k, scorer=scorer, csls_k=csls_k
+                    )
+
+
+@pytest.mark.parametrize("scorer", ["csls", "cosine"])
+@pytest.mark.parametrize("rows", [scalar_rows, grid_rows], ids=["scalar", "grid"])
+def test_columns_rank_the_forward_scores(monkeypatch, rows, scorer):
+    rng = np.random.default_rng(38)
+    for n_src in SIZES:
+        for n_tgt in SIZES:
+            monkeypatch.setattr(procrustes, "_BLOCK_BYTES", 8 * B * n_tgt)
+            src, tgt = rows(rng, n_src), rows(rng, n_tgt)
+            for top_k in (1, 3, 20):
+                for csls_k in (2, 10):
+                    assert_columns_of_dense_scores(src, tgt, top_k, scorer, csls_k)
+
+
+@pytest.mark.parametrize("scorer", ["csls", "cosine"])
+def test_column_ties_across_blocks_solve_transposed_problem(monkeypatch, scorer):
+    # Every source repeats, so each column holds equal scores in rows of
+    # different 3-row blocks, and the running top-k must keep the first.
+    rng = np.random.default_rng(39)
+    monkeypatch.setattr(procrustes, "_BLOCK_BYTES", 8 * 3 * 40)
+    tgt = grid_rows(rng, 40)
+    src = grid_rows(rng, 12)[rng.integers(0, 12, size=40)]
+    straddling = 0
+    for top_k in (1, 4, 7):
+        for csls_k in (2, 4):
+            assert_columns_solve_transposed(src, tgt, top_k=top_k, scorer=scorer, csls_k=csls_k)
+            for ranked in column_entries(src, tgt, top_k=top_k, csls_k=csls_k).values():
+                straddling += any(
+                    a[1] == b[1] and a[0] // 3 != b[0] // 3 for a, b in zip(ranked, ranked[1:])
+                )
+    assert straddling > 0
+
+
+def test_clamped_k_columns_solve_transposed_problem():
+    # top_k beyond the sources shortens every column; csls_k beyond
+    # either side clamps to 2 or 4 here, which keeps grid scores exact.
+    rng = np.random.default_rng(40)
+    for n_src, n_tgt in ((4, 6), (6, 4), (4, 4), (2, 9), (9, 2)):
+        src, tgt = grid_rows(rng, n_src), grid_rows(rng, n_tgt)
+        for scorer in ("csls", "cosine"):
+            assert_columns_solve_transposed(src, tgt, top_k=9, scorer=scorer, csls_k=10)
+            assert all(
+                len(ranked) == n_src
+                for ranked in column_entries(src, tgt, top_k=9, scorer=scorer).values()
+            )
+
+
+@pytest.mark.parametrize("budget_rows", [7, None])
+def test_float_columns_agree_with_transposed_problem(monkeypatch, budget_rows):
+    rng = np.random.default_rng(41)
+    src = unit_rows(rng.normal(size=(130, 16)))
+    tgt = unit_rows(rng.normal(size=(101, 16)))
+    if budget_rows is not None:
+        monkeypatch.setattr(procrustes, "_BLOCK_BYTES", 8 * budget_rows * 101)
+    got = column_entries(src, tgt, top_k=5)
+    want = reference.extract_hypotheses(tgt, src, top_k=5).entries
+    assert list(got) == list(want)
+    for j in want:
+        assert [i for i, _ in got[j]] == [i for i, _ in want[j]]
+        np.testing.assert_allclose(
+            [s for _, s in got[j]], [s for _, s in want[j]], rtol=0, atol=1e-14
+        )
+
+
+@pytest.mark.parametrize("budget_rows", [2, 7, None])
+@pytest.mark.parametrize("scorer", ["csls", "cosine"])
+def test_rows_equal_row_only_extractor_bit_for_bit(monkeypatch, budget_rows, scorer):
+    # The column pass must not touch the forward half: same targets and
+    # the same score bits as the extractor it replaced, on float inputs.
+    rng = np.random.default_rng(42)
+    src = unit_rows(rng.normal(size=(230, 24)))
+    tgt = unit_rows(rng.normal(size=(187, 24)))
+    if budget_rows is not None:
+        monkeypatch.setattr(procrustes, "_BLOCK_BYTES", 8 * budget_rows * 187)
+    for top_k, csls_k in ((1, 10), (5, 10), (9, 3)):
+        got = extract_hypotheses(src, tgt, top_k=top_k, scorer=scorer, csls_k=csls_k)
+        want = reference.blocked_extract_hypotheses(
+            src, tgt, top_k=top_k, scorer=scorer, csls_k=csls_k
+        )
+        assert list(got[0].hypotheses().entries.items()) == list(want.entries.items())
 
 
 @pytest.mark.parametrize("n_cols", [1, 3, 1000])

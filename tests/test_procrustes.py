@@ -1,5 +1,7 @@
 """Orthogonal maps, CSLS scoring, and hypothesis extraction."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,32 @@ class TestSolveProcrustes:
         y = np.diag([1.0, 1.0, -1.0])
         w = solve_procrustes(x, y).w
         assert np.linalg.det(w) == pytest.approx(-1.0, abs=1e-9)
+
+    def test_fewer_seeds_than_dimensions_warn(self, caplog):
+        rng = np.random.default_rng(4)
+        x, y = rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
+        with caplog.at_level(logging.WARNING, logger="bilex.procrustes"):
+            mapping = solve_procrustes(x, y)
+        assert (mapping.rank, mapping.unique) == (3, False)
+        assert [r.levelno for r in caplog.records] == [logging.WARNING]
+        assert "not unique" in caplog.text and "rank 3 < d = 5" in caplog.text
+
+    @pytest.mark.parametrize("extra", [0, 1, 5])
+    def test_at_least_d_seeds_are_unique_without_warning(self, caplog, extra):
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=(2, 5 + extra, 5))
+        with caplog.at_level(logging.DEBUG, logger="bilex.procrustes"):
+            mapping = solve_procrustes(x, y)
+        assert (mapping.rank, mapping.unique) == (5, True)
+        assert caplog.records == []
+
+    def test_rank_deficient_seeds_warn_even_when_numerous(self, caplog):
+        # Uniqueness is the rank of X^T Y, not the seed count.
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(20, 2)) @ rng.normal(size=(2, 4))
+        with caplog.at_level(logging.WARNING, logger="bilex.procrustes"):
+            mapping = solve_procrustes(x, rng.normal(size=(20, 4)))
+        assert mapping.rank == 2 and "not unique" in caplog.text
 
     def test_orthogonal_map_validation(self):
         with pytest.raises(ValueError, match="orthogonal"):
@@ -184,7 +212,7 @@ class TestExtractHypotheses:
         src = unit_rows(rng.normal(size=(10, 6)))
         shuffle = rng.permutation(10)
         tgt = src[shuffle]
-        hyps = extract_hypotheses(src, tgt, top_k=1, scorer="csls", csls_k=3)
+        hyps = extract_hypotheses(src, tgt, top_k=1, scorer="csls", csls_k=3)[0].hypotheses()
         want = {i: int(np.flatnonzero(shuffle == i)[0]) for i in range(10)}
         assert hyps.top1() == want
 
@@ -192,7 +220,7 @@ class TestExtractHypotheses:
         rng = np.random.default_rng(9)
         src = unit_rows(rng.normal(size=(4, 5)))
         tgt = unit_rows(rng.normal(size=(3, 5)))
-        hyps = extract_hypotheses(src, tgt, top_k=5)
+        hyps = extract_hypotheses(src, tgt, top_k=5)[0].hypotheses()
         assert all(len(ranked) == 3 for ranked in hyps.entries.values())
 
     def test_hub_demoted_under_csls(self):
@@ -205,8 +233,8 @@ class TestExtractHypotheses:
         t0 = np.array([0.55, 0, 0, np.sqrt(1 - 0.3025), 0])
         t1 = np.array([0, 0.55, 0, 0, np.sqrt(1 - 0.3025)])
         tgt = np.vstack([hub, t0, t1])
-        by_cos = extract_hypotheses(src, tgt, top_k=3, scorer="cosine")
-        by_csls = extract_hypotheses(src, tgt, top_k=3, scorer="csls", csls_k=2)
+        by_cos = extract_hypotheses(src, tgt, top_k=3, scorer="cosine")[0].hypotheses()
+        by_csls = extract_hypotheses(src, tgt, top_k=3, scorer="csls", csls_k=2)[0].hypotheses()
         assert by_cos.top1() == {0: 0, 1: 0}  # hub wins raw cosine
         assert by_csls.top1() == {0: 1, 1: 2}  # niche targets win CSLS
         hub_rank_cos = [t for t, _ in by_cos.entries[0]].index(0)
@@ -216,13 +244,13 @@ class TestExtractHypotheses:
     def test_many_to_one_permitted(self):
         src = unit_rows(np.array([[1.0, 0.05, 0.0], [1.0, -0.05, 0.0]]))
         tgt = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        hyps = extract_hypotheses(src, tgt, top_k=1, scorer="csls", csls_k=1)
+        hyps = extract_hypotheses(src, tgt, top_k=1, scorer="csls", csls_k=1)[0].hypotheses()
         assert hyps.top1() == {0: 0, 1: 0}
 
     def test_score_ties_break_by_ascending_index(self):
         src = np.array([[1.0, 0.0]])
         tgt = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])  # targets 0,1 tie
-        hyps = extract_hypotheses(src, tgt, top_k=3, scorer="cosine")
+        hyps = extract_hypotheses(src, tgt, top_k=3, scorer="cosine")[0].hypotheses()
         assert [t for t, _ in hyps.entries[0]] == [2, 0, 1]
 
     def test_tie_at_top_k_boundary_prefers_smaller_index(self):
@@ -230,14 +258,14 @@ class TestExtractHypotheses:
         src = np.array([[1.0, 0.0]])
         half = np.array([0.5, np.sqrt(0.75)])
         tgt = np.vstack([[1.0, 0.0], half, half, [0.0, 1.0]])
-        hyps = extract_hypotheses(src, tgt, top_k=2, scorer="cosine")
+        hyps = extract_hypotheses(src, tgt, top_k=2, scorer="cosine")[0].hypotheses()
         assert [t for t, _ in hyps.entries[0]] == [0, 1]
 
     def test_matches_full_sort_oracle(self):
         rng = np.random.default_rng(21)
         src = unit_rows(rng.normal(size=(8, 5)))
         tgt = unit_rows(rng.normal(size=(11, 5)))
-        hyps = extract_hypotheses(src, tgt, top_k=4, scorer="cosine")
+        hyps = extract_hypotheses(src, tgt, top_k=4, scorer="cosine")[0].hypotheses()
         scores = src @ tgt.T
         for i in range(8):
             order = sorted(range(11), key=lambda j: (-scores[i, j], j))[:4]
@@ -265,6 +293,6 @@ class TestSoftSeeding:
         claimed_order = np.arange(s)
         claimed_order[[0, 1]] = [1, 0]
         w = solve_procrustes(x, y[claimed_order])
-        hyps = extract_hypotheses(w.apply(x), y, top_k=1, scorer="cosine")
+        hyps = extract_hypotheses(w.apply(x), y, top_k=1, scorer="cosine")[0].hypotheses()
         assert hyps.top1()[0] != 1  # claimed seed pair (x0, y1) not honored
         assert hyps.top1()[0] == 0  # the geometric match wins instead
