@@ -9,7 +9,7 @@ system, evaluation metrics, and a CLI experiment runner.
 
 __version__ = "0.1.0"
 
-from .assignment import Assignment, solve_lap
+from .assignment import solve_lap
 from .embeddings import (
     EmbeddingFormatError,
     EmbeddingMatrix,
@@ -61,7 +61,6 @@ from .procrustes import (
 )
 
 __all__ = [
-    "Assignment",
     "Dataset",
     "DictionaryFormatError",
     "EmbeddingFormatError",

@@ -21,35 +21,21 @@ exactly n cells, and steps 2-3 cost one boolean scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+
+from .hypotheses import Matching
 
 # Reduced costs at or below scale * _TIE_RTOL count as tight.
 _TIE_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """A permutation ``perm`` (column assigned to each row) and its objective."""
-
-    perm: np.ndarray
-    objective: float
-
-    def __post_init__(self):
-        perm = np.asarray(self.perm, dtype=np.intp)
-        object.__setattr__(self, "perm", perm)
-        n = perm.shape[0]
-        if perm.ndim != 1 or not np.array_equal(np.sort(perm), np.arange(n)):
-            raise ValueError("perm is not a permutation of 0..n-1")
-
-
-def solve_lap(values, maximize: bool = False) -> Assignment:
+def solve_lap(values, maximize: bool = False) -> Matching:
     """Solve the n x n linear assignment problem exactly.
 
     Among all optimal permutations, the lexicographically smallest one is
-    returned, which makes every downstream pipeline bit-reproducible.
+    returned, as a ``Matching`` without seeds, which makes every
+    downstream pipeline bit-reproducible.
     """
     cost = np.asarray(values, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
@@ -61,9 +47,7 @@ def solve_lap(values, maximize: bool = False) -> Assignment:
 
     cmin = -cost if maximize else cost
     _, cols = linear_sum_assignment(cmin)
-    perm = _lex_min_optimal(cmin, cols.astype(np.intp))
-    objective = float(cost[np.arange(cost.shape[0]), perm].sum())
-    return Assignment(perm=perm, objective=objective)
+    return Matching(perm=_lex_min_optimal(cmin, cols.astype(np.intp)))
 
 
 def _lex_min_optimal(cost: np.ndarray, perm: np.ndarray) -> np.ndarray:

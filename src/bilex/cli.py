@@ -60,7 +60,8 @@ _SPEC_HELP = {"h": "Stochastic-Add sample growth", "iters": "iterations / cycles
 
 
 class HypothesisFormatError(ValueError):
-    """A hypothesis TSV line does not follow ``src\\ttgt\\trank\\tscore``."""
+    """A hypothesis TSV line does not follow ``src\\ttgt\\trank\\tscore``,
+    or a source's list repeats a target or is not sorted by score."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -201,7 +202,10 @@ def _read_hypotheses(path) -> HypothesisSet:
                     f"{path}:{lineno}: rank {rank} out of sequence for {src!r}"
                 )
             ranked.append((tgt, score))
-    return HypothesisSet({src: tuple(ranked) for src, ranked in per_source.items()})
+    try:
+        return HypothesisSet({src: tuple(ranked) for src, ranked in per_source.items()})
+    except ValueError as exc:
+        raise HypothesisFormatError(f"{path}: {exc}") from exc
 
 
 def _cmd_prep(args) -> int:

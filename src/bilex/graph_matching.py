@@ -292,21 +292,26 @@ def soft_sgm(
     )
 
 
-def top_k_from_distribution(perms: np.ndarray, k: int = 5) -> HypothesisSet:
+def top_k_from_distribution(perms: np.ndarray, k: int = 5, keys=None, labels=None) -> HypothesisSet:
     """Up to ``k`` targets per source by descending empirical probability.
 
     ``perms`` is a ``(runs, n)`` stack of matchings; a target's probability
     for source i is the share of runs matching i to it. Ties break toward
     the smaller target index; sources that saw fewer than ``k`` distinct
-    targets get shorter lists.
+    targets get shorter lists. Source i is keyed by ``keys[i]`` and target
+    j named ``labels[j]`` (indices when not given), as in ``TopK.hypotheses``.
     """
     if k < 1:
         raise ValueError("k must be positive")
     perms = np.asarray(perms)
     runs = perms.shape[0]
+    keys = range(perms.shape[1]) if keys is None else keys
     entries = {}
-    for src in range(perms.shape[1]):
-        targets, counts = np.unique(perms[:, src], return_counts=True)
+    for key, column in zip(keys, perms.T):
+        targets, counts = np.unique(column, return_counts=True)
         ranked = np.lexsort((targets, -counts))[:k]
-        entries[src] = tuple((int(targets[i]), counts[i] / runs) for i in ranked)
+        top = targets[ranked].tolist()
+        if labels is not None:
+            top = [labels[j] for j in top]
+        entries[key] = tuple(zip(top, (counts[ranked] / runs).tolist()))
     return HypothesisSet(entries)

@@ -30,13 +30,25 @@ from .graph_matching import (
     soft_sgm,
     top_k_from_distribution,
 )
-from .hypotheses import HypothesisSet, Matching
+from .hypotheses import HypothesisSet
 from .lexicon import Lexicon, drop_missing, filter_one_to_one, load_dictionary, split
 from .procrustes import extract_hypotheses, solve_procrustes
 
+# What each method runs: (pipeline, engine). Soft SGM is an ensemble of
+# restarts and the combined cycle alternates both engines, so neither
+# names one engine.
+METHODS = {
+    "procrustes": ("single", "proc"),
+    "sgm": ("single", "sgm"),
+    "softsgm": ("single", None),
+    "iterproc": ("iterate", "proc"),
+    "itersgm": ("iterate", "sgm"),
+    "combined": ("combined", None),
+}
+
 # Allowed values of the enumerated ExperimentSpec fields.
 CHOICES = {
-    "method": ("procrustes", "sgm", "softsgm", "iterproc", "itersgm", "combined"),
+    "method": tuple(METHODS),
     "strategy": ("add_all", "stochastic", "active"),
     "start": ("iterproc", "sgm"),
     "pull": ("proc", "sgm"),
@@ -97,7 +109,7 @@ class ExperimentSpec:
             for name, allowed in CHOICES.items()
             if getattr(self, name) not in allowed
         ]
-        if self.vocab_mode == "top_n" and self.method not in ("procrustes", "iterproc"):
+        if self.vocab_mode == "top_n" and METHODS.get(self.method, (None, None))[1] != "proc":
             problems.append(
                 "vocab_mode 'top_n' only applies to procrustes/iterproc; the "
                 "graph framing needs equal-size restricted vocabularies"
@@ -229,18 +241,16 @@ def _seed_order(words, row_of, pairs, side: int) -> list[int]:
     return seed_rows + [i for i in range(len(words)) if i not in in_seed]
 
 
-def _sgm_run(
-    ds: Dataset, spec: ExperimentSpec, pairs, rng: np.random.Generator
-) -> tuple[HypothesisSet, Matching]:
+def _sgm_run(ds: Dataset, spec: ExperimentSpec, pairs, rng: np.random.Generator):
     """One seeded-graph-matching run over the restricted graphs."""
     order_a = _seed_order(ds.src_words, ds.src_row, pairs, 0)
     order_b = _seed_order(ds.tgt_words, ds.tgt_row, pairs, 1)
     if len(pairs) == ds.n:
         # Iteration can saturate the seed set; every vertex is then fixed
         # and the matching is the seed pairing itself.
-        matching = Matching(perm=np.arange(len(pairs)), seed_count=len(pairs))
+        perm = range(ds.n)
     else:
-        matching = sgm(
+        perm = sgm(
             build_graph(ds.x, order_a),
             build_graph(ds.y, order_b),
             s=len(pairs),
@@ -248,12 +258,12 @@ def _sgm_run(
             max_iters=spec.sgm_max_iters,
             eps=spec.sgm_eps,
             shuffle_input=spec.shuffle_input,
-        )
+        ).perm
     entries = {
         ds.src_words[order_a[i]]: ((ds.tgt_words[order_b[int(j)]], 1.0),)
-        for i, j in enumerate(matching.perm)
+        for i, j in enumerate(perm)
     }
-    return HypothesisSet(entries), matching
+    return HypothesisSet(entries)
 
 
 def _engine_run(ds, spec, engine: str, seeds, direction: int, key: tuple):
@@ -270,7 +280,7 @@ def _engine_run(ds, spec, engine: str, seeds, direction: int, key: tuple):
         ds, seeds = ds.swapped, [(t, s) for s, t in seeds]
     if engine == "proc":
         return _proc_run(ds, spec, seeds)
-    return _sgm_run(ds, spec, seeds, _rng(spec.rng_seed, *key, direction))[0], None
+    return _sgm_run(ds, spec, seeds, _rng(spec.rng_seed, *key, direction)), None
 
 
 def _round(ds, spec, engine: str, seeds_fwd, seeds_rev, key: tuple):
@@ -339,46 +349,42 @@ def _sample(pool, count, rng) -> list:
 # Pipelines
 
 
-def run_single(spec: ExperimentSpec, dataset: Dataset | None = None):
-    """One non-iterative run. Returns (hypotheses, matching-or-None)."""
-    ds = dataset if dataset is not None else assemble(spec)
+def _engine_of(spec: ExperimentSpec, pipeline: str) -> str | None:
+    """The engine of ``spec.method``, which must be one of ``pipeline``'s methods."""
+    owner, engine = METHODS.get(spec.method, (None, None))
+    if owner != pipeline:
+        raise ValueError(f"{pipeline} cannot run method {spec.method!r}")
+    return engine
+
+
+def run_single(spec: ExperimentSpec, ds: Dataset) -> HypothesisSet:
+    """One non-iterative run on the gold seeds; returns its hypotheses.
+
+    ``procrustes`` and ``sgm`` are one forward engine run; ``softsgm``
+    ranks each source's targets by their share of ``soft_runs`` restarts.
+    """
+    engine = _engine_of(spec, "single")
     gold = list(ds.gold_seeds.pairs)
-    if spec.method == "procrustes":
-        return _proc_run(ds, spec, gold)[0], None
-    if spec.method == "sgm":
-        rng = _rng(spec.rng_seed, _RNG_SINGLE_SGM, _FORWARD)
-        return _sgm_run(ds, spec, gold, rng)
-    if spec.method == "softsgm":
-        # Gold seeds already occupy the leading restricted rows.
-        master = np.random.SeedSequence(entropy=spec.rng_seed, spawn_key=(_RNG_SOFT,))
-        dist = soft_sgm(
-            build_graph(ds.x),
-            build_graph(ds.y),
-            s=len(gold),
-            runs=spec.soft_runs,
-            master_seed=master,
-            max_iters=spec.sgm_max_iters,
-            eps=spec.sgm_eps,
-            shuffle_input=spec.shuffle_input,
-        )
-        indexed = top_k_from_distribution(dist, k=spec.top_k)
-        hyps = HypothesisSet(
-            {
-                ds.src_words[i]: tuple((ds.tgt_words[j], p) for j, p in ranked)
-                for i, ranked in indexed.entries.items()
-            }
-        )
-        return hyps, None
-    raise ValueError(f"run_single cannot handle method {spec.method!r}")
+    if engine is not None:
+        return _engine_run(ds, spec, engine, gold, _FORWARD, (_RNG_SINGLE_SGM,))[0]
+    # Gold seeds already occupy the leading restricted rows.
+    master = np.random.SeedSequence(entropy=spec.rng_seed, spawn_key=(_RNG_SOFT,))
+    dist = soft_sgm(
+        build_graph(ds.x),
+        build_graph(ds.y),
+        s=len(gold),
+        runs=spec.soft_runs,
+        master_seed=master,
+        max_iters=spec.sgm_max_iters,
+        eps=spec.sgm_eps,
+        shuffle_input=spec.shuffle_input,
+    )
+    return top_k_from_distribution(dist, spec.top_k, ds.src_words, ds.tgt_words)
 
 
-def iterate(
-    spec: ExperimentSpec,
-    engine: str,
-    dataset: Dataset | None = None,
-    seed_log: list | None = None,
-):
-    """Bidirectional iterative refinement with one of the three strategies.
+def iterate(spec: ExperimentSpec, ds: Dataset, seed_log: list | None = None):
+    """Bidirectional iterative refinement of the engine of ``spec.method``
+    (``iterproc`` or ``itersgm``) with one of the three strategies.
 
     Iteration 1 always runs on the gold seeds alone; hypothesis-derived
     seeds first appear at iteration 2. Add-All feeds the whole
@@ -394,9 +400,7 @@ def iterate(
 
     Returns (per-iteration records, final forward hypotheses).
     """
-    if engine not in ("proc", "sgm"):
-        raise ValueError(f"engine must be 'proc' or 'sgm', got {engine!r}")
-    ds = dataset if dataset is not None else assemble(spec)
+    engine = _engine_of(spec, "iterate")
     engine_id = 0 if engine == "proc" else 1
     gold = list(ds.gold_seeds.pairs)
     gold_set = set(gold)
@@ -442,7 +446,7 @@ def iterate(
     return records, forward
 
 
-def run_combined(spec: ExperimentSpec, dataset: Dataset | None = None):
+def run_combined(spec: ExperimentSpec, ds: Dataset):
     """The cyclic system: single bidirectional SGM and Add-All inner
     Euclidean refinement alternately seed each other for ``iters`` cycles.
 
@@ -453,7 +457,7 @@ def run_combined(spec: ExperimentSpec, dataset: Dataset | None = None):
 
     Returns (per-cycle records, final hypotheses).
     """
-    ds = dataset if dataset is not None else assemble(spec)
+    _engine_of(spec, "combined")
     gold = list(ds.gold_seeds.pairs)
     seeds = gold
     last_forward: dict[str, HypothesisSet] = {}
@@ -496,7 +500,6 @@ class RunResult:
 
     spec: ExperimentSpec
     hypotheses: HypothesisSet
-    matching: Matching | None
     iterations: list[dict]
     metrics: evaluation.MetricsReport
     timings: dict[str, float]
@@ -513,13 +516,12 @@ def run(spec: ExperimentSpec, dataset: Dataset | None = None) -> RunResult:
     timings["prepare_s"] = time.perf_counter() - started
 
     started = time.perf_counter()
-    matching = None
-    if spec.method in ("procrustes", "sgm", "softsgm"):
-        hyps, matching = run_single(spec, ds)
+    pipeline = METHODS[spec.method][0]
+    if pipeline == "single":
+        hyps = run_single(spec, ds)
         records = [{"iteration": 1, "forward_p1": evaluation.p_at_1(hyps, ds.gold_test)}]
-    elif spec.method in ("iterproc", "itersgm"):
-        engine = "proc" if spec.method == "iterproc" else "sgm"
-        records, hyps = iterate(spec, engine, ds)
+    elif pipeline == "iterate":
+        records, hyps = iterate(spec, ds)
     else:
         records, hyps = run_combined(spec, ds)
     timings["solve_s"] = time.perf_counter() - started
@@ -528,7 +530,6 @@ def run(spec: ExperimentSpec, dataset: Dataset | None = None) -> RunResult:
     return RunResult(
         spec=spec,
         hypotheses=hyps,
-        matching=matching,
         iterations=records,
         metrics=metrics,
         timings=timings,

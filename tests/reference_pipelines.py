@@ -1,11 +1,15 @@
-"""The refinement loops as they were before the bidirectional-round helper.
+"""The pipelines as they were before the bidirectional-round helper and
+before ``run_single`` went through ``_engine_run``.
 
 ``iterate`` and ``run_combined`` here, and the direction-aware engine
 runs they call, are kept verbatim as an oracle for
 ``bilex.pipelines``: on the same spec and dataset they must produce the
-same records, seed log and final hypotheses. Helpers whose code did not
-change are imported from the package; the row-only blocked extractor
-comes from ``reference_extraction``.
+same records, seed log and final hypotheses. ``run_single`` and the
+index-keyed ``top_k_from_distribution`` it ranks soft SGM with are kept
+verbatim too, except that the two engine calls of ``run_single`` name
+the forward direction of those helpers, which compute the same forward
+run. Helpers whose code did not change are imported from the package;
+the row-only blocked extractor comes from ``reference_extraction``.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from bilex import evaluation
-from bilex.graph_matching import build_graph, sgm
+from bilex.graph_matching import build_graph, sgm, soft_sgm
 from bilex.hypotheses import HypothesisSet, Matching
 from bilex.pipelines import (
     _FORWARD,
@@ -21,6 +25,8 @@ from bilex.pipelines import (
     _RNG_COMBINED,
     _RNG_ITER,
     _RNG_SAMPLE,
+    _RNG_SINGLE_SGM,
+    _RNG_SOFT,
     MAX_ITERATIONS,
     Dataset,
     ExperimentSpec,
@@ -137,6 +143,59 @@ def _engine_run(ds, spec, engine: str, seeds, reverse: bool, rng) -> HypothesisS
         raise ValueError("empty seed set after conflict resolution")
     hyps, _ = _sgm_run(ds, spec, seeds, rng, reverse)
     return hyps
+
+
+def top_k_from_distribution(perms: np.ndarray, k: int = 5) -> HypothesisSet:
+    """Up to ``k`` targets per source by descending empirical probability.
+
+    ``perms`` is a ``(runs, n)`` stack of matchings; a target's probability
+    for source i is the share of runs matching i to it. Ties break toward
+    the smaller target index; sources that saw fewer than ``k`` distinct
+    targets get shorter lists.
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    perms = np.asarray(perms)
+    runs = perms.shape[0]
+    entries = {}
+    for src in range(perms.shape[1]):
+        targets, counts = np.unique(perms[:, src], return_counts=True)
+        ranked = np.lexsort((targets, -counts))[:k]
+        entries[src] = tuple((int(targets[i]), counts[i] / runs) for i in ranked)
+    return HypothesisSet(entries)
+
+
+def run_single(spec: ExperimentSpec, dataset: Dataset | None = None):
+    """One non-iterative run. Returns (hypotheses, matching-or-None)."""
+    ds = dataset if dataset is not None else assemble(spec)
+    gold = list(ds.gold_seeds.pairs)
+    if spec.method == "procrustes":
+        return _proc_run(ds, spec, gold, reverse=False), None
+    if spec.method == "sgm":
+        rng = _rng(spec.rng_seed, _RNG_SINGLE_SGM, _FORWARD)
+        return _sgm_run(ds, spec, gold, rng, reverse=False)
+    if spec.method == "softsgm":
+        # Gold seeds already occupy the leading restricted rows.
+        master = np.random.SeedSequence(entropy=spec.rng_seed, spawn_key=(_RNG_SOFT,))
+        dist = soft_sgm(
+            build_graph(ds.x),
+            build_graph(ds.y),
+            s=len(gold),
+            runs=spec.soft_runs,
+            master_seed=master,
+            max_iters=spec.sgm_max_iters,
+            eps=spec.sgm_eps,
+            shuffle_input=spec.shuffle_input,
+        )
+        indexed = top_k_from_distribution(dist, k=spec.top_k)
+        hyps = HypothesisSet(
+            {
+                ds.src_words[i]: tuple((ds.tgt_words[j], p) for j, p in ranked)
+                for i, ranked in indexed.entries.items()
+            }
+        )
+        return hyps, None
+    raise ValueError(f"run_single cannot handle method {spec.method!r}")
 
 
 def iterate(

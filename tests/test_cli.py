@@ -330,3 +330,20 @@ class TestExitCodes:
             "eval", "--hyps", str(tmp_path / "h.tsv"), "--gold", str(tmp_path / "g.tsv")
         ])
         assert code == EXIT_PARSE
+
+    @pytest.mark.parametrize(
+        "dump,problem",
+        [
+            ("a\tb\t1\t0.9\na\tb\t2\t0.8\n", "duplicate target"),
+            ("a\tb\t1\t0.5\na\tc\t2\t0.9\n", "not sorted by score"),
+        ],
+        ids=["repeated-target", "unsorted-scores"],
+    )
+    def test_inconsistent_hyps_list_is_parse_error(self, tmp_path, capsys, dump, problem):
+        hyps = tmp_path / "h.tsv"
+        hyps.write_text(dump, encoding="utf-8")
+        write_pairs(tmp_path / "g.tsv", [("a", "b")])
+        code = main(["eval", "--hyps", str(hyps), "--gold", str(tmp_path / "g.tsv")])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert f"parse error: {hyps}:" in err and problem in err

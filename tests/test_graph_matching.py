@@ -338,3 +338,24 @@ class TestTopKFromDistribution:
                 ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
                 want[src] = tuple((tgt, count / runs) for tgt, count in ranked[:k])
             assert top_k_from_distribution(perms, k=k).entries == want
+
+    def test_word_keys_equal_relabelled_index_keys(self):
+        # Labels run against index order, so ranking ties by label instead
+        # of by index would reorder them.
+        rng = np.random.default_rng(14)
+        ties = short = False
+        for runs, n, k in ((6, 5, 3), (4, 7, 5), (9, 3, 2), (2, 6, 5)):
+            perms = np.array([rng.permutation(n) for _ in range(runs)])
+            keys = [f"s{i}" for i in range(n)]
+            labels = [f"t{n - 1 - j}" for j in range(n)]
+            indexed = top_k_from_distribution(perms, k=k)
+            want = {
+                keys[i]: tuple((labels[j], p) for j, p in ranked)
+                for i, ranked in indexed.entries.items()
+            }
+            got = top_k_from_distribution(perms, k=k, keys=keys, labels=labels)
+            assert list(got.entries.items()) == list(want.items())
+            for ranked in indexed.entries.values():
+                ties |= len({p for _, p in ranked}) < len(ranked)
+                short |= len(ranked) < k
+        assert ties and short

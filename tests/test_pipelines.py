@@ -1,5 +1,8 @@
 """Experiment orchestration: single runs, iteration strategies, combination."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from bilex import (
@@ -22,6 +25,13 @@ from conftest import make_planted, make_spec
 def planted_dataset(n=60, d=10, noise=0.0, seed=0, seeds=15):
     src, tgt, lexicon = make_planted(n=n, d=d, noise=noise, seed=seed)
     return build_dataset(src, tgt, lexicon, seeds)
+
+
+def test_readme_example_prints_100(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"A minimal in-memory experiment:\n\n```python\n(.*?)```", readme, re.S)
+    exec(compile(example.group(1), "README.md", "exec"), {})
+    assert capsys.readouterr().out == "100.0\n"
 
 
 class TestCombiners:
@@ -66,29 +76,27 @@ class TestCombiners:
 class TestRunSingle:
     def test_planted_recovery_both_methods(self):
         ds = planted_dataset()
-        hyps_sgm, matching = run_single(make_spec(method="sgm"), ds)
-        hyps_pro, none = run_single(make_spec(method="procrustes"), ds)
-        assert none is None
-        assert matching is not None and matching.seed_count == 15
+        hyps_sgm = run_single(make_spec(method="sgm"), ds)
+        hyps_pro = run_single(make_spec(method="procrustes"), ds)
         assert evaluation.p_at_1(hyps_sgm, ds.gold_test) == 100.0
         assert evaluation.p_at_1(hyps_pro, ds.gold_test) >= 95.0
 
     def test_single_test_word_exact_isomorphism(self):
         ds = planted_dataset(n=20, seeds=19)
         for method in ("procrustes", "sgm"):
-            hyps, _ = run_single(make_spec(method=method, seeds=19), ds)
+            hyps = run_single(make_spec(method=method, seeds=19), ds)
             assert evaluation.p_at_1(hyps, ds.gold_test) == 100.0
 
     def test_noisy_outputs_are_valid_hypothesis_sets(self):
         ds = planted_dataset(noise=0.4, seed=3)
         for method in ("procrustes", "sgm", "softsgm"):
-            hyps, _ = run_single(make_spec(method=method, soft_runs=3), ds)
+            hyps = run_single(make_spec(method=method, soft_runs=3), ds)
             assert isinstance(hyps, HypothesisSet)
             assert set(hyps.entries) == set(ds.src_words)
 
     def test_softsgm_probabilities(self):
         ds = planted_dataset(n=30, seeds=8)
-        hyps, _ = run_single(make_spec(method="softsgm", seeds=8, soft_runs=4), ds)
+        hyps = run_single(make_spec(method="softsgm", seeds=8, soft_runs=4), ds)
         for ranked in hyps.entries.values():
             assert 1 <= len(ranked) <= 5
             for _, prob in ranked:
@@ -96,14 +104,17 @@ class TestRunSingle:
         # exact isomorphism: every run agrees, so all probabilities are 1
         assert all(r[0][1] == 1.0 for r in hyps.entries.values())
 
+    @pytest.mark.parametrize("method", ["iterproc", "itersgm", "combined"])
+    def test_rejects_methods_it_does_not_run(self, method):
+        with pytest.raises(ValueError, match=method):
+            run_single(make_spec(method=method), planted_dataset(n=20, seeds=5))
+
 
 class TestIterate:
     def test_add_all_never_degrades_on_planted(self):
         ds = planted_dataset(noise=0.05, seed=1)
-        for engine, method in (("proc", "iterproc"), ("sgm", "itersgm")):
-            records, final = iterate(
-                make_spec(method=method, iters=4, rng_seed=1), engine, ds
-            )
+        for method in ("iterproc", "itersgm"):
+            records, final = iterate(make_spec(method=method, iters=4, rng_seed=1), ds)
             assert len(records) == 4
             first, last = records[0]["forward_p1"], records[-1]["forward_p1"]
             assert last >= first - 2.0
@@ -111,7 +122,7 @@ class TestIterate:
 
     def test_record_fields(self):
         ds = planted_dataset(n=30, seeds=8)
-        records, _ = iterate(make_spec(iters=2, seeds=8), "proc", ds)
+        records, _ = iterate(make_spec(method="iterproc", iters=2, seeds=8), ds)
         for record in records:
             assert {"iteration", "forward_p1", "intersection_size",
                     "intersection_precision", "seeds_forward",
@@ -119,11 +130,11 @@ class TestIterate:
 
     def test_active_learning_reaches_oracle_fixed_point(self):
         ds = planted_dataset(n=40, seeds=10)
-        for engine in ("proc", "sgm"):
+        for method in ("iterproc", "itersgm"):
             log = []
             records, final = iterate(
-                make_spec(strategy="active", iters=3, seeds=10),
-                engine, ds, seed_log=log,
+                make_spec(method=method, strategy="active", iters=3, seeds=10),
+                ds, seed_log=log,
             )
             assert evaluation.p_at_1(final, ds.gold_test) == 100.0
             # a perfect engine grows the seeds to cover every pair
@@ -131,15 +142,15 @@ class TestIterate:
 
     def test_stochastic_with_huge_h_matches_add_all_seed_sets(self):
         ds = planted_dataset(n=40, seeds=10)
-        for engine in ("proc", "sgm"):
+        for method in ("iterproc", "itersgm"):
             log_stoch, log_add = [], []
             iterate(
-                make_spec(strategy="stochastic", h=10_000, iters=3, seeds=10),
-                engine, ds, seed_log=log_stoch,
+                make_spec(method=method, strategy="stochastic", h=10_000, iters=3, seeds=10),
+                ds, seed_log=log_stoch,
             )
             iterate(
-                make_spec(strategy="add_all", iters=3, seeds=10),
-                engine, ds, seed_log=log_add,
+                make_spec(method=method, strategy="add_all", iters=3, seeds=10),
+                ds, seed_log=log_add,
             )
             assert len(log_stoch) == len(log_add)
             for (sf, sr), (af, ar) in zip(log_stoch, log_add):
@@ -151,7 +162,7 @@ class TestIterate:
         # sample covers the intersection.
         ds = planted_dataset(n=40, seeds=10)
         records, _ = iterate(
-            make_spec(strategy="stochastic", h=5, iters=2, seeds=10), "proc", ds
+            make_spec(method="iterproc", strategy="stochastic", h=5, iters=2, seeds=10), ds
         )
         assert len(records) > 2
         assert len(records) <= 50
@@ -162,8 +173,8 @@ class TestIterate:
         ds = planted_dataset(n=40, seeds=10, noise=0.05)
         log = []
         iterate(
-            make_spec(strategy="stochastic", h=5, iters=3, seeds=10),
-            "proc", ds, seed_log=log,
+            make_spec(method="iterproc", strategy="stochastic", h=5, iters=3, seeds=10),
+            ds, seed_log=log,
         )
         forward_sets = [set(f) for f, _ in log[1:]]
         reverse_sets = [set(r) for _, r in log[1:]]
@@ -175,8 +186,8 @@ class TestIterate:
         for strategy in ("add_all", "stochastic", "active"):
             log = []
             iterate(
-                make_spec(strategy=strategy, iters=3, seeds=10, h=5),
-                "proc", ds, seed_log=log,
+                make_spec(method="iterproc", strategy=strategy, iters=3, seeds=10, h=5),
+                ds, seed_log=log,
             )
             for fwd_seeds, rev_seeds in log:
                 assert gold <= set(fwd_seeds)
@@ -185,23 +196,29 @@ class TestIterate:
     def test_sgm_seed_sets_always_one_to_one(self):
         ds = planted_dataset(n=40, seeds=10, noise=0.3, seed=6)
         log = []
-        iterate(make_spec(iters=3, seeds=10), "sgm", ds, seed_log=log)
+        iterate(make_spec(method="itersgm", iters=3, seeds=10), ds, seed_log=log)
         for fwd_seeds, _ in log:
             srcs = [s for s, _ in fwd_seeds]
             tgts = [t for _, t in fwd_seeds]
             assert len(set(srcs)) == len(srcs)
             assert len(set(tgts)) == len(tgts)
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            iterate(make_spec(), "unknown", planted_dataset(n=20, seeds=5))
+    @pytest.mark.parametrize("method", ["procrustes", "softsgm", "combined"])
+    def test_rejects_methods_it_does_not_run(self, method):
+        with pytest.raises(ValueError, match=method):
+            iterate(make_spec(method=method), planted_dataset(n=20, seeds=5))
 
 
 class TestRunCombined:
+    @pytest.mark.parametrize("method", ["procrustes", "itersgm"])
+    def test_rejects_methods_it_does_not_run(self, method):
+        with pytest.raises(ValueError, match=method):
+            run_combined(make_spec(method=method), planted_dataset(n=20, seeds=5))
+
     def test_beats_or_matches_singles_on_planted(self):
         ds = planted_dataset(noise=0.05, seed=2)
         single_best = max(
-            evaluation.p_at_1(run_single(make_spec(method=m), ds)[0], ds.gold_test)
+            evaluation.p_at_1(run_single(make_spec(method=m), ds), ds.gold_test)
             for m in ("procrustes", "sgm")
         )
         records, hyps = run_combined(
@@ -216,7 +233,7 @@ class TestRunCombined:
             make_spec(method="combined", iters=1, proc_inner=0,
                       start="sgm", pull="sgm", rng_seed=5), ds,
         )
-        single, _ = run_single(make_spec(method="sgm", rng_seed=5), ds)
+        single = run_single(make_spec(method="sgm", rng_seed=5), ds)
         assert combined.top1() == single.top1()
 
     def test_start_variants_differ_only_marginally(self):
@@ -259,15 +276,13 @@ class TestBehavioralContrast:
         # points, and iterating the Euclidean engine wins most of them back.
         ds = planted_dataset(n=120, d=12, noise=0.55, seed=40, seeds=30)
         single_pro = evaluation.p_at_1(
-            run_single(make_spec(method="procrustes", seeds=30), ds)[0],
+            run_single(make_spec(method="procrustes", seeds=30), ds),
             ds.gold_test,
         )
         single_sgm = evaluation.p_at_1(
-            run_single(make_spec(method="sgm", seeds=30), ds)[0], ds.gold_test
+            run_single(make_spec(method="sgm", seeds=30), ds), ds.gold_test
         )
-        records, _ = iterate(
-            make_spec(method="iterproc", seeds=30, iters=4), "proc", ds
-        )
+        records, _ = iterate(make_spec(method="iterproc", seeds=30, iters=4), ds)
         assert single_sgm > single_pro
         assert records[-1]["forward_p1"] >= single_pro + 2.0
 
@@ -288,7 +303,6 @@ class TestRunDispatch:
         assert result.metrics.p_at_1 == evaluation.p_at_1(
             result.hypotheses, ds.gold_test
         )
-        assert result.matching is not None
         assert result.iterations[0]["iteration"] == 1
         assert set(result.timings) == {"prepare_s", "solve_s"}
 
@@ -306,7 +320,7 @@ class TestRunDispatch:
         trimmed = Lexicon(lexicon.pairs[:12])  # words 12.. exist only in vocab
         ds_trim = build_dataset(src, tgt, trimmed, 5)
         spec = make_spec(method="procrustes", seeds=5, vocab_mode="top_n")
-        hyps, _ = run_single(spec, ds_trim)
+        hyps = run_single(spec, ds_trim)
         candidates = {t for r in hyps.entries.values() for t, _ in r}
         assert candidates - set(ds_trim.tgt_words)  # non-dictionary words reachable
         assert len(hyps.entries) == len(src.vocab)  # every loaded word is mapped

@@ -1,4 +1,4 @@
-"""The refinement loops against the pre-refactor code kept in
+"""The pipelines against the pre-refactor code kept in
 ``reference_pipelines``: identical records, seed logs, hypotheses, and
 rng substreams handed to the solver and the sampler."""
 
@@ -7,12 +7,15 @@ import itertools
 import pytest
 
 import reference_pipelines as reference
-from bilex import build_dataset, iterate, pipelines, run_combined
+from bilex import build_dataset, iterate, pipelines, run_combined, run_single
 from conftest import make_planted, make_spec
 
 # (noise, rng seed): imperfect intersections, and Stochastic-Add runs well
 # past ``iters`` before its sample covers the pool.
 DATASETS = ((0.3, 1), (0.5, 2))
+# Soft SGM's restarts agree on every word of DATASETS; here they disagree,
+# and many words get several targets with tied shares.
+SPREAD = (1.0, 2)
 
 ITERATE_GRID = [
     dict(engine=engine, strategy=strategy, vocab_mode="restricted")
@@ -64,12 +67,27 @@ def test_iterate_matches_reference(noise, seed, config, drawn):
     )
     ds = dataset(noise, seed)
     log, want_log = [], []
-    records, hyps = iterate(spec, engine, ds, seed_log=log)
+    records, hyps = iterate(spec, ds, seed_log=log)
     want_records, want_hyps = reference.iterate(spec, engine, ds, seed_log=want_log)
     assert records == want_records
     assert log == want_log
     assert_same_hypotheses(hyps, want_hyps)
     assert drawn[pipelines] == drawn[reference]
+
+
+@pytest.mark.parametrize("noise,seed", DATASETS + (SPREAD,))
+@pytest.mark.parametrize("method", ["procrustes", "sgm", "softsgm"])
+def test_run_single_matches_reference(noise, seed, method, drawn):
+    spec = make_spec(method=method, seeds=12, rng_seed=seed, soft_runs=4)
+    ds = dataset(noise, seed)
+    hyps = run_single(spec, ds)
+    want_hyps, _ = reference.run_single(spec, ds)
+    assert_same_hypotheses(hyps, want_hyps)
+    assert drawn[pipelines] == drawn[reference]
+    if method == "sgm":
+        assert len(drawn[pipelines]) == 1
+    if method == "softsgm" and (noise, seed) == SPREAD:
+        assert any(len({p for _, p in r}) < len(r) for r in hyps.entries.values())
 
 
 @pytest.mark.parametrize("noise,seed", DATASETS)
@@ -90,9 +108,11 @@ def test_grid_exercises_imperfect_rounds():
     lengths, precisions = [], []
     for noise, seed in DATASETS:
         ds = dataset(noise, seed)
-        for engine in ("proc", "sgm"):
-            spec = make_spec(strategy="stochastic", iters=3, h=4, seeds=12, rng_seed=seed)
-            records, _ = iterate(spec, engine, ds)
+        for method in ("iterproc", "itersgm"):
+            spec = make_spec(
+                method=method, strategy="stochastic", iters=3, h=4, seeds=12, rng_seed=seed
+            )
+            records, _ = iterate(spec, ds)
             lengths.append(len(records))
             precisions += [r["intersection_precision"] for r in records]
     assert max(lengths) > 3

@@ -50,7 +50,7 @@ def test_fewer_seeds_than_dimensions_keeps_the_fresh_reverse(vocab_mode, calls):
     spec = make_spec(method="iterproc", seeds=10, iters=3, vocab_mode=vocab_mode)
     ds = dataset(10)
     log, want_log = [], []
-    records, hyps = iterate(spec, "proc", ds, seed_log=log)
+    records, hyps = iterate(spec, ds, seed_log=log)
     want_records, want_hyps = reference.iterate(spec, "proc", ds, seed_log=want_log)
     assert records == want_records
     assert log == want_log
@@ -95,7 +95,7 @@ def test_round_with_fewer_seeds_than_dimensions_scores_twice(calls):
 def test_stochastic_rounds_with_different_samples_score_twice(calls):
     spec = make_spec(method="iterproc", strategy="stochastic", seeds=30, iters=3, h=4)
     log = []
-    iterate(spec, "proc", dataset(30, noise=0.5), seed_log=log)
+    iterate(spec, dataset(30, noise=0.5), seed_log=log)
     per_round = [1 if set(fwd) == set(rev) else 2 for fwd, rev in log]
     assert per_round[0] == 1 and 2 in per_round  # gold alone, then two samples
     assert calls == {"solve_procrustes": sum(per_round), "extract_hypotheses": sum(per_round)}
