@@ -19,7 +19,6 @@ from .embeddings import (
 )
 from .evaluation import MetricsReport, metrics_report, p_at_1, prf_at_5
 from .graph_matching import (
-    SimilarityGraph,
     build_graph,
     sgm,
     soft_sgm,
@@ -73,7 +72,6 @@ __all__ = [
     "NormalizationError",
     "OrthogonalMap",
     "RunResult",
-    "SimilarityGraph",
     "SplitLexicon",
     "TopK",
     "assemble",

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import typing
 from dataclasses import asdict
@@ -196,6 +197,8 @@ def _read_hypotheses(path) -> HypothesisSet:
                 raise HypothesisFormatError(
                     f"{path}:{lineno}: unparseable rank or score"
                 ) from exc
+            if not math.isfinite(score):
+                raise HypothesisFormatError(f"{path}:{lineno}: non-finite score {score_raw!r}")
             ranked = per_source.setdefault(src, [])
             if rank != len(ranked) + 1:
                 raise HypothesisFormatError(

@@ -1,7 +1,11 @@
 """The graph framing: similarity graphs and seeded Frank-Wolfe matching.
 
-Matching two weighted graphs while holding s known vertex pairs fixed
-means minimizing ``||Gx - Q Gy Q^T||_F^2`` over the block permutations
+A similarity graph is the Gram graph ``G = X X^T`` of its vertices'
+embedding rows X, and it is held as those rows: an (n, d) float64
+array, one row per vertex, whose n x n matrix is never formed.
+
+Matching two graphs while holding s known vertex pairs fixed means
+minimizing ``||Gx - Q Gy Q^T||_F^2`` over the block permutations
 ``Q = diag(I_s, P)``, P ranging over permutations of the n-s free
 vertices. Expanding the norm shows this equals maximizing the trace
 form ``tr(Gx^T Q Gy Q^T)``, which is solved approximately by
@@ -9,17 +13,13 @@ Frank-Wolfe over the doubly-stochastic relaxation: each step linearizes
 the objective, solves a LAP for the best vertex direction, takes an
 exact line-search step (the objective is quadratic along a segment), and
 the final interior point is projected to a permutation by one more LAP.
-Graphs are held as factors (the embedding rows of a Gram graph), so the
-solver works on small summaries of the iterate and never forms an n x n
-similarity matrix.
+The solver works on a small dx x dy summary of the iterate.
 
 Seed pairs occupy indices 0..s-1 of both graphs and always appear in the
 output (hard seeding). The solved part is one-to-one by construction.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,55 +29,16 @@ from .hypotheses import HypothesisSet, Matching
 INIT_MODES = ("barycenter", "randomized")
 
 
-@dataclass(frozen=True, init=False)
-class SimilarityGraph:
-    """Symmetric similarity matrix held as a factor ``g = left @ right.T``.
-
-    ``SimilarityGraph(rows=X)`` is the Gram graph of embedding rows X:
-    both factors are X, so it is symmetric by construction and its n x n
-    matrix is never formed. ``SimilarityGraph(g)`` stores a hand-built
-    matrix exactly, as ``left = g, right = I``, after a symmetry check.
-    The diagonal of a Gram graph holds squared row norms (all ones after
-    normalization).
-    """
-
-    left: np.ndarray
-    right: np.ndarray
-
-    def __init__(self, g=None, *, rows=None):
-        if (g is None) == (rows is None):
-            raise ValueError("give exactly one of a matrix g and embedding rows")
-        if rows is not None:
-            left = right = np.asarray(rows, dtype=np.float64)
-            if left.ndim != 2:
-                raise ValueError("embedding rows must form a 2-D array")
-        else:
-            left = np.asarray(g, dtype=np.float64)
-            if left.ndim != 2 or left.shape[0] != left.shape[1]:
-                raise ValueError("graph matrix must be square")
-            if left.size and np.abs(left - left.T).max() > 1e-9:
-                raise ValueError("graph matrix must be symmetric within 1e-9")
-            right = np.eye(left.shape[0])
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    @property
-    def n(self) -> int:
-        return int(self.left.shape[0])
-
-    @property
-    def g(self) -> np.ndarray:
-        """The dense n x n matrix, formed on each access."""
-        return self.left @ self.right.T
-
-
-def build_graph(vectors: np.ndarray, order=None) -> SimilarityGraph:
+def build_graph(vectors: np.ndarray, order=None) -> np.ndarray:
     """Gram graph of the selected embedding rows: g[i][j] = <row_i, row_j>.
 
     Vertex i is embedding row ``order[i]`` (default: every row in turn).
-    Only the selected rows are kept; no n x n matrix is formed.
+    The graph is returned as those rows, ``vectors[order]`` in float64;
+    no n x n matrix is formed.
     """
     vectors = np.asarray(vectors, dtype=np.float64)
+    if vectors.ndim != 2:
+        raise ValueError("embedding rows must form a 2-D array")
     if order is None:
         order = range(vectors.shape[0])
     order = [int(i) for i in order]
@@ -85,57 +46,56 @@ def build_graph(vectors: np.ndarray, order=None) -> SimilarityGraph:
         raise IndexError("order contains out-of-range row indices")
     if len(set(order)) != len(order):
         raise ValueError("order contains repeated row indices")
-    return SimilarityGraph(rows=vectors[order])
+    return vectors[order]
 
 
 class _FactoredProblem:
-    """The seeded trace objective through r x r summaries of the free block P.
+    """The seeded trace objective through a summary of the free block P.
 
-    Write ``Gx = La Ra^T`` and ``Gy = Lb Rb^T``, and split each factor
-    into seed rows (1) and free rows (2). Both graphs are symmetric, so
-    with ``S = Ra1^T Rb1``, ``Y = La2^T P Lb2`` and ``Z = Ra2^T P Rb2``::
+    Split the rows of ``Gx = X X^T`` and ``Gy = Y Y^T`` into seed rows
+    (1) and free rows (2). With ``S = X1^T Y1`` and the summary
+    ``Z = X2^T P Y2``::
 
-        f(P)      = <S, La1^T Lb1> + <2 S + Z, Y>
-        grad f(P) = La2 (2 S + 2 Z) Lb2^T
+        f(P)      = ||S + Z||_F^2 = <S, S> + <2 S + Z, Z>
+        grad f(P) = X2 (2 S + 2 Z) Y2^T
 
-    Y and Z are linear in P and are row gathers at a permutation vertex,
-    so a Frank-Wolfe step updates them in O(m r^2); only the gradient
-    costs O(m^2 r). ``relabel`` reorders the rows of Gy first.
+    Z is linear in P and a row gather at a permutation vertex, so a
+    Frank-Wolfe step updates it in O(m dx dy); only the gradient costs
+    O(m^2 d). ``relabel`` reorders the rows of Y first.
     """
 
-    def __init__(self, gx: SimilarityGraph, gy: SimilarityGraph, s: int, relabel=None):
-        lb, rb = gy.left, gy.right
+    def __init__(self, gx: np.ndarray, gy: np.ndarray, s: int, relabel=None):
         if relabel is not None:
-            lb, rb = lb[relabel], rb[relabel]
-        self.la2, self.ra2, self.lb2, self.rb2 = gx.left[s:], gx.right[s:], lb[s:], rb[s:]
-        self.seed = gx.right[:s].T @ rb[:s]
-        self.fixed = float((self.seed * (gx.left[:s].T @ lb[:s])).sum())
+            gy = gy[relabel]
+        self.x2, self.y2 = gx[s:], gy[s:]
+        self.seed = gx[:s].T @ gy[:s]
+        self.fixed = float((self.seed * self.seed).sum())
 
-    def summaries(self, p: np.ndarray):
-        """(Y, Z) of a doubly-stochastic P."""
-        return self.la2.T @ p @ self.lb2, self.ra2.T @ p @ self.rb2
+    def summary(self, p: np.ndarray) -> np.ndarray:
+        """Z of a doubly-stochastic P."""
+        return self.x2.T @ p @ self.y2
 
-    def vertex_summaries(self, cols: np.ndarray):
-        """(Y, Z) of the permutation matrix with a one at (i, cols[i])."""
-        return self.la2.T @ self.lb2[cols], self.ra2.T @ self.rb2[cols]
+    def vertex_summary(self, cols: np.ndarray) -> np.ndarray:
+        """Z of the permutation matrix with a one at (i, cols[i])."""
+        return self.x2.T @ self.y2[cols]
 
-    def objective(self, y: np.ndarray, z: np.ndarray) -> float:
-        return self.fixed + float((y * (2.0 * self.seed + z)).sum())
+    def objective(self, z: np.ndarray) -> float:
+        return self.fixed + float((z * (2.0 * self.seed + z)).sum())
 
     def gradient(self, z: np.ndarray) -> np.ndarray:
-        return self.la2 @ (2.0 * (self.seed + z)) @ self.lb2.T
+        return self.x2 @ (2.0 * (self.seed + z)) @ self.y2.T
 
 
-def trace_objective(gx: SimilarityGraph, gy: SimilarityGraph, s: int, p: np.ndarray) -> float:
+def trace_objective(gx: np.ndarray, gy: np.ndarray, s: int, p: np.ndarray) -> float:
     """tr(Gx^T Q Gy Q^T) with Q = diag(I_s, P), for a doubly-stochastic P."""
     problem = _FactoredProblem(gx, gy, s)
-    return problem.objective(*problem.summaries(np.asarray(p, dtype=np.float64)))
+    return problem.objective(problem.summary(np.asarray(p, dtype=np.float64)))
 
 
-def trace_gradient(gx: SimilarityGraph, gy: SimilarityGraph, s: int, p: np.ndarray) -> np.ndarray:
+def trace_gradient(gx: np.ndarray, gy: np.ndarray, s: int, p: np.ndarray) -> np.ndarray:
     """Gradient of :func:`trace_objective` with respect to the free block P."""
     problem = _FactoredProblem(gx, gy, s)
-    return problem.gradient(problem.summaries(np.asarray(p, dtype=np.float64))[1])
+    return problem.gradient(problem.summary(np.asarray(p, dtype=np.float64)))
 
 
 def _best_step(a: float, b: float) -> float:
@@ -166,8 +126,8 @@ def _random_doubly_stochastic(rng: np.random.Generator, m: int) -> np.ndarray:
 
 
 def sgm(
-    gx: SimilarityGraph,
-    gy: SimilarityGraph,
+    gx: np.ndarray,
+    gy: np.ndarray,
     s: int,
     rng: np.random.Generator,
     max_iters: int = 30,
@@ -190,21 +150,24 @@ def sgm(
     ``max_iters`` steps. If ``history`` is a list, one record per
     iteration is appended (objective, step size, iterate delta).
 
-    With m = n - s free vertices and graph factors of rank r (the
-    embedding dimension for Gram graphs), one iteration costs one
-    O(m^2 r) product for the gradient, the O(m^3) LAP for the direction
-    and O(m^2) elementwise work on P; see :class:`_FactoredProblem`.
+    ``gx`` and ``gy`` are the embedding rows of the two graphs (see
+    :func:`build_graph`); their widths may differ, their vertex counts
+    may not. With m = n - s free vertices and rows of width at most d,
+    one iteration costs one O(m^2 d) product for the gradient, the
+    O(m^3) LAP for the direction and O(m^2) elementwise work on P; see
+    :class:`_FactoredProblem`.
     """
-    if gx.n != gy.n:
-        raise ValueError(f"graph sizes differ: {gx.n} vs {gy.n}")
-    if not 0 <= s < gx.n:
-        raise ValueError(f"seed count {s} out of range for n={gx.n}")
+    n = len(gx)
+    if n != len(gy):
+        raise ValueError(f"graph sizes differ: {n} vs {len(gy)}")
+    if not 0 <= s < n:
+        raise ValueError(f"seed count {s} out of range for n={n}")
     if max_iters < 1:
         raise ValueError("max_iters must be positive")
     if init not in INIT_MODES:
         raise ValueError(f"init must be one of {INIT_MODES}, got {init!r}")
 
-    m = gx.n - s
+    m = n - s
     sigma = relabel = None
     if shuffle_input:
         sigma = rng.permutation(m)
@@ -215,28 +178,28 @@ def sgm(
         p = np.full((m, m), 1.0 / m)
     else:
         p = _random_doubly_stochastic(rng, m)
-    y, z = problem.summaries(p)
+    z = problem.summary(p)
     rows = np.arange(m)
 
     for iteration in range(1, max_iters + 1):
         grad = problem.gradient(z)
         direction = solve_lap(grad, maximize=True).perm
-        yq, zq = problem.vertex_summaries(direction)
+        dz = problem.vertex_summary(direction) - z
         step = -p  # D = Q - P, with Q the direction's permutation matrix
         step[rows, direction] += 1.0
-        # f(P + t D) - f(P) = t <grad, D> + t^2 <Y(D), Z(D)>
-        alpha = _best_step(float(((yq - y) * (zq - z)).sum()), float(np.vdot(grad, step)))
+        # f(P + t D) - f(P) = t <grad, D> + t^2 <Z(D), Z(D)>
+        alpha = _best_step(float((dz * dz).sum()), float(np.vdot(grad, step)))
         delta = alpha * float(np.linalg.norm(step))
         step *= alpha
         p += step
-        y, z = y + alpha * (yq - y), z + alpha * (zq - z)
+        z = z + alpha * dz
         if history is not None:
             history.append(
                 {
                     "iteration": iteration,
                     "alpha": alpha,
                     "delta": delta,
-                    "objective": problem.objective(y, z),
+                    "objective": problem.objective(z),
                 }
             )
         if delta < eps:
@@ -257,8 +220,8 @@ def _child_seed(master, index: int) -> np.random.SeedSequence:
 
 
 def soft_sgm(
-    gx: SimilarityGraph,
-    gy: SimilarityGraph,
+    gx: np.ndarray,
+    gy: np.ndarray,
     s: int,
     runs: int = 10,
     master_seed=0,

@@ -125,7 +125,7 @@ class ExperimentSpec:
             problems.append("normalize_passes must be non-negative")
         if self.sgm_max_iters < 1:
             problems.append("sgm_max_iters must be a positive integer")
-        if self.sgm_eps <= 0:
+        if not self.sgm_eps > 0:  # also rejects NaN
             problems.append("sgm_eps must be positive")
         return problems
 

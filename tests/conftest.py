@@ -1,4 +1,5 @@
-"""Shared fixtures: planted-permutation corpora and on-disk file builders."""
+"""Shared fixtures: planted-permutation corpora, graph helpers and on-disk
+file builders."""
 
 from __future__ import annotations
 
@@ -31,6 +32,57 @@ def make_planted(n=60, d=10, noise=0.0, seed=0):
     inverse[rho] = np.arange(n)
     lexicon = Lexicon(tuple((f"s{i:03d}", f"t{inverse[i]:03d}") for i in range(n)))
     return src, tgt, lexicon
+
+
+def block_rows(squared_norms) -> np.ndarray:
+    """0/1 rows with disjoint supports: row i holds ``squared_norms[i]``
+    ones, so the Gram matrix is exactly ``diag(squared_norms)``."""
+    return np.repeat(np.eye(len(squared_norms)), squared_norms, axis=1)
+
+
+# The worked 4-vertex example: Gram graphs diag(2, 2, 3, 4) and
+# diag(1, 3, 4, 2), whose seeded (s = 1) optimum is x2-y4, x3-y2, x4-y3.
+DIAG4_X = block_rows([2, 2, 3, 4])
+DIAG4_Y = block_rows([1, 3, 4, 2])
+
+
+def gram(rows) -> np.ndarray:
+    """The dense n x n similarity matrix of a graph held as its rows."""
+    return rows @ rows.T
+
+
+def frobenius(gx, gy, perm) -> float:
+    """||Gx - Gy[perm][:, perm]||_F^2, the matching objective SGM minimizes."""
+    perm = np.asarray(perm)
+    return float(((gram(gx) - gram(gy)[np.ix_(perm, perm)]) ** 2).sum())
+
+
+def correlated_pair(n, s, noise, rng, d=4):
+    """Rows of a graph and of a noisy copy whose vertex i matches vertex i.
+
+    The copy's free rows are permuted by a hidden matching and permuted
+    back, so the planted matching is the identity. The copy carries
+    Gaussian noise of scale ``noise / (2 sqrt(d))``, which perturbs each
+    off-diagonal Gram entry by about ``noise / sqrt(2)``, as a symmetric
+    bump of scale ``noise`` on the Gram matrix would.
+    """
+    gx = rng.normal(size=(n, d))
+    hidden = np.concatenate([np.arange(s), s + rng.permutation(n - s)])
+    moved = gx[hidden]
+    if noise:
+        moved = moved + noise / (2 * np.sqrt(d)) * rng.normal(size=(n, d))
+    inverse = np.empty(n, dtype=int)
+    inverse[hidden] = np.arange(n)
+    return gx, moved[inverse]
+
+
+def sinkhorn(matrix, iters=200) -> np.ndarray:
+    """A doubly-stochastic matrix balanced from ``|matrix|``."""
+    p = np.abs(matrix) + 1e-3
+    for _ in range(iters):
+        p /= p.sum(axis=1, keepdims=True)
+        p /= p.sum(axis=0, keepdims=True)
+    return p
 
 
 def make_spec(**overrides) -> ExperimentSpec:

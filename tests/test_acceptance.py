@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from bilex import (
-    SimilarityGraph,
     build_dataset,
     evaluation,
     extract_hypotheses,
@@ -30,10 +29,16 @@ from bilex import (
     trace_objective,
 )
 from conftest import (
+    DIAG4_X,
+    DIAG4_Y,
     blas_env,
+    correlated_pair,
+    frobenius,
+    gram,
     make_planted,
     make_spec,
     random_orthogonal,
+    sinkhorn,
     write_pairs,
     write_vec,
 )
@@ -43,20 +48,11 @@ def report(number: int, text: str) -> None:
     print(f"[acceptance] criterion {number}: PASS - {text}")
 
 
-def graph_of(matrix):
-    matrix = np.asarray(matrix, dtype=float)
-    return SimilarityGraph((matrix + matrix.T) / 2)
-
-
-def frobenius(gx, gy, perm):
-    perm = np.asarray(perm)
-    return float(((gx.g - gy.g[np.ix_(perm, perm)]) ** 2).sum())
-
-
 def test_criterion_1_diag4_golden():
     started = time.perf_counter()
-    gx = graph_of(np.diag([2.0, 2.0, 3.0, 4.0]))
-    gy = graph_of(np.diag([1.0, 3.0, 4.0, 2.0]))
+    gx, gy = DIAG4_X, DIAG4_Y
+    assert np.array_equal(gram(gx), np.diag([2.0, 2.0, 3.0, 4.0]))
+    assert np.array_equal(gram(gy), np.diag([1.0, 3.0, 4.0, 2.0]))
     matching = sgm(gx, gy, 1, np.random.default_rng(0))
     assert matching.pairs() == [(0, 0), (1, 3), (2, 1), (3, 2)]
 
@@ -132,15 +128,7 @@ def test_criterion_5_small_instance_sgm_optimality():
     for trial in range(50):
         n = int(rng.integers(4, 8))
         s = int(rng.integers(0, 3))
-        rows = rng.normal(size=(n, 4))
-        gx = graph_of(rows @ rows.T)
-        hidden = np.concatenate([np.arange(s), s + rng.permutation(n - s)])
-        moved = gx.g[np.ix_(hidden, hidden)]
-        bump = rng.normal(size=(n, n)) * 0.1
-        moved = moved + (bump + bump.T) / 2
-        inverse = np.empty(n, dtype=int)
-        inverse[hidden] = np.arange(n)
-        gy = graph_of(moved[np.ix_(inverse, inverse)])
+        gx, gy = correlated_pair(n, s, 0.1, rng)
         matching = sgm(gx, gy, s, np.random.default_rng(trial))
         got = frobenius(gx, gy, matching.perm)
         best = min(
@@ -155,24 +143,14 @@ def test_criterion_5_small_instance_sgm_optimality():
 
 def test_criterion_6_gradient_check():
     rng = np.random.default_rng(6)
-
-    def sinkhorn(matrix, iters=300):
-        p = np.abs(matrix) + 1e-3
-        for _ in range(iters):
-            p /= p.sum(axis=1, keepdims=True)
-            p /= p.sum(axis=0, keepdims=True)
-        return p
-
     worst = 0.0
     for point in range(20):
         n = int(rng.integers(5, 9))
         s = int(rng.integers(0, 3))
-        ax = rng.normal(size=(n, 4))
-        ay = rng.normal(size=(n, 4))
-        gx = graph_of(ax @ ax.T)
-        gy = graph_of(ay @ ay.T)
+        gx = rng.normal(size=(n, 4))
+        gy = rng.normal(size=(n, 4))
         m = n - s
-        p = sinkhorn(rng.uniform(size=(m, m)))
+        p = sinkhorn(rng.uniform(size=(m, m)), iters=300)
         grad = trace_gradient(gx, gy, s, p)
         step = 1e-6
         fd = np.zeros_like(grad)
@@ -199,7 +177,7 @@ def test_criterion_7_behavioral_contracts():
         ax = rng.normal(size=(n, 3))
         ay = rng.normal(size=(n, 3))
         matching = sgm(
-            graph_of(ax @ ax.T), graph_of(ay @ ay.T), s,
+            ax, ay, s,
             np.random.default_rng(trial), init="randomized",
         )
         assert sorted(matching.perm.tolist()) == list(range(n))

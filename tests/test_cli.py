@@ -283,6 +283,16 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "seeds" in capsys.readouterr().err
 
+    def test_nan_sgm_eps_is_usage_error(self, planted_files, capsys):
+        src, tgt, dictionary = planted_files(n=10, d=4, seed=7)
+        code = main([
+            "run", "--method", "sgm", "--seeds", "3", "--sgm-eps", "nan",
+            "--src-emb", str(src), "--tgt-emb", str(tgt),
+            "--dict", str(dictionary),
+        ])
+        assert code == EXIT_USAGE
+        assert "sgm_eps must be positive" in capsys.readouterr().err
+
     def test_missing_required_spec_key_is_usage_error(self, capsys):
         code = main(["run", "--method", "sgm"])
         assert code == EXIT_USAGE
@@ -336,8 +346,9 @@ class TestExitCodes:
         [
             ("a\tb\t1\t0.9\na\tb\t2\t0.8\n", "duplicate target"),
             ("a\tb\t1\t0.5\na\tc\t2\t0.9\n", "not sorted by score"),
+            ("a\tb\t1\t1.0\na\tc\t2\tnan\na\td\t3\t2.0\n", ":2: non-finite score"),
         ],
-        ids=["repeated-target", "unsorted-scores"],
+        ids=["repeated-target", "unsorted-scores", "nan-score"],
     )
     def test_inconsistent_hyps_list_is_parse_error(self, tmp_path, capsys, dump, problem):
         hyps = tmp_path / "h.tsv"

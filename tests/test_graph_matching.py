@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from bilex import (
-    SimilarityGraph,
     build_graph,
     sgm,
     soft_sgm,
@@ -15,79 +14,41 @@ from bilex import (
     trace_gradient,
     trace_objective,
 )
-
-DIAG4_GX = np.diag([2.0, 2.0, 3.0, 4.0])
-DIAG4_GY = np.diag([1.0, 3.0, 4.0, 2.0])
-
-
-def graph_of(matrix):
-    matrix = np.asarray(matrix, dtype=float)
-    return SimilarityGraph((matrix + matrix.T) / 2)
-
-
-def random_graph(n, d, rng):
-    rows = rng.normal(size=(n, d))
-    return graph_of(rows @ rows.T)
-
-
-def correlated_pair(n, s, noise, rng):
-    """Two graphs related by a hidden matching that fixes the seed block."""
-    gx = random_graph(n, 4, rng)
-    hidden = np.concatenate([np.arange(s), s + rng.permutation(n - s)])
-    gym = gx.g[np.ix_(hidden, hidden)]
-    if noise:
-        bump = rng.normal(size=(n, n)) * noise
-        gym = gym + (bump + bump.T) / 2
-    inverse = np.empty(n, dtype=int)
-    inverse[hidden] = np.arange(n)
-    return gx, graph_of(gym[np.ix_(inverse, inverse)])
-
-
-def frobenius_objective(gx, gy, perm):
-    perm = np.asarray(perm)
-    return float(((gx.g - gy.g[np.ix_(perm, perm)]) ** 2).sum())
+from conftest import DIAG4_X, DIAG4_Y, correlated_pair, frobenius, gram, sinkhorn
 
 
 def brute_force_min(gx, gy, s):
-    n = gx.n
+    n = len(gx)
     best = None
     for tail in itertools.permutations(range(s, n)):
         perm = np.array(list(range(s)) + list(tail))
-        value = frobenius_objective(gx, gy, perm)
+        value = frobenius(gx, gy, perm)
         if best is None or value < best:
             best = value
     return best
 
 
-def sinkhorn(matrix, iters=200):
-    p = np.abs(matrix) + 1e-3
-    for _ in range(iters):
-        p /= p.sum(axis=1, keepdims=True)
-        p /= p.sum(axis=0, keepdims=True)
-    return p
-
-
 class TestBuildGraph:
     def test_orthonormal_rows_give_identity(self):
         g = build_graph(np.eye(5))
-        np.testing.assert_allclose(g.g, np.eye(5), atol=1e-12)
+        np.testing.assert_allclose(gram(g), np.eye(5), atol=1e-12)
 
     def test_orthogonal_scaled_vectors_give_diagonal(self):
         # Mutually orthogonal rows with squared norms 2, 2, 3, 4.
         rows = np.diag([np.sqrt(2.0), np.sqrt(2.0), np.sqrt(3.0), 2.0])
         g = build_graph(rows)
-        np.testing.assert_allclose(g.g, DIAG4_GX, atol=1e-12)
+        np.testing.assert_allclose(gram(g), np.diag([2.0, 2.0, 3.0, 4.0]), atol=1e-12)
 
     def test_matches_naive_double_loop(self):
         rng = np.random.default_rng(0)
         rows = rng.normal(size=(7, 5))
         order = [4, 2, 0, 6, 1, 3, 5]
-        g = build_graph(rows, order)
+        g = gram(build_graph(rows, order))
         for i in range(7):
             for j in range(7):
                 expected = float(np.dot(rows[order[i]], rows[order[j]]))
-                assert g.g[i, j] == pytest.approx(expected, abs=1e-12)
-        np.testing.assert_array_equal(g.g, g.g.T)
+                assert g[i, j] == pytest.approx(expected, abs=1e-12)
+        np.testing.assert_array_equal(g, g.T)
 
     def test_out_of_range_order_raises(self):
         with pytest.raises(IndexError):
@@ -97,46 +58,40 @@ class TestBuildGraph:
         with pytest.raises(ValueError, match="repeated"):
             build_graph(np.eye(3), order=[0, 1, 1])
 
-    def test_keeps_the_selected_rows_as_both_factors(self):
-        rows = np.arange(12.0).reshape(4, 3)
+    def test_returns_exactly_the_selected_rows(self):
+        rows = np.arange(12).reshape(4, 3)
         g = build_graph(rows, [2, 0, 3, 1])
-        assert g.left is g.right
-        np.testing.assert_array_equal(g.left, rows[[2, 0, 3, 1]])
+        assert g.dtype == np.float64
+        np.testing.assert_array_equal(g, rows[[2, 0, 3, 1]])
 
-    def test_needs_exactly_one_of_matrix_and_rows(self):
-        with pytest.raises(ValueError, match="exactly one"):
-            SimilarityGraph()
-        with pytest.raises(ValueError, match="exactly one"):
-            SimilarityGraph(np.eye(2), rows=np.eye(2))
-
-    def test_asymmetric_matrix_rejected(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            SimilarityGraph(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    def test_rows_must_be_2d(self):
+        with pytest.raises(ValueError, match="2-D"):
+            build_graph(np.ones(3))
 
 
 class TestSgm:
     def test_diag4_golden_example(self):
-        gx = graph_of(DIAG4_GX)
-        gy = graph_of(DIAG4_GY)
+        gx = build_graph(DIAG4_X)
+        gy = build_graph(DIAG4_Y)
         matching = sgm(gx, gy, 1, np.random.default_rng(0))
         assert matching.pairs() == [(0, 0), (1, 3), (2, 1), (3, 2)]
-        assert frobenius_objective(gx, gy, matching.perm) == pytest.approx(
+        assert frobenius(gx, gy, matching.perm) == pytest.approx(
             brute_force_min(gx, gy, 1)
         )
 
     def test_identical_graphs_identity(self):
         rng = np.random.default_rng(1)
-        g = random_graph(8, 5, rng)
+        g = rng.normal(size=(8, 5))
         for s in (0, 2, 7):
             matching = sgm(g, g, s, np.random.default_rng(s))
             np.testing.assert_array_equal(matching.perm, np.arange(8))
 
     def test_size_mismatch_raises(self):
         with pytest.raises(ValueError, match="sizes differ"):
-            sgm(graph_of(np.eye(3)), graph_of(np.eye(4)), 0, np.random.default_rng(0))
+            sgm(np.eye(3), np.eye(4), 0, np.random.default_rng(0))
 
     def test_seed_count_out_of_range_raises(self):
-        g = graph_of(np.eye(3))
+        g = np.eye(3)
         with pytest.raises(ValueError, match="seed count"):
             sgm(g, g, 3, np.random.default_rng(0))
 
@@ -148,7 +103,7 @@ class TestSgm:
             s = int(rng.integers(0, 3))
             gx, gy = correlated_pair(n, s, 0.1, rng)
             matching = sgm(gx, gy, s, np.random.default_rng(trial))
-            got = frobenius_objective(gx, gy, matching.perm)
+            got = frobenius(gx, gy, matching.perm)
             best = brute_force_min(gx, gy, s)
             assert got >= best - 1e-9  # never beats exhaustive search
             hits += got <= best + 1e-9
@@ -159,8 +114,8 @@ class TestSgm:
         for trial in range(10):
             n = int(rng.integers(5, 10))
             s = int(rng.integers(0, 4))
-            gx = random_graph(n, 3, rng)
-            gy = random_graph(n, 3, rng)
+            gx = rng.normal(size=(n, 3))
+            gy = rng.normal(size=(n, 3))
             matching = sgm(gx, gy, s, np.random.default_rng(trial), init="randomized")
             assert matching.pairs()[:s] == [(i, i) for i in range(s)]
             assert sorted(matching.perm.tolist()) == list(range(n))
@@ -188,7 +143,7 @@ class TestSgm:
         rho = np.concatenate([np.arange(s), s + rng.permutation(n - s)])
         inverse = np.empty(n, dtype=int)
         inverse[rho] = np.arange(n)
-        relabeled = graph_of(gy.g[np.ix_(rho, rho)])
+        relabeled = gy[rho]
         # relabeled[i, j] = gy[rho[i], rho[j]]; a match onto relabeled
         # vertex v corresponds to original vertex rho[v].
         other = sgm(gx, relabeled, s, np.random.default_rng(9))
@@ -199,23 +154,24 @@ class TestSgm:
         for trial in range(10):
             n = int(rng.integers(4, 9))
             s = int(rng.integers(0, 3))
-            gx = random_graph(n, 4, rng)
-            gy = random_graph(n, 4, rng)
+            gx = rng.normal(size=(n, 4))
+            gy = rng.normal(size=(n, 4))
+            a, b = gram(gx), gram(gy)
             tail = rng.permutation(n - s)
             perm = np.concatenate([np.arange(s), s + tail])
-            gy_moved = gy.g[np.ix_(perm, perm)]
-            lhs = ((gx.g - gy_moved) ** 2).sum()
+            gy_moved = b[np.ix_(perm, perm)]
+            lhs = ((a - gy_moved) ** 2).sum()
             rhs = (
-                (gx.g**2).sum()
-                + (gy.g**2).sum()
-                - 2 * np.trace(gx.g.T @ gy_moved)
+                (a**2).sum()
+                + (b**2).sum()
+                - 2 * np.trace(a.T @ gy_moved)
             )
             assert lhs == pytest.approx(rhs, abs=1e-9 * max(1.0, abs(rhs)))
             # and the block trace_objective agrees with the full-matrix trace
             p = np.zeros((n - s, n - s))
             p[np.arange(n - s), tail] = 1.0
             assert trace_objective(gx, gy, s, p) == pytest.approx(
-                float(np.trace(gx.g.T @ gy_moved)), abs=1e-9
+                float(np.trace(a.T @ gy_moved)), abs=1e-9
             )
 
     def test_gradient_matches_finite_differences(self):
@@ -225,12 +181,12 @@ class TestSgm:
             s = int(rng.integers(0, 3))
             m = n - s
             p = sinkhorn(rng.uniform(size=(m, m)))
-            # a hand-built pair, a Gram pair, and one of each
-            gram_x = build_graph(rng.normal(size=(n, 4)))
-            gram_y = build_graph(rng.normal(size=(n, 3)))
-            dense_x = random_graph(n, 4, rng)
-            dense_y = random_graph(n, 4, rng)
-            for gx, gy in ((dense_x, dense_y), (gram_x, gram_y), (gram_x, dense_y)):
+            # pairs of rows of equal and of different widths
+            x4 = build_graph(rng.normal(size=(n, 4)))
+            y3 = build_graph(rng.normal(size=(n, 3)))
+            x = rng.normal(size=(n, 4))
+            y = rng.normal(size=(n, 4))
+            for gx, gy in ((x, y), (x4, y3), (x4, y)):
                 grad = trace_gradient(gx, gy, s, p)
                 step = 1e-6
                 fd = np.zeros_like(grad)
@@ -267,8 +223,7 @@ class TestSoftSgm:
         # distribution is degenerate.
         rng = np.random.default_rng(300)
         rows = rng.normal(size=(7, 3)) * rng.uniform(0.5, 2.0, size=(7, 1))
-        g = graph_of(rows @ rows.T)
-        perms = soft_sgm(g, g, 2, runs=6, master_seed=0)
+        perms = soft_sgm(rows, rows, 2, runs=6, master_seed=0)
         np.testing.assert_array_equal(perms, np.tile(np.arange(7), (6, 1)))
         hyps = top_k_from_distribution(perms, k=5)
         assert hyps.entries == {src: ((src, 1.0),) for src in range(7)}
@@ -277,8 +232,8 @@ class TestSoftSgm:
         from bilex.graph_matching import _child_seed
 
         rng = np.random.default_rng(10)
-        gx = random_graph(6, 3, rng)
-        gy = random_graph(6, 3, rng)
+        gx = rng.normal(size=(6, 3))
+        gy = rng.normal(size=(6, 3))
         perms = soft_sgm(gx, gy, 1, runs=1, master_seed=42)
         single = sgm(
             gx, gy, 1,
@@ -289,8 +244,8 @@ class TestSoftSgm:
 
     def test_every_row_is_a_permutation(self):
         rng = np.random.default_rng(11)
-        gx = random_graph(8, 3, rng)
-        gy = random_graph(8, 3, rng)
+        gx = rng.normal(size=(8, 3))
+        gy = rng.normal(size=(8, 3))
         perms = soft_sgm(gx, gy, 2, runs=9, master_seed=5)
         assert perms.shape == (9, 8)
         for perm in perms:
@@ -301,7 +256,7 @@ class TestSoftSgm:
             assert sum(p for _, p in hyps.entries[src]) == pytest.approx(1.0)
 
     def test_runs_must_be_positive(self):
-        g = graph_of(np.eye(3))
+        g = np.eye(3)
         with pytest.raises(ValueError):
             soft_sgm(g, g, 1, runs=0)
 

@@ -292,6 +292,11 @@ class TestRunDispatch:
         with pytest.raises(ValueError, match="method"):
             run(make_spec(method="nonsense"), planted_dataset(n=20, seeds=5))
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
+    def test_non_positive_sgm_eps_rejected(self, eps):
+        # A NaN eps would never meet the FW stopping test delta < eps.
+        assert "sgm_eps must be positive" in make_spec(sgm_eps=eps).validate()
+
     def test_top_n_rejected_for_graph_methods(self):
         for method in ("sgm", "softsgm", "itersgm", "combined"):
             spec = make_spec(method=method, vocab_mode="top_n")

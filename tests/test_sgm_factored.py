@@ -8,20 +8,20 @@ import numpy as np
 import pytest
 from scipy.optimize import quadratic_assignment
 
-from bilex import SimilarityGraph, build_graph, sgm, solve_lap, trace_objective
+from bilex import build_graph, sgm, solve_lap, trace_objective
 from bilex.graph_matching import INIT_MODES, _best_step, _random_doubly_stochastic
 from bilex.hypotheses import Matching
-from conftest import blas_env
+from conftest import DIAG4_X, DIAG4_Y, blas_env, gram
 
 
 def dense_sgm(gx, gy, s, rng, max_iters=30, eps=0.03, shuffle_input=True,
               init="barycenter", history=None):
     """The dense FAQ loop: four m^3 products for the gradient and two for
     the line search per iteration, on the materialized n x n graphs."""
-    n = gx.n
+    n = len(gx)
     m = n - s
-    a = gx.g
-    b = gy.g
+    a = gram(gx)
+    b = gram(gy)
 
     def blocks(matrix):
         return matrix[:s, :s], matrix[:s, s:], matrix[s:, :s], matrix[s:, s:]
@@ -90,11 +90,6 @@ def noisy_planted_rows(n, d, s, noise, rng):
     return x, x[hidden] + noise * rng.normal(size=(n, d))
 
 
-def symmetric(n, rng):
-    bump = rng.normal(size=(n, n))
-    return SimilarityGraph(bump + bump.T)
-
-
 @pytest.mark.parametrize("shuffle_input", [True, False])
 @pytest.mark.parametrize("init", INIT_MODES)
 @pytest.mark.parametrize("s", [0, 3])
@@ -110,23 +105,6 @@ class TestDenseOracle:
                 init=init, shuffle_input=shuffle_input, eps=1e-6,
             )
         assert iterations > 16  # the instances make Frank-Wolfe work
-
-    def test_indefinite_hand_built_graphs(self, s, init, shuffle_input):
-        rng = np.random.default_rng(200 + s)
-        for trial in range(8):
-            n = int(rng.integers(s + 2, 25))
-            assert_same_solve(symmetric(n, rng), symmetric(n, rng), s, trial,
-                              init=init, shuffle_input=shuffle_input)
-
-    def test_gram_against_hand_built(self, s, init, shuffle_input):
-        rng = np.random.default_rng(300 + s)
-        for trial in range(6):
-            n = int(rng.integers(s + 2, 25))
-            gram = build_graph(rng.normal(size=(n, 4)))
-            assert_same_solve(gram, symmetric(n, rng), s, trial,
-                              init=init, shuffle_input=shuffle_input)
-            assert_same_solve(symmetric(n, rng), gram, s, trial,
-                              init=init, shuffle_input=shuffle_input)
 
     def test_duplicate_embedding_rows(self, s, init, shuffle_input):
         # Repeated rows make whole blocks of the gradient equal, so most
@@ -145,8 +123,7 @@ class TestDenseOracle:
 @pytest.mark.parametrize("init", INIT_MODES)
 @pytest.mark.parametrize("s", [0, 1])
 def test_dense_oracle_on_diag4(s, init, shuffle_input):
-    gx = SimilarityGraph(np.diag([2.0, 2.0, 3.0, 4.0]))
-    gy = SimilarityGraph(np.diag([1.0, 3.0, 4.0, 2.0]))
+    gx, gy = build_graph(DIAG4_X), build_graph(DIAG4_Y)
     for trial in range(5):
         assert_same_solve(gx, gy, s, trial, init=init, shuffle_input=shuffle_input)
 
@@ -170,7 +147,7 @@ class TestScipyFaq:
         ours = sgm(gx, gy, s, np.random.default_rng(0))
         seeds = np.column_stack([np.arange(s), np.arange(s)]).astype(int)
         theirs = quadratic_assignment(
-            gx.g, gy.g, method="faq",
+            gram(gx), gram(gy), method="faq",
             options={"maximize": True, "partial_match": seeds,
                      "rng": np.random.default_rng(0)},
         )
