@@ -30,8 +30,8 @@ from .hypotheses import Matching
 _TIE_RTOL = 1e-9
 
 
-def solve_lap(values, maximize: bool = False) -> Matching:
-    """Solve the n x n linear assignment problem exactly.
+def solve_lap(values) -> Matching:
+    """Solve the n x n minimum-cost assignment exactly; negate to maximize.
 
     Among all optimal permutations, the lexicographically smallest one is
     returned, as a ``Matching`` without seeds, which makes every
@@ -45,9 +45,8 @@ def solve_lap(values, maximize: bool = False) -> Matching:
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix contains non-finite entries")
 
-    cmin = -cost if maximize else cost
-    _, cols = linear_sum_assignment(cmin)
-    return Matching(perm=_lex_min_optimal(cmin, cols.astype(np.intp)))
+    _, cols = linear_sum_assignment(cost)
+    return Matching(perm=_lex_min_optimal(cost, cols.astype(np.intp)))
 
 
 def _lex_min_optimal(cost: np.ndarray, perm: np.ndarray) -> np.ndarray:

@@ -10,10 +10,10 @@ minimizing ``||Gx - Q Gy Q^T||_F^2`` over the block permutations
 vertices. Expanding the norm shows this equals maximizing the trace
 form ``tr(Gx^T Q Gy Q^T)``, which is solved approximately by
 Frank-Wolfe over the doubly-stochastic relaxation: each step linearizes
-the objective, solves a LAP for the best vertex direction, takes an
-exact line-search step (the objective is quadratic along a segment), and
-the final interior point is projected to a permutation by one more LAP.
-The solver works on a small dx x dy summary of the iterate.
+the objective and solves a LAP for the best vertex direction. The
+objective is convex in P, so the exact line search moves to that vertex
+or stays. The final iterate is projected to a permutation by one more
+LAP. The solver works on a small dx x dy summary of the iterate.
 
 Seed pairs occupy indices 0..s-1 of both graphs and always appear in the
 output (hard seeding). The solved part is one-to-one by construction.
@@ -98,17 +98,6 @@ def trace_gradient(gx: np.ndarray, gy: np.ndarray, s: int, p: np.ndarray) -> np.
     return problem.gradient(problem.summary(np.asarray(p, dtype=np.float64)))
 
 
-def _best_step(a: float, b: float) -> float:
-    """Argmax of a*t^2 + b*t over [0, 1], preferring the smaller optimum."""
-    candidates = [0.0, 1.0]
-    if a < 0.0:
-        critical = -b / (2.0 * a)
-        if 0.0 < critical < 1.0:
-            candidates.append(critical)
-    values = [a * t * t + b * t for t in candidates]
-    return candidates[int(np.argmax(values))]
-
-
 def _random_doubly_stochastic(rng: np.random.Generator, m: int) -> np.ndarray:
     """Sinkhorn-balanced random matrix, averaged with the barycenter.
 
@@ -148,14 +137,15 @@ def sgm(
 
     Iteration stops when ``||P_next - P||_F < eps`` or after
     ``max_iters`` steps. If ``history`` is a list, one record per
-    iteration is appended (objective, step size, iterate delta).
+    iteration is appended (objective, step size 0.0 or 1.0, iterate delta).
 
     ``gx`` and ``gy`` are the embedding rows of the two graphs (see
     :func:`build_graph`); their widths may differ, their vertex counts
     may not. With m = n - s free vertices and rows of width at most d,
     one iteration costs one O(m^2 d) product for the gradient, the
-    O(m^3) LAP for the direction and O(m^2) elementwise work on P; see
-    :class:`_FactoredProblem`.
+    O(m^3) LAP for the direction and O(m^2) work to rewrite P in place;
+    see :class:`_FactoredProblem`. At most four m x m float64 arrays are
+    alive: P, the LAP's cost and two temporaries of its refinement.
     """
     n = len(gx)
     if n != len(gy):
@@ -182,17 +172,18 @@ def sgm(
     rows = np.arange(m)
 
     for iteration in range(1, max_iters + 1):
-        grad = problem.gradient(z)
-        direction = solve_lap(grad, maximize=True).perm
+        direction = solve_lap(-problem.gradient(z)).perm
         dz = problem.vertex_summary(direction) - z
-        step = -p  # D = Q - P, with Q the direction's permutation matrix
-        step[rows, direction] += 1.0
-        # f(P + t D) - f(P) = t <grad, D> + t^2 <Z(D), Z(D)>
-        alpha = _best_step(float((dz * dz).sum()), float(np.vdot(grad, step)))
-        delta = alpha * float(np.linalg.norm(step))
-        step *= alpha
-        p += step
-        z = z + alpha * dz
+        alpha = delta = 0.0
+        # f(Q) - f(P) = <dz, 2 (S + z) + dz>; f is convex, so the exact
+        # line search on [P, Q] ends at P or at Q. ||Q - P||^2 is
+        # m - 2 <P, Q> + ||P||^2.
+        if float((dz * (2.0 * (problem.seed + z) + dz)).sum()) > 0.0:
+            alpha = 1.0
+            delta = float(np.sqrt(m - 2.0 * p[rows, direction].sum() + np.vdot(p, p)))
+            p[:] = 0.0
+            p[rows, direction] = 1.0
+            z = z + dz
         if history is not None:
             history.append(
                 {
@@ -205,7 +196,7 @@ def sgm(
         if delta < eps:
             break
 
-    projected = solve_lap(p, maximize=True).perm
+    projected = solve_lap(-p).perm
     solved = sigma[projected] if sigma is not None else projected
     perm = np.concatenate([np.arange(s), s + solved])
     return Matching(perm=perm, seed_count=s)

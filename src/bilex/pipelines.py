@@ -117,16 +117,17 @@ class ExperimentSpec:
         for name in ("seeds", "h", "iters", "csls_k", "soft_runs", "top_k"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be a positive integer")
-        if self.proc_inner < 0:
-            problems.append("proc_inner must be non-negative")
+        for name in ("proc_inner", "normalize_passes", "rng_seed"):
+            if getattr(self, name) < 0:
+                problems.append(f"{name} must be a non-negative integer")
         if self.max_words is not None and self.max_words < 1:
             problems.append("max_words must be a positive integer")
-        if self.normalize_passes < 0:
-            problems.append("normalize_passes must be non-negative")
         if self.sgm_max_iters < 1:
             problems.append("sgm_max_iters must be a positive integer")
         if not self.sgm_eps > 0:  # also rejects NaN
             problems.append("sgm_eps must be positive")
+        elif not np.isfinite(self.sgm_eps):  # FW would stop after one step
+            problems.append("sgm_eps must be finite")
         return problems
 
 

@@ -58,22 +58,23 @@ def frobenius(gx, gy, perm) -> float:
 
 
 def correlated_pair(n, s, noise, rng, d=4):
-    """Rows of a graph and of a noisy copy whose vertex i matches vertex i.
+    """Rows of a graph, a noisy copy with its free rows hidden-permuted,
+    and the planted matching: source vertex i is copy vertex
+    ``planted[i]``, and the first s vertices match themselves.
 
-    The copy's free rows are permuted by a hidden matching and permuted
-    back, so the planted matching is the identity. The copy carries
-    Gaussian noise of scale ``noise / (2 sqrt(d))``, which perturbs each
-    off-diagonal Gram entry by about ``noise / sqrt(2)``, as a symmetric
-    bump of scale ``noise`` on the Gram matrix would.
+    The copy carries Gaussian noise of scale ``noise / (2 sqrt(d))``,
+    which perturbs each off-diagonal Gram entry by about
+    ``noise / sqrt(2)``, as a symmetric bump of scale ``noise`` on the
+    Gram matrix would.
     """
     gx = rng.normal(size=(n, d))
     hidden = np.concatenate([np.arange(s), s + rng.permutation(n - s)])
     moved = gx[hidden]
     if noise:
         moved = moved + noise / (2 * np.sqrt(d)) * rng.normal(size=(n, d))
-    inverse = np.empty(n, dtype=int)
-    inverse[hidden] = np.arange(n)
-    return gx, moved[inverse]
+    planted = np.empty(n, dtype=int)
+    planted[hidden] = np.arange(n)
+    return gx, moved, planted
 
 
 def sinkhorn(matrix, iters=200) -> np.ndarray:

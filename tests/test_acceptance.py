@@ -128,7 +128,7 @@ def test_criterion_5_small_instance_sgm_optimality():
     for trial in range(50):
         n = int(rng.integers(4, 8))
         s = int(rng.integers(0, 3))
-        gx, gy = correlated_pair(n, s, 0.1, rng)
+        gx, gy, _ = correlated_pair(n, s, 0.1, rng)
         matching = sgm(gx, gy, s, np.random.default_rng(trial))
         got = frobenius(gx, gy, matching.perm)
         best = min(

@@ -293,6 +293,27 @@ class TestExitCodes:
         assert code == EXIT_USAGE
         assert "sgm_eps must be positive" in capsys.readouterr().err
 
+    def test_infinite_sgm_eps_is_usage_error(self, planted_files, capsys):
+        src, tgt, dictionary = planted_files(n=10, d=4, seed=7)
+        code = main([
+            "run", "--method", "sgm", "--seeds", "3", "--sgm-eps", "inf",
+            "--src-emb", str(src), "--tgt-emb", str(tgt),
+            "--dict", str(dictionary),
+        ])
+        assert code == EXIT_USAGE
+        assert "sgm_eps must be finite" in capsys.readouterr().err
+
+    def test_negative_rng_seed_rejected_before_reading_files(self, tmp_path, capsys):
+        # The files do not exist: reading any of them would exit 2.
+        code = main([
+            "run", "--method", "sgm", "--seeds", "3", "--rng-seed", "-1",
+            "--src-emb", str(tmp_path / "missing_src.vec"),
+            "--tgt-emb", str(tmp_path / "missing_tgt.vec"),
+            "--dict", str(tmp_path / "missing_dict.tsv"),
+        ])
+        assert code == EXIT_USAGE
+        assert "rng_seed must be a non-negative integer" in capsys.readouterr().err
+
     def test_missing_required_spec_key_is_usage_error(self, capsys):
         code = main(["run", "--method", "sgm"])
         assert code == EXIT_USAGE

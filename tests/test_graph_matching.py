@@ -101,7 +101,7 @@ class TestSgm:
         for trial in range(20):
             n = int(rng.integers(4, 8))
             s = int(rng.integers(0, 3))
-            gx, gy = correlated_pair(n, s, 0.1, rng)
+            gx, gy, _ = correlated_pair(n, s, 0.1, rng)
             matching = sgm(gx, gy, s, np.random.default_rng(trial))
             got = frobenius(gx, gy, matching.perm)
             best = brute_force_min(gx, gy, s)
@@ -125,7 +125,7 @@ class TestSgm:
     def test_objective_monotone_under_line_search(self):
         rng = np.random.default_rng(4)
         for trial in range(8):
-            gx, gy = correlated_pair(9, 2, 0.3, rng)
+            gx, gy, _ = correlated_pair(9, 2, 0.3, rng)
             history = []
             sgm(gx, gy, 2, np.random.default_rng(trial), init="randomized",
                 history=history, eps=1e-9, max_iters=40)
@@ -138,8 +138,10 @@ class TestSgm:
         # finds; checked on an exactly isomorphic instance.
         rng = np.random.default_rng(5)
         n, s = 10, 2
-        gx, gy = correlated_pair(n, s, 0.0, rng)
+        gx, gy, planted = correlated_pair(n, s, 0.0, rng)
         base = sgm(gx, gy, s, np.random.default_rng(9))
+        assert (planted != np.arange(n)).any()
+        np.testing.assert_array_equal(base.perm, planted)
         rho = np.concatenate([np.arange(s), s + rng.permutation(n - s)])
         inverse = np.empty(n, dtype=int)
         inverse[rho] = np.arange(n)
@@ -204,11 +206,9 @@ class TestSgm:
     def test_direction_invariant_under_gradient_scaling(self):
         rng = np.random.default_rng(8)
         grad = rng.normal(size=(6, 6))
-        base = solve_lap(grad, maximize=True).perm
+        base = solve_lap(-grad).perm
         for scale in (0.5, 3.0, 1000.0):
-            np.testing.assert_array_equal(
-                solve_lap(scale * grad, maximize=True).perm, base
-            )
+            np.testing.assert_array_equal(solve_lap(-scale * grad).perm, base)
 
 
 def first_column_stack(targets, n=8):

@@ -297,6 +297,15 @@ class TestRunDispatch:
         # A NaN eps would never meet the FW stopping test delta < eps.
         assert "sgm_eps must be positive" in make_spec(sgm_eps=eps).validate()
 
+    def test_infinite_sgm_eps_rejected(self):
+        # delta < inf always holds, so FW would stop after one step.
+        assert make_spec(sgm_eps=float("inf")).validate() == ["sgm_eps must be finite"]
+
+    def test_negative_rng_seed_rejected(self):
+        problem = "rng_seed must be a non-negative integer"
+        assert make_spec(rng_seed=-1).validate() == [problem]
+        assert make_spec(rng_seed=0).validate() == []
+
     def test_top_n_rejected_for_graph_methods(self):
         for method in ("sgm", "softsgm", "itersgm", "combined"):
             spec = make_spec(method=method, vocab_mode="top_n")

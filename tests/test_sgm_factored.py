@@ -3,21 +3,37 @@ against scipy's FAQ, and across BLAS thread counts."""
 
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.optimize import quadratic_assignment
 
 from bilex import build_graph, sgm, solve_lap, trace_objective
-from bilex.graph_matching import INIT_MODES, _best_step, _random_doubly_stochastic
+from bilex.graph_matching import INIT_MODES, _random_doubly_stochastic
 from bilex.hypotheses import Matching
 from conftest import DIAG4_X, DIAG4_Y, blas_env, gram
+
+
+def _best_step(a: float, b: float) -> float:
+    """Argmax of a*t^2 + b*t over [0, 1], preferring the smaller optimum."""
+    candidates = [0.0, 1.0]
+    if a < 0.0:
+        critical = -b / (2.0 * a)
+        if 0.0 < critical < 1.0:
+            candidates.append(critical)
+    values = [a * t * t + b * t for t in candidates]
+    return candidates[int(np.argmax(values))]
 
 
 def dense_sgm(gx, gy, s, rng, max_iters=30, eps=0.03, shuffle_input=True,
               init="barycenter", history=None):
     """The dense FAQ loop: four m^3 products for the gradient and two for
-    the line search per iteration, on the materialized n x n graphs."""
+    the line search per iteration, on the materialized n x n graphs.
+
+    The line search is the general one for a quadratic along the segment.
+    The objective is convex there, so every step it picks must be 0 or 1,
+    which is what lets ``sgm`` test only the vertex."""
     n = len(gx)
     m = n - s
     a = gram(gx)
@@ -44,13 +60,14 @@ def dense_sgm(gx, gy, s, rng, max_iters=30, eps=0.03, shuffle_input=True,
 
     for iteration in range(1, max_iters + 1):
         grad = constant + a22 @ p @ b22.T + a22.T @ p @ b22
-        direction = solve_lap(grad, maximize=True).perm
+        direction = solve_lap(-grad).perm
         q = np.zeros((m, m))
         q[np.arange(m), direction] = 1.0
         step_dir = q - p
         quad = float((a22 * (step_dir @ b22 @ step_dir.T)).sum())
         lin = float((grad * step_dir).sum())
         alpha = _best_step(quad, lin)
+        assert alpha in (0.0, 1.0)
         p_next = p + alpha * step_dir
         delta = float(np.linalg.norm(p_next - p))
         if history is not None:
@@ -63,7 +80,7 @@ def dense_sgm(gx, gy, s, rng, max_iters=30, eps=0.03, shuffle_input=True,
         if delta < eps:
             break
 
-    projected = solve_lap(p, maximize=True).perm
+    projected = solve_lap(-p).perm
     solved = sigma[projected] if sigma is not None else projected
     return Matching(perm=np.concatenate([np.arange(s), s + solved]), seed_count=s)
 
@@ -132,6 +149,29 @@ def test_dense_oracle_at_pipeline_scale():
     rng = np.random.default_rng(7)
     x, y = noisy_planted_rows(400, 20, 40, 1.0, rng)
     assert assert_same_solve(build_graph(x), build_graph(y), 40, 0, max_iters=8) >= 5
+
+
+@pytest.mark.parametrize("init", INIT_MODES)
+def test_peak_memory_bound(init):
+    # The m x m float64 arrays alive at once are the iterate, the LAP's
+    # cost matrix and two Bellman-Ford temporaries inside the LAP; a step
+    # array or a negated copy of the cost would push the peak past 4.5.
+    # tracemalloc sees numpy's buffers but not scipy's C++ ones, so the
+    # bound covers the Python-side arrays only.
+    rng = np.random.default_rng(11)
+    x, y = noisy_planted_rows(1100, 50, 100, 1.5, rng)
+    gx, gy = build_graph(x), build_graph(y)
+    m = 1000
+    history = []
+    tracemalloc.start()
+    try:
+        sgm(gx, gy, 100, np.random.default_rng(0), max_iters=6, init=init,
+            history=history)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [step["alpha"] for step in history] == [1.0] * 6  # FW kept moving
+    assert peak < 4.5 * 8 * m * m
 
 
 class TestScipyFaq:
