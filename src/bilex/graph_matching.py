@@ -144,8 +144,8 @@ def sgm(
     may not. With m = n - s free vertices and rows of width at most d,
     one iteration costs one O(m^2 d) product for the gradient, the
     O(m^3) LAP for the direction and O(m^2) work to rewrite P in place;
-    see :class:`_FactoredProblem`. At most four m x m float64 arrays are
-    alive: P, the LAP's cost and two temporaries of its refinement.
+    see :class:`_FactoredProblem`. At most two m x m float64 arrays are
+    alive: P and the LAP's cost; the LAP's refinement works in row blocks.
     """
     n = len(gx)
     if n != len(gy):

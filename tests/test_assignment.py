@@ -5,8 +5,10 @@ import time
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from bilex import Matching, solve_lap
+from bilex.assignment import _lex_min_optimal
 
 
 def objective(cost, result):
@@ -92,6 +94,27 @@ class TestTieBreaking:
         for _ in range(5):
             again = solve_lap(cost)
             assert np.array_equal(first.perm, again.perm)
+
+
+class TestUniqueness:
+    def test_flag_matches_enumeration(self):
+        # Small integer costs have many exact ties, so both outcomes occur.
+        rng = np.random.default_rng(29)
+        unique_count = 0
+        for trial in range(150):
+            n = int(rng.integers(2, 7))
+            cost = rng.integers(0, 4, size=(n, n)).astype(float)
+            scipy_perm = linear_sum_assignment(cost)[1].astype(np.intp)
+            perm, unique = _lex_min_optimal(cost, scipy_perm, 1e-9 * max(1.0, cost.max()))
+            values = {
+                p: sum(cost[i, p[i]] for i in range(n))
+                for p in itertools.permutations(range(n))
+            }
+            optima = [p for p, value in values.items() if value == min(values.values())]
+            assert unique == (len(optima) == 1), cost
+            assert tuple(perm) == min(optima)
+            unique_count += unique
+        assert 20 < unique_count < 130
 
 
 class TestInvariances:
