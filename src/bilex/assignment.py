@@ -50,7 +50,8 @@ def solve_lap(values) -> Matching:
 
     Among all optimal permutations, the lexicographically smallest one is
     returned, as a ``Matching`` without seeds, which makes every
-    downstream pipeline bit-reproducible.
+    downstream pipeline bit-reproducible. Its ``unique`` flag says whether
+    no other permutation is optimal.
     """
     cost = np.asarray(values, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
@@ -63,8 +64,8 @@ def solve_lap(values) -> Matching:
 
     _, cols = linear_sum_assignment(cost)
     tol = _TIE_RTOL * max(1.0, high, -low)
-    perm, _ = _lex_min_optimal(cost, cols.astype(np.intp), tol)
-    return Matching(perm=perm)
+    perm, unique = _lex_min_optimal(cost, cols.astype(np.intp), tol)
+    return Matching(perm=perm, unique=unique)
 
 
 def _lex_min_optimal(cost: np.ndarray, perm: np.ndarray, tol: float) -> tuple[np.ndarray, bool]:

@@ -138,6 +138,11 @@ def sgm(
     Iteration stops when ``||P_next - P||_F < eps`` or after
     ``max_iters`` steps. If ``history`` is a list, one record per
     iteration is appended (objective, step size 0.0 or 1.0, iterate delta).
+    The returned matching is ``unique`` when every LAP of the solve, the
+    final projection included, had a unique optimum. The objective is
+    unchanged under (gx, gy, P) -> (gy, gx, P^T), so the solve with the
+    graphs exchanged then takes the transposed path and returns the
+    inverse permutation; a relabeling does not change a unique optimum.
 
     ``gx`` and ``gy`` are the embedding rows of the two graphs (see
     :func:`build_graph`); their widths may differ, their vertex counts
@@ -170,9 +175,11 @@ def sgm(
         p = _random_doubly_stochastic(rng, m)
     z = problem.summary(p)
     rows = np.arange(m)
+    unique = True
 
     for iteration in range(1, max_iters + 1):
-        direction = solve_lap(-problem.gradient(z)).perm
+        lap = solve_lap(-problem.gradient(z))
+        direction, unique = lap.perm, unique and lap.unique
         dz = problem.vertex_summary(direction) - z
         alpha = delta = 0.0
         # f(Q) - f(P) = <dz, 2 (S + z) + dz>; f is convex, so the exact
@@ -196,10 +203,10 @@ def sgm(
         if delta < eps:
             break
 
-    projected = solve_lap(-p).perm
-    solved = sigma[projected] if sigma is not None else projected
+    lap = solve_lap(-p)
+    solved = sigma[lap.perm] if sigma is not None else lap.perm
     perm = np.concatenate([np.arange(s), s + solved])
-    return Matching(perm=perm, seed_count=s)
+    return Matching(perm=perm, seed_count=s, unique=unique and lap.unique)
 
 
 def _child_seed(master, index: int) -> np.random.SeedSequence:

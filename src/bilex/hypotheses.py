@@ -14,11 +14,14 @@ class Matching:
 
     ``perm[i]`` is the target index matched to source index ``i``. The
     first ``seed_count`` positions are the fixed seed block, where both
-    sides use seeds-first ordering, so ``perm[i] == i`` there.
+    sides use seeds-first ordering, so ``perm[i] == i`` there. ``unique``
+    is true when the solver that produced the matching proved it the only
+    optimum; false means not proved.
     """
 
     perm: np.ndarray
     seed_count: int = 0
+    unique: bool = False
 
     def __post_init__(self):
         perm = np.asarray(self.perm, dtype=np.intp)

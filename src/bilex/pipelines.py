@@ -212,12 +212,12 @@ def assemble(spec: ExperimentSpec) -> Dataset:
 # Engines
 
 
-def _proc_run(ds: Dataset, spec: ExperimentSpec, pairs):
+def _proc_run(ds: Dataset, spec: ExperimentSpec, pairs, want_reverse: bool):
     """One Euclidean run: fit W on the seed pairs, extract top-k via CSLS.
 
     Returns (forward, reverse). When W is unique its transpose solves the
-    reverse problem, and the reverse hypotheses rank each target's
-    sources from the same scores; otherwise reverse is None.
+    reverse problem, and with ``want_reverse`` the reverse hypotheses rank
+    each target's sources from the same scores; otherwise reverse is None.
     """
     if spec.vocab_mode == "top_n":
         words, mat = ds.src_full.vocab, ds.src_full.vectors
@@ -232,7 +232,9 @@ def _proc_run(ds: Dataset, spec: ExperimentSpec, pairs):
         top_k=spec.top_k, scorer="csls", csls_k=spec.csls_k,
     )
     forward = rows.hypotheses(words, cand_words)
-    return forward, columns.hypotheses(cand_words, words) if mapping.unique else None
+    if not (want_reverse and mapping.unique):
+        return forward, None
+    return forward, columns.hypotheses(cand_words, words)
 
 
 def _seed_order(words, row_of, pairs, side: int) -> list[int]:
@@ -242,16 +244,22 @@ def _seed_order(words, row_of, pairs, side: int) -> list[int]:
     return seed_rows + [i for i in range(len(words)) if i not in in_seed]
 
 
-def _sgm_run(ds: Dataset, spec: ExperimentSpec, pairs, rng: np.random.Generator):
-    """One seeded-graph-matching run over the restricted graphs."""
+def _sgm_run(ds: Dataset, spec: ExperimentSpec, pairs, rng, want_reverse: bool):
+    """One seeded-graph-matching run over the restricted graphs.
+
+    Returns (forward, reverse). When every LAP of the solve had a unique
+    optimum, the reverse solve on the same seeds would return the inverse
+    permutation (see ``sgm``), and with ``want_reverse`` the reverse
+    hypotheses are read from it; otherwise reverse is None.
+    """
     order_a = _seed_order(ds.src_words, ds.src_row, pairs, 0)
     order_b = _seed_order(ds.tgt_words, ds.tgt_row, pairs, 1)
     if len(pairs) == ds.n:
         # Iteration can saturate the seed set; every vertex is then fixed
         # and the matching is the seed pairing itself.
-        perm = range(ds.n)
+        perm, unique = np.arange(ds.n), True
     else:
-        perm = sgm(
+        matching = sgm(
             build_graph(ds.x, order_a),
             build_graph(ds.y, order_b),
             s=len(pairs),
@@ -259,40 +267,48 @@ def _sgm_run(ds: Dataset, spec: ExperimentSpec, pairs, rng: np.random.Generator)
             max_iters=spec.sgm_max_iters,
             eps=spec.sgm_eps,
             shuffle_input=spec.shuffle_input,
-        ).perm
-    entries = {
-        ds.src_words[order_a[i]]: ((ds.tgt_words[order_b[int(j)]], 1.0),)
-        for i, j in enumerate(perm)
-    }
-    return HypothesisSet(entries)
+        )
+        perm, unique = matching.perm, matching.unique
+    src = [ds.src_words[i] for i in order_a]
+    tgt = [ds.tgt_words[i] for i in order_b]
+    forward = HypothesisSet({a: ((tgt[j], 1.0),) for a, j in zip(src, perm.tolist())})
+    if not (want_reverse and unique):
+        return forward, None
+    # Keyed in the reverse solve's vertex order, which Active's union keeps.
+    inverse = np.argsort(perm).tolist()
+    return forward, HypothesisSet({b: ((src[i], 1.0),) for b, i in zip(tgt, inverse)})
 
 
-def _engine_run(ds, spec, engine: str, seeds, direction: int, key: tuple):
+def _engine_run(ds, spec, engine: str, seeds, direction: int, key: tuple, want_reverse=False):
     """One engine run in one direction: (hypotheses, reverse or None).
 
-    The reverse direction swaps the two languages' roles. A Procrustes
-    run whose map is unique also returns the hypotheses of the opposite
-    direction on the same seeds; the graph engine never does, and draws
-    its rng substream from ``(*key, direction)``.
+    The reverse direction swaps the two languages' roles. With
+    ``want_reverse``, a run whose solution is unique (the Procrustes map,
+    or every LAP of the graph solve) also returns the hypotheses of the
+    opposite direction on the same seeds. The graph engine draws its rng
+    substream from ``(*key, direction)``.
     """
     if not seeds:
         raise ValueError("empty seed set after conflict resolution")
     if direction == _REVERSE:
         ds, seeds = ds.swapped, [(t, s) for s, t in seeds]
     if engine == "proc":
-        return _proc_run(ds, spec, seeds)
-    return _sgm_run(ds, spec, seeds, _rng(spec.rng_seed, *key, direction)), None
+        return _proc_run(ds, spec, seeds, want_reverse)
+    return _sgm_run(ds, spec, seeds, _rng(spec.rng_seed, *key, direction), want_reverse)
 
 
 def _round(ds, spec, engine: str, seeds_fwd, seeds_rev, key: tuple):
     """One bidirectional round: (forward, reverse, their top-1 intersection).
 
-    When both directions hold the same seed pairs and the forward map is
-    unique, the reverse comes from the forward run's scores: one solve
-    and one scoring pass. Otherwise the reverse is a fresh solve.
+    When both directions hold the same seed pairs and the forward solution
+    is unique (the Procrustes map, or every LAP of the graph solve), the
+    reverse comes from the forward run: one solve, and for Procrustes one
+    scoring pass. Otherwise the reverse is a fresh solve, which for the
+    graph engine draws the ``(*key, _REVERSE)`` substream.
     """
-    forward, reverse = _engine_run(ds, spec, engine, seeds_fwd, _FORWARD, key)
-    if reverse is None or set(seeds_fwd) != set(seeds_rev):
+    shared = set(seeds_fwd) == set(seeds_rev)
+    forward, reverse = _engine_run(ds, spec, engine, seeds_fwd, _FORWARD, key, shared)
+    if reverse is None:
         reverse = _engine_run(ds, spec, engine, seeds_rev, _REVERSE, key)[0]
     return forward, reverse, intersect_hypotheses(forward.top1(), reverse.top1())
 
@@ -395,9 +411,10 @@ def iterate(spec: ExperimentSpec, ds: Dataset, seed_log: list | None = None):
     independently for each direction, and keeps iterating until the
     sample covers the pool (hard cap MAX_ITERATIONS). Active-Learning
     feeds the oracle-verified subset of the union of both directions.
-    Each round solves both directions; a Euclidean round whose directions
-    share their seed pairs and whose map is unique takes the reverse from
-    the forward scores (see ``_round``), and otherwise solves it afresh.
+    Each round solves both directions; a round whose directions share
+    their seed pairs and whose forward solution is unique takes the
+    reverse from the forward run (the Procrustes scores, or the inverse
+    graph matching; see ``_round``), and otherwise solves it afresh.
 
     Returns (per-iteration records, final forward hypotheses).
     """

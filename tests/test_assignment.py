@@ -113,6 +113,7 @@ class TestUniqueness:
             optima = [p for p, value in values.items() if value == min(values.values())]
             assert unique == (len(optima) == 1), cost
             assert tuple(perm) == min(optima)
+            assert solve_lap(cost).unique == unique
             unique_count += unique
         assert 20 < unique_count < 130
 

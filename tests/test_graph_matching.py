@@ -1,5 +1,6 @@
 """Similarity graphs and the seeded Frank-Wolfe matcher."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from bilex import (
     build_graph,
+    graph_matching,
     sgm,
     soft_sgm,
     solve_lap,
@@ -209,6 +211,66 @@ class TestSgm:
         base = solve_lap(-grad).perm
         for scale in (0.5, 3.0, 1000.0):
             np.testing.assert_array_equal(solve_lap(-scale * grad).perm, base)
+
+
+class TestUniqueFlag:
+    """``sgm`` reports a unique matching only when every LAP of the solve,
+    the final projection included, had a unique optimum."""
+
+    S = 3
+
+    def continuous(self):
+        gx, gy, _ = correlated_pair(30, self.S, 0.5, np.random.default_rng(20), d=6)
+        return gx, gy
+
+    def duplicate_rows(self):
+        gx, gy = self.continuous()
+        gx[self.S + 1] = gx[self.S]  # two free vertices nothing tells apart
+        return gx, gy
+
+    def tie_heavy(self):
+        rng = np.random.default_rng(21)
+        return rng.integers(0, 2, (12, 3)).astype(float), rng.integers(0, 2, (12, 3)).astype(float)
+
+    @pytest.mark.parametrize(
+        "instance,unique", [("continuous", True), ("duplicate_rows", False), ("tie_heavy", False)]
+    )
+    def test_flag_does_not_depend_on_the_relabeling(self, instance, unique):
+        gx, gy = getattr(self, instance)()
+        assert sgm(gx, gy, self.S, np.random.default_rng(0), shuffle_input=False).unique == unique
+        for seed in range(5):
+            assert sgm(gx, gy, self.S, np.random.default_rng(seed)).unique == unique
+
+    def test_solve_that_never_leaves_the_barycenter_is_not_unique(self):
+        # Equal free rows in gy give every vertex the barycenter's summary,
+        # so no step improves and the projection of the barycenter is all ties.
+        gx, gy = self.continuous()
+        gy[self.S :] = gy[self.S]
+        history = []
+        matching = sgm(gx, gy, self.S, np.random.default_rng(0), max_iters=1, history=history)
+        assert [step["alpha"] for step in history] == [0.0]
+        assert not matching.unique
+
+    def test_flag_is_the_and_over_every_lap(self, monkeypatch):
+        gx, gy = self.continuous()
+        flags = []
+        original = graph_matching.solve_lap
+
+        def forced(cost, clear=None):
+            lap = original(cost)
+            flags.append(lap.unique)
+            return dataclasses.replace(lap, unique=lap.unique and len(flags) - 1 != clear)
+
+        def solve(clear=None):
+            flags.clear()
+            monkeypatch.setattr(graph_matching, "solve_lap", lambda cost: forced(cost, clear))
+            return sgm(gx, gy, self.S, np.random.default_rng(0), eps=1e-9)
+
+        assert solve().unique
+        laps = len(flags)
+        assert laps >= 3 and all(flags)  # directions, then the projection
+        for clear in range(laps):
+            assert not solve(clear).unique
 
 
 def first_column_stack(targets, n=8):

@@ -1,6 +1,7 @@
 """The pipelines against the pre-refactor code kept in
 ``reference_pipelines``: identical records, seed logs, hypotheses, and
-rng substreams handed to the solver and the sampler."""
+rng substreams handed to the solver and the sampler, except the reverse
+graph solves that a round takes from its unique forward solve."""
 
 import itertools
 
@@ -37,24 +38,50 @@ def assert_same_hypotheses(got, want):
     assert list(got.entries.items()) == list(want.entries.items())
 
 
+def rng_state(seed, *key):
+    return pipelines._rng(seed, *key).bit_generator.state["state"]["state"]
+
+
 @pytest.fixture
 def drawn(monkeypatch):
-    """Per module, the starting state of each rng given to ``sgm`` and ``_sample``.
+    """Per module, the starting state of each rng given to ``sgm`` and ``_sample``;
+    under ``"unique"``, the states of the pipelines' solves that returned a
+    matching proved unique.
 
     Equal lists mean both loops drew the same substreams in the same order.
     """
-    log = {pipelines: [], reference: []}
-    for module, calls in log.items():
+    log = {pipelines: [], reference: [], "unique": set()}
+    for module in (pipelines, reference):
         for name in ("sgm", "_sample"):
             original = getattr(module, name)
 
-            def spy(*args, _name=name, _original=original, _calls=calls, **kwargs):
+            def spy(*args, _name=name, _original=original, _calls=log[module], **kwargs):
                 rng = kwargs["rng"] if "rng" in kwargs else args[2]
-                _calls.append((_name, rng.bit_generator.state["state"]["state"]))
-                return _original(*args, **kwargs)
+                state = rng.bit_generator.state["state"]["state"]
+                _calls.append((_name, state))
+                result = _original(*args, **kwargs)
+                if _calls is log[pipelines] and _name == "sgm" and result.unique:
+                    log["unique"].add(state)
+                return result
 
             monkeypatch.setattr(module, name, spy)
     return log
+
+
+def assert_draws_skip_shared_reverses(drawn, seed, shared_keys) -> list:
+    """The pipelines drew the reference's substreams in the reference's
+    order, less exactly the ``(*key, _REVERSE)`` solve of each round that
+    shared its seed pairs (``shared_keys``) and whose forward solve was
+    unique. Returns the skipped draws."""
+    skipped = [
+        ("sgm", rng_state(seed, *key, pipelines._REVERSE))
+        for key in shared_keys
+        if rng_state(seed, *key, pipelines._FORWARD) in drawn["unique"]
+    ]
+    for draw in skipped:
+        assert drawn[reference].count(draw) == 1
+    assert drawn[pipelines] == [d for d in drawn[reference] if d not in skipped]
+    return skipped
 
 
 @pytest.mark.parametrize("noise,seed", DATASETS)
@@ -72,7 +99,14 @@ def test_iterate_matches_reference(noise, seed, config, drawn):
     assert records == want_records
     assert log == want_log
     assert_same_hypotheses(hyps, want_hyps)
-    assert drawn[pipelines] == drawn[reference]
+    engine_id = 0 if engine == "proc" else 1
+    shared = [
+        (pipelines._RNG_ITER, engine_id, t)
+        for t, (fwd, rev) in enumerate(log, start=1)
+        if set(fwd) == set(rev)
+    ]
+    skipped = assert_draws_skip_shared_reverses(drawn, seed, shared)
+    assert bool(skipped) == (engine == "sgm")
 
 
 @pytest.mark.parametrize("noise,seed", DATASETS + (SPREAD,))
@@ -99,7 +133,9 @@ def test_run_combined_matches_reference(noise, seed, config, drawn):
     want_records, want_hyps = reference.run_combined(spec, ds)
     assert records == want_records
     assert_same_hypotheses(hyps, want_hyps)
-    assert drawn[pipelines] and drawn[pipelines] == drawn[reference]
+    cycles = [(pipelines._RNG_COMBINED, cycle) for cycle in range(1, spec.iters + 1)]
+    assert drawn[pipelines]
+    assert assert_draws_skip_shared_reverses(drawn, seed, cycles)
 
 
 def test_grid_exercises_imperfect_rounds():

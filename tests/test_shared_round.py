@@ -1,15 +1,19 @@
-"""When a Procrustes round scores once.
+"""When a round solves once.
 
-The reverse hypotheses come from the columns of the forward scores only
-where ``W^T`` solves the reverse problem: both directions hold the same
-seed pairs and ``X^T Y`` has rank d. Elsewhere the round keeps the fresh
-reverse solve of ``reference_pipelines``.
+A Procrustes round takes its reverse hypotheses from the columns of the
+forward scores only where ``W^T`` solves the reverse problem: both
+directions hold the same seed pairs and ``X^T Y`` has rank d. A graph
+round takes the inverse of the forward matching only where both
+directions hold the same seed pairs and every LAP of the forward solve
+had a unique optimum. Elsewhere the round keeps the fresh reverse solve
+of ``reference_pipelines``.
 """
 
+import numpy as np
 import pytest
 
 import reference_pipelines as reference
-from bilex import build_dataset, iterate, pipelines
+from bilex import EmbeddingMatrix, Lexicon, build_dataset, iterate, pipelines, run_combined
 from conftest import make_planted, make_spec
 
 D = 20  # embedding dimension; the planted vocabulary has 80 words
@@ -99,3 +103,157 @@ def test_stochastic_rounds_with_different_samples_score_twice(calls):
     per_round = [1 if set(fwd) == set(rev) else 2 for fwd, rev in log]
     assert per_round[0] == 1 and 2 in per_round  # gold alone, then two samples
     assert calls == {"solve_procrustes": sum(per_round), "extract_hypotheses": sum(per_round)}
+
+
+# Graph rounds. Planted data at this noise keeps Active's and the combined
+# cycle's seed sets short of the vocabulary for several rounds.
+SGM_SEEDS, SGM_NOISE = 20, 1.2
+KEY = (pipelines._RNG_ITER, 1, 1)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The matchings returned through ``pipelines.sgm``, in call order."""
+    got = []
+    original = pipelines.sgm
+
+    def recorded(*args, **kwargs):
+        got.append(original(*args, **kwargs))
+        return got[-1]
+
+    monkeypatch.setattr(pipelines, "sgm", recorded)
+    return got
+
+
+def fresh_sgm(ds, spec, seeds, direction, key=KEY):
+    """The reference's own solve of one direction, on its own substream."""
+    rng = pipelines._rng(spec.rng_seed, *key, direction)
+    return reference._sgm_run(ds, spec, seeds, rng, reverse=direction == pipelines._REVERSE)[0]
+
+
+def tie_heavy(seed):
+    """12 words with 0/1 rows in d = 3 and 3 seeds: LAPs with many optima."""
+    rng = np.random.default_rng(seed)
+    src, tgt = (
+        EmbeddingMatrix(tuple(f"{side}{i:02d}" for i in range(12)), rng.integers(0, 2, (12, 3)))
+        for side in "st"
+    )
+    return build_dataset(src, tgt, Lexicon(tuple((f"s{i:02d}", f"t{i:02d}") for i in range(12))), 3)
+
+
+@pytest.mark.parametrize("seed_order", ["frequency", "shuffled"])
+def test_shared_sgm_reverse_equals_independent_solve(seed_order, solves):
+    # A shuffled seed list stands for Active's union order; the reverse keys
+    # must follow the reverse solve's vertex order all the same.
+    spec = make_spec(method="itersgm", seeds=SGM_SEEDS)
+    ds = dataset(SGM_SEEDS, noise=SGM_NOISE)
+    seeds = list(ds.gold_seeds.pairs)
+    if seed_order == "shuffled":
+        seeds = [seeds[i] for i in np.random.default_rng(0).permutation(len(seeds))]
+    forward, reverse, inter = pipelines._round(ds, spec, "sgm", seeds, seeds, KEY)
+    assert len(solves) == 1 and solves[0].unique
+    want_forward = fresh_sgm(ds, spec, seeds, pipelines._FORWARD)
+    want_reverse = fresh_sgm(ds, spec, seeds, pipelines._REVERSE)
+    assert dump(forward) == dump(want_forward)
+    assert dump(reverse) == dump(want_reverse)
+    assert inter == pipelines.intersect_hypotheses(want_forward.top1(), want_reverse.top1())
+
+
+@pytest.mark.parametrize("strategy,per_round", [("add_all", [1, 0, 0]), ("active", [1, 1, 1])])
+def test_sgm_rounds_with_shared_seeds_solve_once(strategy, per_round, solves):
+    # A bijection meets its inverse everywhere, so Add-All's second seed
+    # set is the whole vocabulary and its later rounds solve nothing.
+    spec = make_spec(method="itersgm", strategy=strategy, seeds=SGM_SEEDS, iters=3)
+    ds = dataset(SGM_SEEDS, noise=SGM_NOISE)
+    log, want_log = [], []
+    records, hyps = iterate(spec, ds, seed_log=log)
+    want_records, want_hyps = reference.iterate(spec, "sgm", ds, seed_log=want_log)
+    assert records == want_records
+    assert log == want_log
+    assert dump(hyps) == dump(want_hyps)
+    assert [int(len(fwd) < ds.n) for fwd, _ in log] == per_round
+    assert len(solves) == sum(per_round)
+    assert all(matching.unique for matching in solves)
+
+
+def test_combined_sgm_rounds_solve_once(solves):
+    spec = make_spec(method="combined", seeds=SGM_SEEDS, iters=2, proc_inner=1)
+    ds = dataset(SGM_SEEDS, noise=SGM_NOISE)
+    records, hyps = run_combined(spec, ds)
+    want_records, want_hyps = reference.run_combined(spec, ds)
+    assert records == want_records
+    assert dump(hyps) == dump(want_hyps)
+    # The SGM component of each cycle starts from the Procrustes seeds.
+    components = [c for record in records for c in record["components"]]
+    entering = [c["seeds_after"] for c in components if c["component"] == "proc"]
+    assert len(solves) == sum(size < ds.n for size in entering) > 0
+    assert all(matching.unique for matching in solves)
+
+
+def test_tie_heavy_sgm_round_keeps_the_fresh_reverse(solves):
+    spec = make_spec(method="itersgm", seeds=3)
+    inverse_differs = 0
+    for seed in range(4):
+        ds = tie_heavy(seed)
+        gold = list(ds.gold_seeds.pairs)
+        solves.clear()
+        forward, reverse, _ = pipelines._round(ds, spec, "sgm", gold, gold, KEY)
+        assert len(solves) == 2 and not solves[0].unique
+        assert dump(forward) == dump(fresh_sgm(ds, spec, gold, pipelines._FORWARD))
+        assert dump(reverse) == dump(fresh_sgm(ds, spec, gold, pipelines._REVERSE))
+        inverse = {tgt: src for src, tgt in forward.top1().items()}
+        inverse_differs += reverse.top1() != inverse
+    assert inverse_differs  # taking the inverse here would change results
+
+
+def test_stochastic_sgm_rounds_with_different_samples_solve_twice(solves):
+    spec = make_spec(method="itersgm", strategy="stochastic", seeds=SGM_SEEDS, iters=3, h=4)
+    ds = dataset(SGM_SEEDS, noise=SGM_NOISE)
+    log, want_log = [], []
+    records, hyps = iterate(spec, ds, seed_log=log)
+    want_records, want_hyps = reference.iterate(spec, "sgm", ds, seed_log=want_log)
+    assert records == want_records
+    assert log == want_log
+    assert dump(hyps) == dump(want_hyps)
+    # A direction whose seeds cover the vocabulary solves nothing.
+    per_round = [
+        int(len(fwd) < ds.n) if set(fwd) == set(rev) else (len(fwd) < ds.n) + (len(rev) < ds.n)
+        for fwd, rev in log
+    ]
+    assert per_round[0] == 1 and 2 in per_round
+    assert len(solves) == sum(per_round)
+    assert all(matching.unique for matching in solves)
+
+
+def test_saturated_sgm_round_solves_nothing_and_returns_the_reverse(solves):
+    spec = make_spec(method="itersgm", seeds=10)
+    ds = dataset(10)
+    pairs = list(ds.gold_full.pairs)
+    pairs = [pairs[i] for i in np.random.default_rng(1).permutation(ds.n)]
+    forward, reverse, inter = pipelines._round(ds, spec, "sgm", pairs, pairs, KEY)
+    assert solves == []
+    assert dump(forward) == dump(fresh_sgm(ds, spec, pairs, pipelines._FORWARD))
+    assert dump(reverse) == dump(fresh_sgm(ds, spec, pairs, pipelines._REVERSE))
+    assert len(inter) == ds.n
+
+
+@pytest.mark.parametrize("method", ["procrustes", "sgm"])
+def test_forward_only_runs_build_no_reverse(method, monkeypatch):
+    reverses = []
+    for name in ("_proc_run", "_sgm_run"):
+        original = getattr(pipelines, name)
+
+        def recorded(*args, _original=original, **kwargs):
+            forward, reverse = _original(*args, **kwargs)
+            reverses.append(reverse)
+            return forward, reverse
+
+        monkeypatch.setattr(pipelines, name, recorded)
+    spec = make_spec(method=method, seeds=30)
+    pipelines.run_single(spec, dataset(30))
+    assert reverses == [None]
+    # A round whose directions hold different seeds reads no reverse either.
+    gold = list(dataset(30).gold_seeds.pairs)
+    engine = pipelines.METHODS[method][1]
+    pipelines._round(dataset(30), spec, engine, gold, gold[1:], KEY)
+    assert reverses == [None, None, None]
