@@ -17,7 +17,8 @@ Linear-algebra thread counts can be capped with the usual BLAS
 environment variables (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``,
 ``MKL_NUM_THREADS``). At desk scale results do not depend on them; at
 scale BLAS can round a few entries differently on different thread
-counts, so pin the count to compare dumps bit for bit.
+counts, so pin the count to compare dumps bit for bit. Capping BLAS at
+one thread lets CSLS extraction score its blocks on two CPUs.
 """
 
 from __future__ import annotations

@@ -17,7 +17,12 @@ its extraction.
 from __future__ import annotations
 
 import logging
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -100,14 +105,95 @@ def solve_procrustes(src_seed: np.ndarray, tgt_seed: np.ndarray) -> OrthogonalMa
 # O((n_src + n_tgt) d) inputs, whatever the vocabulary sizes.
 _BLOCK_BYTES = 4 << 20
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Most threads that score blocks at once: more have not been measured,
+# and each holds a block in flight.
+_MAX_WORKERS = 2
+
+
+def _one_blas_thread() -> bool:
+    """Whether the BLAS thread variables cap BLAS at one thread: each one
+    set to a positive integer says 1 (others are ignored), and one is.
+
+    Variables that disagree leave the cap unknown, since which one binds
+    depends on the BLAS (OpenBLAS reads ``OPENBLAS_NUM_THREADS`` before
+    ``OMP_NUM_THREADS`` and ignores ``MKL_NUM_THREADS``). BLAS reads them
+    when it loads, so they must be set before Python starts.
+    """
+    caps = set()
+    for name in _BLAS_THREAD_VARS:
+        try:
+            cap = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if cap > 0:
+            caps.add(cap)
+    return caps == {1}
+
+
+def _workers() -> int:
+    """Threads that score blocks: with one BLAS thread, up to
+    ``_MAX_WORKERS`` of this process's CPUs; otherwise 1.
+
+    An uncapped BLAS already runs each product on every CPU, and its
+    threads spin while they wait, so block threads on top only slow it.
+    """
+    if not _one_blas_thread():
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(_MAX_WORKERS, cpus)
+
+
+@contextmanager
+def _ordered_map(workers: int):
+    """A ``map(work, items)`` whose results come in item order.
+
+    With one worker it is the builtin ``map``, on the calling thread.
+    With several, one thread pool serves every map made inside the
+    ``with``: up to ``workers`` items are computed ahead of the result
+    the caller holds, and each result is the caller's alone once it is
+    yielded. Leaving the ``with``, also by an exception or an abandoned
+    map, cancels what has not started and joins the pool's threads.
+    """
+    if workers == 1:
+        yield map
+        return
+    pool = ThreadPoolExecutor(workers)
+
+    def ordered(work, items):
+        items = iter(items)
+        ahead = deque(pool.submit(work, item) for item in islice(items, workers))
+        while ahead:
+            done = ahead.popleft().result()
+            ahead.extend(pool.submit(work, item) for item in islice(items, 1))
+            yield done
+
+    try:
+        yield ordered
+    finally:
+        pool.shutdown(cancel_futures=True)
+
 
 def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
-    """Consecutive row slices, each about ``_BLOCK_BYTES`` of float64.
+    """Consecutive row slices, each about ``_BLOCK_BYTES`` of float64, or
+    a quarter of that with one BLAS thread.
+
+    The size follows the BLAS setting, never the number of block threads,
+    so a run scores the same blocks on one thread as on two. Two block
+    threads hold three blocks at once, and each keeps its freed blocks
+    in its own malloc arena; quarter blocks keep that under the peak RSS
+    of whole blocks on one thread. An uncapped BLAS keeps whole blocks,
+    which it multiplies faster.
 
     A slice has one row only when ``n_rows == 1``: numpy sends one-row
     products to gemv, which can round differently from gemm.
     """
-    size = max(2, _BLOCK_BYTES // (8 * max(n_cols, 1)))
+    budget = _BLOCK_BYTES // 4 if _one_blas_thread() else _BLOCK_BYTES
+    size = max(2, budget // (8 * max(n_cols, 1)))
     starts = list(range(0, n_rows, size))
     if len(starts) > 1 and n_rows - starts[-1] == 1:
         starts.pop()  # the last block takes the odd row
@@ -132,15 +218,9 @@ def _top_k_means(sims: np.ndarray, k: int, sequential: bool) -> np.ndarray:
     return means
 
 
-def score_blocks(mapped_src, tgt, scorer: str = "csls", csls_k: int = 10):
-    """Yield ``(rows, scores)`` over consecutive blocks of source rows.
-
-    ``scores`` holds the cosine or CSLS score of each source row in the
-    slice ``rows`` against every target. CSLS takes two passes: one over
-    target blocks for the target neighborhood means, then one over source
-    blocks that scores each block. Each pass costs one O(n_src n_tgt d)
-    product in total, and no n_src x n_tgt array is ever held.
-    """
+def _scored_blocks(mapped_src, tgt, scorer, csls_k, then):
+    """Yield ``(rows, then(scores))`` over source row blocks in row
+    order; ``then`` runs on the thread that scored the block."""
     mapped_src = np.asarray(mapped_src, dtype=np.float64)
     tgt = np.asarray(tgt, dtype=np.float64)
     if tgt.shape[0] == 0:
@@ -153,13 +233,11 @@ def score_blocks(mapped_src, tgt, scorer: str = "csls", csls_k: int = 10):
         k = min(csls_k, n_tgt, n_src)
         if k < 1:
             raise ValueError("k must be positive")
-        tgt_avgs = np.concatenate(
-            [
-                _top_k_means(tgt[rows] @ mapped_src.T, k, sequential=True)
-                for rows in _row_blocks(n_tgt, n_src)
-            ]
-        )
-    for rows in _row_blocks(n_src, n_tgt):
+
+    def target_means(rows):
+        return _top_k_means(tgt[rows] @ mapped_src.T, k, sequential=True)
+
+    def score(rows):
         scores = mapped_src[rows] @ tgt.T
         if scorer == "csls":
             # 2 cos - src_avgs - tgt_avgs, evaluated in place in that order
@@ -167,7 +245,28 @@ def score_blocks(mapped_src, tgt, scorer: str = "csls", csls_k: int = 10):
             scores *= 2.0
             scores -= src_avgs[:, None]
             scores -= tgt_avgs
-        yield rows, scores
+        return rows, then(scores)
+
+    with _ordered_map(_workers()) as ordered:
+        if scorer == "csls":
+            tgt_avgs = np.concatenate(list(ordered(target_means, _row_blocks(n_tgt, n_src))))
+        yield from ordered(score, _row_blocks(n_src, n_tgt))
+
+
+def score_blocks(mapped_src, tgt, scorer: str = "csls", csls_k: int = 10):
+    """Yield ``(rows, scores)`` over consecutive blocks of source rows.
+
+    ``scores`` holds the cosine or CSLS score of each source row in the
+    slice ``rows`` against every target. CSLS takes two passes: one over
+    target blocks for the target neighborhood means, then one over source
+    blocks that scores each block. Each pass costs one O(n_src n_tgt d)
+    product in total, and no n_src x n_tgt array is ever held.
+
+    When BLAS is capped at one thread and this process has more CPUs,
+    two threads score blocks at once (:func:`_workers`). Blocks are the
+    same, and are yielded in row order, whatever the number of threads.
+    """
+    return _scored_blocks(mapped_src, tgt, scorer, csls_k, lambda scores: scores)
 
 
 class TopK(NamedTuple):
@@ -241,6 +340,23 @@ class _ColumnTopK:
         return TopK(rows.reshape(shape), vals.reshape(shape))
 
 
+def _row_top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's k best columns and their scores, by descending score
+    with ties toward the smaller column."""
+    n_cols = scores.shape[1]
+    cand = np.argpartition(scores, n_cols - k, axis=1)[:, n_cols - k :]
+    vals = np.take_along_axis(scores, cand, axis=1)
+    order = np.lexsort((cand, -vals), axis=1)  # descending score, then index
+    cand = np.take_along_axis(cand, order, axis=1)
+    vals = np.take_along_axis(vals, order, axis=1)
+    # A score tie across the partition boundary could exclude a smaller
+    # index; rank the whole row in that case.
+    for r in np.flatnonzero((scores >= vals[:, -1:]).sum(axis=1) > k):
+        cand[r] = np.lexsort((np.arange(n_cols), -scores[r]))[:k]
+        vals[r] = scores[r, cand[r]]
+    return cand, vals
+
+
 def extract_hypotheses(
     mapped_src: np.ndarray,
     tgt: np.ndarray,
@@ -257,6 +373,10 @@ def extract_hypotheses(
     are shorter than ``top_k`` only when the candidate set is. When the
     map is orthogonal and unique, ``columns`` is the reverse direction's
     extraction: CSLS is symmetric in its two arguments.
+
+    Blocks are scored as :func:`score_blocks` scores them, and their row
+    top-k is taken on the same thread; the column top-k takes the blocks
+    on the calling thread in row order, whatever the number of threads.
     """
     if top_k < 1:
         raise ValueError("top_k must be positive")
@@ -264,17 +384,10 @@ def extract_hypotheses(
     k = min(top_k, n_tgt)
     ranked = TopK(np.empty((n_src, k), dtype=np.intp), np.empty((n_src, k)))
     columns = _ColumnTopK(n_tgt, min(top_k, n_src))
-    for rows, scores in score_blocks(mapped_src, tgt, scorer, csls_k):
-        cand = np.argpartition(scores, n_tgt - k, axis=1)[:, n_tgt - k :]
-        vals = np.take_along_axis(scores, cand, axis=1)
-        order = np.lexsort((cand, -vals), axis=1)  # descending score, then index
-        cand = np.take_along_axis(cand, order, axis=1)
-        vals = np.take_along_axis(vals, order, axis=1)
-        # A score tie across the partition boundary could exclude a smaller
-        # index; rank the whole row in that case.
-        for r in np.flatnonzero((scores >= vals[:, -1:]).sum(axis=1) > k):
-            cand[r] = np.lexsort((np.arange(n_tgt), -scores[r]))[:k]
-            vals[r] = scores[r, cand[r]]
+    blocks = _scored_blocks(
+        mapped_src, tgt, scorer, csls_k, lambda scores: (scores, *_row_top_k(scores, k))
+    )
+    for rows, (scores, cand, vals) in blocks:
         ranked.index[rows], ranked.score[rows] = cand, vals
         columns.add(rows.start, scores)
     return ranked, columns.result()

@@ -2,11 +2,13 @@
 ``reference_extraction``: equal hypothesis entries, scores bit for bit;
 its column rankings against the dense code run on the transposed
 problem; its row rankings against the row-only blocked extractor they
-replaced; plus its memory bound and its determinism across BLAS thread
-counts."""
+replaced; plus its memory bound, its determinism across BLAS thread
+counts and block workers, and its worker threads' lifecycle."""
 
+import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,6 +20,15 @@ from conftest import blas_env
 
 B = 4  # rows per source block in the small-budget grid
 SIZES = (1, 2, 3, B - 1, B + 1, 2 * B + 1)
+
+
+@pytest.fixture(autouse=True)
+def uncapped_blas(monkeypatch):
+    """Block sizes follow the BLAS thread variables; clear them so every
+    test here blocks alike however pytest was started. A test sets them
+    itself to take the one-BLAS-thread sizes."""
+    for name in procrustes._BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
 
 
 def unit_rows(m):
@@ -37,8 +48,25 @@ def grid_rows(rng, n):
     return rng.integers(-2, 3, size=(n, 4)) / 4.0
 
 
+def extract(src, tgt, **kwargs):
+    """``extract_hypotheses`` with its blocks scored by 1, 2 and 3 threads,
+    whatever this host has; the three results must be equal bit for bit,
+    rows and columns, index and score."""
+    results = []
+    with pytest.MonkeyPatch.context() as patch:
+        for workers in (1, 2, 3):
+            patch.setattr(procrustes, "_workers", lambda: workers)
+            results.append(extract_hypotheses(src, tgt, **kwargs))
+    first = results[0]
+    for other in results[1:]:
+        for got, want in zip(other, first):  # rows, columns
+            assert got.index.tobytes() == want.index.tobytes()
+            assert got.score.tobytes() == want.score.tobytes()
+    return first
+
+
 def assert_same(src, tgt, **kwargs):
-    got = extract_hypotheses(src, tgt, **kwargs)[0].hypotheses()
+    got = extract(src, tgt, **kwargs)[0].hypotheses()
     want = reference.extract_hypotheses(src, tgt, **kwargs)
     assert list(got.entries.items()) == list(want.entries.items())
 
@@ -124,7 +152,7 @@ def test_float_inputs_over_many_blocks_agree_with_dense(monkeypatch):
 
 
 def column_entries(src, tgt, **kwargs):
-    return extract_hypotheses(src, tgt, **kwargs)[1].hypotheses().entries
+    return extract(src, tgt, **kwargs)[1].hypotheses().entries
 
 
 def assert_columns_solve_transposed(src, tgt, **kwargs):
@@ -263,23 +291,40 @@ def test_row_blocks_cover_rows_without_single_row_blocks(monkeypatch, n_cols):
         assert all(size <= 4 for size in sizes)  # 3 rows, or 4 with the odd row
 
 
-def test_peak_memory_is_a_few_blocks():
+def test_row_blocks_are_a_quarter_with_one_blas_thread(monkeypatch):
+    monkeypatch.setattr(procrustes, "_BLOCK_BYTES", 8 * 48 * 10)
+    assert procrustes._row_blocks(100, 10)[0] == slice(0, 48)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert procrustes._row_blocks(100, 10)[0] == slice(0, 12)
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")  # caps that disagree: whole blocks
+    assert procrustes._row_blocks(100, 10)[0] == slice(0, 48)
+
+
+def test_peak_memory_is_a_few_blocks(monkeypatch):
     # The dense scorer held several 3000 x 3000 float64 matrices (72 MB
     # each); the blocked one holds a few blocks plus O(n d) inputs and
-    # O(n top_k) results.
+    # O(n top_k) results: with whole blocks on one thread, and with one
+    # BLAS thread's quarter blocks on one block thread and on two.
     rng = np.random.default_rng(36)
     n, d = 3000, 32
     src = unit_rows(rng.normal(size=(n, d)))
     tgt = unit_rows(rng.normal(size=(n, d)))
-    tracemalloc.start()
-    try:
-        extract_hypotheses(src, tgt, top_k=5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     bound = 5 * procrustes._BLOCK_BYTES + 4 * (src.nbytes + tgt.nbytes)
     assert bound < n * n * 8 / 2
-    assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+    for one_blas_thread, workers in ((False, 1), (True, 1), (True, 2)):
+        if one_blas_thread:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(procrustes, "_workers", lambda: workers)
+        tracemalloc.start()
+        try:
+            extract_hypotheses(src, tgt, top_k=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (
+            f"{one_blas_thread=}, {workers} workers: peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
+        )
 
 
 _THREADED_ITERPROC = """
@@ -329,3 +374,80 @@ def test_iterproc_dump_identical_across_blas_threads_at_scale():
     one, two = dump_digest("1"), dump_digest("2")
     assert one == two
     assert one.endswith(" 1500")
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs two CPUs this process may run on",
+)
+def test_iterproc_dump_identical_on_one_and_two_block_workers():
+    # One BLAS thread: the run scores the same quarter-size blocks on 1
+    # thread when bound to one CPU and on 2 when bound to two.
+    def dump_digest(cpus) -> str:
+        script = (
+            f"import os\nos.sched_setaffinity(0, {set(cpus)!r})\n"
+            "from bilex import procrustes\n"
+            "print(procrustes._workers(), end=' ')\n"
+        ) + _THREADED_ITERPROC
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=blas_env("1"),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    cpus = sorted(os.sched_getaffinity(0))[:2]
+    one, two = dump_digest(cpus[:1]), dump_digest(cpus)
+    assert one.startswith("1 ") and two.startswith("2 ")
+    assert one[2:] == two[2:]
+    assert one.endswith(" 1500")
+
+
+def test_several_workers_score_off_the_calling_thread(monkeypatch):
+    scoring_threads = set()
+    top_k_means = procrustes._top_k_means
+
+    def recording(sims, k, sequential):
+        scoring_threads.add(threading.get_ident())
+        return top_k_means(sims, k, sequential)
+
+    monkeypatch.setattr(procrustes, "_top_k_means", recording)
+    monkeypatch.setattr(procrustes, "_BLOCK_BYTES", 8 * B * 40)
+    rng = np.random.default_rng(44)
+    src, tgt = scalar_rows(rng, 40), scalar_rows(rng, 40)
+    monkeypatch.setattr(procrustes, "_workers", lambda: 2)
+    got = extract_hypotheses(src, tgt, top_k=3)[0].hypotheses()
+    assert scoring_threads and threading.get_ident() not in scoring_threads
+    want = reference.extract_hypotheses(src, tgt, top_k=3)
+    assert list(got.entries.items()) == list(want.entries.items())
+
+
+def test_worker_error_reaches_the_caller_and_no_thread_outlives_the_call(monkeypatch):
+    monkeypatch.setattr(procrustes, "_workers", lambda: 2)
+    monkeypatch.setattr(procrustes, "_BLOCK_BYTES", 8 * B * 20)
+    rng = np.random.default_rng(45)
+    src, tgt = 3.0 * unit_rows(rng.normal(size=(20, 4))), unit_rows(rng.normal(size=(20, 4)))
+    threads = threading.active_count()
+    with pytest.raises(ValueError) as raised:
+        extract_hypotheses(src, tgt, top_k=2)
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == (
+        "neighborhood averages outside [-1, 1]; rows must be unit-norm for cosine scoring"
+    )
+    assert threading.active_count() == threads
+    extract_hypotheses(unit_rows(src), tgt, top_k=2)
+    assert threading.active_count() == threads
+
+
+def test_abandoned_score_blocks_leaves_no_thread(monkeypatch):
+    monkeypatch.setattr(procrustes, "_workers", lambda: 2)
+    monkeypatch.setattr(procrustes, "_BLOCK_BYTES", 8 * B * 30)
+    rng = np.random.default_rng(46)
+    src, tgt = unit_rows(rng.normal(size=(30, 4))), unit_rows(rng.normal(size=(30, 4)))
+    threads = threading.active_count()
+    blocks = procrustes.score_blocks(src, tgt)
+    rows, _ = next(blocks)
+    assert rows == slice(0, B)
+    assert threading.active_count() > threads
+    del blocks
+    assert threading.active_count() == threads

@@ -1,6 +1,8 @@
 """Orthogonal maps, CSLS scoring, and hypothesis extraction."""
 
 import logging
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from bilex import (
     OrthogonalMap,
     extract_hypotheses,
+    procrustes,
     score_blocks,
     solve_procrustes,
 )
@@ -278,6 +281,62 @@ class TestExtractHypotheses:
     def test_unknown_scorer_raises(self):
         with pytest.raises(ValueError, match="scorer"):
             extract_hypotheses(np.eye(2), np.eye(2), top_k=1, scorer="manhattan")
+
+
+class TestWorkerRule:
+    """Block threads: with one BLAS thread, up to two of this process's
+    CPUs; otherwise one."""
+
+    @pytest.fixture
+    def host(self, monkeypatch):
+        def configure(cpus, **caps):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            for name in procrustes._BLAS_THREAD_VARS:
+                monkeypatch.delenv(name, raising=False)
+            for name, value in caps.items():
+                monkeypatch.setenv(name, value)
+            threads = threading.active_count()
+            workers = procrustes._workers()
+            assert threading.active_count() == threads  # counting starts no thread
+            return workers
+
+        return configure
+
+    def test_unpinned_blas_keeps_one_worker(self, host):
+        assert host(2) == 1
+        assert host(64) == 1
+
+    def test_one_blas_thread_on_two_cpus_gives_two(self, host):
+        assert host(2, OPENBLAS_NUM_THREADS="1") == 2
+        assert host(2, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1") == 2
+
+    def test_caps_that_disagree_give_one(self, host):
+        # OpenBLAS would read 8 here and MKL 1: the binding cap is unknown.
+        assert host(8, OPENBLAS_NUM_THREADS="8", MKL_NUM_THREADS="1") == 1
+        assert host(8, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="2") == 1
+
+    @pytest.mark.parametrize("junk", ["", "0", "-1", "abc"])
+    def test_invalid_caps_are_ignored(self, host, junk):
+        assert host(4, OPENBLAS_NUM_THREADS=junk) == 1
+        assert host(4, OPENBLAS_NUM_THREADS=junk, MKL_NUM_THREADS="1") == 2
+
+    def test_one_cpu_gives_one(self, host):
+        assert host(1, OPENBLAS_NUM_THREADS="1") == 1
+
+    def test_cap_above_one_thread_gives_one(self, host):
+        assert host(4, OMP_NUM_THREADS="2") == 1
+
+    def test_many_cpus_give_at_most_two(self, host):
+        # Arithmetic only: no pool of that size is started.
+        assert host(64, OPENBLAS_NUM_THREADS="1") == procrustes._MAX_WORKERS == 2
+
+    @pytest.mark.parametrize("cpus, workers", [(1, 1), (3, 2)])
+    def test_cpu_count_without_affinity_call(self, monkeypatch, cpus, workers):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        for name in procrustes._BLAS_THREAD_VARS:
+            monkeypatch.setenv(name, "1")
+        assert procrustes._workers() == workers
 
 
 class TestSoftSeeding:
