@@ -42,14 +42,10 @@ from .pipelines import (
     RunResult,
     assemble,
     build_dataset,
-    intersect_hypotheses,
     iterate,
-    oracle_judge,
-    resolve_seed_conflicts,
     run,
     run_combined,
     run_single,
-    union_hypotheses,
 )
 from .procrustes import (
     OrthogonalMap,
@@ -80,16 +76,13 @@ __all__ = [
     "drop_missing",
     "extract_hypotheses",
     "filter_one_to_one",
-    "intersect_hypotheses",
     "iterate",
     "load_dictionary",
     "load_embeddings",
     "metrics_report",
     "normalize",
-    "oracle_judge",
     "p_at_1",
     "prf_at_5",
-    "resolve_seed_conflicts",
     "run",
     "run_combined",
     "run_single",
@@ -102,5 +95,4 @@ __all__ = [
     "top_k_from_distribution",
     "trace_gradient",
     "trace_objective",
-    "union_hypotheses",
 ]

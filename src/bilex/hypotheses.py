@@ -46,10 +46,10 @@ class Matching:
 class HypothesisSet:
     """Per-source ranked translation hypotheses, best first.
 
-    Keys are source identifiers (row indices at the algorithm layer, words
-    at the pipeline layer); each value is a tuple of (target, score) pairs
-    sorted by descending score with ascending-target tie-break, and no
-    target repeats within a list.
+    Keys are source identifiers: row indices at the algorithm layer, words
+    once the pipelines build the final set of a run. Each value is a tuple
+    of (target, score) pairs sorted by descending score with ascending-target
+    tie-break, and no target repeats within a list.
     """
 
     entries: dict[Hashable, tuple[tuple[Hashable, float], ...]] = field(

@@ -39,9 +39,6 @@ class Lexicon:
     def targets(self) -> tuple[str, ...]:
         return tuple(t for _, t in self.pairs)
 
-    def pair_set(self) -> frozenset[tuple[str, str]]:
-        return frozenset(self.pairs)
-
     def is_one_to_one(self) -> bool:
         srcs = self.sources()
         tgts = self.targets()

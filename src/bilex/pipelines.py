@@ -32,7 +32,7 @@ from .graph_matching import (
 )
 from .hypotheses import HypothesisSet
 from .lexicon import Lexicon, drop_missing, filter_one_to_one, load_dictionary, split
-from .procrustes import extract_hypotheses, solve_procrustes
+from .procrustes import TopK, extract_hypotheses, solve_procrustes
 
 # What each method runs: (pipeline, engine). Soft SGM is an ensemble of
 # restarts and the combined cycle alternates both engines, so neither
@@ -155,28 +155,8 @@ class Dataset:
         return self.tgt_full.vectors[[self.tgt_full.index[w] for w in self.tgt_words]]
 
     @cached_property
-    def src_row(self) -> dict[str, int]:
-        return {w: i for i, w in enumerate(self.src_words)}
-
-    @cached_property
-    def tgt_row(self) -> dict[str, int]:
-        return {w: i for i, w in enumerate(self.tgt_words)}
-
-    @cached_property
     def gold_full(self) -> Lexicon:
         return Lexicon(tuple(self.gold_seeds.pairs) + tuple(self.gold_test.pairs))
-
-    @cached_property
-    def swapped(self) -> Dataset:
-        """The same data with the two languages' roles exchanged."""
-        return Dataset(
-            src_full=self.tgt_full,
-            tgt_full=self.src_full,
-            src_words=self.tgt_words,
-            tgt_words=self.src_words,
-            gold_seeds=Lexicon(tuple((t, s) for s, t in self.gold_seeds)),
-            gold_test=Lexicon(tuple((t, s) for s, t in self.gold_test)),
-        )
 
 
 def build_dataset(
@@ -210,156 +190,173 @@ def assemble(spec: ExperimentSpec) -> Dataset:
 
 # ---------------------------------------------------------------------------
 # Engines
+#
+# Engines work on two row arrays in a run's index space (``_index_space``).
+# Seeds are (m, 2) arrays of (source, target) index pairs; a result is
+# (keys, TopK), whose row i ranks the candidates of source index keys[i],
+# and whose keys hold every index of their side once.
 
 
-def _proc_run(ds: Dataset, spec: ExperimentSpec, pairs, want_reverse: bool):
+def _proc_run(x, y, spec: ExperimentSpec, seeds, want_reverse: bool):
     """One Euclidean run: fit W on the seed pairs, extract top-k via CSLS.
 
-    Returns (forward, reverse). When W is unique its transpose solves the
-    reverse problem, and with ``want_reverse`` the reverse hypotheses rank
+    Returns (forward, reverse) in row order. When W is unique its transpose
+    solves the reverse problem, and with ``want_reverse`` the reverse ranks
     each target's sources from the same scores; otherwise reverse is None.
     """
-    if spec.vocab_mode == "top_n":
-        words, mat = ds.src_full.vocab, ds.src_full.vectors
-        cand_words, cand_mat = ds.tgt_full.vocab, ds.tgt_full.vectors
-    else:
-        words, mat, cand_words, cand_mat = ds.src_words, ds.x, ds.tgt_words, ds.y
-    xbar = ds.src_full.vectors[[ds.src_full.index[a] for a, _ in pairs]]
-    ybar = ds.tgt_full.vectors[[ds.tgt_full.index[b] for _, b in pairs]]
-    mapping = solve_procrustes(xbar, ybar)
+    mapping = solve_procrustes(x[seeds[:, 0]], y[seeds[:, 1]])
     rows, columns = extract_hypotheses(
-        mapped_src=mapping.apply(mat), tgt=cand_mat,
-        top_k=spec.top_k, scorer="csls", csls_k=spec.csls_k,
+        mapped_src=mapping.apply(x), tgt=y, top_k=spec.top_k, scorer="csls", csls_k=spec.csls_k
     )
-    forward = rows.hypotheses(words, cand_words)
+    forward = (np.arange(len(x)), rows)
     if not (want_reverse and mapping.unique):
         return forward, None
-    return forward, columns.hypotheses(cand_words, words)
+    return forward, (np.arange(len(y)), columns)
 
 
-def _seed_order(words, row_of, pairs, side: int) -> list[int]:
-    """Restricted rows reordered seeds-first, remainder in frequency order."""
-    seed_rows = [row_of[pair[side]] for pair in pairs]
-    in_seed = set(seed_rows)
-    return seed_rows + [i for i in range(len(words)) if i not in in_seed]
+def _seed_order(n: int, seed_rows) -> np.ndarray:
+    """Rows 0..n-1 reordered seeds-first, the remainder in frequency order."""
+    return np.concatenate((seed_rows, np.setdiff1d(np.arange(n), seed_rows)))
 
 
-def _sgm_run(ds: Dataset, spec: ExperimentSpec, pairs, rng, want_reverse: bool):
+def _sgm_run(x, y, spec: ExperimentSpec, seeds, rng, want_reverse: bool):
     """One seeded-graph-matching run over the restricted graphs.
 
-    Returns (forward, reverse). When every LAP of the solve had a unique
-    optimum, the reverse solve on the same seeds would return the inverse
-    permutation (see ``sgm``), and with ``want_reverse`` the reverse
-    hypotheses are read from it; otherwise reverse is None.
+    Returns (forward, reverse), keyed in seeds-first vertex order. When
+    every LAP of the solve had a unique optimum, the reverse solve on the
+    same seeds would return the inverse permutation (see ``sgm``), and
+    with ``want_reverse`` the reverse is read from it; otherwise None.
     """
-    order_a = _seed_order(ds.src_words, ds.src_row, pairs, 0)
-    order_b = _seed_order(ds.tgt_words, ds.tgt_row, pairs, 1)
-    if len(pairs) == ds.n:
+    n = len(x)
+    order_a, order_b = _seed_order(n, seeds[:, 0]), _seed_order(n, seeds[:, 1])
+    if len(seeds) == n:
         # Iteration can saturate the seed set; every vertex is then fixed
         # and the matching is the seed pairing itself.
-        perm, unique = np.arange(ds.n), True
+        perm, unique = np.arange(n), True
     else:
         matching = sgm(
-            build_graph(ds.x, order_a),
-            build_graph(ds.y, order_b),
-            s=len(pairs),
+            build_graph(x, order_a),
+            build_graph(y, order_b),
+            s=len(seeds),
             rng=rng,
             max_iters=spec.sgm_max_iters,
             eps=spec.sgm_eps,
             shuffle_input=spec.shuffle_input,
         )
         perm, unique = matching.perm, matching.unique
-    src = [ds.src_words[i] for i in order_a]
-    tgt = [ds.tgt_words[i] for i in order_b]
-    forward = HypothesisSet({a: ((tgt[j], 1.0),) for a, j in zip(src, perm.tolist())})
+    ones = np.ones((n, 1))
+    forward = (order_a, TopK(order_b[perm][:, None], ones))
     if not (want_reverse and unique):
         return forward, None
     # Keyed in the reverse solve's vertex order, which Active's union keeps.
-    inverse = np.argsort(perm).tolist()
-    return forward, HypothesisSet({b: ((src[i], 1.0),) for b, i in zip(tgt, inverse)})
+    return forward, (order_b, TopK(order_a[np.argsort(perm)][:, None], ones))
 
 
 def _engine_run(ds, spec, engine: str, seeds, direction: int, key: tuple, want_reverse=False):
-    """One engine run in one direction: (hypotheses, reverse or None).
+    """One engine run in one direction: (result, reverse result or None).
 
-    The reverse direction swaps the two languages' roles. With
-    ``want_reverse``, a run whose solution is unique (the Procrustes map,
-    or every LAP of the graph solve) also returns the hypotheses of the
+    The reverse direction swaps the two languages' rows and seed columns.
+    With ``want_reverse``, a run whose solution is unique (the Procrustes
+    map, or every LAP of the graph solve) also returns the result of the
     opposite direction on the same seeds. The graph engine draws its rng
     substream from ``(*key, direction)``.
     """
-    if not seeds:
+    if not len(seeds):
         raise ValueError("empty seed set after conflict resolution")
+    top_n = spec.vocab_mode == "top_n"
+    rows = (ds.src_full.vectors, ds.tgt_full.vectors) if top_n else (ds.x, ds.y)
     if direction == _REVERSE:
-        ds, seeds = ds.swapped, [(t, s) for s, t in seeds]
+        rows, seeds = rows[::-1], seeds[:, ::-1]
     if engine == "proc":
-        return _proc_run(ds, spec, seeds, want_reverse)
-    return _sgm_run(ds, spec, seeds, _rng(spec.rng_seed, *key, direction), want_reverse)
+        return _proc_run(*rows, spec, seeds, want_reverse)
+    return _sgm_run(*rows, spec, seeds, _rng(spec.rng_seed, *key, direction), want_reverse)
+
+
+def _top1(result) -> np.ndarray:
+    """The (key, best candidate) index pairs of an engine result, in key order."""
+    keys, top = result
+    return np.column_stack((keys, top.index[:, 0]))
 
 
 def _round(ds, spec, engine: str, seeds_fwd, seeds_rev, key: tuple):
-    """One bidirectional round: (forward, reverse, their top-1 intersection).
+    """One bidirectional round: (forward, reverse, their top-1 intersection
+    as index pairs, see ``_intersect``).
 
-    When both directions hold the same seed pairs and the forward solution
-    is unique (the Procrustes map, or every LAP of the graph solve), the
-    reverse comes from the forward run: one solve, and for Procrustes one
-    scoring pass. Otherwise the reverse is a fresh solve, which for the
-    graph engine draws the ``(*key, _REVERSE)`` substream.
+    When both directions hold the same seed pairs and the forward
+    solution is unique (the Procrustes map, or every LAP of the graph
+    solve), the reverse comes from the forward run: one solve, and for
+    Procrustes one scoring pass. Otherwise the reverse is a fresh solve,
+    which for the graph engine draws the ``(*key, _REVERSE)`` substream.
     """
-    shared = set(seeds_fwd) == set(seeds_rev)
+    shared = len(seeds_fwd) == len(seeds_rev) and _member(seeds_fwd, seeds_rev).all()
     forward, reverse = _engine_run(ds, spec, engine, seeds_fwd, _FORWARD, key, shared)
     if reverse is None:
         reverse = _engine_run(ds, spec, engine, seeds_rev, _REVERSE, key)[0]
-    return forward, reverse, intersect_hypotheses(forward.top1(), reverse.top1())
+    return forward, reverse, _intersect(_top1(forward), _top1(reverse))
 
 
-def _round_record(ds: Dataset, forward: HypothesisSet, inter) -> dict:
+def _round_record(gold_full, seed_count: int, forward, inter) -> dict:
     """Record fields shared by every round: forward p@1 and intersection quality."""
-    correct = oracle_judge(inter, ds.gold_full)
+    test = gold_full[seed_count:]
+    hits = int(np.count_nonzero(_member(test, _top1(forward))))
+    correct = int(np.count_nonzero(_member(inter, gold_full)))
     return {
-        "forward_p1": evaluation.p_at_1(forward, ds.gold_test),
+        "forward_p1": 100.0 * hits / len(test),
         "intersection_size": len(inter),
-        "intersection_precision": 100.0 * len(correct) / len(inter) if inter else None,
+        "intersection_precision": 100.0 * correct / len(inter) if len(inter) else None,
     }
 
 
 # ---------------------------------------------------------------------------
-# Hypothesis combination
+# Index pairs
 
 
-def intersect_hypotheses(forward_top1, reverse_top1) -> list[tuple]:
-    """Pairs (x, y) with forward x -> y and reverse y -> x; always one-to-one."""
-    return [
-        (src, tgt) for src, tgt in forward_top1.items() if reverse_top1.get(tgt) == src
-    ]
+def _index_space(ds: Dataset, spec: ExperimentSpec):
+    """(source words, target words, gold index pairs, seeds first) of a run:
+    restricted rows, where gold pair i is (i, i), or ``top_n``'s full rows."""
+    if spec.vocab_mode != "top_n":
+        return ds.src_words, ds.tgt_words, np.arange(ds.n).repeat(2).reshape(-1, 2)
+    if METHODS[spec.method][1] != "proc":
+        raise ValueError("vocab_mode 'top_n' only applies to procrustes/iterproc")
+    gold = [(ds.src_full.index[a], ds.tgt_full.index[b]) for a, b in ds.gold_full]
+    return ds.src_full.vocab, ds.tgt_full.vocab, np.array(gold, dtype=np.intp).reshape(-1, 2)
 
 
-def union_hypotheses(forward_top1, reverse_top1) -> list[tuple]:
-    """All forward pairs plus all reverse pairs; may be many-to-many."""
-    pairs = list(forward_top1.items())
-    seen = set(pairs)
-    for tgt, src in reverse_top1.items():
-        pair = (src, tgt)
-        if pair not in seen:
-            seen.add(pair)
-            pairs.append(pair)
-    return pairs
+def _hypotheses(src_words, tgt_words, result) -> HypothesisSet:
+    """The word-keyed hypotheses of an engine result."""
+    keys, top = result
+    return top.hypotheses([src_words[i] for i in keys.tolist()], tgt_words)
 
 
-def oracle_judge(pairs, gold_full: Lexicon) -> list[tuple]:
-    """Simulated annotator: keep exactly the pairs present in the gold lexicon."""
-    gold = gold_full.pair_set()
-    return [pair for pair in pairs if tuple(pair) in gold]
+def _member(pairs, ref) -> np.ndarray:
+    """Which rows of ``pairs`` are rows of ``ref``; ``ref[:, 0]`` repeats no index."""
+    lookup = np.full(1 + max(pairs[:, 0].max(initial=-1), ref[:, 0].max(initial=-1)), -1)
+    lookup[ref[:, 0]] = ref[:, 1]
+    return lookup[pairs[:, 0]] == pairs[:, 1]
 
 
-def resolve_seed_conflicts(gold_pairs, hypothesis_pairs) -> list[tuple]:
-    """One-to-one seed set: gold wins collisions, the rest admitted in order."""
-    return list(filter_one_to_one(Lexicon((*gold_pairs, *hypothesis_pairs))).pairs)
+def _intersect(fwd, rev) -> np.ndarray:
+    """Forward top-1 pairs (x, y), in order, whose reverse pair is (y, x)."""
+    return fwd[_member(fwd[:, ::-1], rev)]
 
 
-def _sample(pool, count, rng) -> list:
-    order = rng.permutation(len(pool))[:count]
-    return [pool[int(i)] for i in order]
+def _union(fwd, rev) -> np.ndarray:
+    """Forward top-1 pairs, then as (x, y) the reverse pairs (y, x) they lack,
+    in reverse key order."""
+    rev = rev[:, ::-1]
+    return np.concatenate((fwd, rev[~_member(rev, fwd)]))
+
+
+def _admit(gold, pairs) -> np.ndarray:
+    """Gold, then in order the pairs sharing no word with it. Both inputs must
+    be one-to-one; the result is then ``filter_one_to_one`` of both in turn."""
+    assert all(len(np.unique(side)) == len(side) for side in (*gold.T, *pairs.T))
+    free = ~np.isin(pairs[:, 0], gold[:, 0]) & ~np.isin(pairs[:, 1], gold[:, 1])
+    return np.concatenate((gold, pairs[free]))
+
+
+def _sample(pool, count, rng):
+    return pool[rng.permutation(len(pool))[:count]]
 
 
 # ---------------------------------------------------------------------------
@@ -381,15 +378,17 @@ def run_single(spec: ExperimentSpec, ds: Dataset) -> HypothesisSet:
     ranks each source's targets by their share of ``soft_runs`` restarts.
     """
     engine = _engine_of(spec, "single")
-    gold = list(ds.gold_seeds.pairs)
+    s = len(ds.gold_seeds)
     if engine is not None:
-        return _engine_run(ds, spec, engine, gold, _FORWARD, (_RNG_SINGLE_SGM,))[0]
+        src_words, tgt_words, gold_full = _index_space(ds, spec)
+        result = _engine_run(ds, spec, engine, gold_full[:s], _FORWARD, (_RNG_SINGLE_SGM,))[0]
+        return _hypotheses(src_words, tgt_words, result)
     # Gold seeds already occupy the leading restricted rows.
     master = np.random.SeedSequence(entropy=spec.rng_seed, spawn_key=(_RNG_SOFT,))
     dist = soft_sgm(
         build_graph(ds.x),
         build_graph(ds.y),
-        s=len(gold),
+        s=s,
         runs=spec.soft_runs,
         master_seed=master,
         max_iters=spec.sgm_max_iters,
@@ -416,52 +415,52 @@ def iterate(spec: ExperimentSpec, ds: Dataset, seed_log: list | None = None):
     reverse from the forward run (the Procrustes scores, or the inverse
     graph matching; see ``_round``), and otherwise solves it afresh.
 
+    Rounds work on index arrays; ``seed_log`` gets each round's seeds as
+    word pairs, and the final forward result alone becomes word-keyed.
+
     Returns (per-iteration records, final forward hypotheses).
     """
     engine = _engine_of(spec, "iterate")
     engine_id = 0 if engine == "proc" else 1
-    gold = list(ds.gold_seeds.pairs)
-    gold_set = set(gold)
+    src_words, tgt_words, gold_full = _index_space(ds, spec)
+    gold = gold_full[: len(ds.gold_seeds)]
     # Gold seeds are kept by the Euclidean engine, whose seeding is soft.
-    base = gold if engine == "proc" else []
+    base = gold if engine == "proc" else gold[:0]
     seeds_fwd = seeds_rev = gold
     records: list[dict] = []
     pool_covered = spec.strategy != "stochastic"
     for t in range(1, MAX_ITERATIONS + 1):
         if seed_log is not None:
-            seed_log.append((list(seeds_fwd), list(seeds_rev)))
+            seed_log.append(tuple([(src_words[a], tgt_words[b]) for a, b in seeds.tolist()]
+                                  for seeds in (seeds_fwd, seeds_rev)))
         forward, reverse, inter = _round(
             ds, spec, engine, seeds_fwd, seeds_rev, (_RNG_ITER, engine_id, t)
         )
         records.append(
             {
                 "iteration": t,
-                **_round_record(ds, forward, inter),
+                **_round_record(gold_full, len(gold), forward, inter),
                 "seeds_forward": len(seeds_fwd),
                 "seeds_reverse": len(seeds_rev),
-                "forward_hypotheses": forward.total_hypotheses(),
+                "forward_hypotheses": forward[1].index.size,
             }
         )
         if t >= spec.iters and pool_covered:
             break
         if spec.strategy == "add_all":
-            seeds_fwd = seeds_rev = resolve_seed_conflicts(base, inter)
+            seeds_fwd = seeds_rev = _admit(base, inter)
         elif spec.strategy == "active":
-            union = union_hypotheses(forward.top1(), reverse.top1())
-            verified = oracle_judge(union, ds.gold_full)
-            seeds_fwd = seeds_rev = resolve_seed_conflicts(base, verified)
+            union = _union(_top1(forward), _top1(reverse))
+            seeds_fwd = seeds_rev = _admit(base, union[_member(union, gold_full)])
         else:  # stochastic
-            pool = [pair for pair in inter if pair not in gold_set]
+            pool = inter[~_member(inter, gold)]
             take = min(t * spec.h, len(pool))
             pool_covered = take >= len(pool)
             seeds_fwd, seeds_rev = (
-                resolve_seed_conflicts(
-                    gold,
-                    _sample(pool, take, _rng(spec.rng_seed, _RNG_SAMPLE, engine_id, t, d)),
-                )
+                _admit(gold, _sample(pool, take, _rng(spec.rng_seed, _RNG_SAMPLE, engine_id, t, d)))
                 for d in (_FORWARD, _REVERSE)
             )
-    return records, forward
+    return records, _hypotheses(src_words, tgt_words, forward)
 
 
 def run_combined(spec: ExperimentSpec, ds: Dataset):
@@ -471,14 +470,15 @@ def run_combined(spec: ExperimentSpec, ds: Dataset):
     The final hypotheses are pulled from the most recent forward run of
     the component named by ``spec.pull``; if that component never
     executed (for instance ``proc_inner = 0``), one fresh forward run is
-    made with the final seed state.
+    made with the final seed state. Rounds work on index arrays, as in
+    ``iterate``.
 
     Returns (per-cycle records, final hypotheses).
     """
     _engine_of(spec, "combined")
-    gold = list(ds.gold_seeds.pairs)
-    seeds = gold
-    last_forward: dict[str, HypothesisSet] = {}
+    src_words, tgt_words, gold_full = _index_space(ds, spec)
+    gold = seeds = gold_full[: len(ds.gold_seeds)]
+    last_forward = {}
     order = ("sgm", "proc") if spec.start == "sgm" else ("proc", "sgm")
     records: list[dict] = []
     for cycle in range(1, spec.iters + 1):
@@ -491,12 +491,12 @@ def run_combined(spec: ExperimentSpec, ds: Dataset):
                 forward, _, inter = _round(
                     ds, spec, engine, seeds, seeds, (_RNG_COMBINED, cycle)
                 )
-                seeds = resolve_seed_conflicts(gold, inter)
+                seeds = _admit(gold, inter)
             last_forward[engine] = forward
             info = {"component": engine}
             if engine == "proc":
                 info["inner_iterations"] = rounds
-            info.update(_round_record(ds, forward, inter), seeds_after=len(seeds))
+            info.update(_round_record(gold_full, len(gold), forward, inter), seeds_after=len(seeds))
             components.append(info)
         records.append(
             {
@@ -509,7 +509,7 @@ def run_combined(spec: ExperimentSpec, ds: Dataset):
     final = last_forward.get(spec.pull)
     if final is None:
         final = _engine_run(ds, spec, spec.pull, seeds, _FORWARD, (_RNG_COMBINED, 0))[0]
-    return records, final
+    return records, _hypotheses(src_words, tgt_words, final)
 
 
 @dataclass

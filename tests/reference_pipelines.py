@@ -8,8 +8,13 @@ same records, seed log and final hypotheses. ``run_single`` and the
 index-keyed ``top_k_from_distribution`` it ranks soft SGM with are kept
 verbatim too, except that the two engine calls of ``run_single`` name
 the forward direction of those helpers, which compute the same forward
-run. Helpers whose code did not change are imported from the package;
-the row-only blocked extractor comes from ``reference_extraction``.
+run. The word-level combiners (intersection, union, oracle judge) and
+the Stochastic-Add sampler are kept here, since the package now works
+on index arrays; ``oracle_judge`` reads the gold pairs as
+``frozenset(gold_full.pairs)``, and the graph run builds its own
+word -> row dicts. Helpers whose code did not change are imported from
+the package; the row-only blocked extractor comes from
+``reference_extraction``.
 """
 
 from __future__ import annotations
@@ -31,11 +36,7 @@ from bilex.pipelines import (
     Dataset,
     ExperimentSpec,
     _rng,
-    _sample,
     assemble,
-    intersect_hypotheses,
-    oracle_judge,
-    union_hypotheses,
 )
 from bilex.procrustes import solve_procrustes
 from reference_extraction import blocked_extract_hypotheses as extract_hypotheses
@@ -77,6 +78,36 @@ def _proc_run(ds: Dataset, spec: ExperimentSpec, seeds, reverse: bool) -> Hypoth
     )
 
 
+def intersect_hypotheses(forward_top1, reverse_top1) -> list[tuple]:
+    """Pairs (x, y) with forward x -> y and reverse y -> x; always one-to-one."""
+    return [
+        (src, tgt) for src, tgt in forward_top1.items() if reverse_top1.get(tgt) == src
+    ]
+
+
+def union_hypotheses(forward_top1, reverse_top1) -> list[tuple]:
+    """All forward pairs plus all reverse pairs; may be many-to-many."""
+    pairs = list(forward_top1.items())
+    seen = set(pairs)
+    for tgt, src in reverse_top1.items():
+        pair = (src, tgt)
+        if pair not in seen:
+            seen.add(pair)
+            pairs.append(pair)
+    return pairs
+
+
+def oracle_judge(pairs, gold_full) -> list[tuple]:
+    """Simulated annotator: keep exactly the pairs present in the gold lexicon."""
+    gold = frozenset(gold_full.pairs)
+    return [pair for pair in pairs if tuple(pair) in gold]
+
+
+def _sample(pool, count, rng) -> list:
+    order = rng.permutation(len(pool))[:count]
+    return [pool[int(i)] for i in order]
+
+
 def resolve_seed_conflicts(gold_pairs, hypothesis_pairs) -> list[tuple]:
     """One-to-one seed set: gold wins collisions, the rest admitted in order."""
     out = []
@@ -108,11 +139,13 @@ def _sgm_run(
     """One seeded-graph-matching run over the restricted graphs."""
     pairs = [(t, s) for s, t in seeds] if reverse else list(seeds)
     if reverse:
-        a_words, a_row, a_vecs = ds.tgt_words, ds.tgt_row, ds.y
-        b_words, b_row, b_vecs = ds.src_words, ds.src_row, ds.x
+        a_words, a_vecs = ds.tgt_words, ds.y
+        b_words, b_vecs = ds.src_words, ds.x
     else:
-        a_words, a_row, a_vecs = ds.src_words, ds.src_row, ds.x
-        b_words, b_row, b_vecs = ds.tgt_words, ds.tgt_row, ds.y
+        a_words, a_vecs = ds.src_words, ds.x
+        b_words, b_vecs = ds.tgt_words, ds.y
+    a_row = {w: i for i, w in enumerate(a_words)}
+    b_row = {w: i for i, w in enumerate(b_words)}
     order_a = _seed_order(a_words, a_row, pairs, 0)
     order_b = _seed_order(b_words, b_row, pairs, 1)
     if len(pairs) == len(a_words):

@@ -3,22 +3,23 @@
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import reference_pipelines as reference
 from bilex import (
     HypothesisSet,
     Lexicon,
+    TopK,
     build_dataset,
     evaluation,
-    intersect_hypotheses,
     iterate,
-    oracle_judge,
-    resolve_seed_conflicts,
+    pipelines,
     run,
     run_combined,
     run_single,
-    union_hypotheses,
 )
+from bilex.pipelines import _admit, _intersect, _member, _union
 from conftest import make_planted, make_spec
 
 
@@ -34,43 +35,163 @@ def test_readme_example_prints_100(capsys):
     assert capsys.readouterr().out == "100.0\n"
 
 
+def pairs(*rows):
+    return np.array(rows, dtype=np.intp).reshape(-1, 2)
+
+
 class TestCombiners:
+    """The index-pair combiners. Words a, b, c, d, e are indices 0-4 and
+    targets "1", "2", "3", "9" indices 1, 2, 3, 9: the fixtures of the
+    word-level combiners they replace."""
+
     def test_intersect_basic(self):
-        fwd = {"a": "1", "b": "2"}
-        rev = {"1": "a", "2": "c"}
-        assert intersect_hypotheses(fwd, rev) == [("a", "1")]
+        fwd = pairs((0, 1), (1, 2))
+        rev = pairs((1, 0), (2, 2))
+        assert _intersect(fwd, rev).tolist() == [[0, 1]]
 
     def test_intersect_full_inverse(self):
-        fwd = {"a": "1", "b": "2"}
-        rev = {"1": "a", "2": "b"}
-        assert intersect_hypotheses(fwd, rev) == [("a", "1"), ("b", "2")]
+        fwd = pairs((0, 1), (1, 2))
+        rev = pairs((1, 0), (2, 1))
+        assert _intersect(fwd, rev).tolist() == [[0, 1], [1, 2]]
 
     def test_intersect_disjoint(self):
-        assert intersect_hypotheses({"a": "1"}, {"2": "a"}) == []
+        assert _intersect(pairs((0, 1)), pairs((2, 0))).tolist() == []
 
     def test_union_mirrors_intersect_fixtures(self):
-        fwd = {"a": "1", "b": "2"}
-        rev = {"1": "a", "2": "c"}
-        assert union_hypotheses(fwd, rev) == [("a", "1"), ("b", "2"), ("c", "2")]
-        assert union_hypotheses({"a": "1"}, {"1": "a"}) == [("a", "1")]
-        assert union_hypotheses({}, {}) == []
+        fwd = pairs((0, 1), (1, 2))
+        rev = pairs((1, 0), (2, 2))
+        assert _union(fwd, rev).tolist() == [[0, 1], [1, 2], [2, 2]]
+        assert _union(pairs((0, 1)), pairs((1, 0))).tolist() == [[0, 1]]
+        assert _union(pairs(), pairs()).tolist() == []
 
     def test_oracle_judge(self):
-        gold = Lexicon((("a", "1"), ("b", "2")))
-        assert oracle_judge([("a", "1"), ("a", "2"), ("b", "2")], gold) == [
-            ("a", "1"),
-            ("b", "2"),
-        ]
-        assert oracle_judge([], gold) == []
+        gold = pairs((0, 1), (1, 2))
+        union = pairs((0, 1), (0, 2), (1, 2))
+        assert union[_member(union, gold)].tolist() == [[0, 1], [1, 2]]
+        assert _member(pairs(), gold).tolist() == []
 
     def test_resolve_seed_conflicts_gold_wins(self):
-        gold = [("a", "1"), ("b", "2")]
-        extra = [("a", "9"), ("c", "2"), ("d", "3"), ("e", "3")]
-        assert resolve_seed_conflicts(gold, extra) == [
-            ("a", "1"),
-            ("b", "2"),
-            ("d", "3"),
-        ]
+        gold = pairs((0, 1), (1, 2))
+        extra = pairs((0, 9), (2, 2), (3, 3))
+        assert _admit(gold, extra).tolist() == [[0, 1], [1, 2], [3, 3]]
+
+    @pytest.mark.parametrize("extra", [
+        # (d, 3) and (e, 3) share a target.
+        ((0, 9), (2, 2), (3, 3), (4, 3)),
+        # A sequential pass drops (a, 2) and then keeps (b, 2), which
+        # first-occurrence masks would drop: the input must be one-to-one.
+        ((0, 1), (0, 2), (1, 2)),
+    ])
+    def test_resolve_seed_conflicts_rejects_many_to_many(self, extra):
+        with pytest.raises(AssertionError):
+            _admit(pairs((0, 1), (1, 2)), pairs(*extra))
+        with pytest.raises(AssertionError):
+            _admit(pairs(*extra), pairs())
+
+
+def words(index_pairs, src, tgt):
+    return [(src[a], tgt[b]) for a, b in index_pairs.tolist()]
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("engine", ["proc", "sgm"])
+def test_index_combiners_match_word_level(engine, seed):
+    """Random rounds through the index combiners and the word-level ones
+    kept in ``reference_pipelines``: the same pairs in the same order.
+
+    Graph rounds key the forward top-1 seeds-first, the reverse in the
+    reverse solve's order, and map one-to-one; Procrustes rounds key rows
+    in order and may map many-to-one, onto a candidate set of another size.
+    """
+    rng = np.random.default_rng(seed)
+    n_src = int(rng.integers(1, 30))
+    n_tgt = n_src if engine == "sgm" else int(rng.integers(1, 30))
+    src = tuple(f"s{i}" for i in range(n_src))
+    tgt = tuple(f"t{j}" for j in range(n_tgt))
+    m = min(n_src, n_tgt)
+    gold_full = np.column_stack((rng.permutation(n_src)[:m], rng.permutation(n_tgt)[:m]))
+    s = int(rng.integers(0, m + 1))
+    gold = gold_full[:s]
+    if engine == "sgm":
+        keys_f = pipelines._seed_order(n_src, gold[:, 0])
+        keys_r = pipelines._seed_order(n_tgt, gold[:, 1])
+        perm = rng.permutation(n_src)
+        fwd = np.column_stack((keys_f, keys_r[perm]))
+        # The reverse agrees with the inverse on a random share of its keys.
+        inverse = dict(zip(fwd[:, 1].tolist(), fwd[:, 0].tolist()))
+        agree = rng.random(n_tgt) < rng.random()
+        rev = np.array([
+            (t, inverse[t] if agree[i] else int(rng.integers(n_src)))
+            for i, t in enumerate(keys_r.tolist())
+        ], dtype=np.intp).reshape(-1, 2)
+    else:
+        fwd = np.column_stack((np.arange(n_src), rng.integers(0, n_tgt, n_src)))
+        rev = np.column_stack((np.arange(n_tgt), rng.integers(0, n_src, n_tgt)))
+        hit = rng.random(n_tgt) < rng.random()
+        owner = {t: x for x, t in fwd.tolist()}
+        for t in np.flatnonzero(hit):
+            rev[t, 1] = owner.get(int(t), rev[t, 1])
+    fwd_top1 = dict(words(fwd, src, tgt))
+    rev_top1 = dict(words(rev, tgt, src))
+    lexicon = Lexicon(tuple(words(gold_full, src, tgt)))
+    want_gold = words(gold, src, tgt)
+
+    inter = _intersect(fwd, rev)
+    want_inter = reference.intersect_hypotheses(fwd_top1, rev_top1)
+    assert words(inter, src, tgt) == want_inter
+    union = _union(fwd, rev)
+    assert words(union, src, tgt) == reference.union_hypotheses(fwd_top1, rev_top1)
+    verified = union[_member(union, gold_full)]
+    want_verified = reference.oracle_judge(reference.union_hypotheses(fwd_top1, rev_top1), lexicon)
+    assert words(verified, src, tgt) == want_verified
+    assert np.count_nonzero(_member(inter, gold_full)) == len(
+        reference.oracle_judge(want_inter, lexicon)
+    )
+    for base in (gold, gold[:0]):
+        want_base = words(base, src, tgt)
+        assert words(_admit(base, inter), src, tgt) == reference.resolve_seed_conflicts(
+            want_base, want_inter
+        )
+        assert words(_admit(base, verified), src, tgt) == reference.resolve_seed_conflicts(
+            want_base, want_verified
+        )
+    pool = inter[~_member(inter, gold)]
+    want_pool = [pair for pair in want_inter if pair not in set(want_gold)]
+    assert words(pool, src, tgt) == want_pool
+    take = int(rng.integers(0, len(pool) + 1))
+    sample = pipelines._sample(pool, take, np.random.default_rng(seed))
+    want_sample = reference._sample(want_pool, take, np.random.default_rng(seed))
+    assert words(sample, src, tgt) == want_sample
+    assert words(_admit(gold, sample), src, tgt) == reference.resolve_seed_conflicts(
+        want_gold, want_sample
+    )
+
+
+@pytest.mark.parametrize("method,strategy", [
+    ("procrustes", None), ("sgm", None), ("iterproc", "add_all"), ("itersgm", "active"),
+    ("combined", "proc"), ("combined", "sgm"),
+])
+def test_word_keyed_hypotheses_built_once_per_run(method, strategy, monkeypatch):
+    built = []
+    original = TopK.hypotheses
+
+    def counted(self, *args, **kwargs):
+        built.append(len(self.index))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(TopK, "hypotheses", counted)
+    ds = planted_dataset(n=40, seeds=10, noise=0.3, seed=7)
+    if method == "combined":
+        spec = make_spec(method=method, seeds=10, iters=2, proc_inner=1, pull=strategy)
+        records, hyps = run_combined(spec, ds)
+    elif strategy is not None:
+        spec = make_spec(method=method, strategy=strategy, seeds=10, iters=3)
+        records, hyps = iterate(spec, ds)
+    else:
+        hyps = run_single(make_spec(method=method, seeds=10), ds)
+        records = [None]
+    assert len(records) > 1 or strategy is None
+    assert built == [len(hyps)]
 
 
 class TestRunSingle:
@@ -127,6 +248,8 @@ class TestIterate:
             assert {"iteration", "forward_p1", "intersection_size",
                     "intersection_precision", "seeds_forward",
                     "seeds_reverse", "forward_hypotheses"} <= set(record)
+            # Plain Python numbers, as JSON reports and the oracle records hold.
+            assert {type(value) for value in record.values()} <= {int, float}
 
     def test_active_learning_reaches_oracle_fixed_point(self):
         ds = planted_dataset(n=40, seeds=10)
@@ -310,6 +433,11 @@ class TestRunDispatch:
         for method in ("sgm", "softsgm", "itersgm", "combined"):
             spec = make_spec(method=method, vocab_mode="top_n")
             assert any("top_n" in p for p in spec.validate())
+        # Called directly, the pipelines refuse too: graph seeds index restricted rows.
+        ds = planted_dataset(n=20, seeds=5)
+        for method, pipeline in (("sgm", run_single), ("itersgm", iterate), ("combined", run_combined)):
+            with pytest.raises(ValueError, match="top_n"):
+                pipeline(make_spec(method=method, seeds=5, vocab_mode="top_n"), ds)
 
     def test_run_returns_consistent_result(self):
         ds = planted_dataset(n=30, seeds=8)

@@ -24,6 +24,24 @@ def dataset(seeds, noise=0.3, seed=4):
     return build_dataset(src, tgt, lexicon, seeds)
 
 
+def words(ds, spec, result, direction=pipelines._FORWARD):
+    """An engine result as the word-keyed hypotheses it stands for."""
+    src, tgt, _ = pipelines._index_space(ds, spec)
+    if direction == pipelines._REVERSE:
+        src, tgt = tgt, src
+    return pipelines._hypotheses(src, tgt, result)
+
+
+def word_pairs(ds, spec, pairs) -> list:
+    src, tgt, _ = pipelines._index_space(ds, spec)
+    return [(src[a], tgt[b]) for a, b in pairs.tolist()]
+
+
+def gold_seeds(ds, spec):
+    """The gold seeds as the pipeline's index pairs, seeds first."""
+    return pipelines._index_space(ds, spec)[2][: len(ds.gold_seeds)]
+
+
 def dump(hyps) -> str:
     return "".join(
         f"{src}\t{tgt}\t{rank}\t{score!r}\n"
@@ -69,14 +87,18 @@ def test_fewer_seeds_than_dimensions_keeps_the_fresh_reverse(vocab_mode, calls):
 def test_shared_reverse_equals_independent_solve(seeds, vocab_mode, calls):
     spec = make_spec(method="iterproc", seeds=seeds, vocab_mode=vocab_mode)
     ds = dataset(seeds, noise=0.5)
-    gold = list(ds.gold_seeds.pairs)
-    forward, reverse, inter = pipelines._round(ds, spec, "proc", gold, gold, (3, 0, 1))
+    gold, index_seeds = list(ds.gold_seeds.pairs), gold_seeds(ds, spec)
+    forward, reverse, inter = pipelines._round(ds, spec, "proc", index_seeds, index_seeds, (3, 0, 1))
     assert calls == {"solve_procrustes": 1, "extract_hypotheses": 1}
+    forward = words(ds, spec, forward)
+    reverse = words(ds, spec, reverse, pipelines._REVERSE)
     want_forward = reference._proc_run(ds, spec, gold, reverse=False)
     want_reverse = reference._proc_run(ds, spec, gold, reverse=True)
     assert dump(forward) == dump(want_forward)
     assert reverse.top1() == want_reverse.top1()
-    assert inter == pipelines.intersect_hypotheses(want_forward.top1(), want_reverse.top1())
+    assert word_pairs(ds, spec, inter) == reference.intersect_hypotheses(
+        want_forward.top1(), want_reverse.top1()
+    )
     assert list(reverse.entries) == list(want_reverse.entries)
     for word, ranked in want_reverse.entries.items():
         assert [t for t, _ in reverse.entries[word]] == [t for t, _ in ranked]
@@ -85,14 +107,16 @@ def test_shared_reverse_equals_independent_solve(seeds, vocab_mode, calls):
 
 
 def test_add_all_round_with_unique_map_scores_once(calls):
-    gold = list(dataset(30).gold_seeds.pairs)
-    pipelines._round(dataset(30), make_spec(seeds=30), "proc", gold, gold, (3, 0, 1))
+    spec = make_spec(seeds=30)
+    gold = gold_seeds(dataset(30), spec)
+    pipelines._round(dataset(30), spec, "proc", gold, gold, (3, 0, 1))
     assert calls == {"solve_procrustes": 1, "extract_hypotheses": 1}
 
 
 def test_round_with_fewer_seeds_than_dimensions_scores_twice(calls):
-    gold = list(dataset(10).gold_seeds.pairs)
-    pipelines._round(dataset(10), make_spec(seeds=10), "proc", gold, gold, (3, 0, 1))
+    spec = make_spec(seeds=10)
+    gold = gold_seeds(dataset(10), spec)
+    pipelines._round(dataset(10), spec, "proc", gold, gold, (3, 0, 1))
     assert calls == {"solve_procrustes": 2, "extract_hypotheses": 2}
 
 
@@ -147,16 +171,19 @@ def test_shared_sgm_reverse_equals_independent_solve(seed_order, solves):
     # must follow the reverse solve's vertex order all the same.
     spec = make_spec(method="itersgm", seeds=SGM_SEEDS)
     ds = dataset(SGM_SEEDS, noise=SGM_NOISE)
-    seeds = list(ds.gold_seeds.pairs)
+    seeds = gold_seeds(ds, spec)
     if seed_order == "shuffled":
-        seeds = [seeds[i] for i in np.random.default_rng(0).permutation(len(seeds))]
+        seeds = seeds[np.random.default_rng(0).permutation(len(seeds))]
     forward, reverse, inter = pipelines._round(ds, spec, "sgm", seeds, seeds, KEY)
     assert len(solves) == 1 and solves[0].unique
-    want_forward = fresh_sgm(ds, spec, seeds, pipelines._FORWARD)
-    want_reverse = fresh_sgm(ds, spec, seeds, pipelines._REVERSE)
-    assert dump(forward) == dump(want_forward)
-    assert dump(reverse) == dump(want_reverse)
-    assert inter == pipelines.intersect_hypotheses(want_forward.top1(), want_reverse.top1())
+    seed_words = word_pairs(ds, spec, seeds)
+    want_forward = fresh_sgm(ds, spec, seed_words, pipelines._FORWARD)
+    want_reverse = fresh_sgm(ds, spec, seed_words, pipelines._REVERSE)
+    assert dump(words(ds, spec, forward)) == dump(want_forward)
+    assert dump(words(ds, spec, reverse, pipelines._REVERSE)) == dump(want_reverse)
+    assert word_pairs(ds, spec, inter) == reference.intersect_hypotheses(
+        want_forward.top1(), want_reverse.top1()
+    )
 
 
 @pytest.mark.parametrize("strategy,per_round", [("add_all", [1, 0, 0]), ("active", [1, 1, 1])])
@@ -197,7 +224,10 @@ def test_tie_heavy_sgm_round_keeps_the_fresh_reverse(solves):
         ds = tie_heavy(seed)
         gold = list(ds.gold_seeds.pairs)
         solves.clear()
-        forward, reverse, _ = pipelines._round(ds, spec, "sgm", gold, gold, KEY)
+        seeds = gold_seeds(ds, spec)
+        forward, reverse, _ = pipelines._round(ds, spec, "sgm", seeds, seeds, KEY)
+        forward = words(ds, spec, forward)
+        reverse = words(ds, spec, reverse, pipelines._REVERSE)
         assert len(solves) == 2 and not solves[0].unique
         assert dump(forward) == dump(fresh_sgm(ds, spec, gold, pipelines._FORWARD))
         assert dump(reverse) == dump(fresh_sgm(ds, spec, gold, pipelines._REVERSE))
@@ -228,12 +258,14 @@ def test_stochastic_sgm_rounds_with_different_samples_solve_twice(solves):
 def test_saturated_sgm_round_solves_nothing_and_returns_the_reverse(solves):
     spec = make_spec(method="itersgm", seeds=10)
     ds = dataset(10)
-    pairs = list(ds.gold_full.pairs)
-    pairs = [pairs[i] for i in np.random.default_rng(1).permutation(ds.n)]
-    forward, reverse, inter = pipelines._round(ds, spec, "sgm", pairs, pairs, KEY)
+    seeds = pipelines._index_space(ds, spec)[2][np.random.default_rng(1).permutation(ds.n)]
+    forward, reverse, inter = pipelines._round(ds, spec, "sgm", seeds, seeds, KEY)
     assert solves == []
-    assert dump(forward) == dump(fresh_sgm(ds, spec, pairs, pipelines._FORWARD))
-    assert dump(reverse) == dump(fresh_sgm(ds, spec, pairs, pipelines._REVERSE))
+    pairs = word_pairs(ds, spec, seeds)
+    assert dump(words(ds, spec, forward)) == dump(fresh_sgm(ds, spec, pairs, pipelines._FORWARD))
+    assert dump(words(ds, spec, reverse, pipelines._REVERSE)) == dump(
+        fresh_sgm(ds, spec, pairs, pipelines._REVERSE)
+    )
     assert len(inter) == ds.n
 
 
@@ -253,7 +285,7 @@ def test_forward_only_runs_build_no_reverse(method, monkeypatch):
     pipelines.run_single(spec, dataset(30))
     assert reverses == [None]
     # A round whose directions hold different seeds reads no reverse either.
-    gold = list(dataset(30).gold_seeds.pairs)
+    gold = gold_seeds(dataset(30), spec)
     engine = pipelines.METHODS[method][1]
     pipelines._round(dataset(30), spec, engine, gold, gold[1:], KEY)
     assert reverses == [None, None, None]
