@@ -51,7 +51,6 @@ from .procrustes import (
     OrthogonalMap,
     TopK,
     extract_hypotheses,
-    score_blocks,
     solve_procrustes,
 )
 
@@ -86,7 +85,6 @@ __all__ = [
     "run",
     "run_combined",
     "run_single",
-    "score_blocks",
     "sgm",
     "soft_sgm",
     "solve_lap",

@@ -76,6 +76,3 @@ class HypothesisSet:
     def top1(self) -> dict:
         """Best target per source, skipping sources with no hypotheses."""
         return {key: ranked[0][0] for key, ranked in self.entries.items() if ranked}
-
-    def total_hypotheses(self) -> int:
-        return sum(len(ranked) for ranked in self.entries.values())

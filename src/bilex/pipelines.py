@@ -378,9 +378,9 @@ def run_single(spec: ExperimentSpec, ds: Dataset) -> HypothesisSet:
     ranks each source's targets by their share of ``soft_runs`` restarts.
     """
     engine = _engine_of(spec, "single")
+    src_words, tgt_words, gold_full = _index_space(ds, spec)
     s = len(ds.gold_seeds)
     if engine is not None:
-        src_words, tgt_words, gold_full = _index_space(ds, spec)
         result = _engine_run(ds, spec, engine, gold_full[:s], _FORWARD, (_RNG_SINGLE_SGM,))[0]
         return _hypotheses(src_words, tgt_words, result)
     # Gold seeds already occupy the leading restricted rows.
@@ -395,7 +395,7 @@ def run_single(spec: ExperimentSpec, ds: Dataset) -> HypothesisSet:
         eps=spec.sgm_eps,
         shuffle_input=spec.shuffle_input,
     )
-    return top_k_from_distribution(dist, spec.top_k, ds.src_words, ds.tgt_words)
+    return top_k_from_distribution(dist, spec.top_k, src_words, tgt_words)
 
 
 def iterate(spec: ExperimentSpec, ds: Dataset, seed_log: list | None = None):

@@ -18,11 +18,8 @@ from __future__ import annotations
 
 import logging
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -107,8 +104,9 @@ _BLOCK_BYTES = 4 << 20
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# Most threads that score blocks at once: more have not been measured,
-# and each holds a block in flight.
+# Most threads that score blocks at once, the calling thread included:
+# more have not been measured, and each holds one block in flight and
+# its own column candidates.
 _MAX_WORKERS = 2
 
 
@@ -148,34 +146,21 @@ def _workers() -> int:
     return min(_MAX_WORKERS, cpus)
 
 
-@contextmanager
-def _ordered_map(workers: int):
-    """A ``map(work, items)`` whose results come in item order.
+def _in_runs(work, blocks: list[slice]) -> list:
+    """``work(run)`` for each run of consecutive blocks, in run order.
 
-    With one worker it is the builtin ``map``, on the calling thread.
-    With several, one thread pool serves every map made inside the
-    ``with``: up to ``workers`` items are computed ahead of the result
-    the caller holds, and each result is the caller's alone once it is
-    yielded. Leaving the ``with``, also by an exception or an abandoned
-    map, cancels what has not started and joins the pool's threads.
+    The blocks are cut into ``min(_workers(), len(blocks))`` runs whose
+    block counts differ by at most one. The calling thread works the
+    first run; a pool made for the call works the others, and its
+    threads are joined before this returns, also when a run raises.
     """
-    if workers == 1:
-        yield map
-        return
-    pool = ThreadPoolExecutor(workers)
-
-    def ordered(work, items):
-        items = iter(items)
-        ahead = deque(pool.submit(work, item) for item in islice(items, workers))
-        while ahead:
-            done = ahead.popleft().result()
-            ahead.extend(pool.submit(work, item) for item in islice(items, 1))
-            yield done
-
-    try:
-        yield ordered
-    finally:
-        pool.shutdown(cancel_futures=True)
+    n = min(_workers(), len(blocks))
+    runs = [blocks[len(blocks) * i // n : len(blocks) * (i + 1) // n] for i in range(n)]
+    if n < 2:
+        return [work(run) for run in runs]
+    with ThreadPoolExecutor(n - 1) as pool:
+        rest = [pool.submit(work, run) for run in runs[1:]]
+        return [work(runs[0])] + [future.result() for future in rest]
 
 
 def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
@@ -184,10 +169,10 @@ def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
 
     The size follows the BLAS setting, never the number of block threads,
     so a run scores the same blocks on one thread as on two. Two block
-    threads hold three blocks at once, and each keeps its freed blocks
-    in its own malloc arena; quarter blocks keep that under the peak RSS
-    of whole blocks on one thread. An uncapped BLAS keeps whole blocks,
-    which it multiplies faster.
+    threads hold two blocks at once, one each, and each keeps its freed
+    blocks in its own malloc arena; quarter blocks keep that under the
+    peak RSS of whole blocks on one thread. An uncapped BLAS keeps whole
+    blocks, which it multiplies faster.
 
     A slice has one row only when ``n_rows == 1``: numpy sends one-row
     products to gemv, which can round differently from gemm.
@@ -218,57 +203,6 @@ def _top_k_means(sims: np.ndarray, k: int, sequential: bool) -> np.ndarray:
     return means
 
 
-def _scored_blocks(mapped_src, tgt, scorer, csls_k, then):
-    """Yield ``(rows, then(scores))`` over source row blocks in row
-    order; ``then`` runs on the thread that scored the block."""
-    mapped_src = np.asarray(mapped_src, dtype=np.float64)
-    tgt = np.asarray(tgt, dtype=np.float64)
-    if tgt.shape[0] == 0:
-        raise ValueError("candidate target set is empty")
-    if scorer not in SCORERS:
-        raise ValueError(f"scorer must be one of {SCORERS}, got {scorer!r}")
-    n_src, n_tgt = mapped_src.shape[0], tgt.shape[0]
-    if scorer == "csls":
-        # Small candidate sets clamp k so desk-scale runs still work.
-        k = min(csls_k, n_tgt, n_src)
-        if k < 1:
-            raise ValueError("k must be positive")
-
-    def target_means(rows):
-        return _top_k_means(tgt[rows] @ mapped_src.T, k, sequential=True)
-
-    def score(rows):
-        scores = mapped_src[rows] @ tgt.T
-        if scorer == "csls":
-            # 2 cos - src_avgs - tgt_avgs, evaluated in place in that order
-            src_avgs = _top_k_means(scores, k, sequential=False)
-            scores *= 2.0
-            scores -= src_avgs[:, None]
-            scores -= tgt_avgs
-        return rows, then(scores)
-
-    with _ordered_map(_workers()) as ordered:
-        if scorer == "csls":
-            tgt_avgs = np.concatenate(list(ordered(target_means, _row_blocks(n_tgt, n_src))))
-        yield from ordered(score, _row_blocks(n_src, n_tgt))
-
-
-def score_blocks(mapped_src, tgt, scorer: str = "csls", csls_k: int = 10):
-    """Yield ``(rows, scores)`` over consecutive blocks of source rows.
-
-    ``scores`` holds the cosine or CSLS score of each source row in the
-    slice ``rows`` against every target. CSLS takes two passes: one over
-    target blocks for the target neighborhood means, then one over source
-    blocks that scores each block. Each pass costs one O(n_src n_tgt d)
-    product in total, and no n_src x n_tgt array is ever held.
-
-    When BLAS is capped at one thread and this process has more CPUs,
-    two threads score blocks at once (:func:`_workers`). Blocks are the
-    same, and are yielded in row order, whatever the number of threads.
-    """
-    return _scored_blocks(mapped_src, tgt, scorer, csls_k, lambda scores: scores)
-
-
 class TopK(NamedTuple):
     """The best candidates of each query row, best first.
 
@@ -297,7 +231,9 @@ class _ColumnTopK:
     A score is a candidate when it is at least its column's floor, a
     value that k scores already seen reach; ties are kept, so no block
     order can lose one. Candidates are merged, by descending score then
-    ascending row, only once they outnumber the kept ones.
+    ascending row, only once they outnumber the kept ones. The parts of
+    several instances over consecutive row ranges, concatenated in row
+    order, merge as one instance over all the rows would.
     """
 
     def __init__(self, n_cols: int, k: int):
@@ -309,9 +245,10 @@ class _ColumnTopK:
 
     def add(self, first_row: int, scores: np.ndarray) -> None:
         n_rows = scores.shape[0]
-        if first_row == 0 and n_rows >= self.k:
-            # The first block's k-th value per column is a floor at once,
-            # so that block does not become candidates wholesale.
+        if n_rows >= self.k and np.isneginf(self.floor).all():
+            # While no column has a floor, a block's k-th value per column
+            # is one at once, so the first block does not become
+            # candidates wholesale.
             self.floor = np.partition(scores, n_rows - self.k, axis=0)[n_rows - self.k].copy()
         flat = np.flatnonzero(scores >= self.floor)
         rows, cols = np.divmod(flat, scores.shape[1])
@@ -374,20 +311,60 @@ def extract_hypotheses(
     map is orthogonal and unique, ``columns`` is the reverse direction's
     extraction: CSLS is symmetric in its two arguments.
 
-    Blocks are scored as :func:`score_blocks` scores them, and their row
-    top-k is taken on the same thread; the column top-k takes the blocks
-    on the calling thread in row order, whatever the number of threads.
+    Scores are computed over consecutive blocks of source rows, and no
+    n_src x n_tgt array is ever held. CSLS takes two passes: one over
+    target blocks for the target neighborhood means, then one over
+    source blocks that scores each block; each pass costs one
+    O(n_src n_tgt d) product in total.
+
+    When BLAS is capped at one thread and this process has more CPUs,
+    each pass cuts its blocks into runs, one per thread, the calling
+    thread included (:func:`_in_runs`). A run takes the row top-k of its
+    blocks and keeps its own column candidates; those are merged in row
+    order. Blocks, sums and ties are the same whatever the number of
+    threads, so the results are equal bit for bit.
     """
     if top_k < 1:
         raise ValueError("top_k must be positive")
-    n_src, n_tgt = len(mapped_src), len(tgt)
+    mapped_src = np.asarray(mapped_src, dtype=np.float64)
+    tgt = np.asarray(tgt, dtype=np.float64)
+    if tgt.shape[0] == 0:
+        raise ValueError("candidate target set is empty")
+    if scorer not in SCORERS:
+        raise ValueError(f"scorer must be one of {SCORERS}, got {scorer!r}")
+    n_src, n_tgt = mapped_src.shape[0], tgt.shape[0]
+    if scorer == "csls":
+        # Small candidate sets clamp k so desk-scale runs still work.
+        csls_k = min(csls_k, n_tgt, n_src)
+        if csls_k < 1:
+            raise ValueError("k must be positive")
+
+        def target_means(run):
+            return [_top_k_means(tgt[rows] @ mapped_src.T, csls_k, sequential=True) for rows in run]
+
+        tgt_avgs = np.concatenate(sum(_in_runs(target_means, _row_blocks(n_tgt, n_src)), []))
+
+    def score(rows):
+        scores = mapped_src[rows] @ tgt.T
+        if scorer == "csls":
+            # 2 cos - src_avgs - tgt_avgs, evaluated in place in that order
+            src_avgs = _top_k_means(scores, csls_k, sequential=False)
+            scores *= 2.0
+            scores -= src_avgs[:, None]
+            scores -= tgt_avgs
+        return scores
+
     k = min(top_k, n_tgt)
     ranked = TopK(np.empty((n_src, k), dtype=np.intp), np.empty((n_src, k)))
+
+    def rank(run):
+        columns = _ColumnTopK(n_tgt, min(top_k, n_src))
+        for rows in run:  # runs write disjoint rows of ranked
+            scores = score(rows)
+            ranked.index[rows], ranked.score[rows] = _row_top_k(scores, k)
+            columns.add(rows.start, scores)
+        return columns.parts
+
     columns = _ColumnTopK(n_tgt, min(top_k, n_src))
-    blocks = _scored_blocks(
-        mapped_src, tgt, scorer, csls_k, lambda scores: (scores, *_row_top_k(scores, k))
-    )
-    for rows, (scores, cand, vals) in blocks:
-        ranked.index[rows], ranked.score[rows] = cand, vals
-        columns.add(rows.start, scores)
+    columns.parts += sum(_in_runs(rank, _row_blocks(n_src, n_tgt)), [])
     return ranked, columns.result()

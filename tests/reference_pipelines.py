@@ -286,7 +286,7 @@ def iterate(
                 ),
                 "seeds_forward": len(seeds_fwd),
                 "seeds_reverse": len(seeds_rev),
-                "forward_hypotheses": forward.total_hypotheses(),
+                "forward_hypotheses": sum(map(len, forward.entries.values())),
             }
         )
         if t >= MAX_ITERATIONS:

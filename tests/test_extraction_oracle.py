@@ -230,6 +230,38 @@ def test_column_ties_across_blocks_solve_transposed_problem(monkeypatch, scorer)
     assert straddling > 0
 
 
+def run_of_row(n_rows, n_cols, workers):
+    """The run that scores each row when ``workers`` threads score blocks."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(procrustes, "_workers", lambda: workers)
+        runs = procrustes._in_runs(lambda run: run, procrustes._row_blocks(n_rows, n_cols))
+    return np.repeat(np.arange(len(runs)), [run[-1].stop - run[0].start for run in runs])
+
+
+@pytest.mark.parametrize("scorer", ["csls", "cosine"])
+def test_column_ties_across_runs_solve_transposed_problem(monkeypatch, scorer):
+    # Source i repeats source i % 6, so each column holds equal scores in
+    # rows 6 apart; with 13 blocks of 3 rows, some of them sit in
+    # different runs of 2 and of 3 threads, and merging the runs' column
+    # candidates must keep the first.
+    rng = np.random.default_rng(47)
+    monkeypatch.setattr(procrustes, "_BLOCK_BYTES", 8 * 3 * 40)
+    tgt = grid_rows(rng, 40)
+    src = grid_rows(rng, 6)[np.arange(40) % 6]
+    runs = {workers: run_of_row(40, 40, workers) for workers in (2, 3)}
+    straddling = dict.fromkeys(runs, 0)
+    for top_k in (1, 4, 7):
+        for csls_k in (2, 4):
+            kwargs = dict(top_k=top_k, scorer=scorer, csls_k=csls_k)
+            assert_columns_solve_transposed(src, tgt, **kwargs)
+            for ranked in column_entries(src, tgt, **kwargs).values():
+                for workers, run in runs.items():
+                    straddling[workers] += any(
+                        a[1] == b[1] and run[a[0]] != run[b[0]] for a, b in zip(ranked, ranked[1:])
+                    )
+    assert all(straddling.values()), straddling
+
+
 def test_clamped_k_columns_solve_transposed_problem():
     # top_k beyond the sources shortens every column; csls_k beyond
     # either side clamps to 2 or 4 here, which keeps grid scores exact.
@@ -289,6 +321,18 @@ def test_row_blocks_cover_rows_without_single_row_blocks(monkeypatch, n_cols):
         sizes = [rows.stop - rows.start for rows in blocks]
         assert all(size >= 2 for size in sizes) or n_rows == 1
         assert all(size <= 4 for size in sizes)  # 3 rows, or 4 with the odd row
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_runs_cover_blocks_in_order_with_near_equal_counts(monkeypatch, workers):
+    monkeypatch.setattr(procrustes, "_workers", lambda: workers)
+    for n_blocks in range(8):
+        blocks = [slice(2 * i, 2 * i + 2) for i in range(n_blocks)]
+        runs = procrustes._in_runs(lambda run: run, blocks)
+        assert len(runs) == min(workers, n_blocks)
+        assert [rows for run in runs for rows in run] == blocks
+        counts = [len(run) for run in runs]
+        assert all(counts) and max(counts, default=0) - min(counts, default=0) <= 1
 
 
 def test_row_blocks_are_a_quarter_with_one_blas_thread(monkeypatch):
@@ -403,7 +447,7 @@ def test_iterproc_dump_identical_on_one_and_two_block_workers():
     assert one.endswith(" 1500")
 
 
-def test_several_workers_score_off_the_calling_thread(monkeypatch):
+def test_two_workers_score_on_the_calling_thread_and_one_more(monkeypatch):
     scoring_threads = set()
     top_k_means = procrustes._top_k_means
 
@@ -417,7 +461,7 @@ def test_several_workers_score_off_the_calling_thread(monkeypatch):
     src, tgt = scalar_rows(rng, 40), scalar_rows(rng, 40)
     monkeypatch.setattr(procrustes, "_workers", lambda: 2)
     got = extract_hypotheses(src, tgt, top_k=3)[0].hypotheses()
-    assert scoring_threads and threading.get_ident() not in scoring_threads
+    assert len(scoring_threads) == 2 and threading.get_ident() in scoring_threads
     want = reference.extract_hypotheses(src, tgt, top_k=3)
     assert list(got.entries.items()) == list(want.entries.items())
 
@@ -435,19 +479,9 @@ def test_worker_error_reaches_the_caller_and_no_thread_outlives_the_call(monkeyp
         "neighborhood averages outside [-1, 1]; rows must be unit-norm for cosine scoring"
     )
     assert threading.active_count() == threads
-    extract_hypotheses(unit_rows(src), tgt, top_k=2)
+    # Only the last targets are off the unit sphere: only the pool's run raises.
+    with pytest.raises(ValueError, match="unit-norm"):
+        extract_hypotheses(unit_rows(src), np.vstack([tgt[:16], 3.0 * tgt[16:]]), top_k=2)
     assert threading.active_count() == threads
-
-
-def test_abandoned_score_blocks_leaves_no_thread(monkeypatch):
-    monkeypatch.setattr(procrustes, "_workers", lambda: 2)
-    monkeypatch.setattr(procrustes, "_BLOCK_BYTES", 8 * B * 30)
-    rng = np.random.default_rng(46)
-    src, tgt = unit_rows(rng.normal(size=(30, 4))), unit_rows(rng.normal(size=(30, 4)))
-    threads = threading.active_count()
-    blocks = procrustes.score_blocks(src, tgt)
-    rows, _ = next(blocks)
-    assert rows == slice(0, B)
-    assert threading.active_count() > threads
-    del blocks
+    extract_hypotheses(unit_rows(src), tgt, top_k=2)
     assert threading.active_count() == threads

@@ -435,7 +435,12 @@ class TestRunDispatch:
             assert any("top_n" in p for p in spec.validate())
         # Called directly, the pipelines refuse too: graph seeds index restricted rows.
         ds = planted_dataset(n=20, seeds=5)
-        for method, pipeline in (("sgm", run_single), ("itersgm", iterate), ("combined", run_combined)):
+        for method, pipeline in (
+            ("sgm", run_single),
+            ("softsgm", run_single),
+            ("itersgm", iterate),
+            ("combined", run_combined),
+        ):
             with pytest.raises(ValueError, match="top_n"):
                 pipeline(make_spec(method=method, seeds=5, vocab_mode="top_n"), ds)
 

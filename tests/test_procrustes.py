@@ -11,7 +11,6 @@ from bilex import (
     OrthogonalMap,
     extract_hypotheses,
     procrustes,
-    score_blocks,
     solve_procrustes,
 )
 from bilex.procrustes import SCORERS, _top_k_means
@@ -107,8 +106,12 @@ class TestSolveProcrustes:
 
 
 def csls_scores(src, tgt, k):
-    """The full score matrix, stacked from the scorer's blocks."""
-    return np.vstack([block for _, block in score_blocks(src, tgt, "csls", k)])
+    """The full score matrix, rebuilt from each source's ranking of every
+    target."""
+    rows, _ = extract_hypotheses(src, tgt, top_k=len(tgt), scorer="csls", csls_k=k)
+    scores = np.empty(rows.index.shape)
+    np.put_along_axis(scores, rows.index, rows.score, axis=1)
+    return scores
 
 
 def neighborhood_means(src, tgt, k):
@@ -206,7 +209,7 @@ class TestCslsScore:
         # Source and target rows of different dimension cannot be scored.
         for scorer in SCORERS:
             with pytest.raises(ValueError):
-                list(score_blocks(np.eye(2), np.eye(5, 3), scorer, 1))
+                extract_hypotheses(np.eye(2), np.eye(5, 3), top_k=5, scorer=scorer, csls_k=1)
 
 
 class TestExtractHypotheses:
