@@ -21,10 +21,14 @@ output (hard seeding). The solved part is one-to-one by construction.
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 
 from .assignment import solve_lap
 from .hypotheses import HypothesisSet, Matching
+
+logger = logging.getLogger(__name__)
 
 INIT_MODES = ("barycenter", "randomized")
 
@@ -136,8 +140,12 @@ def sgm(
     the barycenter averaged with a Sinkhorn-balanced random matrix.
 
     Iteration stops when ``||P_next - P||_F < eps`` or after
-    ``max_iters`` steps. If ``history`` is a list, one record per
-    iteration is appended (objective, step size 0.0 or 1.0, iterate delta).
+    ``max_iters`` steps. The returned matching reports the ``iterations``
+    taken, whether the solve was ``capped`` (stopped at ``max_iters``
+    before converging, which is also logged as a warning) and the trace
+    ``objective`` of the matching itself. If ``history`` is a list, one
+    record per iteration is appended (objective, step size 0.0 or 1.0,
+    iterate delta).
     The returned matching is ``unique`` when every LAP of the solve, the
     final projection included, had a unique optimum. The objective is
     unchanged under (gx, gy, P) -> (gy, gx, P^T), so the solve with the
@@ -149,8 +157,11 @@ def sgm(
     may not. With m = n - s free vertices and rows of width at most d,
     one iteration costs one O(m^2 d) product for the gradient, the
     O(m^3) LAP for the direction and O(m^2) work to rewrite P in place;
-    see :class:`_FactoredProblem`. At most two m x m float64 arrays are
-    alive: P and the LAP's cost; the LAP's refinement works in row blocks.
+    see :class:`_FactoredProblem`. Each direction LAP gets the negated
+    gradient row- and column-reduced in place (:func:`_direction_lap`),
+    which keeps its optimum but makes scipy's solver faster. At most two
+    m x m float64 arrays are alive: P and the LAP's cost, which is the
+    gradient's own array; the LAP's refinement works in row blocks.
     """
     n = len(gx)
     if n != len(gy):
@@ -175,10 +186,10 @@ def sgm(
         p = _random_doubly_stochastic(rng, m)
     z = problem.summary(p)
     rows = np.arange(m)
-    unique = True
+    unique, capped = True, False
 
     for iteration in range(1, max_iters + 1):
-        lap = solve_lap(-problem.gradient(z))
+        lap = _direction_lap(problem.gradient(z))
         direction, unique = lap.perm, unique and lap.unique
         dz = problem.vertex_summary(direction) - z
         alpha = delta = 0.0
@@ -202,11 +213,34 @@ def sgm(
             )
         if delta < eps:
             break
+    else:
+        capped = True
+        logger.warning("sgm stopped at max_iters=%d before converging (eps=%g)", max_iters, eps)
 
     lap = solve_lap(-p)
     solved = sigma[lap.perm] if sigma is not None else lap.perm
     perm = np.concatenate([np.arange(s), s + solved])
-    return Matching(perm=perm, seed_count=s, unique=unique and lap.unique)
+    return Matching(
+        perm=perm,
+        seed_count=s,
+        unique=unique and lap.unique,
+        iterations=iteration,
+        capped=capped,
+        objective=problem.objective(problem.vertex_summary(lap.perm)),
+    )
+
+
+def _direction_lap(gradient: np.ndarray) -> Matching:
+    """The vertex maximizing <gradient, Q>, found from a reduced cost.
+
+    The cost ``-gradient`` is row-reduced, then column-reduced (see
+    :mod:`bilex.assignment`), in place over ``gradient``, which the
+    caller must own. ``max(g row) - g`` is the
+    row-reduced ``-g`` exactly, so one pass negates and row-reduces.
+    """
+    np.subtract(gradient.max(axis=1, keepdims=True), gradient, out=gradient)
+    gradient -= gradient.min(axis=0)
+    return solve_lap(gradient)
 
 
 def _child_seed(master, index: int) -> np.random.SeedSequence:

@@ -16,12 +16,18 @@ class Matching:
     first ``seed_count`` positions are the fixed seed block, where both
     sides use seeds-first ordering, so ``perm[i] == i`` there. ``unique``
     is true when the solver that produced the matching proved it the only
-    optimum; false means not proved.
+    optimum; false means not proved. A Frank-Wolfe solve also reports its
+    ``iterations``, whether it was ``capped`` at its iteration limit before
+    converging, and the trace ``objective`` of the matching; other
+    solvers leave them ``None``.
     """
 
     perm: np.ndarray
     seed_count: int = 0
     unique: bool = False
+    iterations: int | None = None
+    capped: bool | None = None
+    objective: float | None = None
 
     def __post_init__(self):
         perm = np.asarray(self.perm, dtype=np.intp)

@@ -118,6 +118,20 @@ class TestUniqueness:
         assert 20 < unique_count < 130
 
 
+class TestInput:
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_cost_is_left_unchanged(self, tied):
+        # Callers pass arrays they keep, so a reduction of the cost, like the
+        # one Frank-Wolfe makes on its own gradients, must not happen here.
+        rng = np.random.default_rng(31)
+        cost = rng.normal(size=(200, 200)) + rng.normal(size=(200, 1))
+        if tied:
+            cost = np.round(cost)
+        before = cost.tobytes()
+        assert solve_lap(cost).unique != tied  # the tie search ran when tied
+        assert cost.tobytes() == before
+
+
 class TestInvariances:
     def test_row_and_column_shifts(self):
         rng = np.random.default_rng(23)

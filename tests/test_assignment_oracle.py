@@ -5,7 +5,9 @@ costs and relaxed its duals one Jacobi pass at a time. Given the same
 cost and the same optimum from scipy, both must return the same
 permutation: on Frank-Wolfe gradients at m = 1000, on tie-heavy inputs of
 that size, and on the small tied LAPs of other tests whose duals stop at
-the n-pass cap without reaching a fixpoint.
+the n-pass cap without reaching a fixpoint. The row- and column-reduced
+costs that Frank-Wolfe hands the LAP must give the permutation and the
+uniqueness flag of the raw cost.
 """
 
 import functools
@@ -18,7 +20,7 @@ import test_acceptance
 import test_assignment
 import test_graph_matching
 import test_sgm_factored
-from bilex import assignment, build_graph, solve_lap
+from bilex import assignment, build_graph, graph_matching, solve_lap
 from bilex.graph_matching import INIT_MODES, trace_gradient
 
 
@@ -72,6 +74,68 @@ def test_tie_heavy_inputs_at_scale():
     y = distinct[rng.integers(0, 200, size=n + 100)]
     costs = frank_wolfe_gradients(build_graph(x), build_graph(y), 100, moves=1)
     assert not assert_same_refinement(costs[-1])
+
+
+def reference_lap(cost):
+    """The reference refinement's optimum and whether it is the only one.
+
+    It is exactly when the lex-smallest and the lex-largest optima agree;
+    the lex-largest is the lex-smallest of the cost with its columns
+    reversed, read back through the reversal.
+    """
+    def lex_min(c):
+        return reference._lex_min_optimal(c, linear_sum_assignment(c)[1].astype(np.intp))
+
+    perm = lex_min(cost)
+    return perm, bool(np.array_equal(perm, len(perm) - 1 - lex_min(cost[:, ::-1])))
+
+
+def assert_reduction_keeps_the_optimum(cost):
+    """Frank-Wolfe's direction LAP, which row- and column-reduces its cost,
+    gives the permutation and flag of ``solve_lap`` on the raw cost and of
+    the reference; returns the flag."""
+    lap = graph_matching._direction_lap(-cost)  # the gradient whose direction cost is ``cost``
+    raw = solve_lap(cost)
+    perm, unique = reference_lap(cost)
+    np.testing.assert_array_equal(lap.perm, raw.perm)
+    np.testing.assert_array_equal(lap.perm, perm)
+    assert lap.unique == raw.unique == unique
+    return unique
+
+
+def test_reduced_cost_on_frank_wolfe_gradients():
+    rng = np.random.default_rng(13)
+    x, y = test_sgm_factored.noisy_planted_rows(600, 30, 100, 1.5, rng)
+    gx, gy = build_graph(x), build_graph(y)
+    randomized = -trace_gradient(gx, gy, 100, graph_matching._random_doubly_stochastic(rng, 500))
+    for cost in frank_wolfe_gradients(gx, gy, 100, moves=3) + [randomized]:
+        assert assert_reduction_keeps_the_optimum(cost)
+
+
+def test_reduced_cost_on_tie_heavy_inputs():
+    rng = np.random.default_rng(14)
+    n = 300
+    assert not assert_reduction_keeps_the_optimum(rng.integers(0, 20, size=(n, n)).astype(float))
+    assert not assert_reduction_keeps_the_optimum(np.round(4.0 * rng.normal(size=(n, n))) / 4.0)
+    # Small integers leave some instances with a single optimum.
+    flags = [
+        assert_reduction_keeps_the_optimum(rng.integers(0, 4, size=(6, 6)).astype(float))
+        for _ in range(60)
+    ]
+    assert any(flags) and not all(flags)
+
+
+def test_reduced_cost_with_equal_rows():
+    # Equal free rows in gx give every row of the barycenter's gradient the
+    # same values: every permutation is optimal, so the identity wins.
+    rng = np.random.default_rng(15)
+    x, y = test_sgm_factored.noisy_planted_rows(220, 10, 20, 1.0, rng)
+    x[21:] = x[20]
+    cost = -trace_gradient(build_graph(x), build_graph(y), 20, np.full((200, 200), 1.0 / 200))
+    assert (cost == cost[0]).all()
+    for tied in (cost, np.round(4.0 * cost) / 4.0):
+        assert not assert_reduction_keeps_the_optimum(tied)
+        np.testing.assert_array_equal(graph_matching._direction_lap(-tied).perm, np.arange(200))
 
 
 def recorded_laps(monkeypatch, *solves):

@@ -222,8 +222,9 @@ def test_column_ties_across_blocks_solve_transposed_problem(monkeypatch, scorer)
     straddling = 0
     for top_k in (1, 4, 7):
         for csls_k in (2, 4):
-            assert_columns_solve_transposed(src, tgt, top_k=top_k, scorer=scorer, csls_k=csls_k)
-            for ranked in column_entries(src, tgt, top_k=top_k, csls_k=csls_k).values():
+            kwargs = dict(top_k=top_k, scorer=scorer, csls_k=csls_k)
+            assert_columns_solve_transposed(src, tgt, **kwargs)
+            for ranked in column_entries(src, tgt, **kwargs).values():
                 straddling += any(
                     a[1] == b[1] and a[0] // 3 != b[0] // 3 for a, b in zip(ranked, ranked[1:])
                 )

@@ -1,15 +1,17 @@
 """The factored Frank-Wolfe solver against the dense FAQ loop it replaced,
 against scipy's FAQ, and across BLAS thread counts."""
 
+import importlib
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import quadratic_assignment
 
-from bilex import build_graph, sgm, solve_lap, trace_objective
+from bilex import build_graph, graph_matching, pipelines, sgm, solve_lap, trace_objective
 from bilex.graph_matching import INIT_MODES, _random_doubly_stochastic
 from bilex.hypotheses import Matching
 from conftest import DIAG4_X, DIAG4_Y, blas_env, gram
@@ -85,18 +87,24 @@ def dense_sgm(gx, gy, s, rng, max_iters=30, eps=0.03, shuffle_input=True,
     return Matching(perm=np.concatenate([np.arange(s), s + solved]), seed_count=s)
 
 
-def assert_same_solve(gx, gy, s, seed, **options):
-    """Equal permutations, iteration counts and objective traces."""
+def assert_same_solve(gx, gy, s, seed, max_iters=30, eps=0.03, **options):
+    """Equal permutations, iteration counts and objective traces; the solve
+    reports its iterations, its cap and its matching's objective."""
     fast_history, dense_history = [], []
-    fast = sgm(gx, gy, s, np.random.default_rng(seed), history=fast_history, **options)
-    dense = dense_sgm(gx, gy, s, np.random.default_rng(seed), history=dense_history,
-                      **options)
+    fast = sgm(gx, gy, s, np.random.default_rng(seed), max_iters=max_iters, eps=eps,
+               history=fast_history, **options)
+    dense = dense_sgm(gx, gy, s, np.random.default_rng(seed), max_iters=max_iters, eps=eps,
+                      history=dense_history, **options)
     np.testing.assert_array_equal(fast.perm, dense.perm)
     assert len(fast_history) == len(dense_history)
     for got, want in zip(fast_history, dense_history):
         scale = max(1.0, abs(want["objective"]))
         assert got["objective"] == pytest.approx(want["objective"], abs=1e-9 * scale)
         assert got["delta"] == pytest.approx(want["delta"], abs=1e-9)
+    assert fast.iterations == len(dense_history)
+    assert fast.capped == (len(dense_history) == max_iters and dense_history[-1]["delta"] >= eps)
+    want = trace_objective(gx, gy, s, np.eye(len(gx) - s)[fast.perm[s:] - s])
+    assert fast.objective == pytest.approx(want, abs=1e-9 * max(1.0, abs(want)))
     return len(fast_history)
 
 
@@ -173,6 +181,58 @@ def test_peak_memory_bound(init):
         tracemalloc.stop()
     assert [step["alpha"] for step in history] == [1.0] * 6  # FW kept moving
     assert peak < 2.5 * 8 * m * m
+
+
+class TestSolveReport:
+    def test_capped_solve_logs_one_warning(self, caplog):
+        x, y = noisy_planted_rows(300, 10, 30, 1.0, np.random.default_rng(16))
+        gx, gy = build_graph(x), build_graph(y)
+        with caplog.at_level("WARNING", logger="bilex.graph_matching"):
+            capped = sgm(gx, gy, 30, np.random.default_rng(0), max_iters=2)
+        assert (capped.iterations, capped.capped) == (2, True)
+        assert [(r.name, r.levelname) for r in caplog.records] == [
+            ("bilex.graph_matching", "WARNING")
+        ]
+        assert "max_iters=2" in caplog.records[0].getMessage()
+
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="bilex.graph_matching"):
+            converged = sgm(gx, gy, 30, np.random.default_rng(0))
+        assert not converged.capped and converged.iterations < 30
+        assert caplog.records == []
+
+    def test_lap_results_carry_no_solve_report(self):
+        lap = solve_lap(np.eye(3))
+        assert (lap.iterations, lap.capped, lap.objective) == (None, None, None)
+
+    @pytest.mark.parametrize(
+        "name, iterations, capped", [("itersgm-active", 8, 1), ("softsgm-restarts", 32, 8)]
+    )
+    def test_benchmark_counts_on_seed_1(self, tmp_path, monkeypatch, caplog, name, iterations,
+                                        capped):
+        # perfbench traces fw_iters and fw_capped from the LAP calls; the
+        # solves' own reports must give the same counts.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        corpus = importlib.import_module("corpus")
+        workload = corpus.WORKLOADS[name]
+        files = corpus.generate(workload, 1, tmp_path)
+        spec = pipelines.ExperimentSpec(
+            src_emb=str(files.src_emb), tgt_emb=str(files.tgt_emb),
+            dictionary=str(files.dictionary), seeds=workload.seeds, rng_seed=1, **workload.spec,
+        )
+        solves = []
+
+        def recording(*args, **kwargs):
+            solves.append(sgm(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(graph_matching, "sgm", recording)
+        monkeypatch.setattr(pipelines, "sgm", recording)
+        with caplog.at_level("WARNING", logger="bilex.graph_matching"):
+            pipelines.run(spec, pipelines.assemble(spec))
+        assert sum(solve.iterations for solve in solves) == iterations
+        warnings = [r for r in caplog.records if r.name == "bilex.graph_matching"]
+        assert sum(solve.capped for solve in solves) == capped == len(warnings)
 
 
 class TestScipyFaq:
