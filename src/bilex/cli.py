@@ -15,10 +15,11 @@ Exit codes: 0 success, 1 usage/spec error, 2 I/O error, 3 input parse
 error, 4 numeric failure. All randomness flows from ``--rng-seed``.
 Linear-algebra thread counts can be capped with the usual BLAS
 environment variables (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``,
-``MKL_NUM_THREADS``). At desk scale results do not depend on them; at
-scale BLAS can round a few entries differently on different thread
-counts, so pin the count to compare dumps bit for bit. Capping BLAS at
-one thread lets CSLS extraction score its blocks on two CPUs.
+``MKL_NUM_THREADS``). Results can depend on them: with fewer seeds than
+embedding dimensions the Procrustes map is not unique, and the dumps of
+every method that solves it change with the thread count (README,
+"Determinism"). Pin the count to compare dumps bit for bit. Capping BLAS
+at one thread lets CSLS extraction score its blocks on two CPUs.
 """
 
 from __future__ import annotations
@@ -181,7 +182,10 @@ def _write_hypotheses(path, hyps: HypothesisSet) -> None:
 
 
 def _read_hypotheses(path) -> HypothesisSet:
+    """The dump at ``path``; the one place lists from outside the program
+    enter, so it checks each is ranked, sorted and repeats no target."""
     per_source: dict[str, list] = {}
+    seen: set[tuple[str, str]] = set()
     with open(path, "rt", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
@@ -205,11 +209,17 @@ def _read_hypotheses(path) -> HypothesisSet:
                 raise HypothesisFormatError(
                     f"{path}:{lineno}: rank {rank} out of sequence for {src!r}"
                 )
+            if (src, tgt) in seen:
+                raise HypothesisFormatError(
+                    f"{path}:{lineno}: duplicate target in hypothesis list for {src!r}"
+                )
+            if ranked and score > ranked[-1][1]:
+                raise HypothesisFormatError(
+                    f"{path}:{lineno}: hypothesis list for {src!r} not sorted by score"
+                )
+            seen.add((src, tgt))
             ranked.append((tgt, score))
-    try:
-        return HypothesisSet({src: tuple(ranked) for src, ranked in per_source.items()})
-    except ValueError as exc:
-        raise HypothesisFormatError(f"{path}: {exc}") from exc
+    return HypothesisSet({src: tuple(ranked) for src, ranked in per_source.items()})
 
 
 def _cmd_prep(args) -> int:

@@ -31,46 +31,38 @@ class MetricsReport:
         }
 
 
-def _gold_map(gold_test: Lexicon) -> dict:
+def _tally(hyps: HypothesisSet, gold_test: Lexicon, depth: int | None) -> MetricsReport:
+    """All metrics in one pass over the test words.
+
+    The @5 figures read the first ``depth`` hypotheses of each test word;
+    with ``depth`` None a test word's list longer than 5 is an error.
+    """
     if len(gold_test) == 0:
         raise ValueError("test set is empty")
     if not gold_test.is_one_to_one():
         raise ValueError("gold test lexicon must be one-to-one")
-    return dict(gold_test.pairs)
-
-
-def _tally(entries: dict, gold: dict):
-    """(total emitted pairs, correct pairs, covered test words)."""
-    total = 0
-    correct_pairs = 0
-    covered = 0
-    for src, tgt in gold.items():
-        ranked = entries.get(src, ())
-        if len(ranked) > 5:
+    hits = total = covered = 0
+    for src, tgt in gold_test.pairs:
+        ranked = hyps.entries.get(src, ())
+        if depth is None and len(ranked) > 5:
             raise ValueError(f"hypothesis list for {src!r} longer than 5")
-        total += len(ranked)
-        matches = sum(1 for cand, _ in ranked if cand == tgt)
-        correct_pairs += matches
-        if matches:
-            covered += 1
+        top = [cand for cand, _ in ranked[:depth]]
+        hits += bool(top) and top[0] == tgt
+        total += len(top)
+        covered += tgt in top
     # Lists never repeat a target, so with one-to-one gold each covered
     # word contributes exactly one correct pair.
-    assert correct_pairs == covered, "duplicate gold hit inside one list"
-    return total, correct_pairs, covered
-
-
-def _p_at_1(hyps: HypothesisSet, gold: dict) -> float:
-    top = hyps.top1()
-    hits = sum(1 for src, tgt in gold.items() if top.get(src) == tgt)
-    return 100.0 * hits / len(gold)
-
-
-def _prf(total: int, correct_pairs: int, covered: int, test_size: int):
-    """(precision, recall, f1) percentages from a tally."""
-    precision = 100.0 * correct_pairs / total if total else 0.0
-    recall = 100.0 * covered / test_size
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1
+    precision = 100.0 * covered / total if total else 0.0
+    recall = 100.0 * covered / len(gold_test)
+    return MetricsReport(
+        p_at_1=100.0 * hits / len(gold_test),
+        precision_at_5=precision,
+        recall_at_5=recall,
+        f1_at_5=2 * precision * recall / (precision + recall) if precision + recall else 0.0,
+        total_hyps=total,
+        test_size=len(gold_test),
+        correct_hyps=covered,
+    )
 
 
 def p_at_1(hyps: HypothesisSet, gold_test: Lexicon) -> float:
@@ -78,7 +70,7 @@ def p_at_1(hyps: HypothesisSet, gold_test: Lexicon) -> float:
 
     Test words with no hypothesis count as wrong.
     """
-    return _p_at_1(hyps, _gold_map(gold_test))
+    return _tally(hyps, gold_test, 5).p_at_1
 
 
 def prf_at_5(hyps: HypothesisSet, gold_test: Lexicon):
@@ -88,23 +80,10 @@ def prf_at_5(hyps: HypothesisSet, gold_test: Lexicon):
     pairs; recall counts test words whose gold target appears anywhere
     in their list; F1 is the harmonic mean (zero when both are zero).
     """
-    gold = _gold_map(gold_test)
-    total, correct_pairs, covered = _tally(hyps.entries, gold)
-    return (*_prf(total, correct_pairs, covered, len(gold)), total)
+    report = _tally(hyps, gold_test, None)
+    return report.precision_at_5, report.recall_at_5, report.f1_at_5, report.total_hyps
 
 
 def metrics_report(hyps: HypothesisSet, gold_test: Lexicon) -> MetricsReport:
     """Full report; hypothesis lists are truncated to 5 for the @5 metrics."""
-    gold = _gold_map(gold_test)
-    truncated = {src: ranked[:5] for src, ranked in hyps.entries.items()}
-    total, correct_pairs, covered = _tally(truncated, gold)
-    precision, recall, f1 = _prf(total, correct_pairs, covered, len(gold))
-    return MetricsReport(
-        p_at_1=_p_at_1(hyps, gold),
-        precision_at_5=precision,
-        recall_at_5=recall,
-        f1_at_5=f1,
-        total_hyps=total,
-        test_size=len(gold),
-        correct_hyps=correct_pairs,
-    )
+    return _tally(hyps, gold_test, 5)

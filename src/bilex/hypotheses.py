@@ -40,13 +40,6 @@ class Matching:
         if not np.array_equal(perm[: self.seed_count], np.arange(self.seed_count)):
             raise ValueError("seed block must map index i to index i")
 
-    @property
-    def n(self) -> int:
-        return int(self.perm.shape[0])
-
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(i, int(j)) for i, j in enumerate(self.perm)]
-
 
 @dataclass(frozen=True)
 class HypothesisSet:
@@ -55,26 +48,14 @@ class HypothesisSet:
     Keys are source identifiers: row indices at the algorithm layer, words
     once the pipelines build the final set of a run. Each value is a tuple
     of (target, score) pairs sorted by descending score with ascending-target
-    tie-break, and no target repeats within a list.
+    tie-break, and no target repeats within a list. The library builds its
+    lists that way and this container does not check them; lists read from
+    outside the program are checked where they are parsed (``bilex eval``).
     """
 
     entries: dict[Hashable, tuple[tuple[Hashable, float], ...]] = field(
         default_factory=dict
     )
-
-    def __post_init__(self):
-        frozen = {
-            key: tuple((tgt, float(score)) for tgt, score in ranked)
-            for key, ranked in self.entries.items()
-        }
-        object.__setattr__(self, "entries", frozen)
-        for key, ranked in frozen.items():
-            targets = [tgt for tgt, _ in ranked]
-            if len(set(targets)) != len(targets):
-                raise ValueError(f"duplicate target in hypothesis list for {key!r}")
-            scores = [score for _, score in ranked]
-            if any(a < b for a, b in zip(scores, scores[1:])):
-                raise ValueError(f"hypothesis list for {key!r} not sorted by score")
 
     def __len__(self) -> int:
         return len(self.entries)

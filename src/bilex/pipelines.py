@@ -537,7 +537,6 @@ def run(spec: ExperimentSpec, dataset: Dataset | None = None) -> RunResult:
     pipeline = METHODS[spec.method][0]
     if pipeline == "single":
         hyps = run_single(spec, ds)
-        records = [{"iteration": 1, "forward_p1": evaluation.p_at_1(hyps, ds.gold_test)}]
     elif pipeline == "iterate":
         records, hyps = iterate(spec, ds)
     else:
@@ -545,6 +544,8 @@ def run(spec: ExperimentSpec, dataset: Dataset | None = None) -> RunResult:
     timings["solve_s"] = time.perf_counter() - started
 
     metrics = evaluation.metrics_report(hyps, ds.gold_test)
+    if pipeline == "single":
+        records = [{"iteration": 1, "forward_p1": metrics.p_at_1}]
     return RunResult(
         spec=spec,
         hypotheses=hyps,

@@ -117,8 +117,9 @@ class TestRun:
             dumps.append(hyps.read_bytes())
         assert dumps[0] == dumps[1]
 
-    def test_eval_reproduces_run_metrics(self, tmp_path, planted_files, capsys):
-        src, tgt, dictionary = planted_files(n=30, d=6, noise=0.05, seed=3)
+    @pytest.mark.parametrize("method", ["procrustes", "sgm", "softsgm", "iterproc"])
+    def test_eval_reproduces_run_metrics(self, tmp_path, planted_files, capsys, method):
+        src, tgt, dictionary = planted_files(n=30, d=6, noise=1.0, seed=3)
         # prep writes the split the run will use internally
         code = main([
             "prep", "--dict", str(dictionary), "--src-emb", str(src),
@@ -129,13 +130,19 @@ class TestRun:
         hyps = tmp_path / "h.tsv"
         report_path = tmp_path / "r.json"
         code = main([
-            "run", "--method", "procrustes", "--seeds", "8",
+            "run", "--method", method, "--seeds", "8", "--iters", "2", "--soft-runs", "4",
             "--src-emb", str(src), "--tgt-emb", str(tgt),
             "--dict", str(dictionary),
             "--hyps", str(hyps), "--out", str(report_path),
         ])
         assert code == EXIT_OK
         capsys.readouterr()
+        if method == "softsgm":
+            shares = {}
+            for line in hyps.read_text(encoding="utf-8").splitlines():
+                src_word, _, _, share = line.split("\t")
+                shares.setdefault(src_word, []).append(share)
+            assert any(len(set(s)) < len(s) < 5 for s in shares.values())
         code = main([
             "eval", "--hyps", str(hyps),
             "--gold", str(tmp_path / "prep" / "test_8.tsv"),
@@ -366,10 +373,11 @@ class TestExitCodes:
         "dump,problem",
         [
             ("a\tb\t1\t0.9\na\tb\t2\t0.8\n", "duplicate target"),
+            ("a\tb\t1\t0.9\na\tc\t2\t0.8\na\tb\t3\t0.7\n", ":3: duplicate target"),
             ("a\tb\t1\t0.5\na\tc\t2\t0.9\n", "not sorted by score"),
             ("a\tb\t1\t1.0\na\tc\t2\tnan\na\td\t3\t2.0\n", ":2: non-finite score"),
         ],
-        ids=["repeated-target", "unsorted-scores", "nan-score"],
+        ids=["repeated-target", "repeated-target-apart", "unsorted-scores", "nan-score"],
     )
     def test_inconsistent_hyps_list_is_parse_error(self, tmp_path, capsys, dump, problem):
         hyps = tmp_path / "h.tsv"
