@@ -110,10 +110,13 @@ def _random_doubly_stochastic(rng: np.random.Generator, m: int) -> np.ndarray:
     stay well inside the polytope.
     """
     k = rng.uniform(size=(m, m)) + 1e-3
+    row_sums = k.sum(axis=1, keepdims=True)
     for _ in range(1000):
-        k /= k.sum(axis=1, keepdims=True)
+        k /= row_sums
         k /= k.sum(axis=0, keepdims=True)
-        if np.abs(k.sum(axis=1) - 1.0).max() < 1e-9:
+        # The sums tested here scale the rows of the next pass.
+        row_sums = k.sum(axis=1, keepdims=True)
+        if np.abs(row_sums - 1.0).max() < 1e-9:
             break
     return (np.full((m, m), 1.0 / m) + k) / 2.0
 
@@ -243,14 +246,6 @@ def _direction_lap(gradient: np.ndarray) -> Matching:
     return solve_lap(gradient)
 
 
-def _child_seed(master, index: int) -> np.random.SeedSequence:
-    if isinstance(master, np.random.SeedSequence):
-        return np.random.SeedSequence(
-            entropy=master.entropy, spawn_key=tuple(master.spawn_key) + (index,)
-        )
-    return np.random.SeedSequence(entropy=master, spawn_key=(index,))
-
-
 def soft_sgm(
     gx: np.ndarray,
     gy: np.ndarray,
@@ -264,25 +259,29 @@ def soft_sgm(
     """Stack the matchings of ``runs`` SGM runs with random initializations.
 
     Row ``r`` of the returned ``(runs, n)`` array is run ``r``'s ``perm``.
-    Run ``r`` draws its generator from a substream derived deterministically
-    from ``master_seed`` and ``r`` alone, so results do not depend on
-    scheduling and runs could execute in parallel.
+    Run ``r`` draws its generator from child ``r`` of a fresh copy of
+    ``master_seed`` (an int or a ``SeedSequence``, which is not consumed):
+    the substream of ``master_seed``'s spawn key extended by ``r``. Runs
+    therefore do not depend on scheduling and could execute in parallel.
     """
     if runs < 1:
         raise ValueError("runs must be positive")
+    if not isinstance(master_seed, np.random.SeedSequence):
+        master_seed = np.random.SeedSequence(master_seed)
+    master = np.random.SeedSequence(master_seed.entropy, spawn_key=master_seed.spawn_key)
     return np.stack(
         [
             sgm(
                 gx,
                 gy,
                 s,
-                np.random.default_rng(_child_seed(master_seed, run)),
+                np.random.default_rng(child),
                 max_iters=max_iters,
                 eps=eps,
                 shuffle_input=shuffle_input,
                 init="randomized",
             ).perm
-            for run in range(runs)
+            for child in master.spawn(runs)
         ]
     )
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -133,7 +132,8 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Prepared experiment data: normalized embeddings plus the gold split."""
+    """Prepared experiment data: normalized embeddings, the gold split and
+    its words, seeds first. A run's rows come from ``_index_space``."""
 
     src_full: EmbeddingMatrix
     tgt_full: EmbeddingMatrix
@@ -141,22 +141,6 @@ class Dataset:
     tgt_words: tuple[str, ...]
     gold_seeds: Lexicon
     gold_test: Lexicon
-
-    @property
-    def n(self) -> int:
-        return len(self.src_words)
-
-    @cached_property
-    def x(self) -> np.ndarray:
-        return self.src_full.vectors[[self.src_full.index[w] for w in self.src_words]]
-
-    @cached_property
-    def y(self) -> np.ndarray:
-        return self.tgt_full.vectors[[self.tgt_full.index[w] for w in self.tgt_words]]
-
-    @cached_property
-    def gold_full(self) -> Lexicon:
-        return Lexicon(tuple(self.gold_seeds.pairs) + tuple(self.gold_test.pairs))
 
 
 def build_dataset(
@@ -197,21 +181,19 @@ def assemble(spec: ExperimentSpec) -> Dataset:
 # and whose keys hold every index of their side once.
 
 
-def _proc_run(x, y, spec: ExperimentSpec, seeds, want_reverse: bool):
+def _proc_run(x, y, spec: ExperimentSpec, seeds):
     """One Euclidean run: fit W on the seed pairs, extract top-k via CSLS.
 
     Returns (forward, reverse) in row order. When W is unique its transpose
-    solves the reverse problem, and with ``want_reverse`` the reverse ranks
-    each target's sources from the same scores; otherwise reverse is None.
+    solves the reverse problem, and the reverse ranks each target's
+    sources from the same scores; otherwise reverse is None.
     """
     mapping = solve_procrustes(x[seeds[:, 0]], y[seeds[:, 1]])
     rows, columns = extract_hypotheses(
         mapped_src=mapping.apply(x), tgt=y, top_k=spec.top_k, scorer="csls", csls_k=spec.csls_k
     )
-    forward = (np.arange(len(x)), rows)
-    if not (want_reverse and mapping.unique):
-        return forward, None
-    return forward, (np.arange(len(y)), columns)
+    reverse = (np.arange(len(y)), columns) if mapping.unique else None
+    return (np.arange(len(x)), rows), reverse
 
 
 def _seed_order(n: int, seed_rows) -> np.ndarray:
@@ -219,13 +201,13 @@ def _seed_order(n: int, seed_rows) -> np.ndarray:
     return np.concatenate((seed_rows, np.setdiff1d(np.arange(n), seed_rows)))
 
 
-def _sgm_run(x, y, spec: ExperimentSpec, seeds, rng, want_reverse: bool):
+def _sgm_run(x, y, spec: ExperimentSpec, seeds, rng):
     """One seeded-graph-matching run over the restricted graphs.
 
     Returns (forward, reverse), keyed in seeds-first vertex order. When
     every LAP of the solve had a unique optimum, the reverse solve on the
     same seeds would return the inverse permutation (see ``sgm``), and
-    with ``want_reverse`` the reverse is read from it; otherwise None.
+    the reverse is read from it; otherwise None.
     """
     n = len(x)
     order_a, order_b = _seed_order(n, seeds[:, 0]), _seed_order(n, seeds[:, 1])
@@ -245,31 +227,28 @@ def _sgm_run(x, y, spec: ExperimentSpec, seeds, rng, want_reverse: bool):
         )
         perm, unique = matching.perm, matching.unique
     ones = np.ones((n, 1))
-    forward = (order_a, TopK(order_b[perm][:, None], ones))
-    if not (want_reverse and unique):
-        return forward, None
-    # Keyed in the reverse solve's vertex order, which Active's union keeps.
-    return forward, (order_b, TopK(order_a[np.argsort(perm)][:, None], ones))
+    # The reverse is keyed in its own solve's vertex order, which Active's union keeps.
+    reverse = (order_b, TopK(order_a[np.argsort(perm)][:, None], ones)) if unique else None
+    return (order_a, TopK(order_b[perm][:, None], ones)), reverse
 
 
-def _engine_run(ds, spec, engine: str, seeds, direction: int, key: tuple, want_reverse=False):
+def _engine_run(rows, spec, engine: str, seeds, direction: int, key: tuple):
     """One engine run in one direction: (result, reverse result or None).
 
-    The reverse direction swaps the two languages' rows and seed columns.
-    With ``want_reverse``, a run whose solution is unique (the Procrustes
-    map, or every LAP of the graph solve) also returns the result of the
-    opposite direction on the same seeds. The graph engine draws its rng
-    substream from ``(*key, direction)``.
+    ``rows`` is the run's (source rows, target rows) from ``_index_space``;
+    the reverse direction swaps them and the seed columns. A run whose
+    solution is unique (the Procrustes map, or every LAP of the graph
+    solve) also returns the result of the opposite direction on the same
+    seeds. The graph engine draws its rng substream from
+    ``(*key, direction)``.
     """
     if not len(seeds):
         raise ValueError("empty seed set after conflict resolution")
-    top_n = spec.vocab_mode == "top_n"
-    rows = (ds.src_full.vectors, ds.tgt_full.vectors) if top_n else (ds.x, ds.y)
     if direction == _REVERSE:
         rows, seeds = rows[::-1], seeds[:, ::-1]
     if engine == "proc":
-        return _proc_run(*rows, spec, seeds, want_reverse)
-    return _sgm_run(*rows, spec, seeds, _rng(spec.rng_seed, *key, direction), want_reverse)
+        return _proc_run(*rows, spec, seeds)
+    return _sgm_run(*rows, spec, seeds, _rng(spec.rng_seed, *key, direction))
 
 
 def _top1(result) -> np.ndarray:
@@ -278,9 +257,9 @@ def _top1(result) -> np.ndarray:
     return np.column_stack((keys, top.index[:, 0]))
 
 
-def _round(ds, spec, engine: str, seeds_fwd, seeds_rev, key: tuple):
-    """One bidirectional round: (forward, reverse, their top-1 intersection
-    as index pairs, see ``_intersect``).
+def _round(rows, spec, engine: str, seeds_fwd, seeds_rev, key: tuple):
+    """One bidirectional round on the run's rows: (forward, reverse, their
+    top-1 intersection as index pairs, see ``_intersect``).
 
     When both directions hold the same seed pairs and the forward
     solution is unique (the Procrustes map, or every LAP of the graph
@@ -288,10 +267,10 @@ def _round(ds, spec, engine: str, seeds_fwd, seeds_rev, key: tuple):
     Procrustes one scoring pass. Otherwise the reverse is a fresh solve,
     which for the graph engine draws the ``(*key, _REVERSE)`` substream.
     """
+    forward, reverse = _engine_run(rows, spec, engine, seeds_fwd, _FORWARD, key)
     shared = len(seeds_fwd) == len(seeds_rev) and _member(seeds_fwd, seeds_rev).all()
-    forward, reverse = _engine_run(ds, spec, engine, seeds_fwd, _FORWARD, key, shared)
-    if reverse is None:
-        reverse = _engine_run(ds, spec, engine, seeds_rev, _REVERSE, key)[0]
+    if reverse is None or not shared:
+        reverse = _engine_run(rows, spec, engine, seeds_rev, _REVERSE, key)[0]
     return forward, reverse, _intersect(_top1(forward), _top1(reverse))
 
 
@@ -312,14 +291,21 @@ def _round_record(gold_full, seed_count: int, forward, inter) -> dict:
 
 
 def _index_space(ds: Dataset, spec: ExperimentSpec):
-    """(source words, target words, gold index pairs, seeds first) of a run:
-    restricted rows, where gold pair i is (i, i), or ``top_n``'s full rows."""
-    if spec.vocab_mode != "top_n":
-        return ds.src_words, ds.tgt_words, np.arange(ds.n).repeat(2).reshape(-1, 2)
-    if METHODS[spec.method][1] != "proc":
-        raise ValueError("vocab_mode 'top_n' only applies to procrustes/iterproc")
-    gold = [(ds.src_full.index[a], ds.tgt_full.index[b]) for a, b in ds.gold_full]
-    return ds.src_full.vocab, ds.tgt_full.vocab, np.array(gold, dtype=np.intp).reshape(-1, 2)
+    """A run's ((source rows, target rows), source words, target words,
+    gold index pairs, seeds first).
+
+    The restricted space keeps the gold words' rows, so gold pair i is
+    (i, i); ``top_n`` keeps every row of both vocabularies.
+    """
+    pairs = ds.gold_seeds.pairs + ds.gold_test.pairs
+    gold = np.array(
+        [(ds.src_full.index[a], ds.tgt_full.index[b]) for a, b in pairs], dtype=np.intp
+    ).reshape(-1, 2)
+    if spec.vocab_mode == "top_n":
+        rows = ds.src_full.vectors, ds.tgt_full.vectors
+        return rows, ds.src_full.vocab, ds.tgt_full.vocab, gold
+    rows = ds.src_full.vectors[gold[:, 0]], ds.tgt_full.vectors[gold[:, 1]]
+    return rows, ds.src_words, ds.tgt_words, np.arange(len(gold)).repeat(2).reshape(-1, 2)
 
 
 def _hypotheses(src_words, tgt_words, result) -> HypothesisSet:
@@ -364,10 +350,14 @@ def _sample(pool, count, rng):
 
 
 def _engine_of(spec: ExperimentSpec, pipeline: str) -> str | None:
-    """The engine of ``spec.method``, which must be one of ``pipeline``'s methods."""
+    """The engine of ``spec.method``; the spec must be valid and its method
+    one of ``pipeline``'s."""
     owner, engine = METHODS.get(spec.method, (None, None))
+    problems = spec.validate()
     if owner != pipeline:
-        raise ValueError(f"{pipeline} cannot run method {spec.method!r}")
+        problems.append(f"{pipeline} cannot run method {spec.method!r}")
+    if problems:
+        raise ValueError("; ".join(problems))
     return engine
 
 
@@ -378,16 +368,16 @@ def run_single(spec: ExperimentSpec, ds: Dataset) -> HypothesisSet:
     ranks each source's targets by their share of ``soft_runs`` restarts.
     """
     engine = _engine_of(spec, "single")
-    src_words, tgt_words, gold_full = _index_space(ds, spec)
+    rows, src_words, tgt_words, gold_full = _index_space(ds, spec)
     s = len(ds.gold_seeds)
     if engine is not None:
-        result = _engine_run(ds, spec, engine, gold_full[:s], _FORWARD, (_RNG_SINGLE_SGM,))[0]
+        result = _engine_run(rows, spec, engine, gold_full[:s], _FORWARD, (_RNG_SINGLE_SGM,))[0]
         return _hypotheses(src_words, tgt_words, result)
     # Gold seeds already occupy the leading restricted rows.
     master = np.random.SeedSequence(entropy=spec.rng_seed, spawn_key=(_RNG_SOFT,))
     dist = soft_sgm(
-        build_graph(ds.x),
-        build_graph(ds.y),
+        build_graph(rows[0]),
+        build_graph(rows[1]),
         s=s,
         runs=spec.soft_runs,
         master_seed=master,
@@ -422,7 +412,7 @@ def iterate(spec: ExperimentSpec, ds: Dataset, seed_log: list | None = None):
     """
     engine = _engine_of(spec, "iterate")
     engine_id = 0 if engine == "proc" else 1
-    src_words, tgt_words, gold_full = _index_space(ds, spec)
+    rows, src_words, tgt_words, gold_full = _index_space(ds, spec)
     gold = gold_full[: len(ds.gold_seeds)]
     # Gold seeds are kept by the Euclidean engine, whose seeding is soft.
     base = gold if engine == "proc" else gold[:0]
@@ -434,7 +424,7 @@ def iterate(spec: ExperimentSpec, ds: Dataset, seed_log: list | None = None):
             seed_log.append(tuple([(src_words[a], tgt_words[b]) for a, b in seeds.tolist()]
                                   for seeds in (seeds_fwd, seeds_rev)))
         forward, reverse, inter = _round(
-            ds, spec, engine, seeds_fwd, seeds_rev, (_RNG_ITER, engine_id, t)
+            rows, spec, engine, seeds_fwd, seeds_rev, (_RNG_ITER, engine_id, t)
         )
         records.append(
             {
@@ -476,7 +466,7 @@ def run_combined(spec: ExperimentSpec, ds: Dataset):
     Returns (per-cycle records, final hypotheses).
     """
     _engine_of(spec, "combined")
-    src_words, tgt_words, gold_full = _index_space(ds, spec)
+    rows, src_words, tgt_words, gold_full = _index_space(ds, spec)
     gold = seeds = gold_full[: len(ds.gold_seeds)]
     last_forward = {}
     order = ("sgm", "proc") if spec.start == "sgm" else ("proc", "sgm")
@@ -489,7 +479,7 @@ def run_combined(spec: ExperimentSpec, ds: Dataset):
                 continue
             for _ in range(rounds):
                 forward, _, inter = _round(
-                    ds, spec, engine, seeds, seeds, (_RNG_COMBINED, cycle)
+                    rows, spec, engine, seeds, seeds, (_RNG_COMBINED, cycle)
                 )
                 seeds = _admit(gold, inter)
             last_forward[engine] = forward
@@ -508,7 +498,7 @@ def run_combined(spec: ExperimentSpec, ds: Dataset):
 
     final = last_forward.get(spec.pull)
     if final is None:
-        final = _engine_run(ds, spec, spec.pull, seeds, _FORWARD, (_RNG_COMBINED, 0))[0]
+        final = _engine_run(rows, spec, spec.pull, seeds, _FORWARD, (_RNG_COMBINED, 0))[0]
     return records, _hypotheses(src_words, tgt_words, final)
 
 

@@ -12,9 +12,11 @@ run. The word-level combiners (intersection, union, oracle judge) and
 the Stochastic-Add sampler are kept here, since the package now works
 on index arrays; ``oracle_judge`` reads the gold pairs as
 ``frozenset(gold_full.pairs)``, and the graph run builds its own
-word -> row dicts. Helpers whose code did not change are imported from
-the package; the row-only blocked extractor comes from
-``reference_extraction``.
+word -> row dicts. The restricted rows and the full gold lexicon, once
+cached on ``Dataset``, are gathered here word by word (``_restricted``,
+``_gold_full``), apart from the package's ``_index_space``. Helpers
+whose code did not change are imported from the package; the row-only
+blocked extractor comes from ``reference_extraction``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import numpy as np
 from bilex import evaluation
 from bilex.graph_matching import build_graph, sgm, soft_sgm
 from bilex.hypotheses import HypothesisSet, Matching
+from bilex.lexicon import Lexicon
 from bilex.pipelines import (
     _FORWARD,
     _REVERSE,
@@ -42,6 +45,17 @@ from bilex.procrustes import solve_procrustes
 from reference_extraction import blocked_extract_hypotheses as extract_hypotheses
 
 
+def _restricted(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of the restricted source and target words, in their order."""
+    x = ds.src_full.vectors[[ds.src_full.index[w] for w in ds.src_words]]
+    y = ds.tgt_full.vectors[[ds.tgt_full.index[w] for w in ds.tgt_words]]
+    return x, y
+
+
+def _gold_full(ds: Dataset) -> Lexicon:
+    return Lexicon(tuple(ds.gold_seeds.pairs) + tuple(ds.gold_test.pairs))
+
+
 def _proc_run(ds: Dataset, spec: ExperimentSpec, seeds, reverse: bool) -> HypothesisSet:
     """One Euclidean run: fit W on the seed pairs, extract top-k via CSLS.
 
@@ -51,14 +65,15 @@ def _proc_run(ds: Dataset, spec: ExperimentSpec, seeds, reverse: bool) -> Hypoth
     pairs = [(t, s) for s, t in seeds] if reverse else list(seeds)
     if not pairs:
         raise ValueError("empty seed set after conflict resolution")
+    x, y = _restricted(ds)
     if reverse:
         side_full, other_full = ds.tgt_full, ds.src_full
-        side_words, side_mat = ds.tgt_words, ds.y
-        cand_words, cand_mat = ds.src_words, ds.x
+        side_words, side_mat = ds.tgt_words, y
+        cand_words, cand_mat = ds.src_words, x
     else:
         side_full, other_full = ds.src_full, ds.tgt_full
-        side_words, side_mat = ds.src_words, ds.x
-        cand_words, cand_mat = ds.tgt_words, ds.y
+        side_words, side_mat = ds.src_words, x
+        cand_words, cand_mat = ds.tgt_words, y
     if spec.vocab_mode == "top_n":
         side_words, side_mat = side_full.vocab, side_full.vectors
         cand_words, cand_mat = other_full.vocab, other_full.vectors
@@ -138,12 +153,13 @@ def _sgm_run(
 ) -> tuple[HypothesisSet, Matching]:
     """One seeded-graph-matching run over the restricted graphs."""
     pairs = [(t, s) for s, t in seeds] if reverse else list(seeds)
+    x, y = _restricted(ds)
     if reverse:
-        a_words, a_vecs = ds.tgt_words, ds.y
-        b_words, b_vecs = ds.src_words, ds.x
+        a_words, a_vecs = ds.tgt_words, y
+        b_words, b_vecs = ds.src_words, x
     else:
-        a_words, a_vecs = ds.src_words, ds.x
-        b_words, b_vecs = ds.tgt_words, ds.y
+        a_words, a_vecs = ds.src_words, x
+        b_words, b_vecs = ds.tgt_words, y
     a_row = {w: i for i, w in enumerate(a_words)}
     b_row = {w: i for i, w in enumerate(b_words)}
     order_a = _seed_order(a_words, a_row, pairs, 0)
@@ -210,9 +226,10 @@ def run_single(spec: ExperimentSpec, dataset: Dataset | None = None):
     if spec.method == "softsgm":
         # Gold seeds already occupy the leading restricted rows.
         master = np.random.SeedSequence(entropy=spec.rng_seed, spawn_key=(_RNG_SOFT,))
+        x, y = _restricted(ds)
         dist = soft_sgm(
-            build_graph(ds.x),
-            build_graph(ds.y),
+            build_graph(x),
+            build_graph(y),
             s=len(gold),
             runs=spec.soft_runs,
             master_seed=master,
@@ -275,7 +292,7 @@ def iterate(
             _rng(spec.rng_seed, _RNG_ITER, engine_id, t, _REVERSE),
         )
         inter = intersect_hypotheses(forward.top1(), reverse.top1())
-        correct = oracle_judge(inter, ds.gold_full)
+        correct = oracle_judge(inter, _gold_full(ds))
         records.append(
             {
                 "iteration": t,
@@ -300,7 +317,7 @@ def iterate(
             if t >= spec.iters:
                 break
             union = union_hypotheses(forward.top1(), reverse.top1())
-            verified = oracle_judge(union, ds.gold_full)
+            verified = oracle_judge(union, _gold_full(ds))
             base = gold if engine == "proc" else []
             seeds_fwd = seeds_rev = resolve_seed_conflicts(base, verified)
         else:  # stochastic
@@ -351,7 +368,7 @@ def run_combined(spec: ExperimentSpec, dataset: Dataset | None = None):
         inter = intersect_hypotheses(forward.top1(), reverse.top1())
         seeds = resolve_seed_conflicts(gold, inter)
         last_forward["sgm"] = forward
-        correct = oracle_judge(inter, ds.gold_full)
+        correct = oracle_judge(inter, _gold_full(ds))
         return {
             "component": "sgm",
             "forward_p1": evaluation.p_at_1(forward, ds.gold_test),
@@ -374,7 +391,7 @@ def run_combined(spec: ExperimentSpec, dataset: Dataset | None = None):
             inter = intersect_hypotheses(forward.top1(), reverse.top1())
             seeds = resolve_seed_conflicts(gold, inter)
         last_forward["proc"] = forward
-        correct = oracle_judge(inter, ds.gold_full)
+        correct = oracle_judge(inter, _gold_full(ds))
         return {
             "component": "proc",
             "inner_iterations": spec.proc_inner,

@@ -167,6 +167,24 @@ class TestErrors:
             solve_lap(np.empty((0, 0)))
 
 
+class TestMatchingChecks:
+    @pytest.mark.parametrize("perm", [[0, 0, 2], [0, 1, 3], [[0, 1], [1, 0]]])
+    def test_perm_must_be_a_permutation(self, perm):
+        with pytest.raises(ValueError, match="not a permutation"):
+            Matching(perm=perm)
+
+    @pytest.mark.parametrize("seed_count", [-1, 4])
+    def test_seed_count_must_be_in_range(self, seed_count):
+        with pytest.raises(ValueError, match="out of range"):
+            Matching(perm=[0, 1, 2], seed_count=seed_count)
+
+    def test_seed_block_must_be_the_identity(self):
+        with pytest.raises(ValueError, match="seed block"):
+            Matching(perm=[1, 0, 2], seed_count=1)
+        assert Matching(perm=[0, 2, 1], seed_count=1).seed_count == 1
+        assert Matching(perm=[0, 1, 2], seed_count=3).seed_count == 3
+
+
 class TestScale:
     def test_n_5000_under_60s(self):
         cost = np.random.default_rng(0).uniform(size=(5000, 5000))

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from bilex.cli import (
     main,
 )
 from bilex.pipelines import CHOICES
-from conftest import write_pairs, write_vec
+from conftest import blas_env, write_pairs, write_vec
 
 SPEC_FIELDS = dataclasses.fields(ExperimentSpec)
 REQUIRED_CONFIG = "src-emb=s.vec\ntgt-emb=t.vec\ndictionary=d.tsv\nseeds=3\n"
@@ -229,6 +231,25 @@ class TestRun:
         loaded = json.loads(report_path.read_text())
         assert json.loads(json.dumps(loaded)) == loaded
         assert loaded["rng_seed"] == loaded["spec"]["rng_seed"]
+
+    def test_library_warnings_reach_stderr(self, tmp_path, planted_files):
+        # bilex configures no logging; Python's last-resort handler prints
+        # warnings on stderr. A fresh process, because pytest installs its
+        # own handlers on the root logger.
+        src, tgt, dictionary = planted_files(n=30, d=8, noise=1.0, seed=5)
+        done = subprocess.run(
+            [
+                sys.executable, "-m", "bilex.cli", "run",
+                "--method", "combined", "--seeds", "5", "--iters", "1",
+                "--proc-inner", "1", "--sgm-max-iters", "1",
+                "--src-emb", str(src), "--tgt-emb", str(tgt), "--dict", str(dictionary),
+                "--hyps", str(tmp_path / "h.tsv"),
+            ],
+            env=blas_env("1"), capture_output=True, text=True,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        assert "sgm stopped at max_iters=1 before converging" in done.stderr
+        assert "Procrustes map is not unique: X^T Y has rank 5 < d = 8" in done.stderr
 
 
 class TestExitCodes:

@@ -9,6 +9,7 @@ import pytest
 from bilex import (
     build_graph,
     graph_matching,
+    pipelines,
     sgm,
     soft_sgm,
     solve_lap,
@@ -291,18 +292,24 @@ class TestSoftSgm:
         assert hyps.entries == {src: ((src, 1.0),) for src in range(7)}
 
     def test_single_run_equals_one_sgm(self):
-        from bilex.graph_matching import _child_seed
-
         rng = np.random.default_rng(10)
         gx = rng.normal(size=(6, 3))
         gy = rng.normal(size=(6, 3))
         perms = soft_sgm(gx, gy, 1, runs=1, master_seed=42)
         single = sgm(
             gx, gy, 1,
-            np.random.default_rng(_child_seed(42, 0)),
+            np.random.default_rng(np.random.SeedSequence(42, spawn_key=(0,))),
             init="randomized",
         )
         np.testing.assert_array_equal(perms, single.perm[None, :])
+        # Restart r of the pipeline's soft master draws _rng(seed, _RNG_SOFT, r).
+        master = np.random.SeedSequence(entropy=7, spawn_key=(pipelines._RNG_SOFT,))
+        perms = soft_sgm(gx, gy, 1, runs=3, master_seed=master)
+        for r, perm in enumerate(perms):
+            want = sgm(gx, gy, 1, pipelines._rng(7, pipelines._RNG_SOFT, r), init="randomized")
+            np.testing.assert_array_equal(perm, want.perm)
+        # The caller's SeedSequence is not consumed: a second call is equal.
+        np.testing.assert_array_equal(soft_sgm(gx, gy, 1, runs=3, master_seed=master), perms)
 
     def test_every_row_is_a_permutation(self):
         rng = np.random.default_rng(11)

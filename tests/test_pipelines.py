@@ -453,6 +453,27 @@ class TestRunDispatch:
         ):
             with pytest.raises(ValueError, match="top_n"):
                 pipeline(make_spec(method=method, seeds=5, vocab_mode="top_n"), ds)
+        # So does every other spec that validate() rejects: a bogus strategy
+        # would run a Stochastic-Add variant, a bogus pull the SGM result,
+        # and iters=0 one round.
+        for pipeline, method, bad in (
+            (run_single, "procrustes", {"strategy": "bogus"}),
+            (iterate, "itersgm", {"strategy": "bogus"}),
+            (iterate, "iterproc", {"iters": 0}),
+            (run_combined, "combined", {"pull": "bogus"}),
+            (run_combined, "combined", {"iters": 0}),
+        ):
+            spec = make_spec(method=method, seeds=5, **bad)
+            (problem,) = spec.validate()
+            with pytest.raises(ValueError, match=re.escape(problem)):
+                pipeline(spec, ds)
+        # A pipeline's own refusal of the method joins the spec's problems.
+        spec = make_spec(method="sgm", seeds=5, pull="bogus")
+        with pytest.raises(ValueError) as raised:
+            iterate(spec, ds)
+        assert str(raised.value) == "; ".join(
+            [*spec.validate(), "iterate cannot run method 'sgm'"]
+        )
 
     def test_run_returns_consistent_result(self):
         ds = planted_dataset(n=30, seeds=8)

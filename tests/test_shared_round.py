@@ -24,22 +24,27 @@ def dataset(seeds, noise=0.3, seed=4):
     return build_dataset(src, tgt, lexicon, seeds)
 
 
+def rows(ds, spec):
+    """The (source rows, target rows) a run of ``spec`` works on."""
+    return pipelines._index_space(ds, spec)[0]
+
+
 def words(ds, spec, result, direction=pipelines._FORWARD):
     """An engine result as the word-keyed hypotheses it stands for."""
-    src, tgt, _ = pipelines._index_space(ds, spec)
+    _, src, tgt, _ = pipelines._index_space(ds, spec)
     if direction == pipelines._REVERSE:
         src, tgt = tgt, src
     return pipelines._hypotheses(src, tgt, result)
 
 
 def word_pairs(ds, spec, pairs) -> list:
-    src, tgt, _ = pipelines._index_space(ds, spec)
+    _, src, tgt, _ = pipelines._index_space(ds, spec)
     return [(src[a], tgt[b]) for a, b in pairs.tolist()]
 
 
 def gold_seeds(ds, spec):
     """The gold seeds as the pipeline's index pairs, seeds first."""
-    return pipelines._index_space(ds, spec)[2][: len(ds.gold_seeds)]
+    return pipelines._index_space(ds, spec)[3][: len(ds.gold_seeds)]
 
 
 def dump(hyps) -> str:
@@ -88,7 +93,9 @@ def test_shared_reverse_equals_independent_solve(seeds, vocab_mode, calls):
     spec = make_spec(method="iterproc", seeds=seeds, vocab_mode=vocab_mode)
     ds = dataset(seeds, noise=0.5)
     gold, index_seeds = list(ds.gold_seeds.pairs), gold_seeds(ds, spec)
-    forward, reverse, inter = pipelines._round(ds, spec, "proc", index_seeds, index_seeds, (3, 0, 1))
+    forward, reverse, inter = pipelines._round(
+        rows(ds, spec), spec, "proc", index_seeds, index_seeds, (3, 0, 1)
+    )
     assert calls == {"solve_procrustes": 1, "extract_hypotheses": 1}
     forward = words(ds, spec, forward)
     reverse = words(ds, spec, reverse, pipelines._REVERSE)
@@ -108,15 +115,17 @@ def test_shared_reverse_equals_independent_solve(seeds, vocab_mode, calls):
 
 def test_add_all_round_with_unique_map_scores_once(calls):
     spec = make_spec(seeds=30)
-    gold = gold_seeds(dataset(30), spec)
-    pipelines._round(dataset(30), spec, "proc", gold, gold, (3, 0, 1))
+    ds = dataset(30)
+    gold = gold_seeds(ds, spec)
+    pipelines._round(rows(ds, spec), spec, "proc", gold, gold, (3, 0, 1))
     assert calls == {"solve_procrustes": 1, "extract_hypotheses": 1}
 
 
 def test_round_with_fewer_seeds_than_dimensions_scores_twice(calls):
     spec = make_spec(seeds=10)
-    gold = gold_seeds(dataset(10), spec)
-    pipelines._round(dataset(10), spec, "proc", gold, gold, (3, 0, 1))
+    ds = dataset(10)
+    gold = gold_seeds(ds, spec)
+    pipelines._round(rows(ds, spec), spec, "proc", gold, gold, (3, 0, 1))
     assert calls == {"solve_procrustes": 2, "extract_hypotheses": 2}
 
 
@@ -174,7 +183,7 @@ def test_shared_sgm_reverse_equals_independent_solve(seed_order, solves):
     seeds = gold_seeds(ds, spec)
     if seed_order == "shuffled":
         seeds = seeds[np.random.default_rng(0).permutation(len(seeds))]
-    forward, reverse, inter = pipelines._round(ds, spec, "sgm", seeds, seeds, KEY)
+    forward, reverse, inter = pipelines._round(rows(ds, spec), spec, "sgm", seeds, seeds, KEY)
     assert len(solves) == 1 and solves[0].unique
     seed_words = word_pairs(ds, spec, seeds)
     want_forward = fresh_sgm(ds, spec, seed_words, pipelines._FORWARD)
@@ -198,7 +207,7 @@ def test_sgm_rounds_with_shared_seeds_solve_once(strategy, per_round, solves):
     assert records == want_records
     assert log == want_log
     assert dump(hyps) == dump(want_hyps)
-    assert [int(len(fwd) < ds.n) for fwd, _ in log] == per_round
+    assert [int(len(fwd) < len(ds.src_words)) for fwd, _ in log] == per_round
     assert len(solves) == sum(per_round)
     assert all(matching.unique for matching in solves)
 
@@ -213,7 +222,7 @@ def test_combined_sgm_rounds_solve_once(solves):
     # The SGM component of each cycle starts from the Procrustes seeds.
     components = [c for record in records for c in record["components"]]
     entering = [c["seeds_after"] for c in components if c["component"] == "proc"]
-    assert len(solves) == sum(size < ds.n for size in entering) > 0
+    assert len(solves) == sum(size < len(ds.src_words) for size in entering) > 0
     assert all(matching.unique for matching in solves)
 
 
@@ -225,7 +234,7 @@ def test_tie_heavy_sgm_round_keeps_the_fresh_reverse(solves):
         gold = list(ds.gold_seeds.pairs)
         solves.clear()
         seeds = gold_seeds(ds, spec)
-        forward, reverse, _ = pipelines._round(ds, spec, "sgm", seeds, seeds, KEY)
+        forward, reverse, _ = pipelines._round(rows(ds, spec), spec, "sgm", seeds, seeds, KEY)
         forward = words(ds, spec, forward)
         reverse = words(ds, spec, reverse, pipelines._REVERSE)
         assert len(solves) == 2 and not solves[0].unique
@@ -246,8 +255,9 @@ def test_stochastic_sgm_rounds_with_different_samples_solve_twice(solves):
     assert log == want_log
     assert dump(hyps) == dump(want_hyps)
     # A direction whose seeds cover the vocabulary solves nothing.
+    n = len(ds.src_words)
     per_round = [
-        int(len(fwd) < ds.n) if set(fwd) == set(rev) else (len(fwd) < ds.n) + (len(rev) < ds.n)
+        int(len(fwd) < n) if set(fwd) == set(rev) else (len(fwd) < n) + (len(rev) < n)
         for fwd, rev in log
     ]
     assert per_round[0] == 1 and 2 in per_round
@@ -258,34 +268,41 @@ def test_stochastic_sgm_rounds_with_different_samples_solve_twice(solves):
 def test_saturated_sgm_round_solves_nothing_and_returns_the_reverse(solves):
     spec = make_spec(method="itersgm", seeds=10)
     ds = dataset(10)
-    seeds = pipelines._index_space(ds, spec)[2][np.random.default_rng(1).permutation(ds.n)]
-    forward, reverse, inter = pipelines._round(ds, spec, "sgm", seeds, seeds, KEY)
+    n = len(ds.src_words)
+    seeds = pipelines._index_space(ds, spec)[3][np.random.default_rng(1).permutation(n)]
+    forward, reverse, inter = pipelines._round(rows(ds, spec), spec, "sgm", seeds, seeds, KEY)
     assert solves == []
     pairs = word_pairs(ds, spec, seeds)
     assert dump(words(ds, spec, forward)) == dump(fresh_sgm(ds, spec, pairs, pipelines._FORWARD))
     assert dump(words(ds, spec, reverse, pipelines._REVERSE)) == dump(
         fresh_sgm(ds, spec, pairs, pipelines._REVERSE)
     )
-    assert len(inter) == ds.n
+    assert len(inter) == n
 
 
 @pytest.mark.parametrize("method", ["procrustes", "sgm"])
-def test_forward_only_runs_build_no_reverse(method, monkeypatch):
-    reverses = []
-    for name in ("_proc_run", "_sgm_run"):
-        original = getattr(pipelines, name)
+def test_forward_only_runs_solve_each_direction_once(method, monkeypatch):
+    directions = []
+    original = pipelines._engine_run
 
-        def recorded(*args, _original=original, **kwargs):
-            forward, reverse = _original(*args, **kwargs)
-            reverses.append(reverse)
-            return forward, reverse
+    def recorded(rows, spec, engine, seeds, direction, key):
+        directions.append(direction)
+        return original(rows, spec, engine, seeds, direction, key)
 
-        monkeypatch.setattr(pipelines, name, recorded)
+    monkeypatch.setattr(pipelines, "_engine_run", recorded)
     spec = make_spec(method=method, seeds=30)
-    pipelines.run_single(spec, dataset(30))
-    assert reverses == [None]
-    # A round whose directions hold different seeds reads no reverse either.
-    gold = gold_seeds(dataset(30), spec)
+    ds = dataset(30)
+    pipelines.run_single(spec, ds)
+    assert directions == [pipelines._FORWARD]
+    # A round whose directions hold different seeds solves the reverse afresh,
+    # even when the forward solution is unique.
+    gold = gold_seeds(ds, spec)
     engine = pipelines.METHODS[method][1]
-    pipelines._round(dataset(30), spec, engine, gold, gold[1:], KEY)
-    assert reverses == [None, None, None]
+    _, reverse = original(rows(ds, spec), spec, engine, gold, pipelines._FORWARD, KEY)
+    assert reverse is not None
+    _, got, _ = pipelines._round(rows(ds, spec), spec, engine, gold, gold[1:], KEY)
+    assert directions == [pipelines._FORWARD, pipelines._FORWARD, pipelines._REVERSE]
+    want = original(rows(ds, spec), spec, engine, gold[1:], pipelines._REVERSE, KEY)[0]
+    assert dump(words(ds, spec, got, pipelines._REVERSE)) == dump(
+        words(ds, spec, want, pipelines._REVERSE)
+    )
