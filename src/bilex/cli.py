@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, pipelines
-from .embeddings import EmbeddingFormatError, NormalizationError, load_embeddings
+from .embeddings import EmbeddingFormatError, NormalizationError, load_embeddings, open_text
 from .evaluation import metrics_report
 from .hypotheses import HypothesisSet
 from .lexicon import (
@@ -143,7 +143,7 @@ def _coerce(key: str, raw: str):
 
 def _read_config(path) -> dict:
     values = {}
-    with open(path, encoding="utf-8") as handle:
+    with open_text(path, ValueError) as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -186,7 +186,7 @@ def _read_hypotheses(path) -> HypothesisSet:
     enter, so it checks each is ranked, sorted and repeats no target."""
     per_source: dict[str, list] = {}
     seen: set[tuple[str, str]] = set()
-    with open(path, "rt", encoding="utf-8") as handle:
+    with open_text(path, HypothesisFormatError) as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue

@@ -5,15 +5,20 @@ Handles the plain-text vector format popularized by fastText: a
 per word, most frequent word first. Files ending in ``.gz`` are read
 through gzip. Values are parsed as 64-bit floats regardless of how the
 file was produced, since downstream SVD and Frank-Wolfe steps are
-sensitive to precision.
+sensitive to precision. The loader parses the values of a chunk of lines
+with one ``np.loadtxt`` call, which takes Python's float syntax in ASCII
+without digit-grouping underscores.
 """
 
 from __future__ import annotations
 
 import gzip
 import logging
+import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -21,6 +26,14 @@ logger = logging.getLogger(__name__)
 
 # Row norms at or below this are treated as zero.
 _ZERO_NORM = 1e-12
+
+# Rows handled at once: lines of a vector file parsed per np.loadtxt
+# call, and rows squared per block of row norms. A chunk of 300-wide
+# "%.6f" rows holds about 0.8 MB of text; see README "Notes on scale".
+_CHUNK_ROWS = 256
+
+# What errors="surrogateescape" makes of bytes that do not decode.
+_ESCAPED = re.compile("[\udc80-\udcff]")
 
 
 class EmbeddingFormatError(ValueError):
@@ -84,13 +97,13 @@ def load_embeddings(path, max_words: int | None = None) -> EmbeddingMatrix:
     normalization is applied. A duplicate token keeps its first
     occurrence and a row containing non-finite values is dropped; both
     conditions are counted and logged as warnings. A row whose field
-    count disagrees with the header dimension is an error.
+    count disagrees with the header dimension, a value that is not an
+    ASCII float, and text that is not UTF-8 are errors.
     """
     if max_words is not None and max_words < 1:
         raise ValueError("max_words must be a positive integer")
     opener = gzip.open if str(path).endswith(".gz") else open
-
-    with opener(path, "rt", encoding="utf-8") as handle:
+    with open_text(path, EmbeddingFormatError, opener) as handle:
         header = handle.readline()
         fields = header.split()
         if len(fields) != 2:
@@ -109,37 +122,46 @@ def load_embeddings(path, max_words: int | None = None) -> EmbeddingMatrix:
             )
 
         limit = count if max_words is None else min(count, max_words)
+        # Grown as rows are kept, to one chunk or twice their number at most:
+        # no allocation is sized by the header's count.
+        vectors = np.empty((min(limit, _CHUNK_ROWS), dim))
         vocab: list[str] = []
-        rows: list[np.ndarray] = []
         seen: set[str] = set()
         duplicates = 0
         nonfinite = 0
-        for lineno, line in enumerate(handle, start=2):
-            if len(vocab) >= limit:
+        lineno = 1
+        while len(vocab) < limit:
+            # A line keeps at most one row, so no line past the cap is read.
+            first = lineno
+            tokens, texts, linenos = [], [], []
+            for lineno, line in enumerate(
+                islice(handle, min(_CHUNK_ROWS, limit - len(vocab))), start=lineno + 1
+            ):
+                parts = line.split(maxsplit=1)
+                if parts:
+                    tokens.append(parts[0])
+                    texts.append(parts[1] if len(parts) == 2 else "")
+                    linenos.append(lineno)
+            if lineno == first:  # end of file
                 break
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != dim + 1:
-                raise EmbeddingFormatError(
-                    f"{path}:{lineno}: expected {dim + 1} fields, got {len(parts)}"
-                )
-            token = parts[0]
-            if token in seen:
-                duplicates += 1
-                continue
-            try:
-                values = np.array(parts[1:], dtype=np.float64)
-            except ValueError as exc:
-                raise EmbeddingFormatError(
-                    f"{path}:{lineno}: unparseable vector component"
-                ) from exc
-            if not np.isfinite(values).all():
-                nonfinite += 1
-                continue
-            seen.add(token)
-            vocab.append(token)
-            rows.append(values)
+            block = _parse_values(path, texts, linenos, dim)
+            finite = np.isfinite(block).all(axis=1)
+            keep = []
+            for i, token in enumerate(tokens):
+                if token in seen:
+                    duplicates += 1
+                elif not finite[i]:
+                    nonfinite += 1
+                else:
+                    seen.add(token)
+                    vocab.append(token)
+                    keep.append(i)
+            start = len(vocab) - len(keep)
+            if len(vocab) > len(vectors):
+                # No view of ``vectors`` outlives a statement, so it may move.
+                grown = min(limit, max(len(vocab), 2 * len(vectors)))
+                vectors.resize((grown, dim), refcheck=False)
+            vectors[start : len(vocab)] = block[keep]
 
     if duplicates:
         logger.warning(
@@ -151,12 +173,63 @@ def load_embeddings(path, max_words: int | None = None) -> EmbeddingMatrix:
         logger.warning("%s: %d row(s) with non-finite values dropped", path, nonfinite)
     if len(vocab) + duplicates + nonfinite < limit:
         logger.warning(
-            "%s: header announced %d rows but the file held fewer",
+            "%s: header announced %d rows but the file held fewer%s",
             path,
-            limit,
+            count,
+            "" if limit == count else f" than max_words={limit}",
         )
-    vectors = np.vstack(rows) if rows else np.empty((0, dim))
+    if len(vocab) < len(vectors):
+        vectors.resize((len(vocab), dim), refcheck=False)
     return EmbeddingMatrix(tuple(vocab), vectors)
+
+
+@contextmanager
+def open_text(path, error: type[ValueError], opener=open):
+    """``path`` opened as UTF-8 text. Bytes that do not decode raise
+    ``error``, naming the path and the first line that holds them."""
+    try:
+        with opener(path, "rt", encoding="utf-8") as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        with opener(path, "rt", encoding="utf-8", errors="surrogateescape") as handle:
+            bad = next(
+                (n for n, line in enumerate(handle, start=1) if _ESCAPED.search(line)), None
+            )
+        where = str(path) if bad is None else f"{path}:{bad}"
+        raise error(f"{where}: not valid UTF-8 ({exc.reason})") from exc
+
+
+def _parse_values(path, texts: list[str], linenos: list[int], dim: int) -> np.ndarray:
+    """The value fields of a chunk's lines as one (len(texts), dim) block.
+
+    ``np.loadtxt`` parses the whole chunk. It skips empty text, where a
+    token-only line would show only as a missing row, and warns on a
+    chunk without values, so such chunks go straight to the second
+    pass. A chunk that fails is parsed again one line at a time to name
+    its first malformed line.
+    """
+    if texts and all(texts):
+        try:
+            block = np.loadtxt(texts, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if block.shape == (len(texts), dim):
+                return block
+    block = np.empty((len(texts), dim))
+    for row, lineno, text in zip(block, linenos, texts):
+        found = len(text.split())
+        if found != dim:
+            raise EmbeddingFormatError(
+                f"{path}:{lineno}: expected {dim + 1} fields, got {found + 1}"
+            )
+        try:
+            row[:] = np.loadtxt([text], dtype=np.float64, comments=None, ndmin=2)
+        except ValueError as exc:
+            raise EmbeddingFormatError(
+                f"{path}:{lineno}: unparseable vector component"
+            ) from exc
+    return block
 
 
 def normalize(emb: EmbeddingMatrix, passes: int = 1) -> EmbeddingMatrix:
@@ -170,15 +243,21 @@ def normalize(emb: EmbeddingMatrix, passes: int = 1) -> EmbeddingMatrix:
         raise ValueError("passes must be non-negative")
     vectors = emb.vectors.copy()
     for _ in range(passes):
-        vectors = _unit_rows(vectors, "before unit scaling")
-        vectors = vectors - vectors.mean(axis=0)
-        vectors = _unit_rows(vectors, "after mean-centering")
+        _unit_rows(vectors, "before unit scaling")
+        vectors -= vectors.mean(axis=0)
+        _unit_rows(vectors, "after mean-centering")
     return EmbeddingMatrix(emb.vocab, vectors)
 
 
-def _unit_rows(vectors: np.ndarray, stage: str) -> np.ndarray:
-    norms = np.linalg.norm(vectors, axis=1)
+def _unit_rows(vectors: np.ndarray, stage: str) -> None:
+    """Scale every row to unit length in place. Norms are taken a block of
+    rows at a time, so the squares never need a full-size temporary."""
+    norms = np.empty(len(vectors))
+    for start in range(0, len(vectors), _CHUNK_ROWS):
+        norms[start : start + _CHUNK_ROWS] = np.linalg.norm(
+            vectors[start : start + _CHUNK_ROWS], axis=1
+        )
     zero = norms <= _ZERO_NORM
     if zero.any():
         raise NormalizationError(int(np.flatnonzero(zero)[0]), stage)
-    return vectors / norms[:, None]
+    vectors /= norms[:, None]

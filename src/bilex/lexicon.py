@@ -9,6 +9,8 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
+from .embeddings import open_text
+
 logger = logging.getLogger(__name__)
 
 
@@ -63,7 +65,7 @@ def load_dictionary(path) -> Lexicon:
     """Parse a dictionary file, preserving order and dropping duplicate pairs."""
     pairs: list[tuple[str, str]] = []
     seen: set[tuple[str, str]] = set()
-    with open(path, "rt", encoding="utf-8") as handle:
+    with open_text(path, DictionaryFormatError) as handle:
         for lineno, line in enumerate(handle, start=1):
             fields = line.split()
             if not fields:

@@ -282,6 +282,39 @@ class TestExitCodes:
         ])
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("bad", ["src", "dict"])
+    def test_undecodable_input_is_parse_error_naming_the_file(self, tmp_path, capsys, bad):
+        write_vec(tmp_path / "t.vec", ["a", "b"], np.eye(2))
+        write_pairs(tmp_path / "d.tsv", [("a", "a"), ("b", "b")])
+        (tmp_path / "s.vec").write_bytes(
+            b"2 2\na 1 0\nb\xff 3.0 4.0\n" if bad == "src" else b"2 2\na 1 0\nb 0 1\n"
+        )
+        if bad == "dict":
+            (tmp_path / "d.tsv").write_bytes(b"a\ta\nb\xff\tb\n")
+        code = main([
+            "prep", "--dict", str(tmp_path / "d.tsv"),
+            "--src-emb", str(tmp_path / "s.vec"),
+            "--tgt-emb", str(tmp_path / "t.vec"),
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_PARSE
+        where = f"{tmp_path / 's.vec'}:3" if bad == "src" else f"{tmp_path / 'd.tsv'}:2"
+        assert f"parse error: {where}: not valid UTF-8" in capsys.readouterr().err
+
+    def test_undecodable_hyps_is_parse_error_naming_the_file(self, tmp_path, capsys):
+        hyps = tmp_path / "h.tsv"
+        hyps.write_bytes(b"a\tb\t1\t0.9\n\xffa\tb\t1\t0.9\n")
+        write_pairs(tmp_path / "g.tsv", [("a", "b")])
+        code = main(["eval", "--hyps", str(hyps), "--gold", str(tmp_path / "g.tsv")])
+        assert code == EXIT_PARSE
+        assert f"parse error: {hyps}:2: not valid UTF-8" in capsys.readouterr().err
+
+    def test_undecodable_config_is_usage_error_naming_the_file(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"seeds=3\nsrc-emb=a\xff.vec\n")
+        assert main(["run", "--config", str(config)]) == EXIT_USAGE
+        assert f"error: {config}:2: not valid UTF-8" in capsys.readouterr().err
+
     def test_bad_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             main(["run", "--method", "warp"])

@@ -2,10 +2,12 @@
 
 import gzip
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import reference_embeddings as reference
 from bilex import (
     EmbeddingFormatError,
     EmbeddingMatrix,
@@ -96,6 +98,81 @@ class TestLoad:
         path = _write(tmp_path / "a.vec", "1 2\na 0.100000001490116 1\n")
         assert load_embeddings(path).vectors.dtype == np.float64
 
+    def test_short_file_warning_names_header_count_and_cap(self, tmp_path, caplog):
+        path = _write(tmp_path / "a.vec", "1000 2\na 1 0\nb 0 1\n")
+        with caplog.at_level(logging.WARNING):
+            load_embeddings(path, max_words=500)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}: header announced 1000 rows but the file held fewer than max_words=500"
+        ]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            load_embeddings(path)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}: header announced 1000 rows but the file held fewer"
+        ]
+
+    def test_header_count_is_not_trusted_with_an_allocation(self, tmp_path, caplog):
+        path = _write(tmp_path / "a.vec", f"{10**15} 300\na {' 1' * 300}\n")
+        tracemalloc.start()
+        try:
+            with caplog.at_level(logging.WARNING):
+                emb = load_embeddings(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert emb.vocab == ("a",)
+        assert any("announced 1000000000000000 rows" in r.getMessage() for r in caplog.records)
+        assert peak < 4 << 20  # one chunk of rows, not 10**15 of them
+
+    def test_load_peak_at_most_twice_the_matrix(self, tmp_path):
+        rng = np.random.default_rng(6)
+        vectors = rng.normal(size=(3000, 64))
+        path = tmp_path / "a.vec"
+        path.write_text(
+            "3000 64\n"
+            + "".join(
+                f"w{i} " + " ".join(repr(float(v)) for v in row) + " \n"
+                for i, row in enumerate(vectors)
+            ),
+            encoding="utf-8",
+        )
+        tracemalloc.start()
+        try:
+            emb = load_embeddings(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert emb.vectors.tobytes() == vectors.tobytes()
+        assert peak <= 2.0 * emb.vectors.nbytes
+
+    def test_undecodable_bytes_name_the_line(self, tmp_path):
+        path = tmp_path / "a.vec"
+        path.write_bytes(b"2 2\na 1 0\nb\xff 3.0 4.0\n")
+        with pytest.raises(EmbeddingFormatError, match=r"a\.vec:3: not valid UTF-8"):
+            load_embeddings(path)
+        gz = tmp_path / "a.vec.gz"
+        gz.write_bytes(gzip.compress(path.read_bytes()))
+        with pytest.raises(EmbeddingFormatError, match=r"a\.vec\.gz:3: not valid UTF-8"):
+            load_embeddings(gz)
+
+
+class TestStricterThanBefore:
+    """Inputs the line-at-a-time loader accepted and the chunked one rejects."""
+
+    def test_repeated_token_with_unparseable_values_raises(self, tmp_path):
+        path = _write(tmp_path / "a.vec", "2 2\na 1 0\na 1 oops\nb 0 1\n")
+        assert reference.load_embeddings(path).vocab == ("a", "b")
+        with pytest.raises(EmbeddingFormatError, match=r"a\.vec:3: unparseable vector component"):
+            load_embeddings(path)
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0661"], ids=["underscore", "arabic-indic-digit"])
+    def test_python_only_float_syntax_raises(self, tmp_path, value):
+        path = _write(tmp_path / "a.vec", f"1 2\na 1 {value}\n")
+        assert np.isfinite(reference.load_embeddings(path).vectors).all()
+        with pytest.raises(EmbeddingFormatError, match=r"a\.vec:2: unparseable vector component"):
+            load_embeddings(path)
+
 
 class TestNormalize:
     def test_hand_example(self):
@@ -182,6 +259,21 @@ class TestNormalize:
         manual = manual - manual.mean(axis=0)
         manual /= np.linalg.norm(manual, axis=1, keepdims=True)
         np.testing.assert_allclose(out.vectors, manual, atol=1e-12)
+
+    def test_extra_peak_about_one_copy(self):
+        rng = np.random.default_rng(7)
+        emb = EmbeddingMatrix(tuple(f"w{i}" for i in range(3000)), rng.normal(size=(3000, 64)))
+        peaks = {}
+        for name, norm in (("new", normalize), ("reference", reference.normalize)):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                norm(emb)
+                peaks[name] = (tracemalloc.get_traced_memory()[1] - base) / emb.vectors.nbytes
+            finally:
+                tracemalloc.stop()
+        assert peaks["reference"] > 2.0
+        assert peaks["new"] <= 1.25
 
 
 class TestMatrixInvariants:

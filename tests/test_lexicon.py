@@ -38,6 +38,12 @@ class TestLoad:
         with pytest.raises(DictionaryFormatError, match=":2:"):
             load_dictionary(path)
 
+    def test_undecodable_bytes_name_the_line(self, tmp_path):
+        path = tmp_path / "d.tsv"
+        path.write_bytes(b"dog Hund\ncat Katze\nb\xe9e Biene\n")
+        with pytest.raises(DictionaryFormatError, match=r"d\.tsv:3: not valid UTF-8"):
+            load_dictionary(path)
+
 
 class TestFilterOneToOne:
     def test_hand_trace(self):
