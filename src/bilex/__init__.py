@@ -26,7 +26,7 @@ from .graph_matching import (
     trace_gradient,
     trace_objective,
 )
-from .hypotheses import HypothesisSet, Matching
+from .hypotheses import HypothesisSet, Matching, TopK
 from .lexicon import (
     DictionaryFormatError,
     Lexicon,
@@ -47,12 +47,7 @@ from .pipelines import (
     run_combined,
     run_single,
 )
-from .procrustes import (
-    OrthogonalMap,
-    TopK,
-    extract_hypotheses,
-    solve_procrustes,
-)
+from .procrustes import OrthogonalMap, extract_hypotheses, solve_procrustes
 
 __all__ = [
     "Dataset",

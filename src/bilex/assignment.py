@@ -1,12 +1,12 @@
 """Exact linear assignment with deterministic tie-breaking.
 
-The first step belongs to the Frank-Wolfe caller: it reduces each
-direction cost, subtracting each row's minimum and then each column's,
-as Jonker and Volgenant (1987) begin. That leaves the optimal set
-unchanged, and scipy, which does not reduce, solves the reduced cost
-faster. :func:`solve_lap` leaves its argument unchanged, since reducing
-it here would need an n x n copy; its tie tolerance scales with the
-cost it receives.
+The first step belongs to the Frank-Wolfe caller: it reduces the cost
+of every LAP, the final projection included, subtracting each row's
+minimum and then each column's, as Jonker and Volgenant (1987) begin.
+That leaves the optimal set unchanged, and scipy, which does not
+reduce, solves the reduced cost faster. :func:`solve_lap` leaves its
+argument unchanged, since reducing it here would need an n x n copy;
+its tie tolerance scales with the cost it receives.
 
 The core optimum is found by :func:`scipy.optimize.linear_sum_assignment`
 (Jonker-Volgenant style shortest augmenting paths, O(n^3)). Because SGM's

@@ -97,8 +97,9 @@ def load_embeddings(path, max_words: int | None = None) -> EmbeddingMatrix:
     normalization is applied. A duplicate token keeps its first
     occurrence and a row containing non-finite values is dropped; both
     conditions are counted and logged as warnings. A row whose field
-    count disagrees with the header dimension, a value that is not an
-    ASCII float, and text that is not UTF-8 are errors.
+    count disagrees with the header dimension, a header field that is not
+    an optional sign and ASCII digits, a value that is not an ASCII float,
+    and text that is not UTF-8 are errors.
     """
     if max_words is not None and max_words < 1:
         raise ValueError("max_words must be a positive integer")
@@ -110,12 +111,11 @@ def load_embeddings(path, max_words: int | None = None) -> EmbeddingMatrix:
             raise EmbeddingFormatError(
                 f"{path}: header must be 'count dim', got {header.strip()!r}"
             )
-        try:
-            count, dim = int(fields[0]), int(fields[1])
-        except ValueError as exc:
+        if not all(re.fullmatch(r"[+-]?[0-9]+", field) for field in fields):
             raise EmbeddingFormatError(
                 f"{path}: non-integer header fields {header.strip()!r}"
-            ) from exc
+            )
+        count, dim = int(fields[0]), int(fields[1])
         if count < 0 or dim < 1:
             raise EmbeddingFormatError(
                 f"{path}: header count/dim out of range ({count}, {dim})"

@@ -63,6 +63,8 @@ class _FactoredProblem:
         f(P)      = ||S + Z||_F^2 = <S, S> + <2 S + Z, Z>
         grad f(P) = X2 (2 S + 2 Z) Y2^T
 
+    so a step from Z to Z + dZ changes f by ``gain(Z, dZ) =
+    <dZ, 2 (S + Z) + dZ>``, and f(P) itself is ``<S, S> + gain(0, Z)``.
     Z is linear in P and a row gather at a permutation vertex, so a
     Frank-Wolfe step updates it in O(m dx dy); only the gradient costs
     O(m^2 d). ``relabel`` reorders the rows of Y first.
@@ -83,8 +85,12 @@ class _FactoredProblem:
         """Z of the permutation matrix with a one at (i, cols[i])."""
         return self.x2.T @ self.y2[cols]
 
+    def gain(self, z: np.ndarray | float, dz: np.ndarray) -> float:
+        """f at summary z + dz minus f at summary z."""
+        return float((dz * (2.0 * (self.seed + z) + dz)).sum())
+
     def objective(self, z: np.ndarray) -> float:
-        return self.fixed + float((z * (2.0 * self.seed + z)).sum())
+        return self.fixed + self.gain(0.0, z)
 
     def gradient(self, z: np.ndarray) -> np.ndarray:
         return self.x2 @ (2.0 * (self.seed + z)) @ self.y2.T
@@ -160,11 +166,12 @@ def sgm(
     may not. With m = n - s free vertices and rows of width at most d,
     one iteration costs one O(m^2 d) product for the gradient, the
     O(m^3) LAP for the direction and O(m^2) work to rewrite P in place;
-    see :class:`_FactoredProblem`. Each direction LAP gets the negated
-    gradient row- and column-reduced in place (:func:`_direction_lap`),
-    which keeps its optimum but makes scipy's solver faster. At most two
-    m x m float64 arrays are alive: P and the LAP's cost, which is the
-    gradient's own array; the LAP's refinement works in row blocks.
+    see :class:`_FactoredProblem`. Every LAP, the final projection
+    included, maximizes <M, Q> over a row- and column-reduced cost made in
+    place over M (:func:`_direction_lap`), which keeps its optimum but
+    makes scipy's solver faster. M is the gradient for a direction and P
+    itself for the projection. At most two m x m float64 arrays are
+    alive: P and the gradient; the LAP's refinement works in row blocks.
     """
     n = len(gx)
     if n != len(gy):
@@ -196,10 +203,9 @@ def sgm(
         direction, unique = lap.perm, unique and lap.unique
         dz = problem.vertex_summary(direction) - z
         alpha = delta = 0.0
-        # f(Q) - f(P) = <dz, 2 (S + z) + dz>; f is convex, so the exact
-        # line search on [P, Q] ends at P or at Q. ||Q - P||^2 is
-        # m - 2 <P, Q> + ||P||^2.
-        if float((dz * (2.0 * (problem.seed + z) + dz)).sum()) > 0.0:
+        # f is convex, so the exact line search on [P, Q] ends at P or
+        # at Q. ||Q - P||^2 is m - 2 <P, Q> + ||P||^2.
+        if problem.gain(z, dz) > 0.0:
             alpha = 1.0
             delta = float(np.sqrt(m - 2.0 * p[rows, direction].sum() + np.vdot(p, p)))
             p[:] = 0.0
@@ -220,7 +226,7 @@ def sgm(
         capped = True
         logger.warning("sgm stopped at max_iters=%d before converging (eps=%g)", max_iters, eps)
 
-    lap = solve_lap(-p)
+    lap = _direction_lap(p)  # P is not used again
     solved = sigma[lap.perm] if sigma is not None else lap.perm
     perm = np.concatenate([np.arange(s), s + solved])
     return Matching(
@@ -238,8 +244,9 @@ def _direction_lap(gradient: np.ndarray) -> Matching:
 
     The cost ``-gradient`` is row-reduced, then column-reduced (see
     :mod:`bilex.assignment`), in place over ``gradient``, which the
-    caller must own. ``max(g row) - g`` is the
-    row-reduced ``-g`` exactly, so one pass negates and row-reduces.
+    caller must own; ``sgm`` passes its final iterate here too.
+    ``max(g row) - g`` is the row-reduced ``-g`` exactly, so one pass
+    negates and row-reduces.
     """
     np.subtract(gradient.max(axis=1, keepdims=True), gradient, out=gradient)
     gradient -= gradient.min(axis=0)

@@ -1,9 +1,10 @@
-"""Shared result containers: one-to-one matchings and ranked hypotheses."""
+"""Shared result containers: one-to-one matchings, per-row top-k candidates
+and ranked hypotheses."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable
+from typing import Hashable, NamedTuple
 
 import numpy as np
 
@@ -63,3 +64,25 @@ class HypothesisSet:
     def top1(self) -> dict:
         """Best target per source, skipping sources with no hypotheses."""
         return {key: ranked[0][0] for key, ranked in self.entries.items() if ranked}
+
+
+class TopK(NamedTuple):
+    """The best candidates of each query row, best first.
+
+    ``index[i]`` holds candidate indices by descending ``score[i]``, ties
+    toward the smaller index; both arrays are (n_queries, k).
+    """
+
+    index: np.ndarray
+    score: np.ndarray
+
+    def hypotheses(self, keys=None, labels=None) -> HypothesisSet:
+        """Row i keyed by ``keys[i]``, candidate j named ``labels[j]``
+        (indices when not given)."""
+        index = self.index.tolist()
+        if labels is not None:
+            index = [[labels[j] for j in row] for row in index]
+        keys = range(len(index)) if keys is None else keys
+        return HypothesisSet(
+            {key: tuple(zip(c, v)) for key, c, v in zip(keys, index, self.score.tolist())}
+        )

@@ -16,6 +16,7 @@ from the experiment's single rng seed and fixed structural indices
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -29,9 +30,9 @@ from .graph_matching import (
     soft_sgm,
     top_k_from_distribution,
 )
-from .hypotheses import HypothesisSet
+from .hypotheses import HypothesisSet, TopK
 from .lexicon import Lexicon, drop_missing, filter_one_to_one, load_dictionary, split
-from .procrustes import TopK, extract_hypotheses, solve_procrustes
+from .procrustes import extract_hypotheses, solve_procrustes
 
 # What each method runs: (pipeline, engine). Soft SGM is an ensemble of
 # restarts and the combined cycle alternates both engines, so neither
@@ -54,9 +55,9 @@ CHOICES = {
     "vocab_mode": ("restricted", "top_n"),
 }
 
-# Hard cap on refinement iterations; Stochastic-Add runs until its growing
-# sample covers the intersection, which must terminate even if the
-# intersection keeps moving.
+# Where Stochastic-Add stops once past ``iters`` although its growing
+# sample has not covered the intersection, which can keep moving. The
+# other strategies run exactly ``iters`` iterations.
 MAX_ITERATIONS = 50
 
 # Spawn-key tags for rng substreams (stable across releases for
@@ -113,7 +114,7 @@ class ExperimentSpec:
                 "vocab_mode 'top_n' only applies to procrustes/iterproc; the "
                 "graph framing needs equal-size restricted vocabularies"
             )
-        for name in ("seeds", "h", "iters", "csls_k", "soft_runs", "top_k"):
+        for name in ("seeds", "h", "iters", "csls_k", "soft_runs", "top_k", "sgm_max_iters"):
             if getattr(self, name) < 1:
                 problems.append(f"{name} must be a positive integer")
         for name in ("proc_inner", "normalize_passes", "rng_seed"):
@@ -121,8 +122,6 @@ class ExperimentSpec:
                 problems.append(f"{name} must be a non-negative integer")
         if self.max_words is not None and self.max_words < 1:
             problems.append("max_words must be a positive integer")
-        if self.sgm_max_iters < 1:
-            problems.append("sgm_max_iters must be a positive integer")
         if not self.sgm_eps > 0:  # also rejects NaN
             problems.append("sgm_eps must be positive")
         elif not np.isfinite(self.sgm_eps):  # FW would stop after one step
@@ -132,13 +131,11 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Prepared experiment data: normalized embeddings, the gold split and
-    its words, seeds first. A run's rows come from ``_index_space``."""
+    """Prepared experiment data: normalized embeddings and the gold split.
+    A run's rows and words come from ``_index_space``."""
 
     src_full: EmbeddingMatrix
     tgt_full: EmbeddingMatrix
-    src_words: tuple[str, ...]
-    tgt_words: tuple[str, ...]
     gold_seeds: Lexicon
     gold_test: Lexicon
 
@@ -149,19 +146,10 @@ def build_dataset(
     lexicon: Lexicon,
     seed_count: int,
 ) -> Dataset:
-    """Filter the lexicon, split it, and lay out the restricted vocabulary."""
+    """Filter the lexicon to pairs both vocabularies hold, then split it."""
     usable = drop_missing(filter_one_to_one(lexicon), src_emb.index, tgt_emb.index)
     parts = split(usable, seed_count)
-    src_words = parts.seeds.sources() + parts.test.sources()
-    tgt_words = parts.seeds.targets() + parts.test.targets()
-    return Dataset(
-        src_full=src_emb,
-        tgt_full=tgt_emb,
-        src_words=src_words,
-        tgt_words=tgt_words,
-        gold_seeds=parts.seeds,
-        gold_test=parts.test,
-    )
+    return Dataset(src_full=src_emb, tgt_full=tgt_emb, gold_seeds=parts.seeds, gold_test=parts.test)
 
 
 def assemble(spec: ExperimentSpec) -> Dataset:
@@ -294,8 +282,8 @@ def _index_space(ds: Dataset, spec: ExperimentSpec):
     """A run's ((source rows, target rows), source words, target words,
     gold index pairs, seeds first).
 
-    The restricted space keeps the gold words' rows, so gold pair i is
-    (i, i); ``top_n`` keeps every row of both vocabularies.
+    The restricted space keeps the gold words' rows, seeds first, so gold
+    pair i is (i, i); ``top_n`` keeps every row of both vocabularies.
     """
     pairs = ds.gold_seeds.pairs + ds.gold_test.pairs
     gold = np.array(
@@ -305,7 +293,8 @@ def _index_space(ds: Dataset, spec: ExperimentSpec):
         rows = ds.src_full.vectors, ds.tgt_full.vectors
         return rows, ds.src_full.vocab, ds.tgt_full.vocab, gold
     rows = ds.src_full.vectors[gold[:, 0]], ds.tgt_full.vectors[gold[:, 1]]
-    return rows, ds.src_words, ds.tgt_words, np.arange(len(gold)).repeat(2).reshape(-1, 2)
+    src_words, tgt_words = [a for a, _ in pairs], [b for _, b in pairs]
+    return rows, src_words, tgt_words, np.arange(len(gold)).repeat(2).reshape(-1, 2)
 
 
 def _hypotheses(src_words, tgt_words, result) -> HypothesisSet:
@@ -397,8 +386,8 @@ def iterate(spec: ExperimentSpec, ds: Dataset, seed_log: list | None = None):
     forward/reverse intersection back (plus gold for the Euclidean
     engine, whose seeding is soft). Stochastic-Add feeds gold plus a
     fresh sample of min((t-1)*H, pool) intersection pairs, drawn
-    independently for each direction, and keeps iterating until the
-    sample covers the pool (hard cap MAX_ITERATIONS). Active-Learning
+    independently for each direction; past ``iters`` it goes on until
+    the sample covers the pool or MAX_ITERATIONS is reached. Active-Learning
     feeds the oracle-verified subset of the union of both directions.
     Each round solves both directions; a round whose directions share
     their seed pairs and whose forward solution is unique takes the
@@ -419,7 +408,7 @@ def iterate(spec: ExperimentSpec, ds: Dataset, seed_log: list | None = None):
     seeds_fwd = seeds_rev = gold
     records: list[dict] = []
     pool_covered = spec.strategy != "stochastic"
-    for t in range(1, MAX_ITERATIONS + 1):
+    for t in itertools.count(1):
         if seed_log is not None:
             seed_log.append(tuple([(src_words[a], tgt_words[b]) for a, b in seeds.tolist()]
                                   for seeds in (seeds_fwd, seeds_rev)))
@@ -435,7 +424,7 @@ def iterate(spec: ExperimentSpec, ds: Dataset, seed_log: list | None = None):
                 "forward_hypotheses": forward[1].index.size,
             }
         )
-        if t >= spec.iters and pool_covered:
+        if t >= spec.iters and (pool_covered or t >= MAX_ITERATIONS):
             break
         if spec.strategy == "add_all":
             seeds_fwd = seeds_rev = _admit(base, inter)
@@ -506,7 +495,6 @@ def run_combined(spec: ExperimentSpec, ds: Dataset):
 class RunResult:
     """Structured outcome of one experiment run."""
 
-    spec: ExperimentSpec
     hypotheses: HypothesisSet
     iterations: list[dict]
     metrics: evaluation.MetricsReport
@@ -536,10 +524,4 @@ def run(spec: ExperimentSpec, dataset: Dataset | None = None) -> RunResult:
     metrics = evaluation.metrics_report(hyps, ds.gold_test)
     if pipeline == "single":
         records = [{"iteration": 1, "forward_p1": metrics.p_at_1}]
-    return RunResult(
-        spec=spec,
-        hypotheses=hyps,
-        iterations=records,
-        metrics=metrics,
-        timings=timings,
-    )
+    return RunResult(hypotheses=hyps, iterations=records, metrics=metrics, timings=timings)

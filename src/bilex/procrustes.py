@@ -20,13 +20,12 @@ import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 # Nothing here calls solve_lap; perfbench/tracer.py wraps this name.
 from .assignment import solve_lap  # noqa: F401
-from .hypotheses import HypothesisSet
+from .hypotheses import TopK
 
 SCORERS = ("csls", "cosine")
 
@@ -201,28 +200,6 @@ def _top_k_means(sims: np.ndarray, k: int, sequential: bool) -> np.ndarray:
             "rows must be unit-norm for cosine scoring"
         )
     return means
-
-
-class TopK(NamedTuple):
-    """The best candidates of each query row, best first.
-
-    ``index[i]`` holds candidate indices by descending ``score[i]``, ties
-    toward the smaller index; both arrays are (n_queries, k).
-    """
-
-    index: np.ndarray
-    score: np.ndarray
-
-    def hypotheses(self, keys=None, labels=None) -> HypothesisSet:
-        """Row i keyed by ``keys[i]``, candidate j named ``labels[j]``
-        (indices when not given)."""
-        index = self.index.tolist()
-        if labels is not None:
-            index = [[labels[j] for j in row] for row in index]
-        keys = range(len(index)) if keys is None else keys
-        return HypothesisSet(
-            {key: tuple(zip(c, v)) for key, c, v in zip(keys, index, self.score.tolist())}
-        )
 
 
 class _ColumnTopK:

@@ -12,9 +12,10 @@ run. The word-level combiners (intersection, union, oracle judge) and
 the Stochastic-Add sampler are kept here, since the package now works
 on index arrays; ``oracle_judge`` reads the gold pairs as
 ``frozenset(gold_full.pairs)``, and the graph run builds its own
-word -> row dicts. The restricted rows and the full gold lexicon, once
-cached on ``Dataset``, are gathered here word by word (``_restricted``,
-``_gold_full``), apart from the package's ``_index_space``. Helpers
+word -> row dicts. The restricted words and rows and the full gold
+lexicon, once stored on ``Dataset``, are gathered here word by word
+(``_words``, ``_restricted``, ``_gold_full``), apart from the package's
+``_index_space``. Helpers
 whose code did not change are imported from the package; the row-only
 blocked extractor comes from ``reference_extraction``.
 """
@@ -45,10 +46,17 @@ from bilex.procrustes import solve_procrustes
 from reference_extraction import blocked_extract_hypotheses as extract_hypotheses
 
 
+def _words(ds: Dataset) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The restricted source and target words: the gold words, seeds first."""
+    gold = _gold_full(ds)
+    return gold.sources(), gold.targets()
+
+
 def _restricted(ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """The rows of the restricted source and target words, in their order."""
-    x = ds.src_full.vectors[[ds.src_full.index[w] for w in ds.src_words]]
-    y = ds.tgt_full.vectors[[ds.tgt_full.index[w] for w in ds.tgt_words]]
+    src_words, tgt_words = _words(ds)
+    x = ds.src_full.vectors[[ds.src_full.index[w] for w in src_words]]
+    y = ds.tgt_full.vectors[[ds.tgt_full.index[w] for w in tgt_words]]
     return x, y
 
 
@@ -66,14 +74,15 @@ def _proc_run(ds: Dataset, spec: ExperimentSpec, seeds, reverse: bool) -> Hypoth
     if not pairs:
         raise ValueError("empty seed set after conflict resolution")
     x, y = _restricted(ds)
+    src_words, tgt_words = _words(ds)
     if reverse:
         side_full, other_full = ds.tgt_full, ds.src_full
-        side_words, side_mat = ds.tgt_words, y
-        cand_words, cand_mat = ds.src_words, x
+        side_words, side_mat = tgt_words, y
+        cand_words, cand_mat = src_words, x
     else:
         side_full, other_full = ds.src_full, ds.tgt_full
-        side_words, side_mat = ds.src_words, x
-        cand_words, cand_mat = ds.tgt_words, y
+        side_words, side_mat = src_words, x
+        cand_words, cand_mat = tgt_words, y
     if spec.vocab_mode == "top_n":
         side_words, side_mat = side_full.vocab, side_full.vectors
         cand_words, cand_mat = other_full.vocab, other_full.vectors
@@ -154,12 +163,13 @@ def _sgm_run(
     """One seeded-graph-matching run over the restricted graphs."""
     pairs = [(t, s) for s, t in seeds] if reverse else list(seeds)
     x, y = _restricted(ds)
+    src_words, tgt_words = _words(ds)
     if reverse:
-        a_words, a_vecs = ds.tgt_words, y
-        b_words, b_vecs = ds.src_words, x
+        a_words, a_vecs = tgt_words, y
+        b_words, b_vecs = src_words, x
     else:
-        a_words, a_vecs = ds.src_words, x
-        b_words, b_vecs = ds.tgt_words, y
+        a_words, a_vecs = src_words, x
+        b_words, b_vecs = tgt_words, y
     a_row = {w: i for i, w in enumerate(a_words)}
     b_row = {w: i for i, w in enumerate(b_words)}
     order_a = _seed_order(a_words, a_row, pairs, 0)
@@ -238,9 +248,10 @@ def run_single(spec: ExperimentSpec, dataset: Dataset | None = None):
             shuffle_input=spec.shuffle_input,
         )
         indexed = top_k_from_distribution(dist, k=spec.top_k)
+        src_words, tgt_words = _words(ds)
         hyps = HypothesisSet(
             {
-                ds.src_words[i]: tuple((ds.tgt_words[j], p) for j, p in ranked)
+                src_words[i]: tuple((tgt_words[j], p) for j, p in ranked)
                 for i, ranked in indexed.entries.items()
             }
         )

@@ -301,6 +301,19 @@ class TestExitCodes:
         where = f"{tmp_path / 's.vec'}:3" if bad == "src" else f"{tmp_path / 'd.tsv'}:2"
         assert f"parse error: {where}: not valid UTF-8" in capsys.readouterr().err
 
+    def test_python_only_int_header_is_parse_error(self, tmp_path, capsys):
+        write_vec(tmp_path / "t.vec", ["a", "b"], np.eye(2))
+        write_pairs(tmp_path / "d.tsv", [("a", "a"), ("b", "b")])
+        (tmp_path / "s.vec").write_text("2_0 2\na 1 0\nb 0 1\n", encoding="utf-8")
+        code = main([
+            "prep", "--dict", str(tmp_path / "d.tsv"),
+            "--src-emb", str(tmp_path / "s.vec"),
+            "--tgt-emb", str(tmp_path / "t.vec"),
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_PARSE == 3
+        assert "non-integer header fields '2_0 2'" in capsys.readouterr().err
+
     def test_undecodable_hyps_is_parse_error_naming_the_file(self, tmp_path, capsys):
         hyps = tmp_path / "h.tsv"
         hyps.write_bytes(b"a\tb\t1\t0.9\n\xffa\tb\t1\t0.9\n")

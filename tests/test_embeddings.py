@@ -173,6 +173,19 @@ class TestStricterThanBefore:
         with pytest.raises(EmbeddingFormatError, match=r"a\.vec:2: unparseable vector component"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("count", ["1_0", "\u0662"], ids=["underscore", "arabic-indic-digit"])
+    def test_python_only_int_syntax_in_header_raises(self, tmp_path, count):
+        path = _write(tmp_path / "a.vec", f"{count} 2\na 1 0\nb 0 1\n")
+        assert reference.load_embeddings(path).vocab == ("a", "b")
+        with pytest.raises(EmbeddingFormatError, match="non-integer header fields"):
+            load_embeddings(path)
+
+    def test_signed_header_fields_keep_their_rules(self, tmp_path):
+        path = _write(tmp_path / "a.vec", "+2 +2\na 1 0\nb 0 1\n")
+        assert load_embeddings(path).vocab == ("a", "b")
+        with pytest.raises(EmbeddingFormatError, match="out of range"):
+            load_embeddings(_write(tmp_path / "b.vec", "-1 2\na 1 0\n"))
+
 
 class TestNormalize:
     def test_hand_example(self):

@@ -217,7 +217,7 @@ class TestRunSingle:
             spec = make_spec(method=method, soft_runs=6, top_k=2, iters=2, proc_inner=2)
             hyps = run(spec, ds).hypotheses
             assert isinstance(hyps, HypothesisSet)
-            assert set(hyps.entries) == set(ds.src_words)
+            assert set(hyps.entries) == set(ds.gold_seeds.sources() + ds.gold_test.sources())
             for ranked in hyps.entries.values():
                 targets = [tgt for tgt, _ in ranked]
                 scores = [score for _, score in ranked]
@@ -335,6 +335,19 @@ class TestIterate:
             tgts = [t for _, t in fwd_seeds]
             assert len(set(srcs)) == len(srcs)
             assert len(set(tgts)) == len(tgts)
+
+    def test_only_an_uncovered_stochastic_run_stops_at_max_iterations(self, monkeypatch):
+        monkeypatch.setattr(pipelines, "MAX_ITERATIONS", 3)
+        ds = planted_dataset(n=40, seeds=10)
+        for method in ("iterproc", "itersgm"):
+            for strategy in ("add_all", "active"):
+                spec = make_spec(method=method, strategy=strategy, iters=5, seeds=10)
+                assert [r["iteration"] for r in iterate(spec, ds)[0]] == [1, 2, 3, 4, 5]
+        spec = make_spec(method="iterproc", strategy="stochastic", h=1, iters=1, seeds=10)
+        records, _ = iterate(spec, ds)
+        assert len(records) == 3
+        # 10 gold and a sample of 2 leave most of the intersection unsampled
+        assert records[-1]["seeds_forward"] == 12 < records[-1]["intersection_size"] - 10
 
     @pytest.mark.parametrize("method", ["procrustes", "softsgm", "combined"])
     def test_rejects_methods_it_does_not_run(self, method):
@@ -500,10 +513,26 @@ class TestRunDispatch:
         spec = make_spec(method="procrustes", seeds=5, vocab_mode="top_n")
         hyps = run_single(spec, ds_trim)
         candidates = {t for r in hyps.entries.values() for t, _ in r}
-        assert candidates - set(ds_trim.tgt_words)  # non-dictionary words reachable
+        # non-dictionary words reachable
+        assert candidates - set(ds_trim.gold_seeds.targets() + ds_trim.gold_test.targets())
         assert len(hyps.entries) == len(src.vocab)  # every loaded word is mapped
-        assert len(ds_full.tgt_words) == 20  # the restricted layout, whatever the mode
-        assert len(ds_trim.tgt_words) == 12
+        # the restricted layout, whatever the mode
+        assert len(ds_full.gold_seeds.targets() + ds_full.gold_test.targets()) == 20
+        assert len(ds_trim.gold_seeds.targets() + ds_trim.gold_test.targets()) == 12
+
+    def test_restricted_words_are_the_gold_words_seeds_first(self):
+        # The dictionary lists its pairs out of vocabulary order on both sides.
+        src, tgt, lexicon = make_planted(n=30, d=6, seed=13)
+        order = np.random.default_rng(0).permutation(30)
+        listed = Lexicon(tuple(lexicon.pairs[i] for i in order))
+        ds = build_dataset(src, tgt, listed, 8)
+        (x, y), src_words, tgt_words, gold = pipelines._index_space(ds, make_spec(seeds=8))
+        assert list(zip(src_words, tgt_words)) == list(ds.gold_seeds.pairs + ds.gold_test.pairs)
+        assert list(zip(src_words, tgt_words))[:8] == list(ds.gold_seeds.pairs)
+        assert list(src_words) != list(src.vocab) and sorted(src_words) == list(src.vocab)
+        np.testing.assert_array_equal(x, src.vectors[[src.index[w] for w in src_words]])
+        np.testing.assert_array_equal(y, tgt.vectors[[tgt.index[w] for w in tgt_words]])
+        assert gold.tolist() == [[i, i] for i in range(30)]
 
     @pytest.mark.parametrize("method", ["procrustes", "iterproc"])
     def test_top_n_spec_maps_every_loaded_word(self, method):
@@ -513,5 +542,5 @@ class TestRunDispatch:
         ds = build_dataset(src, tgt, Lexicon(lexicon.pairs[:40]), 10)
         spec = make_spec(method=method, seeds=10, iters=2, vocab_mode="top_n")
         result = run(spec, ds)
-        assert len(ds.src_words) == 40
+        assert len(ds.gold_seeds.sources() + ds.gold_test.sources()) == 40
         assert len(result.hypotheses.entries) == len(src.vocab) == 80

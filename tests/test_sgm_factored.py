@@ -183,6 +183,19 @@ def test_peak_memory_bound(init):
     assert peak < 2.5 * 8 * m * m
 
 
+def test_factored_objective_and_gain_on_random_summaries():
+    rng = np.random.default_rng(21)
+    problem = graph_matching._FactoredProblem(rng.normal(size=(40, 6)), rng.normal(size=(40, 4)), 5)
+    for _ in range(10):
+        z, dz = rng.normal(size=(2, 6, 4))
+        objective = problem.objective(z)
+        assert objective == problem.fixed + problem.gain(0.0, z)
+        # and the direct expression, bit for bit: 2 (S + 0) is 2 S
+        assert objective == problem.fixed + float((z * (2.0 * problem.seed + z)).sum())
+        want = problem.objective(z + dz) - objective
+        assert problem.gain(z, dz) == pytest.approx(want, rel=1e-9, abs=1e-9 * abs(objective))
+
+
 class TestSolveReport:
     def test_capped_solve_logs_one_warning(self, caplog):
         x, y = noisy_planted_rows(300, 10, 30, 1.0, np.random.default_rng(16))

@@ -207,7 +207,8 @@ def test_sgm_rounds_with_shared_seeds_solve_once(strategy, per_round, solves):
     assert records == want_records
     assert log == want_log
     assert dump(hyps) == dump(want_hyps)
-    assert [int(len(fwd) < len(ds.src_words)) for fwd, _ in log] == per_round
+    n = len(ds.gold_seeds) + len(ds.gold_test)
+    assert [int(len(fwd) < n) for fwd, _ in log] == per_round
     assert len(solves) == sum(per_round)
     assert all(matching.unique for matching in solves)
 
@@ -222,7 +223,8 @@ def test_combined_sgm_rounds_solve_once(solves):
     # The SGM component of each cycle starts from the Procrustes seeds.
     components = [c for record in records for c in record["components"]]
     entering = [c["seeds_after"] for c in components if c["component"] == "proc"]
-    assert len(solves) == sum(size < len(ds.src_words) for size in entering) > 0
+    n = len(ds.gold_seeds) + len(ds.gold_test)
+    assert len(solves) == sum(size < n for size in entering) > 0
     assert all(matching.unique for matching in solves)
 
 
@@ -255,7 +257,7 @@ def test_stochastic_sgm_rounds_with_different_samples_solve_twice(solves):
     assert log == want_log
     assert dump(hyps) == dump(want_hyps)
     # A direction whose seeds cover the vocabulary solves nothing.
-    n = len(ds.src_words)
+    n = len(ds.gold_seeds) + len(ds.gold_test)
     per_round = [
         int(len(fwd) < n) if set(fwd) == set(rev) else (len(fwd) < n) + (len(rev) < n)
         for fwd, rev in log
@@ -268,7 +270,7 @@ def test_stochastic_sgm_rounds_with_different_samples_solve_twice(solves):
 def test_saturated_sgm_round_solves_nothing_and_returns_the_reverse(solves):
     spec = make_spec(method="itersgm", seeds=10)
     ds = dataset(10)
-    n = len(ds.src_words)
+    n = len(ds.gold_seeds) + len(ds.gold_test)
     seeds = pipelines._index_space(ds, spec)[3][np.random.default_rng(1).permutation(n)]
     forward, reverse, inter = pipelines._round(rows(ds, spec), spec, "sgm", seeds, seeds, KEY)
     assert solves == []
