@@ -15,11 +15,11 @@ Exit codes: 0 success, 1 usage/spec error, 2 I/O error, 3 input parse
 error, 4 numeric failure. All randomness flows from ``--rng-seed``.
 Linear-algebra thread counts can be capped with the usual BLAS
 environment variables (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``,
-``MKL_NUM_THREADS``). Results can depend on them: with fewer seeds than
-embedding dimensions the Procrustes map is not unique, and the dumps of
-every method that solves it change with the thread count (README,
-"Determinism"). Pin the count to compare dumps bit for bit. Capping BLAS
-at one thread lets CSLS extraction score its blocks on two CPUs.
+``MKL_NUM_THREADS``). No ranking has been found to change with them, at
+any seed count, but BLAS can round a dumped score differently in its
+last digits (README, "Determinism"). Pin the count to compare dumps bit
+for bit. Capping BLAS at one thread lets CSLS extraction score its
+blocks on two CPUs.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """End-to-end experiment pipelines.
 
-Wires the loaders, the Euclidean engine (orthogonal map + CSLS
+Wires the loaders, the Euclidean engine (Procrustes map + CSLS
 extraction) and the graph engine (seeded Frank-Wolfe matching) into
 single runs, bidirectional iterative refinement (Add-All,
 Stochastic-Add, Active-Learning) and the combined cyclic system where
@@ -172,16 +172,15 @@ def assemble(spec: ExperimentSpec) -> Dataset:
 def _proc_run(x, y, spec: ExperimentSpec, seeds):
     """One Euclidean run: fit W on the seed pairs, extract top-k via CSLS.
 
-    Returns (forward, reverse) in row order. When W is unique its transpose
-    solves the reverse problem, and the reverse ranks each target's
-    sources from the same scores; otherwise reverse is None.
+    Returns (forward, reverse) in row order. At every rank of W its
+    transpose is the reverse problem's map, so the reverse ranks each
+    target's sources from the same scores.
     """
     mapping = solve_procrustes(x[seeds[:, 0]], y[seeds[:, 1]])
     rows, columns = extract_hypotheses(
         mapped_src=mapping.apply(x), tgt=y, top_k=spec.top_k, scorer="csls", csls_k=spec.csls_k
     )
-    reverse = (np.arange(len(y)), columns) if mapping.unique else None
-    return (np.arange(len(x)), rows), reverse
+    return (np.arange(len(x)), rows), (np.arange(len(y)), columns)
 
 
 def _seed_order(n: int, seed_rows) -> np.ndarray:
@@ -224,11 +223,10 @@ def _engine_run(rows, spec, engine: str, seeds, direction: int, key: tuple):
     """One engine run in one direction: (result, reverse result or None).
 
     ``rows`` is the run's (source rows, target rows) from ``_index_space``;
-    the reverse direction swaps them and the seed columns. A run whose
-    solution is unique (the Procrustes map, or every LAP of the graph
-    solve) also returns the result of the opposite direction on the same
-    seeds. The graph engine draws its rng substream from
-    ``(*key, direction)``.
+    the reverse direction swaps them and the seed columns. A Procrustes
+    run, and a graph run whose every LAP had a unique optimum, also
+    returns the result of the opposite direction on the same seeds. The
+    graph engine draws its rng substream from ``(*key, direction)``.
     """
     if not len(seeds):
         raise ValueError("empty seed set after conflict resolution")
@@ -249,11 +247,12 @@ def _round(rows, spec, engine: str, seeds_fwd, seeds_rev, key: tuple):
     """One bidirectional round on the run's rows: (forward, reverse, their
     top-1 intersection as index pairs, see ``_intersect``).
 
-    When both directions hold the same seed pairs and the forward
-    solution is unique (the Procrustes map, or every LAP of the graph
-    solve), the reverse comes from the forward run: one solve, and for
-    Procrustes one scoring pass. Otherwise the reverse is a fresh solve,
-    which for the graph engine draws the ``(*key, _REVERSE)`` substream.
+    When both directions hold the same seed pairs, the reverse of a
+    Procrustes round, and of a graph round whose every LAP had a unique
+    optimum, comes from the forward run: one solve, and for Procrustes
+    one scoring pass. Otherwise (different Stochastic-Add samples, or
+    tied graph LAPs) the reverse is a fresh solve, which for the graph
+    engine draws the ``(*key, _REVERSE)`` substream.
     """
     forward, reverse = _engine_run(rows, spec, engine, seeds_fwd, _FORWARD, key)
     shared = len(seeds_fwd) == len(seeds_rev) and _member(seeds_fwd, seeds_rev).all()
@@ -390,9 +389,10 @@ def iterate(spec: ExperimentSpec, ds: Dataset, seed_log: list | None = None):
     the sample covers the pool or MAX_ITERATIONS is reached. Active-Learning
     feeds the oracle-verified subset of the union of both directions.
     Each round solves both directions; a round whose directions share
-    their seed pairs and whose forward solution is unique takes the
-    reverse from the forward run (the Procrustes scores, or the inverse
-    graph matching; see ``_round``), and otherwise solves it afresh.
+    their seed pairs takes the reverse from the forward run (the
+    Procrustes scores at any seed count, or the inverse graph matching
+    when every LAP was unique; see ``_round``), and otherwise solves it
+    afresh.
 
     Rounds work on index arrays; ``seed_log`` gets each round's seeds as
     word pairs, and the final forward result alone becomes word-keyed.

@@ -1,22 +1,24 @@
-"""The Euclidean framing: orthogonal maps, CSLS scoring, and extraction.
+"""The Euclidean framing: seed-span maps, CSLS scoring, and extraction.
 
-The closed-form solution of ``min ||X W - Y||_F`` over orthogonal W is
-``W = U V^T`` where ``U S V^T`` is the SVD of ``X^T Y``. Extraction ranks
-candidate targets for each mapped source row either by raw cosine or by
-CSLS, the hubness-penalized similarity
+The map of seed matrices X and Y is ``W = U_r V_r^T``, where ``U S V^T``
+is the SVD of ``X^T Y`` and r its numerical rank: the orthogonal
+Procrustes solution ``U V^T`` when r = d, and otherwise its restriction
+to the seeds' span, a partial isometry that maps the rest to zero.
+Extraction ranks candidate targets for each mapped source row either by
+raw cosine or by CSLS, the hubness-penalized similarity
 
     csls(x, y) = 2 cos(x, y) - avg_k(x) - avg_k(y)
 
 where ``avg_k(v)`` is v's mean cosine to its k nearest neighbors in the
-opposite space (k = 10 unless stated otherwise). Both scores are
-symmetric, so the same pass also ranks the sources of each target: when
-W is unique, ``W^T`` solves the reverse problem and those columns are
-its extraction.
+opposite space (k = 10 unless stated otherwise); at r < d the cosine of
+a mapped row is its inner product with the target. Both scores are
+symmetric, and ``W^T`` maps the reverse problem at every rank, since
+``Y^T X = (X^T Y)^T``: so the same pass also ranks the sources of each
+target, which is the reverse direction's extraction.
 """
 
 from __future__ import annotations
 
-import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -29,17 +31,14 @@ from .hypotheses import TopK
 
 SCORERS = ("csls", "cosine")
 
-logger = logging.getLogger(__name__)
-
 
 @dataclass(frozen=True)
 class OrthogonalMap:
-    """A d x d orthogonal matrix applied on the right of row vectors.
+    """A d x d partial isometry applied on the right of row vectors:
+    ``W^T W`` is a projector of rank r, so W is orthogonal when r = d.
 
-    ``rank`` is the numerical rank of ``X^T Y`` when the map was fitted by
-    :func:`solve_procrustes`, and None otherwise. A fitted map is the
-    unique solution exactly when its rank is d; the reverse problem
-    (target onto source) is then solved by ``w.T``.
+    ``rank`` is r, the numerical rank of ``X^T Y`` when the map was
+    fitted by :func:`solve_procrustes`; None stands for d.
     """
 
     w: np.ndarray
@@ -50,33 +49,26 @@ class OrthogonalMap:
         object.__setattr__(self, "w", w)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("map must be square")
-        d = w.shape[0]
-        if np.abs(w.T @ w - np.eye(d)).max() > 1e-8:
-            raise ValueError("map is not orthogonal within 1e-8")
-        if abs(abs(np.linalg.det(w)) - 1.0) > 1e-6:
-            raise ValueError("determinant is not +/-1 within 1e-6")
-
-    @property
-    def dim(self) -> int:
-        return int(self.w.shape[0])
-
-    @property
-    def unique(self) -> bool:
-        return self.rank == self.dim
+        rank = w.shape[0] if self.rank is None else self.rank
+        p = w.T @ w
+        if np.abs(p @ p - p).max() > 1e-8 or abs(np.trace(p) - rank) > 1e-8:
+            raise ValueError(f"map is not a partial isometry: W^T W is not a rank-{rank} projector")
 
     def apply(self, vectors: np.ndarray) -> np.ndarray:
         return np.asarray(vectors, dtype=np.float64) @ self.w
 
 
 def solve_procrustes(src_seed: np.ndarray, tgt_seed: np.ndarray) -> OrthogonalMap:
-    """Orthogonal map minimizing ``||src_seed @ W - tgt_seed||_F``.
+    """The seed-span map ``U_r V_r^T`` of ``X^T Y = U S V^T``, for
+    X = src_seed and Y = tgt_seed; when r = d, the orthogonal map that
+    minimizes ``||X W - Y||_F``.
 
     Both inputs are s x d matrices whose rows are paired seed vectors.
-    No reflection constraint is imposed: det(W) may be -1. The rank of
-    ``X^T Y`` counts singular values above numpy's ``matrix_rank``
-    tolerance; below d (for instance with fewer seeds than dimensions)
-    the map is fixed only on the seeds' span, the rest is whichever basis
-    LAPACK returns, and a warning is logged.
+    No reflection constraint is imposed: det(W) may be -1. The rank r
+    counts singular values above numpy's ``matrix_rank`` tolerance. W
+    does not depend on the bases the SVD returns, since it equals
+    ``M (M^T M)^{+1/2}`` for ``M = X^T Y``, and ``solve_procrustes(Y, X)``
+    is ``W^T`` up to rounding.
     """
     src = np.asarray(src_seed, dtype=np.float64)
     tgt = np.asarray(tgt_seed, dtype=np.float64)
@@ -85,15 +77,8 @@ def solve_procrustes(src_seed: np.ndarray, tgt_seed: np.ndarray) -> OrthogonalMa
     if src.shape[0] < 1:
         raise ValueError("at least one seed pair is required")
     u, sv, vt = np.linalg.svd(src.T @ tgt)
-    d = src.shape[1]
-    rank = int((sv > sv.max(initial=0.0) * d * np.finfo(np.float64).eps).sum())
-    if rank < d:
-        logger.warning(
-            "Procrustes map is not unique: X^T Y has rank %d < d = %d "
-            "(%d seed pairs); off the seeds' span it is an arbitrary basis",
-            rank, d, src.shape[0],
-        )
-    return OrthogonalMap(u @ vt, rank)
+    rank = int((sv > sv.max(initial=0.0) * src.shape[1] * np.finfo(np.float64).eps).sum())
+    return OrthogonalMap(u[:, :rank] @ vt[:rank], rank)
 
 
 # Bytes of one float64 block of similarities. Extraction holds a few
@@ -284,9 +269,11 @@ def extract_hypotheses(
     source, ``columns`` the sources of each target, both by descending
     score with ties toward the smaller index, from the same scores.
     Several sources may share a target (many-to-one is allowed); lists
-    are shorter than ``top_k`` only when the candidate set is. When the
-    map is orthogonal and unique, ``columns`` is the reverse direction's
-    extraction: CSLS is symmetric in its two arguments.
+    are shorter than ``top_k`` only when the candidate set is. When
+    ``mapped_src`` is ``X W`` for a map from :func:`solve_procrustes`,
+    ``columns`` is the reverse direction's extraction at every rank of W,
+    since the reverse map is ``W^T``: CSLS is symmetric in its two
+    arguments.
 
     Scores are computed over consecutive blocks of source rows, and no
     n_src x n_tgt array is ever held. CSLS takes two passes: one over

@@ -15,7 +15,9 @@ on index arrays; ``oracle_judge`` reads the gold pairs as
 word -> row dicts. The restricted words and rows and the full gold
 lexicon, once stored on ``Dataset``, are gathered here word by word
 (``_words``, ``_restricted``, ``_gold_full``), apart from the package's
-``_index_space``. Helpers
+``_index_space``. ``iterate`` stops only Stochastic-Add at
+``MAX_ITERATIONS``, as the package does; the code it was copied from
+stopped every strategy there. Helpers
 whose code did not change are imported from the package; the row-only
 blocked extractor comes from ``reference_extraction``.
 """
@@ -272,8 +274,9 @@ def iterate(
     forward/reverse intersection back (plus gold for the Euclidean
     engine, whose seeding is soft). Stochastic-Add feeds gold plus a
     fresh sample of min((t-1)*H, pool) intersection pairs, drawn
-    independently for each direction, and keeps iterating until the
-    sample covers the pool (hard cap MAX_ITERATIONS). Active-Learning
+    independently for each direction, and past ``iters`` keeps iterating
+    until the sample covers the pool or MAX_ITERATIONS is reached; the
+    other strategies run exactly ``iters`` iterations. Active-Learning
     feeds the oracle-verified subset of the union of both directions.
 
     Returns (per-iteration records, final forward hypotheses).
@@ -317,8 +320,6 @@ def iterate(
                 "forward_hypotheses": sum(map(len, forward.entries.values())),
             }
         )
-        if t >= MAX_ITERATIONS:
-            break
         if spec.strategy == "add_all":
             if t >= spec.iters:
                 break
@@ -332,7 +333,7 @@ def iterate(
             base = gold if engine == "proc" else []
             seeds_fwd = seeds_rev = resolve_seed_conflicts(base, verified)
         else:  # stochastic
-            if t >= spec.iters and pool_covered:
+            if t >= spec.iters and (pool_covered or t >= MAX_ITERATIONS):
                 break
             pool = [pair for pair in inter if pair not in gold_set]
             take = min(t * spec.h, len(pool))

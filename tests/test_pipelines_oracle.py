@@ -109,6 +109,19 @@ def test_iterate_matches_reference(noise, seed, config, drawn):
     assert bool(skipped) == (engine == "sgm")
 
 
+def test_add_all_runs_past_max_iterations_as_the_reference_does(monkeypatch):
+    # Only an uncovered Stochastic-Add run stops at MAX_ITERATIONS.
+    for module in (pipelines, reference):
+        monkeypatch.setattr(module, "MAX_ITERATIONS", 3)
+    spec = make_spec(method="iterproc", iters=5, seeds=12, rng_seed=1)
+    ds = dataset(0.3, 1)
+    records, hyps = iterate(spec, ds)
+    want_records, want_hyps = reference.iterate(spec, "proc", ds)
+    assert [r["iteration"] for r in records] == [1, 2, 3, 4, 5]
+    assert records == want_records
+    assert_same_hypotheses(hyps, want_hyps)
+
+
 @pytest.mark.parametrize("noise,seed", DATASETS + (SPREAD,))
 @pytest.mark.parametrize("method", ["procrustes", "sgm", "softsgm"])
 def test_run_single_matches_reference(noise, seed, method, drawn):

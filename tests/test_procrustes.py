@@ -1,4 +1,4 @@
-"""Orthogonal maps, CSLS scoring, and hypothesis extraction."""
+"""Seed-span maps, CSLS scoring, and hypothesis extraction."""
 
 import logging
 import os
@@ -74,35 +74,49 @@ class TestSolveProcrustes:
         w = solve_procrustes(x, y).w
         assert np.linalg.det(w) == pytest.approx(-1.0, abs=1e-9)
 
-    def test_fewer_seeds_than_dimensions_warn(self, caplog):
+    def test_fewer_seeds_than_dimensions_give_the_seed_span_map(self):
         rng = np.random.default_rng(4)
-        x, y = rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
-        with caplog.at_level(logging.WARNING, logger="bilex.procrustes"):
-            mapping = solve_procrustes(x, y)
-        assert (mapping.rank, mapping.unique) == (3, False)
-        assert [r.levelno for r in caplog.records] == [logging.WARNING]
-        assert "not unique" in caplog.text and "rank 3 < d = 5" in caplog.text
+        assert_seed_span_map(*rng.normal(size=(2, 3, 5)), rank=3)
 
     @pytest.mark.parametrize("extra", [0, 1, 5])
     def test_at_least_d_seeds_are_unique_without_warning(self, caplog, extra):
+        # Rank d: the unique orthogonal solution. No fit logs, at any rank.
         rng = np.random.default_rng(5)
-        x, y = rng.normal(size=(2, 5 + extra, 5))
         with caplog.at_level(logging.DEBUG, logger="bilex.procrustes"):
-            mapping = solve_procrustes(x, y)
-        assert (mapping.rank, mapping.unique) == (5, True)
+            w = assert_seed_span_map(*rng.normal(size=(2, 5 + extra, 5)), rank=5)
+        np.testing.assert_allclose(w.T @ w, np.eye(5), atol=1e-12)
         assert caplog.records == []
 
-    def test_rank_deficient_seeds_warn_even_when_numerous(self, caplog):
-        # Uniqueness is the rank of X^T Y, not the seed count.
+    def test_rank_deficient_seeds_give_the_seed_span_map(self):
+        # The rank is that of X^T Y, not the seed count, even when seeds are many.
         rng = np.random.default_rng(6)
         x = rng.normal(size=(20, 2)) @ rng.normal(size=(2, 4))
-        with caplog.at_level(logging.WARNING, logger="bilex.procrustes"):
-            mapping = solve_procrustes(x, rng.normal(size=(20, 4)))
-        assert mapping.rank == 2 and "not unique" in caplog.text
+        assert_seed_span_map(x, rng.normal(size=(20, 4)), rank=2)
 
     def test_orthogonal_map_validation(self):
-        with pytest.raises(ValueError, match="orthogonal"):
+        # The contract is a partial isometry: W^T W is a rank-r projector.
+        with pytest.raises(ValueError, match="not a partial isometry"):
             OrthogonalMap(np.array([[1.0, 0.1], [0.0, 1.0]]))
+        # A rank-1 projector passes as rank 1, and not as the default d.
+        assert OrthogonalMap(np.diag([1.0, 0.0]), rank=1).rank == 1
+        with pytest.raises(ValueError, match="rank-2 projector"):
+            OrthogonalMap(np.diag([1.0, 0.0]))
+
+
+def assert_seed_span_map(x, y, rank):
+    """Check the map of seeds x, y: its rank, that W^T W is a rank-r
+    projector, that W maps the seeds as an orthogonal Procrustes solution
+    does, and that the reverse problem's map is W^T; returns W."""
+    mapping = solve_procrustes(x, y)
+    w = mapping.w
+    assert mapping.rank == rank
+    p = w.T @ w
+    np.testing.assert_allclose(p @ p, p, atol=1e-12)
+    assert np.trace(p) == pytest.approx(rank, abs=1e-12)
+    u, _, vt = np.linalg.svd(x.T @ y)
+    np.testing.assert_allclose(x @ w, x @ (u @ vt), atol=1e-12)
+    np.testing.assert_allclose(solve_procrustes(y, x).w, w.T, rtol=0, atol=1e-14)
+    return w
 
 
 def csls_scores(src, tgt, k):
