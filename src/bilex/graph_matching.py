@@ -124,7 +124,9 @@ def _random_doubly_stochastic(rng: np.random.Generator, m: int) -> np.ndarray:
         row_sums = k.sum(axis=1, keepdims=True)
         if np.abs(row_sums - 1.0).max() < 1e-9:
             break
-    return (np.full((m, m), 1.0 / m) + k) / 2.0
+    k += 1.0 / m
+    k /= 2.0
+    return k
 
 
 def sgm(

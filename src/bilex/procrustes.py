@@ -81,16 +81,23 @@ def solve_procrustes(src_seed: np.ndarray, tgt_seed: np.ndarray) -> OrthogonalMa
     return OrthogonalMap(u[:, :rank] @ vt[:rank], rank)
 
 
-# Bytes of one float64 block of similarities. Extraction holds a few
-# such blocks at a time, so its extra memory is O(_BLOCK_BYTES) plus the
-# O((n_src + n_tgt) d) inputs, whatever the vocabulary sizes.
+# Bytes of one float64 block of similarities, with BLAS on one thread or
+# many. Each block thread scores its blocks in one buffer of this size,
+# allocated once per extraction, so extraction's extra memory is
+# O(_BLOCK_BYTES) per thread plus the O((n_src + n_tgt) d) inputs,
+# whatever the vocabulary sizes.
 _BLOCK_BYTES = 4 << 20
+
+# Bytes of one chunk of a block that a selection copies: the means, the
+# row top-k and the column floor take a few rows (or columns) at a time,
+# so that no block is held twice.
+_CHUNK_BYTES = 256 << 10
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # Most threads that score blocks at once, the calling thread included:
-# more have not been measured, and each holds one block in flight and
-# its own column candidates.
+# more have not been measured, and each holds one block buffer and its
+# own column candidates.
 _MAX_WORKERS = 2
 
 
@@ -130,61 +137,89 @@ def _workers() -> int:
     return min(_MAX_WORKERS, cpus)
 
 
-def _in_runs(work, blocks: list[slice]) -> list:
-    """``work(run)`` for each run of consecutive blocks, in run order.
+def _in_runs(work, blocks: list[slice], buffers: list) -> list:
+    """``work(run, buffer)`` for each run of consecutive blocks, in run
+    order.
 
-    The blocks are cut into ``min(_workers(), len(blocks))`` runs whose
-    block counts differ by at most one. The calling thread works the
-    first run; a pool made for the call works the others, and its
-    threads are joined before this returns, also when a run raises.
+    The blocks are cut into ``min(len(buffers), len(blocks))`` runs whose
+    block counts differ by at most one, and run i gets ``buffers[i]``.
+    The calling thread works the first run; a pool made for the call
+    works the others, and its threads are joined before this returns,
+    also when a run raises.
     """
-    n = min(_workers(), len(blocks))
+    n = min(len(buffers), len(blocks))
     runs = [blocks[len(blocks) * i // n : len(blocks) * (i + 1) // n] for i in range(n)]
     if n < 2:
-        return [work(run) for run in runs]
+        return [work(run, buffer) for run, buffer in zip(runs, buffers)]
     with ThreadPoolExecutor(n - 1) as pool:
-        rest = [pool.submit(work, run) for run in runs[1:]]
-        return [work(runs[0])] + [future.result() for future in rest]
+        rest = [pool.submit(work, run, buffer) for run, buffer in zip(runs[1:], buffers[1:])]
+        return [work(runs[0], buffers[0])] + [future.result() for future in rest]
 
 
-def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
-    """Consecutive row slices, each about ``_BLOCK_BYTES`` of float64, or
-    a quarter of that with one BLAS thread.
-
-    The size follows the BLAS setting, never the number of block threads,
-    so a run scores the same blocks on one thread as on two. Two block
-    threads hold two blocks at once, one each, and each keeps its freed
-    blocks in its own malloc arena; quarter blocks keep that under the
-    peak RSS of whole blocks on one thread. An uncapped BLAS keeps whole
-    blocks, which it multiplies faster.
+def _slices(n_rows: int, n_cols: int, nbytes: int) -> list[slice]:
+    """Consecutive row slices, each about ``nbytes`` of float64.
 
     A slice has one row only when ``n_rows == 1``: numpy sends one-row
-    products to gemv, which can round differently from gemm.
+    products to gemv, which can round differently from gemm, and reduces
+    a one-row mean pairwise where it sums more rows column by column.
     """
-    budget = _BLOCK_BYTES // 4 if _one_blas_thread() else _BLOCK_BYTES
-    size = max(2, budget // (8 * max(n_cols, 1)))
+    size = max(2, nbytes // (8 * max(n_cols, 1)))
     starts = list(range(0, n_rows, size))
     if len(starts) > 1 and n_rows - starts[-1] == 1:
-        starts.pop()  # the last block takes the odd row
+        starts.pop()  # the last slice takes the odd row
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_rows])]
 
 
-def _top_k_means(sims: np.ndarray, k: int, sequential: bool) -> np.ndarray:
-    """Mean of each row's k largest cosines.
+def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
+    """The blocks of an extraction pass: row slices of about
+    ``_BLOCK_BYTES`` of float64 each.
+
+    The size follows neither the BLAS setting nor the number of block
+    threads, so a run scores the same blocks on any of them.
+    """
+    return _slices(n_rows, n_cols, _BLOCK_BYTES)
+
+
+def _chunks(n_rows: int, n_cols: int) -> list[slice]:
+    """Row slices of about ``_CHUNK_BYTES`` of float64, for selections."""
+    return _slices(n_rows, n_cols, _CHUNK_BYTES)
+
+
+def _top_k_means(sims: np.ndarray, k: int, sequential: bool, overwrite: bool = False) -> np.ndarray:
+    """Mean of each row's k largest cosines, over chunks of a few rows.
 
     ``sequential`` sums left to right instead of numpy's pairwise row sum.
     Target means use it: numpy reduces a column of the full cosine matrix
     in that order, so the blocked means equal the dense ones bit for bit.
+    ``overwrite`` lets it partition the rows of ``sims`` in place, which
+    otherwise it partitions in a copy of each chunk.
     """
     n_cols = sims.shape[1]
-    top = sims if k >= n_cols else np.partition(sims, n_cols - k, axis=1)[:, n_cols - k :]
-    means = (np.asfortranarray(top) if sequential else top).mean(axis=1)
+    means = []
+    for rows in _chunks(*sims.shape):
+        top = sims[rows]
+        if k < n_cols:
+            if not overwrite:
+                top = top.copy()
+            top.partition(n_cols - k, axis=1)
+            top = top[:, n_cols - k :]
+        means.append((np.asfortranarray(top) if sequential else top).mean(axis=1))
+    means = np.concatenate(means)
     if (np.abs(means) > 1.0 + 1e-9).any():
         raise ValueError(
             "neighborhood averages outside [-1, 1]; "
             "rows must be unit-norm for cosine scoring"
         )
     return means
+
+
+def _column_floor(scores: np.ndarray, k: int) -> np.ndarray:
+    """Each column's k-th largest score, over chunks of a few columns."""
+    n_rows, n_cols = scores.shape
+    floor = np.empty(n_cols)
+    for cols in _chunks(n_cols, n_rows):
+        floor[cols] = np.partition(scores[:, cols], n_rows - k, axis=0)[n_rows - k]
+    return floor
 
 
 class _ColumnTopK:
@@ -206,12 +241,11 @@ class _ColumnTopK:
         self.pending = 0
 
     def add(self, first_row: int, scores: np.ndarray) -> None:
-        n_rows = scores.shape[0]
-        if n_rows >= self.k and np.isneginf(self.floor).all():
+        if scores.shape[0] >= self.k and np.isneginf(self.floor).all():
             # While no column has a floor, a block's k-th value per column
             # is one at once, so the first block does not become
             # candidates wholesale.
-            self.floor = np.partition(scores, n_rows - self.k, axis=0)[n_rows - self.k].copy()
+            self.floor = _column_floor(scores, self.k)
         flat = np.flatnonzero(scores >= self.floor)
         rows, cols = np.divmod(flat, scores.shape[1])
         self.parts.append((rows + first_row, cols, scores.ravel()[flat]))
@@ -241,18 +275,22 @@ class _ColumnTopK:
 
 def _row_top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's k best columns and their scores, by descending score
-    with ties toward the smaller column."""
-    n_cols = scores.shape[1]
-    cand = np.argpartition(scores, n_cols - k, axis=1)[:, n_cols - k :]
-    vals = np.take_along_axis(scores, cand, axis=1)
-    order = np.lexsort((cand, -vals), axis=1)  # descending score, then index
-    cand = np.take_along_axis(cand, order, axis=1)
-    vals = np.take_along_axis(vals, order, axis=1)
-    # A score tie across the partition boundary could exclude a smaller
-    # index; rank the whole row in that case.
-    for r in np.flatnonzero((scores >= vals[:, -1:]).sum(axis=1) > k):
-        cand[r] = np.lexsort((np.arange(n_cols), -scores[r]))[:k]
-        vals[r] = scores[r, cand[r]]
+    with ties toward the smaller column, over chunks of a few rows."""
+    n_rows, n_cols = scores.shape
+    cand, vals = np.empty((n_rows, k), dtype=np.intp), np.empty((n_rows, k))
+    for rows in _chunks(n_rows, n_cols):
+        chunk = scores[rows]
+        best = np.argpartition(chunk, n_cols - k, axis=1)[:, n_cols - k :]
+        top = np.take_along_axis(chunk, best, axis=1)
+        order = np.lexsort((best, -top), axis=1)  # descending score, then index
+        best = np.take_along_axis(best, order, axis=1)
+        top = np.take_along_axis(top, order, axis=1)
+        # A score tie across the partition boundary could exclude a
+        # smaller index; rank the whole row in that case.
+        for r in np.flatnonzero((chunk >= top[:, -1:]).sum(axis=1) > k):
+            best[r] = np.lexsort((np.arange(n_cols), -chunk[r]))[:k]
+            top[r] = chunk[r, best[r]]
+        cand[rows], vals[rows] = best, top
     return cand, vals
 
 
@@ -279,7 +317,10 @@ def extract_hypotheses(
     n_src x n_tgt array is ever held. CSLS takes two passes: one over
     target blocks for the target neighborhood means, then one over
     source blocks that scores each block; each pass costs one
-    O(n_src n_tgt d) product in total.
+    O(n_src n_tgt d) product in total. Each block thread allocates one
+    buffer per call, for the largest block of either pass; every block
+    product it takes is written there, and the selections over a block
+    copy a few rows or columns at a time, never the whole block.
 
     When BLAS is capped at one thread and this process has more CPUs,
     each pass cuts its blocks into runs, one per thread, the calling
@@ -297,19 +338,40 @@ def extract_hypotheses(
     if scorer not in SCORERS:
         raise ValueError(f"scorer must be one of {SCORERS}, got {scorer!r}")
     n_src, n_tgt = mapped_src.shape[0], tgt.shape[0]
+    src_blocks, tgt_blocks = _row_blocks(n_src, n_tgt), []
     if scorer == "csls":
         # Small candidate sets clamp k so desk-scale runs still work.
         csls_k = min(csls_k, n_tgt, n_src)
         if csls_k < 1:
             raise ValueError("k must be positive")
+        tgt_blocks = _row_blocks(n_tgt, n_src)
+    cells = max(
+        [(rows.stop - rows.start) * n_tgt for rows in src_blocks]
+        + [(rows.stop - rows.start) * n_src for rows in tgt_blocks],
+        default=0,
+    )
+    n_buffers = min(_workers(), max(len(src_blocks), len(tgt_blocks)))
+    buffers = [np.empty(cells) for _ in range(n_buffers)]
 
-        def target_means(run):
-            return [_top_k_means(tgt[rows] @ mapped_src.T, csls_k, sequential=True) for rows in run]
+    def product(a, rows, b, buffer):
+        """``a[rows] @ b.T``, written to the front of ``buffer``."""
+        out = buffer[: (rows.stop - rows.start) * b.shape[0]].reshape(-1, b.shape[0])
+        return np.matmul(a[rows], b.T, out=out)
 
-        tgt_avgs = np.concatenate(sum(_in_runs(target_means, _row_blocks(n_tgt, n_src)), []))
+    if scorer == "csls":
 
-    def score(rows):
-        scores = mapped_src[rows] @ tgt.T
+        def target_means(run, buffer):
+            return [
+                _top_k_means(
+                    product(tgt, rows, mapped_src, buffer), csls_k, sequential=True, overwrite=True
+                )
+                for rows in run
+            ]
+
+        tgt_avgs = np.concatenate(sum(_in_runs(target_means, tgt_blocks, buffers), []))
+
+    def score(rows, buffer):
+        scores = product(mapped_src, rows, tgt, buffer)
         if scorer == "csls":
             # 2 cos - src_avgs - tgt_avgs, evaluated in place in that order
             src_avgs = _top_k_means(scores, csls_k, sequential=False)
@@ -321,14 +383,14 @@ def extract_hypotheses(
     k = min(top_k, n_tgt)
     ranked = TopK(np.empty((n_src, k), dtype=np.intp), np.empty((n_src, k)))
 
-    def rank(run):
+    def rank(run, buffer):
         columns = _ColumnTopK(n_tgt, min(top_k, n_src))
         for rows in run:  # runs write disjoint rows of ranked
-            scores = score(rows)
+            scores = score(rows, buffer)
             ranked.index[rows], ranked.score[rows] = _row_top_k(scores, k)
             columns.add(rows.start, scores)
         return columns.parts
 
     columns = _ColumnTopK(n_tgt, min(top_k, n_src))
-    columns.parts += sum(_in_runs(rank, _row_blocks(n_src, n_tgt)), [])
+    columns.parts += sum(_in_runs(rank, src_blocks, buffers), [])
     return ranked, columns.result()

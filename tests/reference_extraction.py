@@ -7,8 +7,10 @@ oracle for ``bilex.procrustes``: on the same inputs they must give equal
 hypothesis entries, scores included. ``blocked_score_blocks`` and
 ``blocked_extract_hypotheses`` are the row-only blocked extractor that
 the column pass replaced, kept verbatim apart from their names; they use
-the package's unchanged block helpers, so a patched ``_BLOCK_BYTES``
-reaches both.
+the package's ``_row_blocks``, so a patched ``_BLOCK_BYTES`` reaches
+both. ``top_k_means``, ``row_top_k`` and ``column_floor`` are the
+package's selections as they were before they took a block a few rows or
+columns at a time, kept verbatim apart from their names.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from bilex.hypotheses import HypothesisSet
-from bilex.procrustes import SCORERS, _row_blocks, _top_k_means
+from bilex.procrustes import SCORERS, _row_blocks
 
 
 @dataclass(frozen=True)
@@ -156,7 +158,7 @@ def blocked_score_blocks(mapped_src, tgt, scorer: str = "csls", csls_k: int = 10
             raise ValueError("k must be positive")
         tgt_avgs = np.concatenate(
             [
-                _top_k_means(tgt[rows] @ mapped_src.T, k, sequential=True)
+                top_k_means(tgt[rows] @ mapped_src.T, k, sequential=True)
                 for rows in _row_blocks(n_tgt, n_src)
             ]
         )
@@ -165,7 +167,7 @@ def blocked_score_blocks(mapped_src, tgt, scorer: str = "csls", csls_k: int = 10
         if scorer == "cosine":
             yield rows, cosines
             continue
-        src_avgs = _top_k_means(cosines, k, sequential=False)
+        src_avgs = top_k_means(cosines, k, sequential=False)
         yield rows, 2.0 * cosines - src_avgs[:, None] - tgt_avgs[None, :]
 
 
@@ -201,3 +203,45 @@ def blocked_extract_hypotheses(
         for i, c, v in zip(range(rows.start, rows.stop), cand.tolist(), vals.tolist()):
             entries[i] = tuple(zip(c, v))
     return HypothesisSet(entries)
+
+
+def top_k_means(sims: np.ndarray, k: int, sequential: bool) -> np.ndarray:
+    """Mean of each row's k largest cosines.
+
+    ``sequential`` sums left to right instead of numpy's pairwise row sum.
+    Target means use it: numpy reduces a column of the full cosine matrix
+    in that order, so the blocked means equal the dense ones bit for bit.
+    """
+    n_cols = sims.shape[1]
+    top = sims if k >= n_cols else np.partition(sims, n_cols - k, axis=1)[:, n_cols - k :]
+    means = (np.asfortranarray(top) if sequential else top).mean(axis=1)
+    if (np.abs(means) > 1.0 + 1e-9).any():
+        raise ValueError(
+            "neighborhood averages outside [-1, 1]; "
+            "rows must be unit-norm for cosine scoring"
+        )
+    return means
+
+
+def row_top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's k best columns and their scores, by descending score
+    with ties toward the smaller column."""
+    n_cols = scores.shape[1]
+    cand = np.argpartition(scores, n_cols - k, axis=1)[:, n_cols - k :]
+    vals = np.take_along_axis(scores, cand, axis=1)
+    order = np.lexsort((cand, -vals), axis=1)  # descending score, then index
+    cand = np.take_along_axis(cand, order, axis=1)
+    vals = np.take_along_axis(vals, order, axis=1)
+    # A score tie across the partition boundary could exclude a smaller
+    # index; rank the whole row in that case.
+    for r in np.flatnonzero((scores >= vals[:, -1:]).sum(axis=1) > k):
+        cand[r] = np.lexsort((np.arange(n_cols), -scores[r]))[:k]
+        vals[r] = scores[r, cand[r]]
+    return cand, vals
+
+
+def column_floor(scores: np.ndarray, k: int) -> np.ndarray:
+    """Each column's k-th largest score: the first block's floor in the
+    running column top-k."""
+    n_rows = scores.shape[0]
+    return np.partition(scores, n_rows - k, axis=0)[n_rows - k].copy()

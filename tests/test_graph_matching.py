@@ -329,6 +329,26 @@ class TestSoftSgm:
         with pytest.raises(ValueError):
             soft_sgm(g, g, 1, runs=0)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 50, 700, 1001])
+    def test_randomized_start_equals_the_averaged_expression(self, m):
+        # The start is built in place; it must equal, bit for bit, the
+        # barycenter averaged with the Sinkhorn matrix as a new array.
+        def sinkhorn_then_average(rng):
+            k = rng.uniform(size=(m, m)) + 1e-3
+            row_sums = k.sum(axis=1, keepdims=True)
+            for _ in range(1000):
+                k /= row_sums
+                k /= k.sum(axis=0, keepdims=True)
+                row_sums = k.sum(axis=1, keepdims=True)
+                if np.abs(row_sums - 1.0).max() < 1e-9:
+                    break
+            return (np.full((m, m), 1.0 / m) + k) / 2.0
+
+        for seed in range(5):
+            got = graph_matching._random_doubly_stochastic(np.random.default_rng(seed), m)
+            want = sinkhorn_then_average(np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes()
+
 
 class TestTopKFromDistribution:
     def test_degenerate_gives_single_hypothesis(self):
