@@ -40,6 +40,7 @@ from .pipelines import (
     Dataset,
     ExperimentSpec,
     RunResult,
+    WorkingSetError,
     assemble,
     build_dataset,
     iterate,
@@ -64,6 +65,7 @@ __all__ = [
     "RunResult",
     "SplitLexicon",
     "TopK",
+    "WorkingSetError",
     "assemble",
     "build_dataset",
     "build_graph",

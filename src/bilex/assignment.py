@@ -1,8 +1,9 @@
 """Exact linear assignment with deterministic tie-breaking.
 
 The first step belongs to the Frank-Wolfe caller: it reduces the cost
-of every LAP, the final projection included, subtracting each row's
-minimum and then each column's, as Jonker and Volgenant (1987) begin.
+of every LAP, each direction and the projection of a start that never
+moved, subtracting each row's minimum and then each column's, as Jonker
+and Volgenant (1987) begin.
 That leaves the optimal set unchanged, and scipy, which does not
 reduce, solves the reduced cost faster. :func:`solve_lap` leaves its
 argument unchanged, since reducing it here would need an n x n copy;

@@ -12,14 +12,15 @@ Three subcommands:
     Recompute metrics from a hypothesis dump against a gold lexicon.
 
 Exit codes: 0 success, 1 usage/spec error, 2 I/O error, 3 input parse
-error, 4 numeric failure. All randomness flows from ``--rng-seed``.
-Linear-algebra thread counts can be capped with the usual BLAS
-environment variables (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``,
-``MKL_NUM_THREADS``). No ranking has been found to change with them, at
-any seed count, but BLAS can round a dumped score differently in its
-last digits (README, "Determinism"). Pin the count to compare dumps bit
-for bit. Capping BLAS at one thread lets CSLS extraction score its
-blocks on two CPUs.
+error, 4 numeric failure, 5 a graph solve that would not fit in physical
+memory (checked before it starts). All randomness flows from
+``--rng-seed``. Linear-algebra thread counts can be capped with the
+usual BLAS environment variables (``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``). No ranking has been found to
+change with them, at any seed count, but BLAS can round a dumped score
+differently in its last digits (README, "Determinism"). Pin the count to
+compare dumps bit for bit. Capping BLAS at one thread lets CSLS
+extraction score its blocks on two CPUs.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_PARSE = 3
 EXIT_NUMERIC = 4
+EXIT_MEMORY = 5
 
 # ExperimentSpec field -> the type a config value is coerced to
 # (``int | None`` coerces as ``int``).
@@ -306,6 +308,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except pipelines.WorkingSetError as exc:
+        print(f"memory error: {exc}", file=sys.stderr)
+        return EXIT_MEMORY
     except (EmbeddingFormatError, DictionaryFormatError, HypothesisFormatError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -12,8 +12,10 @@ form ``tr(Gx^T Q Gy Q^T)``, which is solved approximately by
 Frank-Wolfe over the doubly-stochastic relaxation: each step linearizes
 the objective and solves a LAP for the best vertex direction. The
 objective is convex in P, so the exact line search moves to that vertex
-or stays. The final iterate is projected to a permutation by one more
-LAP. The solver works on a small dx x dy summary of the iterate.
+or stays. After its first move the iterate is a permutation, held as an
+index vector, and that is the solve's answer; a solve that never moves
+projects its start to a permutation by one more LAP. The solver works on
+a small dx x dy summary of the iterate.
 
 Seed pairs occupy indices 0..s-1 of both graphs and always appear in the
 output (hard seeding). The solved part is one-to-one by construction.
@@ -157,8 +159,11 @@ def sgm(
     ``objective`` of the matching itself. If ``history`` is a list, one
     record per iteration is appended (objective, step size 0.0 or 1.0,
     iterate delta).
-    The returned matching is ``unique`` when every LAP of the solve, the
-    final projection included, had a unique optimum. The objective is
+    The returned matching is ``unique`` when every LAP of the solve had a
+    unique optimum: the direction LAPs, and the projection of the start
+    when the solve never moved (the barycenter's projection never is, for
+    m > 1). A solve that moved ends at a vertex, whose projection is
+    itself and unique, so it makes no projection LAP. The objective is
     unchanged under (gx, gy, P) -> (gy, gx, P^T), so the solve with the
     graphs exchanged then takes the transposed path and returns the
     inverse permutation; a relabeling does not change a unique optimum.
@@ -166,14 +171,17 @@ def sgm(
     ``gx`` and ``gy`` are the embedding rows of the two graphs (see
     :func:`build_graph`); their widths may differ, their vertex counts
     may not. With m = n - s free vertices and rows of width at most d,
-    one iteration costs one O(m^2 d) product for the gradient, the
-    O(m^3) LAP for the direction and O(m^2) work to rewrite P in place;
-    see :class:`_FactoredProblem`. Every LAP, the final projection
-    included, maximizes <M, Q> over a row- and column-reduced cost made in
-    place over M (:func:`_direction_lap`), which keeps its optimum but
-    makes scipy's solver faster. M is the gradient for a direction and P
-    itself for the projection. At most two m x m float64 arrays are
-    alive: P and the gradient; the LAP's refinement works in row blocks.
+    one iteration costs one O(m^2 d) product for the gradient and the
+    O(m^3) LAP for the direction; a move updates the summary in O(m d^2)
+    and the iterate, an index vector, in O(m). See
+    :class:`_FactoredProblem`. Every LAP maximizes <M, Q> over a row- and
+    column-reduced cost made in place over M (:func:`_direction_lap`),
+    which keeps its optimum but makes scipy's solver faster. M is the
+    gradient for a direction and the start for the projection. The
+    barycenter start is summarized without forming it, so a barycenter
+    solve holds one m x m float64 array, the gradient; a randomized one
+    also holds its start until the first move. The LAP's refinement works
+    in row blocks.
     """
     n = len(gx)
     if n != len(gy):
@@ -192,12 +200,15 @@ def sgm(
         relabel = np.concatenate([np.arange(s), s + sigma])
     problem = _FactoredProblem(gx, gy, s, relabel)
 
+    # Until its first move the iterate is the start P; from then on it is
+    # the permutation vertex with a one at (i, cols[i]).
+    p = cols = None
     if init == "barycenter":
-        p = np.full((m, m), 1.0 / m)
+        # Z of the flat P = 1 1^T / m, without forming it.
+        z = np.outer(problem.x2.sum(axis=0), problem.y2.sum(axis=0)) / m
     else:
         p = _random_doubly_stochastic(rng, m)
-    z = problem.summary(p)
-    rows = np.arange(m)
+        z = problem.summary(p)
     unique, capped = True, False
 
     for iteration in range(1, max_iters + 1):
@@ -206,12 +217,19 @@ def sgm(
         dz = problem.vertex_summary(direction) - z
         alpha = delta = 0.0
         # f is convex, so the exact line search on [P, Q] ends at P or
-        # at Q. ||Q - P||^2 is m - 2 <P, Q> + ||P||^2.
+        # at Q. ||Q - P||^2 is m - 2 <P, Q> + ||P||^2: m - 1 from the
+        # barycenter, and twice the rows they disagree on between vertices.
         if problem.gain(z, dz) > 0.0:
             alpha = 1.0
-            delta = float(np.sqrt(m - 2.0 * p[rows, direction].sum() + np.vdot(p, p)))
-            p[:] = 0.0
-            p[rows, direction] = 1.0
+            if cols is not None:
+                squared = 2.0 * np.count_nonzero(cols != direction)
+            elif p is None:
+                squared = m - 1.0
+            else:
+                squared = m - 2.0 * p[np.arange(m), direction].sum() + np.vdot(p, p)
+                p = None
+            delta = float(np.sqrt(squared))
+            cols = direction
             z = z + dz
         if history is not None:
             history.append(
@@ -228,16 +246,19 @@ def sgm(
         capped = True
         logger.warning("sgm stopped at max_iters=%d before converging (eps=%g)", max_iters, eps)
 
-    lap = _direction_lap(p)  # P is not used again
-    solved = sigma[lap.perm] if sigma is not None else lap.perm
+    if cols is None:
+        # The solve never moved: project its start by one more LAP.
+        lap = _direction_lap(np.full((m, m), 1.0 / m) if p is None else p)
+        cols, unique = lap.perm, unique and lap.unique
+    solved = sigma[cols] if sigma is not None else cols
     perm = np.concatenate([np.arange(s), s + solved])
     return Matching(
         perm=perm,
         seed_count=s,
-        unique=unique and lap.unique,
+        unique=unique,
         iterations=iteration,
         capped=capped,
-        objective=problem.objective(problem.vertex_summary(lap.perm)),
+        objective=problem.objective(problem.vertex_summary(cols)),
     )
 
 
@@ -246,7 +267,8 @@ def _direction_lap(gradient: np.ndarray) -> Matching:
 
     The cost ``-gradient`` is row-reduced, then column-reduced (see
     :mod:`bilex.assignment`), in place over ``gradient``, which the
-    caller must own; ``sgm`` passes its final iterate here too.
+    caller must own; ``sgm`` passes the start of a solve that never moved
+    here too.
     ``max(g row) - g`` is the row-reduced ``-g`` exactly, so one pass
     negates and row-reduces.
     """
@@ -307,14 +329,25 @@ def top_k_from_distribution(perms: np.ndarray, k: int = 5, keys=None, labels=Non
     if k < 1:
         raise ValueError("k must be positive")
     perms = np.asarray(perms)
-    runs = perms.shape[0]
-    keys = range(perms.shape[1]) if keys is None else keys
-    entries = {}
-    for key, column in zip(keys, perms.T):
-        targets, counts = np.unique(column, return_counts=True)
-        ranked = np.lexsort((targets, -counts))[:k]
-        top = targets[ranked].tolist()
-        if labels is not None:
-            top = [labels[j] for j in top]
-        entries[key] = tuple(zip(top, (counts[ranked] / runs).tolist()))
-    return HypothesisSet(entries)
+    runs, n = perms.shape
+    ranked = np.sort(perms, axis=0).T  # row i: source i's targets, ascending
+    new = np.ones(ranked.shape, dtype=bool)
+    new[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    # One entry per (source, target) pair seen, counted by its run length.
+    starts = np.flatnonzero(new)
+    counts = np.diff(np.append(starts, ranked.size))
+    sources, targets = starts // runs, ranked.ravel()[starts]
+    distinct = new.sum(axis=1)
+    first = np.repeat(np.cumsum(distinct) - distinct, distinct)  # of each pair's source
+    # Sorting by source first leaves each source's pairs where they were.
+    order = np.lexsort((targets, -counts, sources))
+    kept = order[np.arange(order.size) - first < k]
+    ends = np.cumsum(np.minimum(distinct, k)).tolist()
+    top = targets[kept].tolist()
+    if labels is not None:
+        top = [labels[j] for j in top]
+    pairs = list(zip(top, (counts[kept] / runs).tolist()))
+    keys = range(n) if keys is None else keys
+    return HypothesisSet(
+        {key: tuple(pairs[start:end]) for key, start, end in zip(keys, [0, *ends], ends)}
+    )

@@ -17,6 +17,7 @@ from the experiment's single rng seed and fixed structural indices
 from __future__ import annotations
 
 import itertools
+import os
 import time
 from dataclasses import dataclass
 
@@ -491,6 +492,38 @@ def run_combined(spec: ExperimentSpec, ds: Dataset):
     return records, _hypotheses(src_words, tgt_words, final)
 
 
+class WorkingSetError(MemoryError):
+    """The graph solves of a run would need more than physical memory."""
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def _check_working_set(spec: ExperimentSpec, ds: Dataset) -> None:
+    """Raise WorkingSetError when one graph solve of ``spec`` on ``ds``
+    would not fit in physical memory. The estimate takes the first solve's
+    m, the dataset's test pairs, and counts only its m x m arrays."""
+    if METHODS[spec.method][1] == "proc":
+        return
+    # The m x m float64 arrays of one solve at its peak (1.24 and 2.21
+    # measured at m = 1000): the gradient alone from the barycenter, and
+    # next to it until the first move soft SGM's random start.
+    arrays = 2.25 if spec.method == "softsgm" else 1.25
+    m = len(ds.gold_test)
+    need, have = arrays * 8.0 * m * m, _physical_memory()
+    if have is not None and need > have:
+        raise WorkingSetError(
+            f"{spec.method} at m = {m} free vertices needs about {need / 2**30:.1f} GiB "
+            f"({arrays} m x m float64 arrays), more than the {have / 2**30:.1f} GiB "
+            "of physical memory"
+        )
+
+
 @dataclass
 class RunResult:
     """Structured outcome of one experiment run."""
@@ -502,7 +535,11 @@ class RunResult:
 
 
 def run(spec: ExperimentSpec, dataset: Dataset | None = None) -> RunResult:
-    """Dispatch an experiment by method and evaluate the final hypotheses."""
+    """Dispatch an experiment by method and evaluate the final hypotheses.
+
+    Before a graph solve starts, raises WorkingSetError when its m x m
+    arrays would exceed physical memory (see ``_check_working_set``).
+    """
     problems = spec.validate()
     if problems:
         raise ValueError("; ".join(problems))
@@ -510,6 +547,7 @@ def run(spec: ExperimentSpec, dataset: Dataset | None = None) -> RunResult:
     started = time.perf_counter()
     ds = dataset if dataset is not None else assemble(spec)
     timings["prepare_s"] = time.perf_counter() - started
+    _check_working_set(spec, ds)
 
     started = time.perf_counter()
     pipeline = METHODS[spec.method][0]

@@ -8,9 +8,10 @@ import sys
 import numpy as np
 import pytest
 
-from bilex import ExperimentSpec
+from bilex import ExperimentSpec, pipelines
 from bilex.cli import (
     EXIT_IO,
+    EXIT_MEMORY,
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_PARSE,
@@ -252,6 +253,18 @@ class TestRun:
 
 
 class TestExitCodes:
+    def test_solve_beyond_physical_memory_is_memory_error(self, tmp_path, planted_files,
+                                                          monkeypatch, capsys):
+        src, tgt, dictionary = planted_files(n=30, d=6, seed=4)
+        monkeypatch.setattr(pipelines, "_physical_memory", lambda: 1024)
+        code = main([
+            "run", "--method", "sgm", "--seeds", "8", "--src-emb", str(src),
+            "--tgt-emb", str(tgt), "--dict", str(dictionary), "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == EXIT_MEMORY == 5
+        assert "memory error:" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_prep_missing_file_is_io_error(self, tmp_path):
         code = main([
             "prep", "--dict", str(tmp_path / "missing.tsv"),

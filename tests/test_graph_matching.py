@@ -18,6 +18,7 @@ from bilex import (
     trace_objective,
 )
 from conftest import DIAG4_X, DIAG4_Y, correlated_pair, frobenius, gram, sinkhorn
+from reference_pipelines import top_k_from_distribution as per_source_loop
 
 
 def brute_force_min(gx, gy, s):
@@ -215,8 +216,9 @@ class TestSgm:
 
 
 class TestUniqueFlag:
-    """``sgm`` reports a unique matching only when every LAP of the solve,
-    the final projection included, had a unique optimum."""
+    """``sgm`` reports a unique matching only when every LAP of the solve
+    had a unique optimum: its directions, and the projection of its start
+    when it never moved."""
 
     S = 3
 
@@ -252,26 +254,43 @@ class TestUniqueFlag:
         assert [step["alpha"] for step in history] == [0.0]
         assert not matching.unique
 
-    def test_flag_is_the_and_over_every_lap(self, monkeypatch):
-        gx, gy = self.continuous()
+    def solve_recording_laps(self, monkeypatch, gx, gy, clear=None, **options):
+        """The solve and each LAP's own flag; the flag of LAP ``clear`` is
+        cleared before ``sgm`` sees it."""
         flags = []
         original = graph_matching.solve_lap
 
-        def forced(cost, clear=None):
+        def forced(cost):
             lap = original(cost)
             flags.append(lap.unique)
             return dataclasses.replace(lap, unique=lap.unique and len(flags) - 1 != clear)
 
-        def solve(clear=None):
-            flags.clear()
-            monkeypatch.setattr(graph_matching, "solve_lap", lambda cost: forced(cost, clear))
-            return sgm(gx, gy, self.S, np.random.default_rng(0), eps=1e-9)
+        monkeypatch.setattr(graph_matching, "solve_lap", forced)
+        return sgm(gx, gy, self.S, np.random.default_rng(0), **options), flags
 
-        assert solve().unique
-        laps = len(flags)
-        assert laps >= 3 and all(flags)  # directions, then the projection
-        for clear in range(laps):
-            assert not solve(clear).unique
+    def test_flag_is_the_and_over_every_lap(self, monkeypatch):
+        # A solve that moved ends at a vertex, whose projection is itself
+        # and unique, so it makes one LAP per iteration and no more.
+        gx, gy = self.continuous()
+        matching, flags = self.solve_recording_laps(monkeypatch, gx, gy, eps=1e-9)
+        assert matching.unique and all(flags)
+        assert matching.iterations >= 2 and len(flags) == matching.iterations
+        for clear in range(len(flags)):
+            assert not self.solve_recording_laps(monkeypatch, gx, gy, clear, eps=1e-9)[0].unique
+
+    @pytest.mark.parametrize("init", graph_matching.INIT_MODES)
+    def test_solve_that_never_moves_projects_its_start(self, monkeypatch, init):
+        # Zero free rows in gy make every summary zero, so no step
+        # improves: the directions, then the projection.
+        gx, gy = self.continuous()
+        gy[self.S :] = 0.0
+        history = []
+        matching, flags = self.solve_recording_laps(
+            monkeypatch, gx, gy, init=init, max_iters=3, history=history
+        )
+        assert [step["alpha"] for step in history] == [0.0] * matching.iterations
+        assert len(flags) == matching.iterations + 1
+        assert matching.unique == all(flags)
 
 
 def first_column_stack(targets, n=8):
@@ -382,6 +401,29 @@ class TestTopKFromDistribution:
                 ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
                 want[src] = tuple((tgt, count / runs) for tgt, count in ranked[:k])
             assert top_k_from_distribution(perms, k=k).entries == want
+
+    def test_equals_the_per_source_loop(self):
+        # The one-sort ranking against the loop over sources it replaced,
+        # on permutation stacks, on stacks of a few repeated permutations
+        # (every count of a source tied) and on stacks of a few values
+        # (ties, and sources with fewer than k targets).
+        rng = np.random.default_rng(15)
+        ties = short = False
+        for runs, n, k in ((1, 1, 1), (1, 6, 5), (7, 6, 3), (10, 40, 5), (12, 9, 9), (3, 2, 1)):
+            base = np.array([rng.permutation(n) for _ in range(3)])
+            stacks = (
+                np.array([rng.permutation(n) for _ in range(runs)]),
+                base[np.arange(runs) % 3],
+                rng.integers(0, 3, size=(runs, n)),
+            )
+            for perms in stacks:
+                got = top_k_from_distribution(perms, k=k)
+                want = per_source_loop(perms, k=k)
+                assert got == want and list(got.entries) == list(want.entries)
+                for ranked in got.entries.values():
+                    ties |= len({p for _, p in ranked}) < len(ranked)
+                    short |= len(ranked) < k
+        assert ties and short
 
     def test_word_keys_equal_relabelled_index_keys(self):
         # Labels run against index order, so ranking ties by label instead

@@ -1,5 +1,6 @@
 """Experiment orchestration: single runs, iteration strategies, combination."""
 
+import math
 import re
 from pathlib import Path
 
@@ -544,3 +545,42 @@ class TestRunDispatch:
         result = run(spec, ds)
         assert len(ds.gold_seeds.sources() + ds.gold_test.sources()) == 40
         assert len(result.hypotheses.entries) == len(src.vocab) == 80
+
+
+class TestWorkingSetGuard:
+    """``run`` refuses a graph solve whose m x m float64 arrays would not
+    fit in physical memory. The memory figure is patched; nothing large is
+    allocated."""
+
+    @pytest.mark.parametrize(
+        "method, arrays", [("sgm", 1.25), ("itersgm", 1.25), ("combined", 1.25), ("softsgm", 2.25)]
+    )
+    def test_refused_before_any_solve_when_it_would_not_fit(self, monkeypatch, method, arrays):
+        ds = planted_dataset()
+        spec = make_spec(method=method, iters=1, soft_runs=2)
+        need = arrays * 8 * len(ds.gold_test) ** 2  # m = 45 free vertices
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a graph solve started")
+
+        monkeypatch.setattr(pipelines, "_physical_memory", lambda: math.floor(need) - 1)
+        with monkeypatch.context() as patched:
+            patched.setattr(pipelines, "sgm", no_solve)
+            patched.setattr(pipelines, "soft_sgm", no_solve)
+            with pytest.raises(pipelines.WorkingSetError, match="physical memory"):
+                run(spec, ds)
+        monkeypatch.setattr(pipelines, "_physical_memory", lambda: math.ceil(need))
+        assert run(spec, ds).metrics.p_at_1 == 100.0
+
+    @pytest.mark.parametrize("method", ["procrustes", "iterproc"])
+    def test_euclidean_runs_are_not_checked(self, monkeypatch, method):
+        monkeypatch.setattr(pipelines, "_physical_memory", lambda: 0)
+        assert run(make_spec(method=method, iters=1), planted_dataset()).metrics.p_at_1 == 100.0
+
+    def test_unknown_memory_is_not_checked(self, monkeypatch):
+        monkeypatch.setattr(pipelines, "_physical_memory", lambda: None)
+        assert run(make_spec(method="sgm"), planted_dataset()).metrics.p_at_1 == 100.0
+
+    def test_physical_memory_is_a_positive_byte_count_or_unknown(self):
+        have = pipelines._physical_memory()
+        assert have is None or (isinstance(have, int) and have > 0)

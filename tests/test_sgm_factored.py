@@ -159,14 +159,21 @@ def test_dense_oracle_at_pipeline_scale():
     assert assert_same_solve(build_graph(x), build_graph(y), 40, 0, max_iters=8) >= 5
 
 
+# The m x m float64 arrays a solve may hold at its peak, by start.
+# - barycenter (1.24 measured): the LAP's cost matrix alone; the start is
+#   summarized without forming P, and after the first move the iterate is
+#   an index vector.
+# - randomized (2.21 measured): the Sinkhorn start is a dense P, alive
+#   next to the first gradient until the first move.
+# The LAP's refinement works in blocks of rows. A step array, a negated
+# copy of the cost or a dense reduced-cost matrix would add a whole array.
+_PEAK_ARRAYS = {"barycenter": 1.5, "randomized": 2.5}
+
+
 @pytest.mark.parametrize("init", INIT_MODES)
 def test_peak_memory_bound(init):
-    # The m x m float64 arrays alive at once are the iterate and the LAP's
-    # cost matrix; the LAP's refinement works in blocks of rows (2.21
-    # measured). A step array, a negated copy of the cost or a dense
-    # reduced-cost matrix would push the peak past 2.5. tracemalloc sees
-    # numpy's buffers but not scipy's C++ ones, so the bound covers the
-    # Python-side arrays only.
+    # tracemalloc sees numpy's buffers but not scipy's C++ ones, so the
+    # bound covers the Python-side arrays only.
     rng = np.random.default_rng(11)
     x, y = noisy_planted_rows(1100, 50, 100, 1.5, rng)
     gx, gy = build_graph(x), build_graph(y)
@@ -180,7 +187,7 @@ def test_peak_memory_bound(init):
     finally:
         tracemalloc.stop()
     assert [step["alpha"] for step in history] == [1.0] * 6  # FW kept moving
-    assert peak < 2.5 * 8 * m * m
+    assert peak < _PEAK_ARRAYS[init] * 8 * m * m
 
 
 def test_factored_objective_and_gain_on_random_summaries():
@@ -223,8 +230,10 @@ class TestSolveReport:
     )
     def test_benchmark_counts_on_seed_1(self, tmp_path, monkeypatch, caplog, name, iterations,
                                         capped):
-        # perfbench traces fw_iters and fw_capped from the LAP calls; the
-        # solves' own reports must give the same counts.
+        # The counts come from the solves' own reports, and this test, not
+        # perfbench's tracer, is their authority: the tracer derives
+        # fw_iters and fw_capped from LAP calls minus one per solve, which
+        # undercounts solves that moved and so make no projection LAP.
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         corpus = importlib.import_module("corpus")
         workload = corpus.WORKLOADS[name]
