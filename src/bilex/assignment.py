@@ -60,7 +60,8 @@ def solve_lap(values) -> Matching:
     Among all optimal permutations, the lexicographically smallest one is
     returned, as a ``Matching`` without seeds, which makes every
     downstream pipeline bit-reproducible. Its ``unique`` flag says whether
-    no other permutation is optimal.
+    no other permutation is optimal. On a constant cost, where every
+    permutation is, that is the identity, found without scipy or duals.
     """
     cost = np.asarray(values, dtype=np.float64)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
@@ -70,6 +71,8 @@ def solve_lap(values) -> Matching:
     low, high = float(cost.min()), float(cost.max())
     if not (np.isfinite(low) and np.isfinite(high)):
         raise ValueError("cost matrix contains non-finite entries")
+    if low == high:
+        return Matching(perm=np.arange(cost.shape[0]), unique=cost.shape[0] == 1)
 
     _, cols = linear_sum_assignment(cost)
     tol = _TIE_RTOL * max(1.0, high, -low)

@@ -140,7 +140,6 @@ def sgm(
     eps: float = 0.03,
     shuffle_input: bool = True,
     init: str = "barycenter",
-    history: list | None = None,
 ) -> Matching:
     """Seeded graph matching by Frank-Wolfe over doubly-stochastic matrices.
 
@@ -156,9 +155,7 @@ def sgm(
     ``max_iters`` steps. The returned matching reports the ``iterations``
     taken, whether the solve was ``capped`` (stopped at ``max_iters``
     before converging, which is also logged as a warning) and the trace
-    ``objective`` of the matching itself. If ``history`` is a list, one
-    record per iteration is appended (objective, step size 0.0 or 1.0,
-    iterate delta).
+    ``objective`` of the matching itself.
     The returned matching is ``unique`` when every LAP of the solve had a
     unique optimum: the direction LAPs, and the projection of the start
     when the solve never moved (the barycenter's projection never is, for
@@ -215,12 +212,11 @@ def sgm(
         lap = _direction_lap(problem.gradient(z))
         direction, unique = lap.perm, unique and lap.unique
         dz = problem.vertex_summary(direction) - z
-        alpha = delta = 0.0
+        delta = 0.0
         # f is convex, so the exact line search on [P, Q] ends at P or
         # at Q. ||Q - P||^2 is m - 2 <P, Q> + ||P||^2: m - 1 from the
         # barycenter, and twice the rows they disagree on between vertices.
         if problem.gain(z, dz) > 0.0:
-            alpha = 1.0
             if cols is not None:
                 squared = 2.0 * np.count_nonzero(cols != direction)
             elif p is None:
@@ -231,15 +227,6 @@ def sgm(
             delta = float(np.sqrt(squared))
             cols = direction
             z = z + dz
-        if history is not None:
-            history.append(
-                {
-                    "iteration": iteration,
-                    "alpha": alpha,
-                    "delta": delta,
-                    "objective": problem.objective(z),
-                }
-            )
         if delta < eps:
             break
     else:

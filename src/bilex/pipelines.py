@@ -179,7 +179,7 @@ def _proc_run(x, y, spec: ExperimentSpec, seeds):
     """
     mapping = solve_procrustes(x[seeds[:, 0]], y[seeds[:, 1]])
     rows, columns = extract_hypotheses(
-        mapped_src=mapping.apply(x), tgt=y, top_k=spec.top_k, scorer="csls", csls_k=spec.csls_k
+        mapped_src=mapping.apply(x), tgt=y, top_k=spec.top_k, csls_k=spec.csls_k
     )
     return (np.arange(len(x)), rows), (np.arange(len(y)), columns)
 
@@ -511,8 +511,9 @@ def _check_working_set(spec: ExperimentSpec, ds: Dataset) -> None:
     if METHODS[spec.method][1] == "proc":
         return
     # The m x m float64 arrays of one solve at its peak (1.24 and 2.21
-    # measured at m = 1000): the gradient alone from the barycenter, and
-    # next to it until the first move soft SGM's random start.
+    # measured at m = 1000; 1.11 and 2.11 for a solve that never moves):
+    # the gradient alone from the barycenter, and next to it until the
+    # first move soft SGM's random start.
     arrays = 2.25 if spec.method == "softsgm" else 1.25
     m = len(ds.gold_test)
     need, have = arrays * 8.0 * m * m, _physical_memory()

@@ -4,15 +4,15 @@ The map of seed matrices X and Y is ``W = U_r V_r^T``, where ``U S V^T``
 is the SVD of ``X^T Y`` and r its numerical rank: the orthogonal
 Procrustes solution ``U V^T`` when r = d, and otherwise its restriction
 to the seeds' span, a partial isometry that maps the rest to zero.
-Extraction ranks candidate targets for each mapped source row either by
-raw cosine or by CSLS, the hubness-penalized similarity
+Extraction ranks candidate targets for each mapped source row by CSLS,
+the hubness-penalized similarity
 
     csls(x, y) = 2 cos(x, y) - avg_k(x) - avg_k(y)
 
 where ``avg_k(v)`` is v's mean cosine to its k nearest neighbors in the
 opposite space (k = 10 unless stated otherwise); at r < d the cosine of
-a mapped row is its inner product with the target. Both scores are
-symmetric, and ``W^T`` maps the reverse problem at every rank, since
+a mapped row is its inner product with the target. CSLS is symmetric,
+and ``W^T`` maps the reverse problem at every rank, since
 ``Y^T X = (X^T Y)^T``: so the same pass also ranks the sources of each
 target, which is the reverse direction's extraction.
 """
@@ -28,8 +28,6 @@ import numpy as np
 # Nothing here calls solve_lap; perfbench/tracer.py wraps this name.
 from .assignment import solve_lap  # noqa: F401
 from .hypotheses import TopK
-
-SCORERS = ("csls", "cosine")
 
 
 @dataclass(frozen=True)
@@ -298,7 +296,6 @@ def extract_hypotheses(
     mapped_src: np.ndarray,
     tgt: np.ndarray,
     top_k: int = 5,
-    scorer: str = "csls",
     csls_k: int = 10,
 ) -> tuple[TopK, TopK]:
     """Top ``top_k`` targets per source row and sources per target column.
@@ -314,8 +311,8 @@ def extract_hypotheses(
     arguments.
 
     Scores are computed over consecutive blocks of source rows, and no
-    n_src x n_tgt array is ever held. CSLS takes two passes: one over
-    target blocks for the target neighborhood means, then one over
+    n_src x n_tgt array is ever held. Extraction takes two passes: one
+    over target blocks for the target neighborhood means, then one over
     source blocks that scores each block; each pass costs one
     O(n_src n_tgt d) product in total. Each block thread allocates one
     buffer per call, for the largest block of either pass; every block
@@ -335,16 +332,12 @@ def extract_hypotheses(
     tgt = np.asarray(tgt, dtype=np.float64)
     if tgt.shape[0] == 0:
         raise ValueError("candidate target set is empty")
-    if scorer not in SCORERS:
-        raise ValueError(f"scorer must be one of {SCORERS}, got {scorer!r}")
     n_src, n_tgt = mapped_src.shape[0], tgt.shape[0]
-    src_blocks, tgt_blocks = _row_blocks(n_src, n_tgt), []
-    if scorer == "csls":
-        # Small candidate sets clamp k so desk-scale runs still work.
-        csls_k = min(csls_k, n_tgt, n_src)
-        if csls_k < 1:
-            raise ValueError("k must be positive")
-        tgt_blocks = _row_blocks(n_tgt, n_src)
+    # Small candidate sets clamp k so desk-scale runs still work.
+    csls_k = min(csls_k, n_tgt, n_src)
+    if csls_k < 1:
+        raise ValueError("k must be positive")
+    src_blocks, tgt_blocks = _row_blocks(n_src, n_tgt), _row_blocks(n_tgt, n_src)
     cells = max(
         [(rows.stop - rows.start) * n_tgt for rows in src_blocks]
         + [(rows.stop - rows.start) * n_src for rows in tgt_blocks],
@@ -358,26 +351,23 @@ def extract_hypotheses(
         out = buffer[: (rows.stop - rows.start) * b.shape[0]].reshape(-1, b.shape[0])
         return np.matmul(a[rows], b.T, out=out)
 
-    if scorer == "csls":
+    def target_means(run, buffer):
+        return [
+            _top_k_means(
+                product(tgt, rows, mapped_src, buffer), csls_k, sequential=True, overwrite=True
+            )
+            for rows in run
+        ]
 
-        def target_means(run, buffer):
-            return [
-                _top_k_means(
-                    product(tgt, rows, mapped_src, buffer), csls_k, sequential=True, overwrite=True
-                )
-                for rows in run
-            ]
-
-        tgt_avgs = np.concatenate(sum(_in_runs(target_means, tgt_blocks, buffers), []))
+    tgt_avgs = np.concatenate(sum(_in_runs(target_means, tgt_blocks, buffers), []))
 
     def score(rows, buffer):
         scores = product(mapped_src, rows, tgt, buffer)
-        if scorer == "csls":
-            # 2 cos - src_avgs - tgt_avgs, evaluated in place in that order
-            src_avgs = _top_k_means(scores, csls_k, sequential=False)
-            scores *= 2.0
-            scores -= src_avgs[:, None]
-            scores -= tgt_avgs
+        # 2 cos - src_avgs - tgt_avgs, evaluated in place in that order
+        src_avgs = _top_k_means(scores, csls_k, sequential=False)
+        scores *= 2.0
+        scores -= src_avgs[:, None]
+        scores -= tgt_avgs
         return scores
 
     k = min(top_k, n_tgt)

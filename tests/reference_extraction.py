@@ -10,7 +10,8 @@ the column pass replaced, kept verbatim apart from their names; they use
 the package's ``_row_blocks``, so a patched ``_BLOCK_BYTES`` reaches
 both. ``top_k_means``, ``row_top_k`` and ``column_floor`` are the
 package's selections as they were before they took a block a few rows or
-columns at a time, kept verbatim apart from their names.
+columns at a time, kept verbatim apart from their names. The package
+scores CSLS only; the oracle keeps its cosine branch.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from bilex.hypotheses import HypothesisSet
-from bilex.procrustes import SCORERS, _row_blocks
+from bilex.procrustes import _row_blocks
+
+SCORERS = ("csls", "cosine")
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from bilex import Matching, solve_lap
+from bilex import Matching, assignment, solve_lap
 from bilex.assignment import _lex_min_optimal
 
 
@@ -86,6 +86,21 @@ class TestTieBreaking:
 
     def test_constant_matrix_yields_identity(self):
         assert np.array_equal(solve_lap(np.ones((40, 40))).perm, np.arange(40))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 64, 300])
+    def test_constant_cost_is_the_identity_without_scipy(self, monkeypatch, n):
+        # Every permutation is optimal, so only n = 1 leaves no other; the
+        # refinement from scipy's optimum agrees.
+        cost = np.full((n, n), -2.5)
+        perm, unique = _lex_min_optimal(cost, linear_sum_assignment(cost)[1], 2.5e-9)
+
+        def unused(cost):
+            raise AssertionError("scipy solved a constant cost")
+
+        monkeypatch.setattr(assignment, "linear_sum_assignment", unused)
+        got = solve_lap(cost)
+        assert got.perm.tolist() == perm.tolist() == list(range(n))
+        assert got.unique == unique == (n == 1)
 
     def test_deterministic(self):
         rng = np.random.default_rng(19)

@@ -120,7 +120,9 @@ class TestRun:
             dumps.append(hyps.read_bytes())
         assert dumps[0] == dumps[1]
 
-    @pytest.mark.parametrize("method", ["procrustes", "sgm", "softsgm", "iterproc"])
+    @pytest.mark.parametrize(
+        "method", ["procrustes", "sgm", "softsgm", "iterproc", "itersgm", "combined"]
+    )
     def test_eval_reproduces_run_metrics(self, tmp_path, planted_files, capsys, method):
         src, tgt, dictionary = planted_files(n=30, d=6, noise=1.0, seed=3)
         # prep writes the split the run will use internally

@@ -3,7 +3,8 @@
 its column rankings against the dense code run on the transposed
 problem; its row rankings against the row-only blocked extractor they
 replaced; plus its memory bound, its determinism across BLAS thread
-counts and block workers, and its worker threads' lifecycle."""
+counts and block workers, and its worker threads' lifecycle. The package
+scores CSLS only; ``scorer`` names the reference's scoring it must equal."""
 
 import json
 import os
@@ -66,13 +67,13 @@ def extract(src, tgt, **kwargs):
     return first
 
 
-def assert_same(src, tgt, **kwargs):
+def assert_same(src, tgt, scorer="csls", **kwargs):
     got = extract(src, tgt, **kwargs)[0].hypotheses()
-    want = reference.extract_hypotheses(src, tgt, **kwargs)
+    want = reference.extract_hypotheses(src, tgt, scorer=scorer, **kwargs)
     assert list(got.entries.items()) == list(want.entries.items())
 
 
-@pytest.mark.parametrize("scorer", ["csls", "cosine"])
+@pytest.mark.parametrize("scorer", ["csls"])
 @pytest.mark.parametrize("rows", [scalar_rows, grid_rows], ids=["scalar", "grid"])
 def test_small_blocks_match_dense(monkeypatch, rows, scorer):
     # Every (n_src, n_tgt) pair from SIZES with B-row source blocks; the
@@ -88,22 +89,14 @@ def test_small_blocks_match_dense(monkeypatch, rows, scorer):
                     assert_same(src, tgt, top_k=top_k, scorer=scorer, csls_k=csls_k)
 
 
-@pytest.mark.parametrize("scorer", ["csls", "cosine"])
+@pytest.mark.parametrize("scorer", ["csls"])
 def test_random_inputs_match_dense(scorer):
     rng = np.random.default_rng(31)
     for n_src, n_tgt in ((40, 57), (57, 40), (64, 64)):
         assert_same(scalar_rows(rng, n_src), scalar_rows(rng, n_tgt), top_k=5, scorer=scorer)
 
 
-def test_cosine_scores_in_one_block_match_dense():
-    # One source block is the dense product itself, whatever the values.
-    rng = np.random.default_rng(32)
-    src = unit_rows(rng.normal(size=(90, 24)))
-    tgt = unit_rows(rng.normal(size=(75, 24)))
-    assert_same(src, tgt, top_k=5, scorer="cosine")
-
-
-@pytest.mark.parametrize("scorer", ["csls", "cosine"])
+@pytest.mark.parametrize("scorer", ["csls"])
 def test_duplicate_targets_and_ties_match_dense(monkeypatch, scorer):
     rng = np.random.default_rng(33)
     monkeypatch.setattr(procrustes, "_BLOCK_BYTES", 8 * 3 * 40)
@@ -116,7 +109,7 @@ def test_duplicate_targets_and_ties_match_dense(monkeypatch, scorer):
             assert_same(tgt, src, top_k=top_k, scorer=scorer, csls_k=5)
 
 
-@pytest.mark.parametrize("scorer", ["csls", "cosine"])
+@pytest.mark.parametrize("scorer", ["csls"])
 def test_tie_at_top_k_boundary_matches_dense(scorer):
     src = np.array([[1.0, 0.0]])
     half = np.array([0.5, np.sqrt(0.75)])
@@ -128,9 +121,8 @@ def test_tie_at_top_k_boundary_matches_dense(scorer):
 def test_clamped_k_matches_dense():
     rng = np.random.default_rng(34)
     src, tgt = scalar_rows(rng, 6), scalar_rows(rng, 4)
-    for scorer in ("csls", "cosine"):
-        assert_same(src, tgt, top_k=9, scorer=scorer, csls_k=10)  # both clamped
-        assert_same(tgt, src, top_k=5, scorer=scorer, csls_k=7)
+    assert_same(src, tgt, top_k=9, csls_k=10)  # both clamped
+    assert_same(tgt, src, top_k=5, csls_k=7)
 
 
 def test_float_inputs_over_many_blocks_agree_with_dense(monkeypatch):
@@ -156,10 +148,10 @@ def column_entries(src, tgt, **kwargs):
     return extract(src, tgt, **kwargs)[1].hypotheses().entries
 
 
-def assert_columns_solve_transposed(src, tgt, **kwargs):
+def assert_columns_solve_transposed(src, tgt, scorer="csls", **kwargs):
     """Column j ranks the sources of target j as the transposed problem
     (targets mapped onto sources) ranks them, scores included."""
-    want = reference.extract_hypotheses(tgt, src, **kwargs).entries
+    want = reference.extract_hypotheses(tgt, src, scorer=scorer, **kwargs).entries
     assert list(column_entries(src, tgt, **kwargs).items()) == list(want.items())
 
 
@@ -172,11 +164,11 @@ def assert_columns_of_dense_scores(src, tgt, top_k, scorer, csls_k):
     for j, column in enumerate(scores.T):
         best = np.lexsort((rows, -column))[:top_k]
         want[j] = tuple((int(i), float(column[i])) for i in best)
-    got = column_entries(src, tgt, top_k=top_k, scorer=scorer, csls_k=csls_k)
+    got = column_entries(src, tgt, top_k=top_k, csls_k=csls_k)
     assert list(got.items()) == list(want.items())
 
 
-@pytest.mark.parametrize("scorer", ["csls", "cosine"])
+@pytest.mark.parametrize("scorer", ["csls"])
 def test_columns_solve_transposed_problem_on_grid(monkeypatch, scorer):
     # Grid rows make every score exact in both directions when the
     # clamped csls_k is a power of two. Otherwise the neighborhood means
@@ -191,7 +183,7 @@ def test_columns_solve_transposed_problem_on_grid(monkeypatch, scorer):
             src, tgt = grid_rows(rng, n_src), grid_rows(rng, n_tgt)
             for csls_k in (1, 2, 4):
                 k = min(csls_k, n_src, n_tgt)
-                if scorer == "csls" and k & (k - 1):
+                if k & (k - 1):
                     continue
                 for top_k in (1, 3, 20):
                     assert_columns_solve_transposed(
@@ -199,7 +191,7 @@ def test_columns_solve_transposed_problem_on_grid(monkeypatch, scorer):
                     )
 
 
-@pytest.mark.parametrize("scorer", ["csls", "cosine"])
+@pytest.mark.parametrize("scorer", ["csls"])
 @pytest.mark.parametrize("rows", [scalar_rows, grid_rows], ids=["scalar", "grid"])
 def test_columns_rank_the_forward_scores(monkeypatch, rows, scorer):
     rng = np.random.default_rng(38)
@@ -212,7 +204,7 @@ def test_columns_rank_the_forward_scores(monkeypatch, rows, scorer):
                     assert_columns_of_dense_scores(src, tgt, top_k, scorer, csls_k)
 
 
-@pytest.mark.parametrize("scorer", ["csls", "cosine"])
+@pytest.mark.parametrize("scorer", ["csls"])
 def test_column_ties_across_blocks_solve_transposed_problem(monkeypatch, scorer):
     # Every source repeats, so each column holds equal scores in rows of
     # different 3-row blocks, and the running top-k must keep the first.
@@ -223,8 +215,8 @@ def test_column_ties_across_blocks_solve_transposed_problem(monkeypatch, scorer)
     straddling = 0
     for top_k in (1, 4, 7):
         for csls_k in (2, 4):
-            kwargs = dict(top_k=top_k, scorer=scorer, csls_k=csls_k)
-            assert_columns_solve_transposed(src, tgt, **kwargs)
+            kwargs = dict(top_k=top_k, csls_k=csls_k)
+            assert_columns_solve_transposed(src, tgt, scorer, **kwargs)
             for ranked in column_entries(src, tgt, **kwargs).values():
                 straddling += any(
                     a[1] == b[1] and a[0] // 3 != b[0] // 3 for a, b in zip(ranked, ranked[1:])
@@ -239,7 +231,7 @@ def run_of_row(n_rows, n_cols, workers):
     return np.repeat(np.arange(len(runs)), [run[-1].stop - run[0].start for run in runs])
 
 
-@pytest.mark.parametrize("scorer", ["csls", "cosine"])
+@pytest.mark.parametrize("scorer", ["csls"])
 def test_column_ties_across_runs_solve_transposed_problem(monkeypatch, scorer):
     # Source i repeats source i % 6, so each column holds equal scores in
     # rows 6 apart; with 13 blocks of 3 rows, some of them sit in
@@ -253,8 +245,8 @@ def test_column_ties_across_runs_solve_transposed_problem(monkeypatch, scorer):
     straddling = dict.fromkeys(runs, 0)
     for top_k in (1, 4, 7):
         for csls_k in (2, 4):
-            kwargs = dict(top_k=top_k, scorer=scorer, csls_k=csls_k)
-            assert_columns_solve_transposed(src, tgt, **kwargs)
+            kwargs = dict(top_k=top_k, csls_k=csls_k)
+            assert_columns_solve_transposed(src, tgt, scorer, **kwargs)
             for ranked in column_entries(src, tgt, **kwargs).values():
                 for workers, run in runs.items():
                     straddling[workers] += any(
@@ -269,12 +261,8 @@ def test_clamped_k_columns_solve_transposed_problem():
     rng = np.random.default_rng(40)
     for n_src, n_tgt in ((4, 6), (6, 4), (4, 4), (2, 9), (9, 2)):
         src, tgt = grid_rows(rng, n_src), grid_rows(rng, n_tgt)
-        for scorer in ("csls", "cosine"):
-            assert_columns_solve_transposed(src, tgt, top_k=9, scorer=scorer, csls_k=10)
-            assert all(
-                len(ranked) == n_src
-                for ranked in column_entries(src, tgt, top_k=9, scorer=scorer).values()
-            )
+        assert_columns_solve_transposed(src, tgt, top_k=9, csls_k=10)
+        assert all(len(ranked) == n_src for ranked in column_entries(src, tgt, top_k=9).values())
 
 
 @pytest.mark.parametrize("budget_rows", [7, None])
@@ -295,7 +283,7 @@ def test_float_columns_agree_with_transposed_problem(monkeypatch, budget_rows):
 
 
 @pytest.mark.parametrize("budget_rows", [2, 7, None])
-@pytest.mark.parametrize("scorer", ["csls", "cosine"])
+@pytest.mark.parametrize("scorer", ["csls"])
 def test_rows_equal_row_only_extractor_bit_for_bit(monkeypatch, budget_rows, scorer):
     # The column pass must not touch the forward half: same targets and
     # the same score bits as the extractor it replaced, on float inputs.
@@ -305,7 +293,7 @@ def test_rows_equal_row_only_extractor_bit_for_bit(monkeypatch, budget_rows, sco
     if budget_rows is not None:
         monkeypatch.setattr(procrustes, "_BLOCK_BYTES", 8 * budget_rows * 187)
     for top_k, csls_k in ((1, 10), (5, 10), (9, 3)):
-        got = extract_hypotheses(src, tgt, top_k=top_k, scorer=scorer, csls_k=csls_k)
+        got = extract_hypotheses(src, tgt, top_k=top_k, csls_k=csls_k)
         want = reference.blocked_extract_hypotheses(
             src, tgt, top_k=top_k, scorer=scorer, csls_k=csls_k
         )

@@ -130,10 +130,14 @@ class TestSgm:
         rng = np.random.default_rng(4)
         for trial in range(8):
             gx, gy, _ = correlated_pair(9, 2, 0.3, rng)
-            history = []
-            sgm(gx, gy, 2, np.random.default_rng(trial), init="randomized",
-                history=history, eps=1e-9, max_iters=40)
-            objectives = [step["objective"] for step in history]
+            # A solve stopped after t iterations returns its iterate then.
+            solve = sgm(gx, gy, 2, np.random.default_rng(trial), init="randomized",
+                        eps=1e-9, max_iters=40)
+            objectives = [
+                sgm(gx, gy, 2, np.random.default_rng(trial), init="randomized",
+                    eps=1e-9, max_iters=t).objective
+                for t in range(1, solve.iterations + 1)
+            ]
             for before, after in zip(objectives, objectives[1:]):
                 assert after >= before - 1e-9
 
@@ -249,9 +253,8 @@ class TestUniqueFlag:
         # so no step improves and the projection of the barycenter is all ties.
         gx, gy = self.continuous()
         gy[self.S :] = gy[self.S]
-        history = []
-        matching = sgm(gx, gy, self.S, np.random.default_rng(0), max_iters=1, history=history)
-        assert [step["alpha"] for step in history] == [0.0]
+        matching = sgm(gx, gy, self.S, np.random.default_rng(0), max_iters=1)
+        assert not matching.capped  # a move would not have converged
         assert not matching.unique
 
     def solve_recording_laps(self, monkeypatch, gx, gy, clear=None, **options):
@@ -281,15 +284,13 @@ class TestUniqueFlag:
     @pytest.mark.parametrize("init", graph_matching.INIT_MODES)
     def test_solve_that_never_moves_projects_its_start(self, monkeypatch, init):
         # Zero free rows in gy make every summary zero, so no step
-        # improves: the directions, then the projection.
+        # improves: one direction, then the projection. A move would not
+        # have converged at once.
         gx, gy = self.continuous()
         gy[self.S :] = 0.0
-        history = []
-        matching, flags = self.solve_recording_laps(
-            monkeypatch, gx, gy, init=init, max_iters=3, history=history
-        )
-        assert [step["alpha"] for step in history] == [0.0] * matching.iterations
-        assert len(flags) == matching.iterations + 1
+        matching, flags = self.solve_recording_laps(monkeypatch, gx, gy, init=init, max_iters=3)
+        assert (matching.iterations, matching.capped) == (1, False)
+        assert len(flags) == 2
         assert matching.unique == all(flags)
 
 

@@ -88,24 +88,40 @@ def dense_sgm(gx, gy, s, rng, max_iters=30, eps=0.03, shuffle_input=True,
 
 
 def assert_same_solve(gx, gy, s, seed, max_iters=30, eps=0.03, **options):
-    """Equal permutations, iteration counts and objective traces; the solve
-    reports its iterations, its cap and its matching's objective."""
-    fast_history, dense_history = [], []
-    fast = sgm(gx, gy, s, np.random.default_rng(seed), max_iters=max_iters, eps=eps,
-               history=fast_history, **options)
-    dense = dense_sgm(gx, gy, s, np.random.default_rng(seed), max_iters=max_iters, eps=eps,
-                      history=dense_history, **options)
-    np.testing.assert_array_equal(fast.perm, dense.perm)
-    assert len(fast_history) == len(dense_history)
-    for got, want in zip(fast_history, dense_history):
-        scale = max(1.0, abs(want["objective"]))
-        assert got["objective"] == pytest.approx(want["objective"], abs=1e-9 * scale)
-        assert got["delta"] == pytest.approx(want["delta"], abs=1e-9)
-    assert fast.iterations == len(dense_history)
-    assert fast.capped == (len(dense_history) == max_iters and dense_history[-1]["delta"] >= eps)
-    want = trace_objective(gx, gy, s, np.eye(len(gx) - s)[fast.perm[s:] - s])
-    assert fast.objective == pytest.approx(want, abs=1e-9 * max(1.0, abs(want)))
-    return len(fast_history)
+    """The solve stopped after each iteration t against the dense loop
+    stopped there: equal permutations, and the iterate's objective once it
+    moved; the solve reports t iterations, capped when step t moved by
+    eps or more, and its matching's objective. Its step sizes equal the
+    dense loop's to 1e-9: with eps just above or below one, both stop at
+    the same iteration."""
+
+    def stopped_after(solver, t, eps=eps, **extra):
+        return solver(gx, gy, s, np.random.default_rng(seed), max_iters=t, eps=eps,
+                      **options, **extra)
+
+    def dense_history(eps=eps):
+        history = []
+        stopped_after(dense_sgm, max_iters, eps, history=history)
+        return history
+
+    steps = dense_history()
+    moved = False
+    for t, step in enumerate(steps, start=1):
+        stop = max_iters if t == len(steps) else t  # the last is the whole solve
+        fast = stopped_after(sgm, stop)
+        np.testing.assert_array_equal(fast.perm, stopped_after(dense_sgm, stop).perm)
+        assert (fast.iterations, fast.capped) == (t, step["delta"] >= eps)
+        want = trace_objective(gx, gy, s, np.eye(len(gx) - s)[fast.perm[s:] - s])
+        assert fast.objective == pytest.approx(want, abs=1e-9 * max(1.0, abs(want)))
+        moved = moved or step["alpha"] == 1.0
+        if moved:  # the dense iterate is the vertex the solve returns
+            scale = max(1.0, abs(step["objective"]))
+            assert fast.objective == pytest.approx(step["objective"], abs=1e-9 * scale)
+        for near in (step["delta"] * (1 - 1e-9), step["delta"] * (1 + 1e-9)):
+            if near > 0.0:
+                stops = len(dense_history(near))
+                assert stopped_after(sgm, max_iters, near).iterations == stops
+    return len(steps)
 
 
 def noisy_planted_rows(n, d, s, noise, rng):
@@ -167,27 +183,44 @@ def test_dense_oracle_at_pipeline_scale():
 #   next to the first gradient until the first move.
 # The LAP's refinement works in blocks of rows. A step array, a negated
 # copy of the cost or a dense reduced-cost matrix would add a whole array.
+# A solve that never moves measured 1.11 and 2.11: a constant-cost LAP
+# skips the refinement, whose tight cells would be every cell.
 _PEAK_ARRAYS = {"barycenter": 1.5, "randomized": 2.5}
+
+
+def solve_under_tracemalloc(y_free_rows, init):
+    """One solve at m = 1000, d = 50, s = 100 and its peak traced bytes;
+    ``y_free_rows`` scales the free rows of y."""
+    rng = np.random.default_rng(11)
+    x, y = noisy_planted_rows(1100, 50, 100, 1.5, rng)
+    y[100:] *= y_free_rows
+    gx, gy = build_graph(x), build_graph(y)
+    tracemalloc.start()
+    try:
+        matching = sgm(gx, gy, 100, np.random.default_rng(0), max_iters=6, init=init)
+        return matching, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("init", INIT_MODES)
 def test_peak_memory_bound(init):
     # tracemalloc sees numpy's buffers but not scipy's C++ ones, so the
     # bound covers the Python-side arrays only.
-    rng = np.random.default_rng(11)
-    x, y = noisy_planted_rows(1100, 50, 100, 1.5, rng)
-    gx, gy = build_graph(x), build_graph(y)
-    m = 1000
-    history = []
-    tracemalloc.start()
-    try:
-        sgm(gx, gy, 100, np.random.default_rng(0), max_iters=6, init=init,
-            history=history)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert [step["alpha"] for step in history] == [1.0] * 6  # FW kept moving
-    assert peak < _PEAK_ARRAYS[init] * 8 * m * m
+    matching, peak = solve_under_tracemalloc(1.0, init)
+    # FW kept moving: a step that does not move ends the solve.
+    assert (matching.iterations, matching.capped) == (6, True)
+    assert peak < _PEAK_ARRAYS[init] * 8 * 1000 * 1000
+
+
+@pytest.mark.parametrize("init", INIT_MODES)
+def test_peak_memory_bound_of_a_solve_that_never_moves(init):
+    # Zero free rows in gy make every gradient zero: the direction LAP and
+    # the barycenter's projection are constant costs, which hold no m x m
+    # graph of tight cells.
+    matching, peak = solve_under_tracemalloc(0.0, init)
+    assert (matching.iterations, matching.capped) == (1, False)
+    assert peak < _PEAK_ARRAYS[init] * 8 * 1000 * 1000
 
 
 def test_factored_objective_and_gain_on_random_summaries():
@@ -291,11 +324,9 @@ n, d, s = 750, 50, 50
 x = rng.normal(size=(n, d))
 hidden = np.concatenate([np.arange(s), s + rng.permutation(n - s)])
 y = x[hidden] + 1.5 * rng.normal(size=(n, d))
-history = []
-matching = sgm(build_graph(x), build_graph(y), s, np.random.default_rng(1),
-               max_iters=4, history=history)
+matching = sgm(build_graph(x), build_graph(y), s, np.random.default_rng(1), max_iters=4)
 sys.stdout.write(hashlib.sha256(matching.perm.astype(np.int64).tobytes()).hexdigest())
-sys.stdout.write(" %d" % len(history))
+sys.stdout.write(" %d" % matching.iterations)
 """
 
 
