@@ -14,8 +14,11 @@ the objective and solves a LAP for the best vertex direction. The
 objective is convex in P, so the exact line search moves to that vertex
 or stays. After its first move the iterate is a permutation, held as an
 index vector, and that is the solve's answer; a solve that never moves
-projects its start to a permutation by one more LAP. The solver works on
-a small dx x dy summary of the iterate.
+projects its start to a permutation: the barycenter to the identity, a
+random start by one more LAP. The solver works on a small dx x dy
+summary of the iterate, and a start is released once summarized (a
+random one is redrawn when needed), so a solve from either start holds
+one m x m array at a time.
 
 Seed pairs occupy indices 0..s-1 of both graphs and always appear in the
 output (hard seeding). The solved part is one-to-one by construction.
@@ -23,6 +26,7 @@ output (hard seeding). The solved part is one-to-one by construction.
 
 from __future__ import annotations
 
+import copy
 import logging
 
 import numpy as np
@@ -117,7 +121,8 @@ def _random_doubly_stochastic(rng: np.random.Generator, m: int) -> np.ndarray:
     the linearization fix that vertex immediately, so randomized starts
     stay well inside the polytope.
     """
-    k = rng.uniform(size=(m, m)) + 1e-3
+    k = rng.uniform(size=(m, m))
+    k += 1e-3
     row_sums = k.sum(axis=1, keepdims=True)
     for _ in range(1000):
         k /= row_sums
@@ -158,12 +163,14 @@ def sgm(
     ``objective`` of the matching itself.
     The returned matching is ``unique`` when every LAP of the solve had a
     unique optimum: the direction LAPs, and the projection of the start
-    when the solve never moved (the barycenter's projection never is, for
-    m > 1). A solve that moved ends at a vertex, whose projection is
-    itself and unique, so it makes no projection LAP. The objective is
-    unchanged under (gx, gy, P) -> (gy, gx, P^T), so the solve with the
-    graphs exchanged then takes the transposed path and returns the
-    inverse permutation; a relabeling does not change a unique optimum.
+    when the solve never moved. The barycenter's projection is a constant
+    cost, which every permutation solves, so it is the identity, unique
+    iff m == 1, found without a LAP. A solve that moved ends at a vertex,
+    whose projection is itself and unique, so it makes no projection LAP
+    either. The objective is unchanged under (gx, gy, P) -> (gy, gx, P^T),
+    so the solve with the graphs exchanged then takes the transposed path
+    and returns the inverse permutation; a relabeling does not change a
+    unique optimum.
 
     ``gx`` and ``gy`` are the embedding rows of the two graphs (see
     :func:`build_graph`); their widths may differ, their vertex counts
@@ -174,10 +181,16 @@ def sgm(
     :class:`_FactoredProblem`. Every LAP maximizes <M, Q> over a row- and
     column-reduced cost made in place over M (:func:`_direction_lap`),
     which keeps its optimum but makes scipy's solver faster. M is the
-    gradient for a direction and the start for the projection. The
-    barycenter start is summarized without forming it, so a barycenter
-    solve holds one m x m float64 array, the gradient; a randomized one
-    also holds its start until the first move. The LAP's refinement works
+    gradient for a direction and a random start for the projection. No
+    start is alive next to a gradient: the barycenter is summarized
+    without forming it, and a random start P is summarized and released
+    before the first gradient. It is redrawn, bit for bit, from a copy of
+    ``rng`` taken before the draw, only to project a start that never
+    moved, or when its first move is too short for a lower bound on
+    ``||Q - P||_F`` to decide the stop test (``eps`` above about
+    sqrt(m - 1) / 2, or m = 1). ``rng`` itself is consumed by the
+    relabeling and one draw of the start. So a solve from either start
+    holds one m x m float64 array at a time; the LAP's refinement works
     in row blocks.
     """
     n = len(gx)
@@ -197,15 +210,25 @@ def sgm(
         relabel = np.concatenate([np.arange(s), s + sigma])
     problem = _FactoredProblem(gx, gy, s, relabel)
 
-    # Until its first move the iterate is the start P; from then on it is
-    # the permutation vertex with a one at (i, cols[i]).
-    p = cols = None
+    # Until its first move the iterate is the start P, which the solve
+    # does not hold; from then on it is the permutation vertex with a one
+    # at (i, cols[i]). `start` redraws a random P.
+    cols = start = None
     if init == "barycenter":
-        # Z of the flat P = 1 1^T / m, without forming it.
+        # Z of the flat P = 1 1^T / m, without forming it; its distance to
+        # every vertex is sqrt(m - 1).
         z = np.outer(problem.x2.sum(axis=0), problem.y2.sum(axis=0)) / m
+        bound = m - 1.0
     else:
+        start = copy.deepcopy(rng)
         p = _random_doubly_stochastic(rng, m)
         z = problem.summary(p)
+        sq_norm = np.vdot(p, p)
+        # A lower bound on ||Q - P||^2 = m - 2 <P, Q> + ||P||^2 over the
+        # vertices Q, as <P, Q> <= sum_i max_j P_ij; at least about
+        # (m - 1) / 4, as every entry of P is at least 1 / 2m.
+        bound = m - 2.0 * p.max(axis=1).sum() + sq_norm
+        del p
     unique, capped = True, False
 
     for iteration in range(1, max_iters + 1):
@@ -214,16 +237,25 @@ def sgm(
         dz = problem.vertex_summary(direction) - z
         delta = 0.0
         # f is convex, so the exact line search on [P, Q] ends at P or
-        # at Q. ||Q - P||^2 is m - 2 <P, Q> + ||P||^2: m - 1 from the
-        # barycenter, and twice the rows they disagree on between vertices.
+        # at Q. Between vertices ||Q - P||^2 is twice the rows they
+        # disagree on.
         if problem.gain(z, dz) > 0.0:
             if cols is not None:
                 squared = 2.0 * np.count_nonzero(cols != direction)
-            elif p is None:
-                squared = m - 1.0
+            elif start is not None and np.sqrt(bound) < eps:
+                p = _random_doubly_stochastic(start, m)
+                squared = m - 2.0 * p[np.arange(m), direction].sum() + sq_norm
+                del p
             else:
-                squared = m - 2.0 * p[np.arange(m), direction].sum() + np.vdot(p, p)
-                p = None
+                # From the barycenter the bound is the distance. From a
+                # random start only `delta < eps` reads it, and a bound
+                # whose root reaches eps decides that. The distance above
+                # is the bound's expression with the row maxima replaced
+                # by the entries P[i, q_i], no larger, each side a fresh
+                # length-m vector summed by ndarray.sum in the same order.
+                # Rounding is monotone, so the computed bound is at most
+                # the computed distance too: no margin is needed.
+                squared = bound
             delta = float(np.sqrt(squared))
             cols = direction
             z = z + dz
@@ -234,9 +266,12 @@ def sgm(
         logger.warning("sgm stopped at max_iters=%d before converging (eps=%g)", max_iters, eps)
 
     if cols is None:
-        # The solve never moved: project its start by one more LAP.
-        lap = _direction_lap(np.full((m, m), 1.0 / m) if p is None else p)
-        cols, unique = lap.perm, unique and lap.unique
+        # The solve never moved: project its start.
+        if start is None:
+            cols, unique = np.arange(m), unique and m == 1
+        else:
+            lap = _direction_lap(_random_doubly_stochastic(start, m))
+            cols, unique = lap.perm, unique and lap.unique
     solved = sigma[cols] if sigma is not None else cols
     perm = np.concatenate([np.arange(s), s + solved])
     return Matching(
@@ -254,8 +289,8 @@ def _direction_lap(gradient: np.ndarray) -> Matching:
 
     The cost ``-gradient`` is row-reduced, then column-reduced (see
     :mod:`bilex.assignment`), in place over ``gradient``, which the
-    caller must own; ``sgm`` passes the start of a solve that never moved
-    here too.
+    caller must own; ``sgm`` passes the random start of a solve that never
+    moved here too.
     ``max(g row) - g`` is the row-reduced ``-g`` exactly, so one pass
     negates and row-reduces.
     """

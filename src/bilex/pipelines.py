@@ -507,14 +507,14 @@ def _physical_memory() -> int | None:
 def _check_working_set(spec: ExperimentSpec, ds: Dataset) -> None:
     """Raise WorkingSetError when one graph solve of ``spec`` on ``ds``
     would not fit in physical memory. The estimate takes the first solve's
-    m, the dataset's test pairs, and counts only its m x m arrays."""
+    m, the dataset's test pairs, and counts only its m x m arrays: 1.25,
+    from the barycenter or a random start alike."""
     if METHODS[spec.method][1] == "proc":
         return
-    # The m x m float64 arrays of one solve at its peak (1.24 and 2.21
-    # measured at m = 1000; 1.11 and 2.11 for a solve that never moves):
-    # the gradient alone from the barycenter, and next to it until the
-    # first move soft SGM's random start.
-    arrays = 2.25 if spec.method == "softsgm" else 1.25
+    # One solve holds one m x m float64 array at a time, the gradient or a
+    # redrawn random start (1.24 measured at m = 1000 from the barycenter,
+    # 1.21 from a random start, moving or not).
+    arrays = 1.25
     m = len(ds.gold_test)
     need, have = arrays * 8.0 * m * m, _physical_memory()
     if have is not None and need > have:

@@ -553,7 +553,7 @@ class TestWorkingSetGuard:
     allocated."""
 
     @pytest.mark.parametrize(
-        "method, arrays", [("sgm", 1.25), ("itersgm", 1.25), ("combined", 1.25), ("softsgm", 2.25)]
+        "method, arrays", [("sgm", 1.25), ("itersgm", 1.25), ("combined", 1.25), ("softsgm", 1.25)]
     )
     def test_refused_before_any_solve_when_it_would_not_fit(self, monkeypatch, method, arrays):
         ds = planted_dataset()

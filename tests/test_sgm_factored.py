@@ -1,7 +1,9 @@
 """The factored Frank-Wolfe solver against the dense FAQ loop it replaced,
-against scipy's FAQ, and across BLAS thread counts."""
+against scipy's FAQ, across BLAS thread counts and through the benchmark's
+driver."""
 
 import importlib
+import json
 import subprocess
 import sys
 import tracemalloc
@@ -175,17 +177,19 @@ def test_dense_oracle_at_pipeline_scale():
     assert assert_same_solve(build_graph(x), build_graph(y), 40, 0, max_iters=8) >= 5
 
 
-# The m x m float64 arrays a solve may hold at its peak, by start.
-# - barycenter (1.24 measured): the LAP's cost matrix alone; the start is
-#   summarized without forming P, and after the first move the iterate is
-#   an index vector.
-# - randomized (2.21 measured): the Sinkhorn start is a dense P, alive
-#   next to the first gradient until the first move.
-# The LAP's refinement works in blocks of rows. A step array, a negated
-# copy of the cost or a dense reduced-cost matrix would add a whole array.
-# A solve that never moves measured 1.11 and 2.11: a constant-cost LAP
-# skips the refinement, whose tight cells would be every cell.
-_PEAK_ARRAYS = {"barycenter": 1.5, "randomized": 2.5}
+# The m x m float64 arrays a solve may hold at its peak, from either
+# start (measured at m = 1000: 1.21 from a random start, 1.24 from the
+# barycenter): the LAP's cost matrix alone. The barycenter is summarized
+# without forming it, a random start is summarized and released before
+# the first gradient, and after the first move the iterate is an index
+# vector. The LAP's refinement works in blocks of rows. A step array, a
+# negated copy of the cost, a dense reduced-cost matrix or a start alive
+# next to the gradient would add a whole array. A solve that never moves
+# measured 1.21 from a random start, whose projection redraws it after
+# the gradient is gone, and 1.11 from the barycenter, whose projection
+# needs no array. Its gradient is zero, a constant-cost LAP, which skips
+# the refinement, whose tight cells would be every cell.
+_PEAK_ARRAYS = 1.5
 
 
 def solve_under_tracemalloc(y_free_rows, init):
@@ -210,7 +214,7 @@ def test_peak_memory_bound(init):
     matching, peak = solve_under_tracemalloc(1.0, init)
     # FW kept moving: a step that does not move ends the solve.
     assert (matching.iterations, matching.capped) == (6, True)
-    assert peak < _PEAK_ARRAYS[init] * 8 * 1000 * 1000
+    assert peak < _PEAK_ARRAYS * 8 * 1000 * 1000
 
 
 @pytest.mark.parametrize("init", INIT_MODES)
@@ -220,7 +224,121 @@ def test_peak_memory_bound_of_a_solve_that_never_moves(init):
     # graph of tight cells.
     matching, peak = solve_under_tracemalloc(0.0, init)
     assert (matching.iterations, matching.capped) == (1, False)
-    assert peak < _PEAK_ARRAYS[init] * 8 * 1000 * 1000
+    assert peak < _PEAK_ARRAYS * 8 * 1000 * 1000
+
+
+def first_move_bound(rng, m):
+    """The lower bound on a random start's first move that a shuffling
+    ``sgm`` takes from ``rng``: m - 2 sum_i max_j P_ij + ||P||^2."""
+    rng.permutation(m)
+    p = _random_doubly_stochastic(rng, m)
+    return m - 2.0 * p.max(axis=1).sum() + np.vdot(p, p)
+
+
+def counting_draws(monkeypatch):
+    """A list that grows by one with every random start ``sgm`` draws."""
+    draws = []
+    original = graph_matching._random_doubly_stochastic
+
+    def counted(rng, m):
+        draws.append(m)
+        return original(rng, m)
+
+    monkeypatch.setattr(graph_matching, "_random_doubly_stochastic", counted)
+    return draws
+
+
+class TestRandomStart:
+    """A random start is released before the first gradient and redrawn
+    from a copy of the generator only when the solve needs it again."""
+
+    N, S = 10, 2
+
+    def graphs(self, free_scale=1.0):
+        x, y = noisy_planted_rows(self.N, 3, self.S, 0.5, np.random.default_rng(10))
+        y[self.S :] *= free_scale
+        return build_graph(x), build_graph(y)
+
+    def first_delta(self, gx, gy, seed):
+        history = []
+        dense_sgm(gx, gy, self.S, np.random.default_rng(seed), eps=0.0, max_iters=1,
+                  init="randomized", history=history)
+        assert history[0]["alpha"] == 1.0  # the first step moves
+        return history[0]["delta"]
+
+    @pytest.mark.parametrize("case", ["moves", "never_moves", "redraws_first_move"])
+    @pytest.mark.parametrize("shuffle_input", [True, False])
+    def test_generator_is_consumed_by_one_draw(self, monkeypatch, case, shuffle_input):
+        # The caller's generator ends where the relabeling and one start
+        # leave it, also when the solve redraws its start.
+        gx, gy = self.graphs(0.0 if case == "never_moves" else 1.0)
+        eps = 0.03
+        if case == "redraws_first_move":
+            eps = 1.01 * self.first_delta(gx, gy, 0)
+        draws = counting_draws(monkeypatch)
+        rng = np.random.default_rng(0)
+        matching = sgm(gx, gy, self.S, rng, eps=eps, init="randomized",
+                       shuffle_input=shuffle_input)
+        assert len(draws) == (1 if case == "moves" else 2)
+        want = np.random.default_rng(0)
+        if shuffle_input:
+            want.permutation(self.N - self.S)
+        _random_doubly_stochastic(want, self.N - self.S)
+        assert rng.bit_generator.state == want.bit_generator.state
+        dense = dense_sgm(gx, gy, self.S, np.random.default_rng(0), eps=eps,
+                          init="randomized", shuffle_input=shuffle_input)
+        np.testing.assert_array_equal(matching.perm, dense.perm)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_eps_above_the_first_move_bound_redraws_the_start(self, monkeypatch, seed):
+        # Between the bound and the first move's distance only the
+        # redrawn start tells that the solve goes on: taking the bound as
+        # the distance would stop after one step.
+        gx, gy = self.graphs()
+        m = self.N - self.S
+        low = np.sqrt(first_move_bound(np.random.default_rng(seed), m))
+        high = self.first_delta(gx, gy, seed)
+        eps = (low + high) / 2.0
+        assert low < eps < high
+        steps = assert_same_solve(gx, gy, self.S, seed, eps=eps, init="randomized")
+        assert steps >= 2
+        draws = counting_draws(monkeypatch)
+        assert sgm(gx, gy, self.S, np.random.default_rng(seed), eps=eps,
+                   init="randomized").iterations == steps
+        assert len(draws) == 2
+
+    def test_a_bound_whose_root_reaches_eps_decides_the_stop_test(self, monkeypatch):
+        # The boundary itself: at eps = sqrt(bound) the solve keeps
+        # moving without a redraw, one ulp above it redraws; both as the
+        # dense loop.
+        gx, gy = self.graphs()
+        m = self.N - self.S
+        root = float(np.sqrt(first_move_bound(np.random.default_rng(1), m)))
+        assert root < self.first_delta(gx, gy, 1)
+        draws = counting_draws(monkeypatch)
+        for eps, want_draws in ((root, 1), (np.nextafter(root, np.inf), 2)):
+            draws.clear()
+            fast = sgm(gx, gy, self.S, np.random.default_rng(1), eps=eps, init="randomized")
+            assert len(draws) == want_draws
+            dense = dense_sgm(gx, gy, self.S, np.random.default_rng(1), eps=eps,
+                              init="randomized")
+            np.testing.assert_array_equal(fast.perm, dense.perm)
+            assert fast.iterations >= 2
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 64, 300])
+    def test_computed_bound_never_exceeds_the_computed_distance(self, m):
+        # What lets the bound decide the stop test with no margin: summed
+        # as sgm sums them, row maxima never give a larger squared
+        # distance than the entries of any vertex, the row argmax included.
+        rng = np.random.default_rng(m)
+        for _ in range(5):
+            p = _random_doubly_stochastic(rng, m)
+            norm = np.vdot(p, p)
+            bound = m - 2.0 * p.max(axis=1).sum() + norm
+            rows = np.arange(m)
+            for cols in (p.argmax(axis=1), rng.permutation(m), rows):
+                assert bound <= m - 2.0 * p[rows, cols].sum() + norm
+            assert bound == m - 2.0 * p[rows, p.argmax(axis=1)].sum() + norm
 
 
 def test_factored_objective_and_gain_on_random_summaries():
@@ -288,6 +406,25 @@ class TestSolveReport:
         assert sum(solve.iterations for solve in solves) == iterations
         warnings = [r for r in caplog.records if r.name == "bilex.graph_matching"]
         assert sum(solve.capped for solve in solves) == capped == len(warnings)
+
+
+@pytest.mark.parametrize("name", ["itersgm-active", "softsgm-restarts"])
+def test_benchmark_digest_on_seed_1(name):
+    # The benchmark's own driver, run as it is run, reading its files and
+    # changing none: every repetition is correct and dumps the hypotheses
+    # whose digest perfbench/digests.json records for seed 1.
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", name, "--seed", "1", "--seconds", "0"],
+        cwd=root, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = [json.loads(line) for line in done.stdout.splitlines()]
+    recorded = json.loads((root / "perfbench" / "digests.json").read_text())[name]["1"]
+    assert next(line for line in lines if "digests" in line) == {
+        "digests": [recorded], "recorded_digest": recorded
+    }
+    assert lines[-1]["correct"]
 
 
 class TestScipyFaq:
