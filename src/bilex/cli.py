@@ -14,13 +14,8 @@ Three subcommands:
 Exit codes: 0 success, 1 usage/spec error, 2 I/O error, 3 input parse
 error, 4 numeric failure, 5 a graph solve that would not fit in physical
 memory (checked before it starts). All randomness flows from
-``--rng-seed``. Linear-algebra thread counts can be capped with the
-usual BLAS environment variables (``OPENBLAS_NUM_THREADS``,
-``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``). No ranking has been found to
-change with them, at any seed count, but BLAS can round a dumped score
-differently in its last digits (README, "Determinism"). Pin the count to
-compare dumps bit for bit. Capping BLAS at one thread lets CSLS
-extraction score its blocks on two CPUs.
+``--rng-seed``. ``run`` pins numpy's OpenBLAS to one thread, so its dump
+is the same on any BLAS thread count (README, "Determinism").
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from .graph_matching import (
 )
 from .hypotheses import HypothesisSet, TopK
 from .lexicon import Lexicon, drop_missing, filter_one_to_one, load_dictionary, split
-from .procrustes import extract_hypotheses, solve_procrustes
+from .procrustes import _pinned_blas, extract_hypotheses, solve_procrustes
 
 # What each method runs: (pipeline, engine). Soft SGM is an ensemble of
 # restarts and the combined cycle alternates both engines, so neither
@@ -540,27 +540,30 @@ def run(spec: ExperimentSpec, dataset: Dataset | None = None) -> RunResult:
 
     Before a graph solve starts, raises WorkingSetError when its m x m
     arrays would exceed physical memory (see ``_check_working_set``).
+    numpy's BLAS runs on one thread, process-wide, until this returns or
+    raises, so the dump does not depend on its thread count.
     """
     problems = spec.validate()
     if problems:
         raise ValueError("; ".join(problems))
-    timings: dict[str, float] = {}
-    started = time.perf_counter()
-    ds = dataset if dataset is not None else assemble(spec)
-    timings["prepare_s"] = time.perf_counter() - started
-    _check_working_set(spec, ds)
+    with _pinned_blas():
+        timings: dict[str, float] = {}
+        started = time.perf_counter()
+        ds = dataset if dataset is not None else assemble(spec)
+        timings["prepare_s"] = time.perf_counter() - started
+        _check_working_set(spec, ds)
 
-    started = time.perf_counter()
-    pipeline = METHODS[spec.method][0]
-    if pipeline == "single":
-        hyps = run_single(spec, ds)
-    elif pipeline == "iterate":
-        records, hyps = iterate(spec, ds)
-    else:
-        records, hyps = run_combined(spec, ds)
-    timings["solve_s"] = time.perf_counter() - started
+        started = time.perf_counter()
+        pipeline = METHODS[spec.method][0]
+        if pipeline == "single":
+            hyps = run_single(spec, ds)
+        elif pipeline == "iterate":
+            records, hyps = iterate(spec, ds)
+        else:
+            records, hyps = run_combined(spec, ds)
+        timings["solve_s"] = time.perf_counter() - started
 
-    metrics = evaluation.metrics_report(hyps, ds.gold_test)
+        metrics = evaluation.metrics_report(hyps, ds.gold_test)
     if pipeline == "single":
         records = [{"iteration": 1, "forward_p1": metrics.p_at_1}]
     return RunResult(hypotheses=hyps, iterations=records, metrics=metrics, timings=timings)

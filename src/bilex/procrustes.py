@@ -19,8 +19,10 @@ target, which is the reverse direction's extraction.
 
 from __future__ import annotations
 
+import ctypes
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,11 +81,10 @@ def solve_procrustes(src_seed: np.ndarray, tgt_seed: np.ndarray) -> OrthogonalMa
     return OrthogonalMap(u[:, :rank] @ vt[:rank], rank)
 
 
-# Bytes of one float64 block of similarities, with BLAS on one thread or
-# many. Each block thread scores its blocks in one buffer of this size,
-# allocated once per extraction, so extraction's extra memory is
-# O(_BLOCK_BYTES) per thread plus the O((n_src + n_tgt) d) inputs,
-# whatever the vocabulary sizes.
+# Bytes of one float64 block of similarities. Each block thread scores
+# its blocks in one buffer of this size, allocated once per extraction,
+# so extraction's extra memory is O(_BLOCK_BYTES) per thread plus the
+# O((n_src + n_tgt) d) inputs, whatever the vocabulary sizes.
 _BLOCK_BYTES = 4 << 20
 
 # Bytes of one chunk of a block that a selection copies: the means, the
@@ -91,42 +92,50 @@ _BLOCK_BYTES = 4 << 20
 # so that no block is held twice.
 _CHUNK_BYTES = 256 << 10
 
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
 # Most threads that score blocks at once, the calling thread included:
 # more have not been measured, and each holds one block buffer and its
 # own column candidates.
 _MAX_WORKERS = 2
 
 
-def _one_blas_thread() -> bool:
-    """Whether the BLAS thread variables cap BLAS at one thread: each one
-    set to a positive integer says 1 (others are ignored), and one is.
+def _blas_thread_calls():
+    """numpy's OpenBLAS (set, get) thread-count calls; None for MKL or Accelerate."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    lib = ctypes.CDLL(umath.__file__)
+    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                 "openblas_{}_num_threads"):
+        if hasattr(lib, name.format("set")) and hasattr(lib, name.format("get")):
+            return (ctypes.CFUNCTYPE(None, ctypes.c_int)((name.format("set"), lib)),
+                    ctypes.CFUNCTYPE(ctypes.c_int)((name.format("get"), lib)))
+    return None
 
-    Variables that disagree leave the cap unknown, since which one binds
-    depends on the BLAS (OpenBLAS reads ``OPENBLAS_NUM_THREADS`` before
-    ``OMP_NUM_THREADS`` and ignores ``MKL_NUM_THREADS``). BLAS reads them
-    when it loads, so they must be set before Python starts.
-    """
-    caps = set()
-    for name in _BLAS_THREAD_VARS:
-        try:
-            cap = int(os.environ.get(name, ""))
-        except ValueError:
-            continue
-        if cap > 0:
-            caps.add(cap)
-    return caps == {1}
+
+_BLAS_THREADS = _blas_thread_calls()
+
+
+@contextmanager
+def _pinned_blas():
+    """numpy's BLAS on one thread for the body, process-wide; a no-op without thread calls."""
+    if _BLAS_THREADS is None:
+        yield
+        return
+    set_threads, get_threads = _BLAS_THREADS
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
 
 
 def _workers() -> int:
-    """Threads that score blocks: with one BLAS thread, up to
-    ``_MAX_WORKERS`` of this process's CPUs; otherwise 1.
-
-    An uncapped BLAS already runs each product on every CPU, and its
-    threads spin while they wait, so block threads on top only slow it.
-    """
-    if not _one_blas_thread():
+    """Threads that score blocks: up to ``_MAX_WORKERS`` of this process's
+    CPUs when numpy's BLAS can be pinned to one thread, else 1 (an
+    unpinned BLAS may already run each product on every CPU)."""
+    if _BLAS_THREADS is None:
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -172,8 +181,8 @@ def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
     """The blocks of an extraction pass: row slices of about
     ``_BLOCK_BYTES`` of float64 each.
 
-    The size follows neither the BLAS setting nor the number of block
-    threads, so a run scores the same blocks on any of them.
+    The size does not follow the number of block threads, so a run
+    scores the same blocks on any number of them.
     """
     return _slices(n_rows, n_cols, _BLOCK_BYTES)
 
@@ -292,6 +301,7 @@ def _row_top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return cand, vals
 
 
+@_pinned_blas()
 def extract_hypotheses(
     mapped_src: np.ndarray,
     tgt: np.ndarray,
@@ -319,19 +329,20 @@ def extract_hypotheses(
     product it takes is written there, and the selections over a block
     copy a few rows or columns at a time, never the whole block.
 
-    When BLAS is capped at one thread and this process has more CPUs,
-    each pass cuts its blocks into runs, one per thread, the calling
-    thread included (:func:`_in_runs`). A run takes the row top-k of its
-    blocks and keeps its own column candidates; those are merged in row
-    order. Blocks, sums and ties are the same whatever the number of
-    threads, so the results are equal bit for bit.
+    BLAS runs on one thread. When this process has more CPUs, each pass
+    cuts its blocks into runs, one per block thread, the calling thread
+    included (:func:`_in_runs`). A run takes the row top-k of its blocks
+    and keeps its own column candidates; those are merged in row order.
+    Blocks, sums and ties are the same whatever the number of threads,
+    so the results are equal bit for bit.
     """
     if top_k < 1:
         raise ValueError("top_k must be positive")
     mapped_src = np.asarray(mapped_src, dtype=np.float64)
     tgt = np.asarray(tgt, dtype=np.float64)
-    if tgt.shape[0] == 0:
-        raise ValueError("candidate target set is empty")
+    for name, rows in (("source", mapped_src), ("candidate target", tgt)):
+        if rows.shape[0] == 0:
+            raise ValueError(f"{name} set is empty")
     n_src, n_tgt = mapped_src.shape[0], tgt.shape[0]
     # Small candidate sets clamp k so desk-scale runs still work.
     csls_k = min(csls_k, n_tgt, n_src)

@@ -94,12 +94,15 @@ def make_spec(**overrides) -> ExperimentSpec:
 
 
 def blas_env(threads: str) -> dict[str, str]:
-    """This environment with BLAS capped at ``threads`` threads and the
-    imported package's ``src`` directory first on ``PYTHONPATH``, for
-    running ``bilex`` in a subprocess."""
+    """This environment with the BLAS thread variables set to ``threads``,
+    or removed when it is ``"unset"``, and the imported package's ``src``
+    directory first on ``PYTHONPATH``, for running ``bilex`` in a
+    subprocess."""
     env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = threads
+        env.pop(var, None)
+        if threads != "unset":
+            env[var] = threads
     src = str(Path(bilex.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env

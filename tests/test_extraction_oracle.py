@@ -25,12 +25,13 @@ SIZES = (1, 2, 3, B - 1, B + 1, 2 * B + 1)
 
 
 @pytest.fixture(autouse=True)
-def uncapped_blas(monkeypatch):
-    """The number of block threads follows the BLAS thread variables;
-    clear them so that every test here that does not set that number
-    itself scores on one thread, however pytest was started."""
-    for name in procrustes._BLAS_THREAD_VARS:
-        monkeypatch.delenv(name, raising=False)
+def one_block_thread(monkeypatch):
+    """Every test here that does not set the number of block threads
+    itself scores on one thread, and the references compute on the one
+    BLAS thread that extraction pins, whatever this host has."""
+    monkeypatch.setattr(procrustes, "_workers", lambda: 1)
+    with procrustes._pinned_blas():
+        yield
 
 
 def unit_rows(m):
@@ -373,11 +374,12 @@ def test_runs_cover_blocks_in_order_with_near_equal_counts(workers):
 def test_row_blocks_do_not_follow_the_blas_setting(monkeypatch):
     monkeypatch.setattr(procrustes, "_BLOCK_BYTES", 8 * 48 * 10)
     want = [slice(0, 48), slice(48, 96), slice(96, 100)]
-    assert procrustes._row_blocks(100, 10) == want  # uncapped
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(procrustes, "_workers", lambda: workers)
+        assert procrustes._row_blocks(100, 10) == want
+    monkeypatch.setattr(procrustes, "_BLAS_THREADS", None)  # BLAS cannot be pinned
     assert procrustes._row_blocks(100, 10) == want
-    monkeypatch.setenv("OMP_NUM_THREADS", "2")  # caps that disagree
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     assert procrustes._row_blocks(100, 10) == want
 
 
@@ -433,65 +435,50 @@ sys.stdout.write(" %d" % len(result.hypotheses))
 """
 
 
-@pytest.mark.xfail(
-    reason="BLAS rounds some entries differently on 1 and 2 threads (the "
-    "Procrustes SVD, and products whose column count is not a multiple of 8 "
-    "on OpenBLAS SkylakeX kernels); one of 7500 dumped scores changes in its "
-    "10th digit here, with the dense extraction as with the blocked one",
-    strict=False,
-)
-def test_iterproc_dump_identical_across_blas_threads_at_scale():
-    # 1500 x 1500 products with d = 300 are split across BLAS threads.
-    def dump_digest(threads: str) -> str:
-        done = subprocess.run(
-            [sys.executable, "-c", _THREADED_ITERPROC], env=blas_env(threads),
-            capture_output=True, text=True, timeout=300,
-        )
-        assert done.returncode == 0, done.stderr
-        return done.stdout
-
-    one, two = dump_digest("1"), dump_digest("2")
-    assert one == two
-    assert one.endswith(" 1500")
-
-
-# The corpus above, then `procrustes` and `iterproc` at 100 seeds, fewer
-# than d = 300: each run's (source, target, rank) columns, hashed, with
-# its metrics and round records.
-_SEED_SPAN_RUNS = _THREADED_ITERPROC[: _THREADED_ITERPROC.index("spec = ")] + """
+# The corpus above, then three runs: that `iterproc` over the top_n
+# vocabulary at 400 seeds, and `procrustes` and `iterproc` at 100 seeds,
+# fewer than d = 300. Each run's dump, scores included, is hashed with
+# its line count, metrics and round records.
+_THREADED_RUNS = _THREADED_ITERPROC[: _THREADED_ITERPROC.index("spec = ")] + """
 import dataclasses, json
 out = {}
-for method in ("procrustes", "iterproc"):
-    spec = ExperimentSpec(src_emb="-", tgt_emb="-", dictionary="-", seeds=100,
-                          method=method, iters=3, rng_seed=3)
+for method, seeds, extra in (("iterproc", 400, dict(vocab_mode="top_n", iters=2)),
+                             ("procrustes", 100, dict(iters=3)),
+                             ("iterproc", 100, dict(iters=3))):
+    spec = ExperimentSpec(src_emb="-", tgt_emb="-", dictionary="-", seeds=seeds,
+                          method=method, rng_seed=3, **extra)
     result = run(spec, build_dataset(src, tgt, lexicon, spec.seeds))
-    columns = "".join(
-        "%s\\t%s\\t%d\\n" % (s, t, rank)
+    dump = "".join(
+        "%s\\t%s\\t%d\\t%.10g\\n" % (s, t, rank, score)
         for s, ranked in result.hypotheses.entries.items()
-        for rank, (t, _) in enumerate(ranked, start=1)
+        for rank, (t, score) in enumerate(ranked, start=1)
     )
-    out[method] = [hashlib.sha256(columns.encode()).hexdigest(), columns.count("\\n"),
-                   dataclasses.asdict(result.metrics), result.iterations]
+    out["%s s=%d" % (method, seeds)] = [
+        hashlib.sha256(dump.encode()).hexdigest(), dump.count("\\n"),
+        dataclasses.asdict(result.metrics), result.iterations,
+    ]
 sys.stdout.write(json.dumps(out))
 """
 
 
-def test_seed_span_runs_identical_across_blas_threads_at_scale():
-    # Below d seeds the map is U_r V_r^T, which does not depend on the
-    # null-space basis that LAPACK returns on a given thread count. Only
-    # rankings and metrics are compared: byte-identity of the score
-    # column is the xfail above's open problem (BLAS edge-tile rounding).
+def test_iterproc_dump_identical_across_blas_threads_at_scale():
+    # 1500 x 1500 products with d = 300, which BLAS would split across its
+    # threads: `run` pins it to one, so the thread variables at 1, at 2 and
+    # unset give the same dumps, scores included. Below d seeds the map is
+    # U_r V_r^T, which does not depend on the null-space basis LAPACK
+    # returns either.
     def runs(threads: str) -> dict:
         done = subprocess.run(
-            [sys.executable, "-c", _SEED_SPAN_RUNS], env=blas_env(threads),
+            [sys.executable, "-c", _THREADED_RUNS], env=blas_env(threads),
             capture_output=True, text=True, timeout=300,
         )
         assert done.returncode == 0, done.stderr
         return json.loads(done.stdout)
 
-    one, two = runs("1"), runs("2")
-    assert one == two
-    assert [one[method][1] for method in ("procrustes", "iterproc")] == [7500, 7500]
+    one = runs("1")
+    assert runs("2") == one
+    assert runs("unset") == one
+    assert [lines for _, lines, _, _ in one.values()] == [7500, 7500, 7500]
 
 
 @pytest.mark.skipif(

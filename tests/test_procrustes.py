@@ -2,6 +2,8 @@
 
 import logging
 import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -10,11 +12,12 @@ import pytest
 from bilex import (
     OrthogonalMap,
     extract_hypotheses,
+    pipelines,
     procrustes,
     solve_procrustes,
 )
 from bilex.procrustes import _top_k_means
-from conftest import random_orthogonal
+from conftest import blas_env, make_planted, make_spec, random_orthogonal
 
 
 def unit_rows(m):
@@ -299,18 +302,35 @@ class TestExtractHypotheses:
         with pytest.raises(ValueError, match="empty"):
             extract_hypotheses(np.eye(2), np.empty((0, 2)), top_k=1)
 
+    def test_empty_source_set_raises(self):
+        with pytest.raises(ValueError, match="source set is empty"):
+            extract_hypotheses(np.empty((0, 2)), np.eye(2), top_k=1)
+
+
+class FakeBlas:
+    """A (set, get) pair of thread-count calls that records every set."""
+
+    def __init__(self, threads):
+        self.threads, self.sets = threads, []
+
+    def calls(self):
+        def set_threads(threads):
+            self.sets.append(threads)
+            self.threads = threads
+
+        return set_threads, lambda: self.threads
+
 
 class TestWorkerRule:
-    """Block threads: with one BLAS thread, up to two of this process's
-    CPUs; otherwise one."""
+    """Block threads: up to two of this process's CPUs when numpy's BLAS
+    can be pinned to one thread; otherwise one. No variable is read."""
 
     @pytest.fixture
     def host(self, monkeypatch):
-        def configure(cpus, **caps):
+        def configure(cpus, calls=FakeBlas(1).calls(), **variables):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-            for name in procrustes._BLAS_THREAD_VARS:
-                monkeypatch.delenv(name, raising=False)
-            for name, value in caps.items():
+            monkeypatch.setattr(procrustes, "_BLAS_THREADS", calls)
+            for name, value in variables.items():
                 monkeypatch.setenv(name, value)
             threads = threading.active_count()
             workers = procrustes._workers()
@@ -320,40 +340,129 @@ class TestWorkerRule:
         return configure
 
     def test_unpinned_blas_keeps_one_worker(self, host):
-        assert host(2) == 1
-        assert host(64) == 1
+        # numpy's BLAS exports no thread calls (MKL, Accelerate).
+        assert host(2, calls=None) == 1
+        assert host(64, calls=None) == 1
 
     def test_one_blas_thread_on_two_cpus_gives_two(self, host):
-        assert host(2, OPENBLAS_NUM_THREADS="1") == 2
-        assert host(2, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1") == 2
+        assert host(2) == 2
 
-    def test_caps_that_disagree_give_one(self, host):
-        # OpenBLAS would read 8 here and MKL 1: the binding cap is unknown.
-        assert host(8, OPENBLAS_NUM_THREADS="8", MKL_NUM_THREADS="1") == 1
-        assert host(8, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="2") == 1
+    def test_thread_variables_are_not_read(self, host):
+        assert host(8, OPENBLAS_NUM_THREADS="8", MKL_NUM_THREADS="1") == 2
+        assert host(4, OMP_NUM_THREADS="2") == 2
+        assert host(4, calls=None, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1") == 1
 
     @pytest.mark.parametrize("junk", ["", "0", "-1", "abc"])
     def test_invalid_caps_are_ignored(self, host, junk):
-        assert host(4, OPENBLAS_NUM_THREADS=junk) == 1
-        assert host(4, OPENBLAS_NUM_THREADS=junk, MKL_NUM_THREADS="1") == 2
+        assert host(4, OPENBLAS_NUM_THREADS=junk) == 2
+        assert host(4, calls=None, OPENBLAS_NUM_THREADS=junk, MKL_NUM_THREADS="1") == 1
 
     def test_one_cpu_gives_one(self, host):
-        assert host(1, OPENBLAS_NUM_THREADS="1") == 1
-
-    def test_cap_above_one_thread_gives_one(self, host):
-        assert host(4, OMP_NUM_THREADS="2") == 1
+        assert host(1) == 1
 
     def test_many_cpus_give_at_most_two(self, host):
         # Arithmetic only: no pool of that size is started.
-        assert host(64, OPENBLAS_NUM_THREADS="1") == procrustes._MAX_WORKERS == 2
+        assert host(64) == procrustes._MAX_WORKERS == 2
 
     @pytest.mark.parametrize("cpus, workers", [(1, 1), (3, 2)])
     def test_cpu_count_without_affinity_call(self, monkeypatch, cpus, workers):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        for name in procrustes._BLAS_THREAD_VARS:
-            monkeypatch.setenv(name, "1")
+        monkeypatch.setattr(procrustes, "_BLAS_THREADS", FakeBlas(1).calls())
         assert procrustes._workers() == workers
+
+
+class TestBlasPin:
+    """numpy's BLAS on one thread inside ``run`` and extraction, and back
+    at its count after, also when the body raises."""
+
+    def test_pin_sets_one_and_restores(self, monkeypatch):
+        blas = FakeBlas(4)
+        monkeypatch.setattr(procrustes, "_BLAS_THREADS", blas.calls())
+        with procrustes._pinned_blas():
+            assert blas.threads == 1
+        assert blas.threads == 4
+        with pytest.raises(KeyError):
+            with procrustes._pinned_blas():
+                assert blas.threads == 1
+                raise KeyError("body")
+        assert blas.threads == 4 and blas.sets == [1, 4, 1, 4]
+
+    def test_without_thread_calls_nothing_is_pinned(self, monkeypatch):
+        monkeypatch.setattr(procrustes, "_BLAS_THREADS", None)
+        ran = []
+        with procrustes._pinned_blas():
+            ran.append(True)
+        assert ran == [True]
+
+    def test_extraction_scores_on_one_blas_thread(self, monkeypatch):
+        blas = FakeBlas(3)
+        monkeypatch.setattr(procrustes, "_BLAS_THREADS", blas.calls())
+        seen = []
+        top_k_means = procrustes._top_k_means
+
+        def recording(*args, **kwargs):
+            seen.append(blas.threads)
+            return top_k_means(*args, **kwargs)
+
+        monkeypatch.setattr(procrustes, "_top_k_means", recording)
+        rng = np.random.default_rng(50)
+        extract_hypotheses(unit_rows(rng.normal(size=(6, 3))), unit_rows(rng.normal(size=(5, 3))))
+        assert seen and set(seen) == {1}
+        assert blas.threads == 3
+        with pytest.raises(ValueError, match="unit-norm"):
+            extract_hypotheses(np.full((2, 2), 2.0), np.ones((2, 2)))
+        assert blas.threads == 3
+
+    def test_run_restores_the_count_when_it_raises(self, monkeypatch):
+        blas = FakeBlas(2)
+        monkeypatch.setattr(procrustes, "_BLAS_THREADS", blas.calls())
+        monkeypatch.setattr(pipelines, "_physical_memory", lambda: 0)
+        src, tgt, lexicon = make_planted(n=30, d=4, seed=3)
+        dataset = pipelines.build_dataset(src, tgt, lexicon, 10)
+        with pytest.raises(pipelines.WorkingSetError):
+            pipelines.run(make_spec(method="sgm", seeds=10), dataset)
+        assert blas.sets == [1, 2] and blas.threads == 2
+
+    def test_thread_calls_are_found_for_openblas(self):
+        # A numpy whose OpenBLAS renames its thread calls fails here
+        # instead of quietly scoring on one block thread.
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if "openblas" not in str(blas.get("name", "")).lower():
+            pytest.skip(f"numpy links {blas.get('name')}, not OpenBLAS")
+        assert procrustes._BLAS_THREADS is not None
+        set_threads, get_threads = procrustes._BLAS_THREADS
+        assert get_threads() >= 1
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs two CPUs this process may run on",
+    )
+    def test_two_blas_threads_read_one_inside_extraction(self):
+        script = """
+import numpy as np
+from bilex import procrustes, run, build_dataset
+from conftest import make_planted, make_spec
+get_threads = procrustes._BLAS_THREADS[1]
+seen = set()
+top_k_means = procrustes._top_k_means
+def recording(*args, **kwargs):
+    seen.add(get_threads())
+    return top_k_means(*args, **kwargs)
+procrustes._top_k_means = recording
+procrustes._BLOCK_BYTES = 8 * 10 * 50
+before = get_threads()
+src, tgt, lexicon = make_planted(n=60, d=4, seed=5)
+run(make_spec(method="procrustes", seeds=10), build_dataset(src, tgt, lexicon, 10))
+print(before, sorted(seen), get_threads(), procrustes._workers())
+"""
+        env = blas_env("2")
+        env["PYTHONPATH"] += os.pathsep + os.path.dirname(__file__)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["2", "[1]", "2", "2"]
 
 
 class TestSoftSeeding:
