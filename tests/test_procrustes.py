@@ -352,6 +352,25 @@ class TestWorkerRule:
         assert host(4, OMP_NUM_THREADS="2") == 2
         assert host(4, calls=None, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1") == 1
 
+    def test_cap_above_one_thread_gives_one(self, host):
+        # The pin, not the variable, gives block work one BLAS thread.
+        blas = FakeBlas(2)
+        assert host(4, calls=blas.calls(), OMP_NUM_THREADS="2") == 2
+        with procrustes._pinned_blas():
+            assert blas.threads == 1
+        assert blas.threads == 2
+        assert host(4, calls=None, OMP_NUM_THREADS="2") == 1
+
+    def test_caps_that_disagree_give_one(self, host):
+        # OpenBLAS would read 8 here and MKL 1; the pin sets one either way,
+        # and without thread calls one block thread is used.
+        blas = FakeBlas(8)
+        assert host(8, calls=blas.calls(), OPENBLAS_NUM_THREADS="8", MKL_NUM_THREADS="1") == 2
+        with procrustes._pinned_blas():
+            assert blas.threads == 1
+        assert host(8, calls=None, OPENBLAS_NUM_THREADS="8", MKL_NUM_THREADS="1") == 1
+        assert host(8, calls=None, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="2") == 1
+
     @pytest.mark.parametrize("junk", ["", "0", "-1", "abc"])
     def test_invalid_caps_are_ignored(self, host, junk):
         assert host(4, OPENBLAS_NUM_THREADS=junk) == 2
