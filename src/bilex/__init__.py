@@ -43,10 +43,7 @@ from .pipelines import (
     WorkingSetError,
     assemble,
     build_dataset,
-    iterate,
     run,
-    run_combined,
-    run_single,
 )
 from .procrustes import OrthogonalMap, extract_hypotheses, solve_procrustes
 
@@ -72,7 +69,6 @@ __all__ = [
     "drop_missing",
     "extract_hypotheses",
     "filter_one_to_one",
-    "iterate",
     "load_dictionary",
     "load_embeddings",
     "metrics_report",
@@ -80,8 +76,6 @@ __all__ = [
     "p_at_1",
     "prf_at_5",
     "run",
-    "run_combined",
-    "run_single",
     "sgm",
     "soft_sgm",
     "solve_lap",

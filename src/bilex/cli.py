@@ -230,12 +230,12 @@ def _cmd_prep(args) -> int:
         print(f"{len(filtered) - len(usable)} pairs dropped for missing embeddings")
     print(f"{len(usable)} usable pairs")
 
+    # Every count is split before any file is written, so a bad one leaves no output.
+    splits = [(count, split(usable, count)) for count in map(int, args.seed_counts.split(","))]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_lexicon(out_dir / "filtered.tsv", usable)
-    for chunk in args.seed_counts.split(","):
-        count = int(chunk)
-        parts = split(usable, count)
+    for count, parts in splits:
         _write_lexicon(out_dir / f"seeds_{count}.tsv", parts.seeds)
         _write_lexicon(out_dir / f"test_{count}.tsv", parts.test)
         print(f"seeds={count}: {len(parts.seeds)} seed pairs, {len(parts.test)} test pairs")

@@ -4,7 +4,9 @@ Wires the loaders, the Euclidean engine (Procrustes map + CSLS
 extraction) and the graph engine (seeded Frank-Wolfe matching) into
 single runs, bidirectional iterative refinement (Add-All,
 Stochastic-Add, Active-Learning) and the combined cyclic system where
-the two engines alternately seed each other.
+the two engines alternately seed each other. ``run`` is the one entry
+point: it validates the spec, dispatches it by ``METHODS`` and
+evaluates the final hypotheses.
 
 Both framings work on the dictionary-restricted vocabulary by default:
 the graph vertices (and the Euclidean candidate set) are the seed words
@@ -335,28 +337,16 @@ def _sample(pool, count, rng):
 
 
 # ---------------------------------------------------------------------------
-# Pipelines
+# Pipelines. Only ``run`` calls them, on a spec it has validated.
 
 
-def _engine_of(spec: ExperimentSpec, pipeline: str) -> str | None:
-    """The engine of ``spec.method``; the spec must be valid and its method
-    one of ``pipeline``'s."""
-    owner, engine = METHODS.get(spec.method, (None, None))
-    problems = spec.validate()
-    if owner != pipeline:
-        problems.append(f"{pipeline} cannot run method {spec.method!r}")
-    if problems:
-        raise ValueError("; ".join(problems))
-    return engine
-
-
-def run_single(spec: ExperimentSpec, ds: Dataset) -> HypothesisSet:
+def _single(spec: ExperimentSpec, ds: Dataset) -> HypothesisSet:
     """One non-iterative run on the gold seeds; returns its hypotheses.
 
     ``procrustes`` and ``sgm`` are one forward engine run; ``softsgm``
     ranks each source's targets by their share of ``soft_runs`` restarts.
     """
-    engine = _engine_of(spec, "single")
+    engine = METHODS[spec.method][1]
     rows, src_words, tgt_words, gold_full = _index_space(ds, spec)
     s = len(ds.gold_seeds)
     if engine is not None:
@@ -377,7 +367,7 @@ def run_single(spec: ExperimentSpec, ds: Dataset) -> HypothesisSet:
     return top_k_from_distribution(dist, spec.top_k, src_words, tgt_words)
 
 
-def iterate(spec: ExperimentSpec, ds: Dataset, seed_log: list | None = None):
+def _iterate(spec: ExperimentSpec, ds: Dataset):
     """Bidirectional iterative refinement of the engine of ``spec.method``
     (``iterproc`` or ``itersgm``) with one of the three strategies.
 
@@ -395,12 +385,12 @@ def iterate(spec: ExperimentSpec, ds: Dataset, seed_log: list | None = None):
     when every LAP was unique; see ``_round``), and otherwise solves it
     afresh.
 
-    Rounds work on index arrays; ``seed_log`` gets each round's seeds as
-    word pairs, and the final forward result alone becomes word-keyed.
+    Rounds work on index arrays; the final forward result alone becomes
+    word-keyed.
 
     Returns (per-iteration records, final forward hypotheses).
     """
-    engine = _engine_of(spec, "iterate")
+    engine = METHODS[spec.method][1]
     engine_id = 0 if engine == "proc" else 1
     rows, src_words, tgt_words, gold_full = _index_space(ds, spec)
     gold = gold_full[: len(ds.gold_seeds)]
@@ -410,9 +400,6 @@ def iterate(spec: ExperimentSpec, ds: Dataset, seed_log: list | None = None):
     records: list[dict] = []
     pool_covered = spec.strategy != "stochastic"
     for t in itertools.count(1):
-        if seed_log is not None:
-            seed_log.append(tuple([(src_words[a], tgt_words[b]) for a, b in seeds.tolist()]
-                                  for seeds in (seeds_fwd, seeds_rev)))
         forward, reverse, inter = _round(
             rows, spec, engine, seeds_fwd, seeds_rev, (_RNG_ITER, engine_id, t)
         )
@@ -443,7 +430,7 @@ def iterate(spec: ExperimentSpec, ds: Dataset, seed_log: list | None = None):
     return records, _hypotheses(src_words, tgt_words, forward)
 
 
-def run_combined(spec: ExperimentSpec, ds: Dataset):
+def _combined(spec: ExperimentSpec, ds: Dataset):
     """The cyclic system: single bidirectional SGM and Add-All inner
     Euclidean refinement alternately seed each other for ``iters`` cycles.
 
@@ -451,11 +438,10 @@ def run_combined(spec: ExperimentSpec, ds: Dataset):
     the component named by ``spec.pull``; if that component never
     executed (for instance ``proc_inner = 0``), one fresh forward run is
     made with the final seed state. Rounds work on index arrays, as in
-    ``iterate``.
+    ``_iterate``.
 
     Returns (per-cycle records, final hypotheses).
     """
-    _engine_of(spec, "combined")
     rows, src_words, tgt_words, gold_full = _index_space(ds, spec)
     gold = seeds = gold_full[: len(ds.gold_seeds)]
     last_forward = {}
@@ -556,11 +542,11 @@ def run(spec: ExperimentSpec, dataset: Dataset | None = None) -> RunResult:
         started = time.perf_counter()
         pipeline = METHODS[spec.method][0]
         if pipeline == "single":
-            hyps = run_single(spec, ds)
+            hyps = _single(spec, ds)
         elif pipeline == "iterate":
-            records, hyps = iterate(spec, ds)
+            records, hyps = _iterate(spec, ds)
         else:
-            records, hyps = run_combined(spec, ds)
+            records, hyps = _combined(spec, ds)
         timings["solve_s"] = time.perf_counter() - started
 
         metrics = evaluation.metrics_report(hyps, ds.gold_test)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import bilex
-from bilex import EmbeddingMatrix, ExperimentSpec, Lexicon, normalize
+from bilex import EmbeddingMatrix, ExperimentSpec, Lexicon, normalize, pipelines
 
 
 def make_planted(n=60, d=10, noise=0.0, seed=0):
@@ -125,6 +125,31 @@ def write_pairs(path, pairs) -> None:
     path.write_text(
         "".join(f"{s}\t{t}\n" for s, t in pairs), encoding="utf-8"
     )
+
+
+@pytest.fixture
+def seed_log(monkeypatch):
+    """The seeds of every bidirectional round a run makes, in call order:
+    one (forward seeds, reverse seeds) tuple of word-pair lists per
+    ``pipelines._round`` call, read through the words of the run's
+    ``pipelines._index_space``."""
+    log, words = [], []
+    index_space, round_ = pipelines._index_space, pipelines._round
+
+    def indexed(ds, spec):
+        space = index_space(ds, spec)
+        words[:] = space[1:3]
+        return space
+
+    def logged(rows, spec, engine, seeds_fwd, seeds_rev, key):
+        src, tgt = words
+        log.append(tuple([(src[a], tgt[b]) for a, b in seeds.tolist()]
+                         for seeds in (seeds_fwd, seeds_rev)))
+        return round_(rows, spec, engine, seeds_fwd, seeds_rev, key)
+
+    monkeypatch.setattr(pipelines, "_index_space", indexed)
+    monkeypatch.setattr(pipelines, "_round", logged)
+    return log
 
 
 @pytest.fixture

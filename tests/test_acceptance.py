@@ -19,9 +19,8 @@ from bilex import (
     evaluation,
     extract_hypotheses,
     filter_one_to_one,
-    iterate,
     load_dictionary,
-    run_single,
+    run,
     sgm,
     solve_lap,
     solve_procrustes,
@@ -105,8 +104,8 @@ def test_criterion_4_planted_permutation_bli():
     # Noiseless: single SGM exact, single Procrustes >= 95%.
     src, tgt, lexicon = make_planted(n=60, d=10, noise=0.0, seed=0)
     ds = build_dataset(src, tgt, lexicon, 15)
-    hyps_sgm = run_single(make_spec(method="sgm"), ds)
-    hyps_pro = run_single(make_spec(method="procrustes"), ds)
+    hyps_sgm = run(make_spec(method="sgm"), ds).hypotheses
+    hyps_pro = run(make_spec(method="procrustes"), ds).hypotheses
     assert evaluation.p_at_1(hyps_sgm, ds.gold_test) == 100.0
     assert evaluation.p_at_1(hyps_pro, ds.gold_test) >= 95.0
 
@@ -116,7 +115,7 @@ def test_criterion_4_planted_permutation_bli():
         for rs in range(10):
             src, tgt, lexicon = make_planted(n=60, d=10, noise=0.05, seed=100 + rs)
             noisy = build_dataset(src, tgt, lexicon, 15)
-            records, _ = iterate(make_spec(method=method, rng_seed=rs), noisy)
+            records = run(make_spec(method=method, rng_seed=rs), noisy).iterations
             assert records[0]["forward_p1"] >= 80.0
             assert records[-1]["forward_p1"] >= records[0]["forward_p1"] - 2.0
     report(4, "planted recovery and Add-All stability hold for 10 rng seeds")

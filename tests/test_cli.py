@@ -84,6 +84,23 @@ class TestPrep:
         assert code == EXIT_OK
         assert "1 pairs dropped" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("counts", ["2,9", "2,x"])
+    def test_bad_seed_count_writes_nothing(self, tmp_path, counts):
+        # 6 usable pairs: 9 seeds cannot split them, and "x" is no count.
+        pairs = [(f"s{i}", f"t{i}") for i in range(6)]
+        write_pairs(tmp_path / "d.tsv", pairs)
+        write_vec(tmp_path / "s.vec", [s for s, _ in pairs], np.eye(6))
+        write_vec(tmp_path / "t.vec", [t for _, t in pairs], np.eye(6))
+        code = main([
+            "prep", "--dict", str(tmp_path / "d.tsv"),
+            "--src-emb", str(tmp_path / "s.vec"),
+            "--tgt-emb", str(tmp_path / "t.vec"),
+            "--out-dir", str(tmp_path / "out"),
+            "--seed-counts", counts,
+        ])
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "out").exists()
+
 
 class TestRun:
     def test_diag4_fixture_via_cli(self, tmp_path, diag4_files, capsys):

@@ -14,11 +14,8 @@ from bilex import (
     TopK,
     build_dataset,
     evaluation,
-    iterate,
     pipelines,
     run,
-    run_combined,
-    run_single,
 )
 from bilex.pipelines import _admit, _intersect, _member, _union
 from conftest import make_planted, make_spec
@@ -27,6 +24,26 @@ from conftest import make_planted, make_spec
 def planted_dataset(n=60, d=10, noise=0.0, seed=0, seeds=15):
     src, tgt, lexicon = make_planted(n=n, d=d, noise=noise, seed=seed)
     return build_dataset(src, tgt, lexicon, seeds)
+
+
+def pipelines_reached(method, monkeypatch):
+    """The private pipelines that ``run`` calls for ``method``, in call order.
+
+    The pipelines do not check the method they are given, and a stray one
+    runs another flow (softsgm's engine None would make ``_iterate`` solve
+    graphs): ``run``'s dispatch by ``METHODS`` is what keeps it out.
+    """
+    reached = []
+    for name in ("_single", "_iterate", "_combined"):
+
+        def recorded(spec, ds, _name=name, _original=getattr(pipelines, name)):
+            reached.append(_name)
+            return _original(spec, ds)
+
+        monkeypatch.setattr(pipelines, name, recorded)
+    spec = make_spec(method=method, seeds=5, iters=1, proc_inner=1, soft_runs=2)
+    run(spec, planted_dataset(n=20, seeds=5))
+    return reached
 
 
 def test_readme_example_prints_100(capsys):
@@ -184,29 +201,27 @@ def test_word_keyed_hypotheses_built_once_per_run(method, strategy, monkeypatch)
     ds = planted_dataset(n=40, seeds=10, noise=0.3, seed=7)
     if method == "combined":
         spec = make_spec(method=method, seeds=10, iters=2, proc_inner=1, pull=strategy)
-        records, hyps = run_combined(spec, ds)
     elif strategy is not None:
         spec = make_spec(method=method, strategy=strategy, seeds=10, iters=3)
-        records, hyps = iterate(spec, ds)
     else:
-        hyps = run_single(make_spec(method=method, seeds=10), ds)
-        records = [None]
-    assert len(records) > 1 or strategy is None
-    assert built == [len(hyps)]
+        spec = make_spec(method=method, seeds=10)
+    result = run(spec, ds)
+    assert len(result.iterations) > 1 or strategy is None
+    assert built == [len(result.hypotheses)]
 
 
 class TestRunSingle:
     def test_planted_recovery_both_methods(self):
         ds = planted_dataset()
-        hyps_sgm = run_single(make_spec(method="sgm"), ds)
-        hyps_pro = run_single(make_spec(method="procrustes"), ds)
+        hyps_sgm = run(make_spec(method="sgm"), ds).hypotheses
+        hyps_pro = run(make_spec(method="procrustes"), ds).hypotheses
         assert evaluation.p_at_1(hyps_sgm, ds.gold_test) == 100.0
         assert evaluation.p_at_1(hyps_pro, ds.gold_test) >= 95.0
 
     def test_single_test_word_exact_isomorphism(self):
         ds = planted_dataset(n=20, seeds=19)
         for method in ("procrustes", "sgm"):
-            hyps = run_single(make_spec(method=method, seeds=19), ds)
+            hyps = run(make_spec(method=method, seeds=19), ds).hypotheses
             assert evaluation.p_at_1(hyps, ds.gold_test) == 100.0
 
     def test_noisy_outputs_are_valid_hypothesis_sets(self):
@@ -228,7 +243,7 @@ class TestRunSingle:
 
     def test_softsgm_probabilities(self):
         ds = planted_dataset(n=30, seeds=8)
-        hyps = run_single(make_spec(method="softsgm", seeds=8, soft_runs=4), ds)
+        hyps = run(make_spec(method="softsgm", seeds=8, soft_runs=4), ds).hypotheses
         for ranked in hyps.entries.values():
             assert 1 <= len(ranked) <= 5
             for _, prob in ranked:
@@ -237,16 +252,16 @@ class TestRunSingle:
         assert all(r[0][1] == 1.0 for r in hyps.entries.values())
 
     @pytest.mark.parametrize("method", ["iterproc", "itersgm", "combined"])
-    def test_rejects_methods_it_does_not_run(self, method):
-        with pytest.raises(ValueError, match=method):
-            run_single(make_spec(method=method), planted_dataset(n=20, seeds=5))
+    def test_rejects_methods_it_does_not_run(self, method, monkeypatch):
+        assert "_single" not in pipelines_reached(method, monkeypatch)
 
 
 class TestIterate:
     def test_add_all_never_degrades_on_planted(self):
         ds = planted_dataset(noise=0.05, seed=1)
         for method in ("iterproc", "itersgm"):
-            records, final = iterate(make_spec(method=method, iters=4, rng_seed=1), ds)
+            result = run(make_spec(method=method, iters=4, rng_seed=1), ds)
+            records, final = result.iterations, result.hypotheses
             assert len(records) == 4
             first, last = records[0]["forward_p1"], records[-1]["forward_p1"]
             assert last >= first - 2.0
@@ -254,7 +269,7 @@ class TestIterate:
 
     def test_record_fields(self):
         ds = planted_dataset(n=30, seeds=8)
-        records, _ = iterate(make_spec(method="iterproc", iters=2, seeds=8), ds)
+        records = run(make_spec(method="iterproc", iters=2, seeds=8), ds).iterations
         for record in records:
             assert {"iteration", "forward_p1", "intersection_size",
                     "intersection_precision", "seeds_forward",
@@ -262,30 +277,26 @@ class TestIterate:
             # Plain Python numbers, as JSON reports and the oracle records hold.
             assert {type(value) for value in record.values()} <= {int, float}
 
-    def test_active_learning_reaches_oracle_fixed_point(self):
+    def test_active_learning_reaches_oracle_fixed_point(self, seed_log):
         ds = planted_dataset(n=40, seeds=10)
         for method in ("iterproc", "itersgm"):
-            log = []
-            records, final = iterate(
-                make_spec(method=method, strategy="active", iters=3, seeds=10),
-                ds, seed_log=log,
-            )
+            seed_log.clear()
+            final = run(
+                make_spec(method=method, strategy="active", iters=3, seeds=10), ds
+            ).hypotheses
             assert evaluation.p_at_1(final, ds.gold_test) == 100.0
             # a perfect engine grows the seeds to cover every pair
-            assert len(log[-1][0]) == 40
+            assert len(seed_log[-1][0]) == 40
 
-    def test_stochastic_with_huge_h_matches_add_all_seed_sets(self):
+    def test_stochastic_with_huge_h_matches_add_all_seed_sets(self, seed_log):
         ds = planted_dataset(n=40, seeds=10)
         for method in ("iterproc", "itersgm"):
-            log_stoch, log_add = [], []
-            iterate(
-                make_spec(method=method, strategy="stochastic", h=10_000, iters=3, seeds=10),
-                ds, seed_log=log_stoch,
-            )
-            iterate(
-                make_spec(method=method, strategy="add_all", iters=3, seeds=10),
-                ds, seed_log=log_add,
-            )
+            seed_log.clear()
+            run(make_spec(method=method, strategy="stochastic", h=10_000, iters=3, seeds=10), ds)
+            log_stoch = seed_log[:]
+            seed_log.clear()
+            run(make_spec(method=method, strategy="add_all", iters=3, seeds=10), ds)
+            log_add = seed_log[:]
             assert len(log_stoch) == len(log_add)
             for (sf, sr), (af, ar) in zip(log_stoch, log_add):
                 assert set(sf) == set(af)
@@ -295,43 +306,35 @@ class TestIterate:
         # Small H forces extra iterations beyond N before the growing
         # sample covers the intersection.
         ds = planted_dataset(n=40, seeds=10)
-        records, _ = iterate(
+        records = run(
             make_spec(method="iterproc", strategy="stochastic", h=5, iters=2, seeds=10), ds
-        )
+        ).iterations
         assert len(records) > 2
         assert len(records) <= 50
         # sample size for iteration t is min((t-1) * H, pool)
         assert records[1]["seeds_forward"] <= 10 + 5
 
-    def test_stochastic_directions_sample_independently(self):
+    def test_stochastic_directions_sample_independently(self, seed_log):
         ds = planted_dataset(n=40, seeds=10, noise=0.05)
-        log = []
-        iterate(
-            make_spec(method="iterproc", strategy="stochastic", h=5, iters=3, seeds=10),
-            ds, seed_log=log,
-        )
-        forward_sets = [set(f) for f, _ in log[1:]]
-        reverse_sets = [set(r) for _, r in log[1:]]
+        run(make_spec(method="iterproc", strategy="stochastic", h=5, iters=3, seeds=10), ds)
+        forward_sets = [set(f) for f, _ in seed_log[1:]]
+        reverse_sets = [set(r) for _, r in seed_log[1:]]
         assert any(f != r for f, r in zip(forward_sets, reverse_sets))
 
-    def test_gold_seeds_never_dropped_for_proc_engine(self):
+    def test_gold_seeds_never_dropped_for_proc_engine(self, seed_log):
         ds = planted_dataset(n=40, seeds=10, noise=0.3, seed=5)
         gold = set(ds.gold_seeds.pairs)
         for strategy in ("add_all", "stochastic", "active"):
-            log = []
-            iterate(
-                make_spec(method="iterproc", strategy=strategy, iters=3, seeds=10, h=5),
-                ds, seed_log=log,
-            )
-            for fwd_seeds, rev_seeds in log:
+            seed_log.clear()
+            run(make_spec(method="iterproc", strategy=strategy, iters=3, seeds=10, h=5), ds)
+            for fwd_seeds, rev_seeds in seed_log:
                 assert gold <= set(fwd_seeds)
                 assert gold <= set(rev_seeds)
 
-    def test_sgm_seed_sets_always_one_to_one(self):
+    def test_sgm_seed_sets_always_one_to_one(self, seed_log):
         ds = planted_dataset(n=40, seeds=10, noise=0.3, seed=6)
-        log = []
-        iterate(make_spec(method="itersgm", iters=3, seeds=10), ds, seed_log=log)
-        for fwd_seeds, _ in log:
+        run(make_spec(method="itersgm", iters=3, seeds=10), ds)
+        for fwd_seeds, _ in seed_log:
             srcs = [s for s, _ in fwd_seeds]
             tgts = [t for _, t in fwd_seeds]
             assert len(set(srcs)) == len(srcs)
@@ -343,62 +346,57 @@ class TestIterate:
         for method in ("iterproc", "itersgm"):
             for strategy in ("add_all", "active"):
                 spec = make_spec(method=method, strategy=strategy, iters=5, seeds=10)
-                assert [r["iteration"] for r in iterate(spec, ds)[0]] == [1, 2, 3, 4, 5]
+                assert [r["iteration"] for r in run(spec, ds).iterations] == [1, 2, 3, 4, 5]
         spec = make_spec(method="iterproc", strategy="stochastic", h=1, iters=1, seeds=10)
-        records, _ = iterate(spec, ds)
+        records = run(spec, ds).iterations
         assert len(records) == 3
         # 10 gold and a sample of 2 leave most of the intersection unsampled
         assert records[-1]["seeds_forward"] == 12 < records[-1]["intersection_size"] - 10
 
     @pytest.mark.parametrize("method", ["procrustes", "softsgm", "combined"])
-    def test_rejects_methods_it_does_not_run(self, method):
-        with pytest.raises(ValueError, match=method):
-            iterate(make_spec(method=method), planted_dataset(n=20, seeds=5))
+    def test_rejects_methods_it_does_not_run(self, method, monkeypatch):
+        assert "_iterate" not in pipelines_reached(method, monkeypatch)
 
 
 class TestRunCombined:
     @pytest.mark.parametrize("method", ["procrustes", "itersgm"])
-    def test_rejects_methods_it_does_not_run(self, method):
-        with pytest.raises(ValueError, match=method):
-            run_combined(make_spec(method=method), planted_dataset(n=20, seeds=5))
+    def test_rejects_methods_it_does_not_run(self, method, monkeypatch):
+        assert "_combined" not in pipelines_reached(method, monkeypatch)
 
     def test_beats_or_matches_singles_on_planted(self):
         ds = planted_dataset(noise=0.05, seed=2)
         single_best = max(
-            evaluation.p_at_1(run_single(make_spec(method=m), ds), ds.gold_test)
-            for m in ("procrustes", "sgm")
+            run(make_spec(method=m), ds).metrics.p_at_1 for m in ("procrustes", "sgm")
         )
-        records, hyps = run_combined(
-            make_spec(method="combined", iters=3, proc_inner=2), ds
-        )
-        assert evaluation.p_at_1(hyps, ds.gold_test) >= single_best - 2.0
-        assert len(records) == 3
+        result = run(make_spec(method="combined", iters=3, proc_inner=2), ds)
+        assert evaluation.p_at_1(result.hypotheses, ds.gold_test) >= single_best - 2.0
+        assert len(result.iterations) == 3
 
     def test_degenerate_config_reduces_to_single_sgm_pass(self):
         ds = planted_dataset(seed=4)
-        _, combined = run_combined(
+        combined = run(
             make_spec(method="combined", iters=1, proc_inner=0,
                       start="sgm", pull="sgm", rng_seed=5), ds,
-        )
-        single = run_single(make_spec(method="sgm", rng_seed=5), ds)
+        ).hypotheses
+        single = run(make_spec(method="sgm", rng_seed=5), ds).hypotheses
         assert combined.top1() == single.top1()
 
     def test_start_variants_differ_only_marginally(self):
         ds = planted_dataset(noise=0.05, seed=8)
         scores = {}
         for start in ("iterproc", "sgm"):
-            _, hyps = run_combined(
+            hyps = run(
                 make_spec(method="combined", start=start, pull="proc",
                           iters=2, proc_inner=2), ds,
-            )
+            ).hypotheses
             scores[start] = evaluation.p_at_1(hyps, ds.gold_test)
         assert abs(scores["iterproc"] - scores["sgm"]) <= 2.0
 
     def test_cycle_records_structure(self):
         ds = planted_dataset(n=30, seeds=8)
-        records, _ = run_combined(
+        records = run(
             make_spec(method="combined", iters=2, proc_inner=1, seeds=8), ds
-        )
+        ).iterations
         assert [r["iteration"] for r in records] == [1, 2]
         for record in records:
             names = [c["component"] for c in record["components"]]
@@ -407,10 +405,10 @@ class TestRunCombined:
 
     def test_pull_component_fresh_run_when_never_executed(self):
         ds = planted_dataset(n=30, seeds=8)
-        _, hyps = run_combined(
+        hyps = run(
             make_spec(method="combined", iters=1, proc_inner=0,
                       start="sgm", pull="proc", seeds=8), ds,
-        )
+        ).hypotheses
         # proc never ran inside the cycle; the pull still produces
         # Euclidean-style top-k lists
         assert all(len(r) == 5 for r in hyps.entries.values())
@@ -423,13 +421,13 @@ class TestBehavioralContrast:
         # points, and iterating the Euclidean engine wins most of them back.
         ds = planted_dataset(n=120, d=12, noise=0.55, seed=40, seeds=30)
         single_pro = evaluation.p_at_1(
-            run_single(make_spec(method="procrustes", seeds=30), ds),
+            run(make_spec(method="procrustes", seeds=30), ds).hypotheses,
             ds.gold_test,
         )
         single_sgm = evaluation.p_at_1(
-            run_single(make_spec(method="sgm", seeds=30), ds), ds.gold_test
+            run(make_spec(method="sgm", seeds=30), ds).hypotheses, ds.gold_test
         )
-        records, _ = iterate(make_spec(method="iterproc", seeds=30, iters=4), ds)
+        records = run(make_spec(method="iterproc", seeds=30, iters=4), ds).iterations
         assert single_sgm > single_pro
         assert records[-1]["forward_p1"] >= single_pro + 2.0
 
@@ -453,41 +451,40 @@ class TestRunDispatch:
         assert make_spec(rng_seed=-1).validate() == [problem]
         assert make_spec(rng_seed=0).validate() == []
 
-    def test_top_n_rejected_for_graph_methods(self):
+    @pytest.mark.parametrize("method", list(pipelines.METHODS))
+    def test_each_method_reaches_only_its_pipeline(self, method, monkeypatch):
+        assert pipelines_reached(method, monkeypatch) == ["_" + pipelines.METHODS[method][0]]
+
+    def test_top_n_rejected_for_graph_methods(self, monkeypatch):
         for method in ("sgm", "softsgm", "itersgm", "combined"):
             spec = make_spec(method=method, vocab_mode="top_n")
             assert any("top_n" in p for p in spec.validate())
-        # Called directly, the pipelines refuse too: graph seeds index restricted rows.
+
+        def never(*args, **kwargs):
+            raise AssertionError("a refused spec ran an engine")
+
+        for engine in ("_engine_run", "soft_sgm"):
+            monkeypatch.setattr(pipelines, engine, never)
+        # run refuses them before any engine runs: graph seeds index
+        # restricted rows.
         ds = planted_dataset(n=20, seeds=5)
-        for method, pipeline in (
-            ("sgm", run_single),
-            ("softsgm", run_single),
-            ("itersgm", iterate),
-            ("combined", run_combined),
-        ):
+        for method in ("sgm", "softsgm", "itersgm", "combined"):
             with pytest.raises(ValueError, match="top_n"):
-                pipeline(make_spec(method=method, seeds=5, vocab_mode="top_n"), ds)
+                run(make_spec(method=method, seeds=5, vocab_mode="top_n"), ds)
         # So does every other spec that validate() rejects: a bogus strategy
         # would run a Stochastic-Add variant, a bogus pull the SGM result,
         # and iters=0 one round.
-        for pipeline, method, bad in (
-            (run_single, "procrustes", {"strategy": "bogus"}),
-            (iterate, "itersgm", {"strategy": "bogus"}),
-            (iterate, "iterproc", {"iters": 0}),
-            (run_combined, "combined", {"pull": "bogus"}),
-            (run_combined, "combined", {"iters": 0}),
+        for method, bad in (
+            ("procrustes", {"strategy": "bogus"}),
+            ("itersgm", {"strategy": "bogus"}),
+            ("iterproc", {"iters": 0}),
+            ("combined", {"pull": "bogus"}),
+            ("combined", {"iters": 0}),
         ):
             spec = make_spec(method=method, seeds=5, **bad)
             (problem,) = spec.validate()
             with pytest.raises(ValueError, match=re.escape(problem)):
-                pipeline(spec, ds)
-        # A pipeline's own refusal of the method joins the spec's problems.
-        spec = make_spec(method="sgm", seeds=5, pull="bogus")
-        with pytest.raises(ValueError) as raised:
-            iterate(spec, ds)
-        assert str(raised.value) == "; ".join(
-            [*spec.validate(), "iterate cannot run method 'sgm'"]
-        )
+                run(spec, ds)
 
     def test_run_returns_consistent_result(self):
         ds = planted_dataset(n=30, seeds=8)
@@ -512,7 +509,7 @@ class TestRunDispatch:
         trimmed = Lexicon(lexicon.pairs[:12])  # words 12.. exist only in vocab
         ds_trim = build_dataset(src, tgt, trimmed, 5)
         spec = make_spec(method="procrustes", seeds=5, vocab_mode="top_n")
-        hyps = run_single(spec, ds_trim)
+        hyps = run(spec, ds_trim).hypotheses
         candidates = {t for r in hyps.entries.values() for t, _ in r}
         # non-dictionary words reachable
         assert candidates - set(ds_trim.gold_seeds.targets() + ds_trim.gold_test.targets())

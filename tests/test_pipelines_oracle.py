@@ -8,7 +8,7 @@ import itertools
 import pytest
 
 import reference_pipelines as reference
-from bilex import build_dataset, iterate, pipelines, run_combined, run_single
+from bilex import build_dataset, pipelines, run
 from conftest import make_planted, make_spec
 
 # (noise, rng seed): imperfect intersections, and Stochastic-Add runs well
@@ -86,23 +86,23 @@ def assert_draws_skip_shared_reverses(drawn, seed, shared_keys) -> list:
 
 @pytest.mark.parametrize("noise,seed", DATASETS)
 @pytest.mark.parametrize("config", ITERATE_GRID, ids=lambda c: "-".join(c.values()))
-def test_iterate_matches_reference(noise, seed, config, drawn):
+def test_iterate_matches_reference(noise, seed, config, drawn, seed_log):
     engine = config["engine"]
     spec = make_spec(
         method="iter" + engine, strategy=config["strategy"], iters=3, h=4,
         seeds=12, rng_seed=seed, vocab_mode=config["vocab_mode"],
     )
     ds = dataset(noise, seed)
-    log, want_log = [], []
-    records, hyps = iterate(spec, ds, seed_log=log)
+    want_log = []
+    result = run(spec, ds)
     want_records, want_hyps = reference.iterate(spec, engine, ds, seed_log=want_log)
-    assert records == want_records
-    assert log == want_log
-    assert_same_hypotheses(hyps, want_hyps)
+    assert result.iterations == want_records
+    assert seed_log == want_log
+    assert_same_hypotheses(result.hypotheses, want_hyps)
     engine_id = 0 if engine == "proc" else 1
     shared = [
         (pipelines._RNG_ITER, engine_id, t)
-        for t, (fwd, rev) in enumerate(log, start=1)
+        for t, (fwd, rev) in enumerate(seed_log, start=1)
         if set(fwd) == set(rev)
     ]
     skipped = assert_draws_skip_shared_reverses(drawn, seed, shared)
@@ -115,7 +115,8 @@ def test_add_all_runs_past_max_iterations_as_the_reference_does(monkeypatch):
         monkeypatch.setattr(module, "MAX_ITERATIONS", 3)
     spec = make_spec(method="iterproc", iters=5, seeds=12, rng_seed=1)
     ds = dataset(0.3, 1)
-    records, hyps = iterate(spec, ds)
+    result = run(spec, ds)
+    records, hyps = result.iterations, result.hypotheses
     want_records, want_hyps = reference.iterate(spec, "proc", ds)
     assert [r["iteration"] for r in records] == [1, 2, 3, 4, 5]
     assert records == want_records
@@ -127,7 +128,7 @@ def test_add_all_runs_past_max_iterations_as_the_reference_does(monkeypatch):
 def test_run_single_matches_reference(noise, seed, method, drawn):
     spec = make_spec(method=method, seeds=12, rng_seed=seed, soft_runs=4)
     ds = dataset(noise, seed)
-    hyps = run_single(spec, ds)
+    hyps = run(spec, ds).hypotheses
     want_hyps, _ = reference.run_single(spec, ds)
     assert_same_hypotheses(hyps, want_hyps)
     assert drawn[pipelines] == drawn[reference]
@@ -142,7 +143,8 @@ def test_run_single_matches_reference(noise, seed, method, drawn):
 def test_run_combined_matches_reference(noise, seed, config, drawn):
     spec = make_spec(method="combined", iters=2, seeds=12, rng_seed=seed, **config)
     ds = dataset(noise, seed)
-    records, hyps = run_combined(spec, ds)
+    result = run(spec, ds)
+    records, hyps = result.iterations, result.hypotheses
     want_records, want_hyps = reference.run_combined(spec, ds)
     assert records == want_records
     assert_same_hypotheses(hyps, want_hyps)
@@ -161,7 +163,7 @@ def test_grid_exercises_imperfect_rounds():
             spec = make_spec(
                 method=method, strategy="stochastic", iters=3, h=4, seeds=12, rng_seed=seed
             )
-            records, _ = iterate(spec, ds)
+            records = run(spec, ds).iterations
             lengths.append(len(records))
             precisions += [r["intersection_precision"] for r in records]
     assert max(lengths) > 3

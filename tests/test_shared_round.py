@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import reference_pipelines as reference
-from bilex import EmbeddingMatrix, Lexicon, build_dataset, iterate, pipelines, run_combined
+from bilex import EmbeddingMatrix, Lexicon, build_dataset, pipelines, run
 from conftest import make_planted, make_spec
 
 D = 20  # embedding dimension; the planted vocabulary has 80 words
@@ -71,19 +71,19 @@ def calls(monkeypatch):
 
 
 @pytest.mark.parametrize("vocab_mode", ["restricted", "top_n"])
-def test_fewer_seeds_than_dimensions_share_the_reverse(vocab_mode, calls):
+def test_fewer_seeds_than_dimensions_share_the_reverse(vocab_mode, calls, seed_log):
     # With 10 seeds in d = 20 the seed-span map has rank 10, and its
     # transpose is the reverse problem's map all the same.
     spec = make_spec(method="iterproc", seeds=10, iters=3, vocab_mode=vocab_mode)
     ds = dataset(10)
-    log, want_log = [], []
-    records, hyps = iterate(spec, ds, seed_log=log)
+    want_log = []
+    result = run(spec, ds)
     want_records, want_hyps = reference.iterate(spec, "proc", ds, seed_log=want_log)
-    assert records == want_records
-    assert log == want_log
-    assert dump(hyps) == dump(want_hyps)
+    assert result.iterations == want_records
+    assert seed_log == want_log
+    assert dump(result.hypotheses) == dump(want_hyps)
     # Every round solved once, below d seeds (round 1) as past them.
-    assert len(log[0][0]) < D <= len(log[1][0])
+    assert len(seed_log[0][0]) < D <= len(seed_log[1][0])
     assert calls == {"solve_procrustes": 3, "extract_hypotheses": 3}
 
 
@@ -129,11 +129,10 @@ def test_round_with_fewer_seeds_than_dimensions_scores_once(calls):
     assert calls == {"solve_procrustes": 1, "extract_hypotheses": 1}
 
 
-def test_stochastic_rounds_with_different_samples_score_twice(calls):
+def test_stochastic_rounds_with_different_samples_score_twice(calls, seed_log):
     spec = make_spec(method="iterproc", strategy="stochastic", seeds=30, iters=3, h=4)
-    log = []
-    iterate(spec, dataset(30, noise=0.5), seed_log=log)
-    per_round = [1 if set(fwd) == set(rev) else 2 for fwd, rev in log]
+    run(spec, dataset(30, noise=0.5))
+    per_round = [1 if set(fwd) == set(rev) else 2 for fwd, rev in seed_log]
     assert per_round[0] == 1 and 2 in per_round  # gold alone, then two samples
     assert calls == {"solve_procrustes": sum(per_round), "extract_hypotheses": sum(per_round)}
 
@@ -196,19 +195,19 @@ def test_shared_sgm_reverse_equals_independent_solve(seed_order, solves):
 
 
 @pytest.mark.parametrize("strategy,per_round", [("add_all", [1, 0, 0]), ("active", [1, 1, 1])])
-def test_sgm_rounds_with_shared_seeds_solve_once(strategy, per_round, solves):
+def test_sgm_rounds_with_shared_seeds_solve_once(strategy, per_round, solves, seed_log):
     # A bijection meets its inverse everywhere, so Add-All's second seed
     # set is the whole vocabulary and its later rounds solve nothing.
     spec = make_spec(method="itersgm", strategy=strategy, seeds=SGM_SEEDS, iters=3)
     ds = dataset(SGM_SEEDS, noise=SGM_NOISE)
-    log, want_log = [], []
-    records, hyps = iterate(spec, ds, seed_log=log)
+    want_log = []
+    result = run(spec, ds)
     want_records, want_hyps = reference.iterate(spec, "sgm", ds, seed_log=want_log)
-    assert records == want_records
-    assert log == want_log
-    assert dump(hyps) == dump(want_hyps)
+    assert result.iterations == want_records
+    assert seed_log == want_log
+    assert dump(result.hypotheses) == dump(want_hyps)
     n = len(ds.gold_seeds) + len(ds.gold_test)
-    assert [int(len(fwd) < n) for fwd, _ in log] == per_round
+    assert [int(len(fwd) < n) for fwd, _ in seed_log] == per_round
     assert len(solves) == sum(per_round)
     assert all(matching.unique for matching in solves)
 
@@ -216,7 +215,8 @@ def test_sgm_rounds_with_shared_seeds_solve_once(strategy, per_round, solves):
 def test_combined_sgm_rounds_solve_once(solves):
     spec = make_spec(method="combined", seeds=SGM_SEEDS, iters=2, proc_inner=1)
     ds = dataset(SGM_SEEDS, noise=SGM_NOISE)
-    records, hyps = run_combined(spec, ds)
+    result = run(spec, ds)
+    records, hyps = result.iterations, result.hypotheses
     want_records, want_hyps = reference.run_combined(spec, ds)
     assert records == want_records
     assert dump(hyps) == dump(want_hyps)
@@ -254,20 +254,20 @@ def test_tie_heavy_sgm_round_keeps_the_fresh_reverse(solves):
     assert inverse_differs  # taking the inverse here would change results
 
 
-def test_stochastic_sgm_rounds_with_different_samples_solve_twice(solves):
+def test_stochastic_sgm_rounds_with_different_samples_solve_twice(solves, seed_log):
     spec = make_spec(method="itersgm", strategy="stochastic", seeds=SGM_SEEDS, iters=3, h=4)
     ds = dataset(SGM_SEEDS, noise=SGM_NOISE)
-    log, want_log = [], []
-    records, hyps = iterate(spec, ds, seed_log=log)
+    want_log = []
+    result = run(spec, ds)
     want_records, want_hyps = reference.iterate(spec, "sgm", ds, seed_log=want_log)
-    assert records == want_records
-    assert log == want_log
-    assert dump(hyps) == dump(want_hyps)
+    assert result.iterations == want_records
+    assert seed_log == want_log
+    assert dump(result.hypotheses) == dump(want_hyps)
     # A direction whose seeds cover the vocabulary solves nothing.
     n = len(ds.gold_seeds) + len(ds.gold_test)
     per_round = [
         int(len(fwd) < n) if set(fwd) == set(rev) else (len(fwd) < n) + (len(rev) < n)
-        for fwd, rev in log
+        for fwd, rev in seed_log
     ]
     assert per_round[0] == 1 and 2 in per_round
     assert len(solves) == sum(per_round)
@@ -301,7 +301,7 @@ def test_forward_only_runs_solve_each_direction_once(method, monkeypatch):
     monkeypatch.setattr(pipelines, "_engine_run", recorded)
     spec = make_spec(method=method, seeds=30)
     ds = dataset(30)
-    pipelines.run_single(spec, ds)
+    run(spec, ds)
     assert directions == [pipelines._FORWARD]
     # A round whose directions hold different seeds solves the reverse afresh,
     # even when the forward solution is unique.
