@@ -142,7 +142,6 @@ def sgm(
     s: int,
     rng: np.random.Generator,
     max_iters: int = 30,
-    eps: float = 0.03,
     shuffle_input: bool = True,
     init: str = "barycenter",
 ) -> Matching:
@@ -156,11 +155,17 @@ def sgm(
     barycenter (default, deterministic) or a random interior point,
     the barycenter averaged with a Sinkhorn-balanced random matrix.
 
-    Iteration stops when ``||P_next - P||_F < eps`` or after
-    ``max_iters`` steps. The returned matching reports the ``iterations``
-    taken, whether the solve was ``capped`` (stopped at ``max_iters``
-    before converging, which is also logged as a warning) and the trace
-    ``objective`` of the matching itself.
+    Iteration stops at the first step that does not move, or after
+    ``max_iters`` steps. A step does not move when the exact line search
+    stays at the iterate (it gains nothing) or when its direction is the
+    vertex the iterate already is. Every move is long: the barycenter's
+    first move has ``||Q - P||_F = sqrt(m - 1)``, a random start's first
+    at least about ``sqrt((m - 1) / 4)``, and a move between vertices at
+    least 2. So for every ``eps`` below 1/2 this is the FAQ stop test
+    ``||P_next - P||_F < eps``. The returned matching reports the
+    ``iterations`` taken, whether the solve was ``capped`` (stopped at
+    ``max_iters`` while still moving, which is also logged as a warning)
+    and the trace ``objective`` of the matching itself.
     The returned matching is ``unique`` when every LAP of the solve had a
     unique optimum: the direction LAPs, and the projection of the start
     when the solve never moved. The barycenter's projection is a constant
@@ -186,12 +191,9 @@ def sgm(
     without forming it, and a random start P is summarized and released
     before the first gradient. It is redrawn, bit for bit, from a copy of
     ``rng`` taken before the draw, only to project a start that never
-    moved, or when its first move is too short for a lower bound on
-    ``||Q - P||_F`` to decide the stop test (``eps`` above about
-    sqrt(m - 1) / 2, or m = 1). ``rng`` itself is consumed by the
-    relabeling and one draw of the start. So a solve from either start
-    holds one m x m float64 array at a time; the LAP's refinement works
-    in row blocks.
+    moved. ``rng`` itself is consumed by the relabeling and one draw of
+    the start. So a solve from either start holds one m x m float64
+    array at a time; the LAP's refinement works in row blocks.
     """
     n = len(gx)
     if n != len(gy):
@@ -215,55 +217,25 @@ def sgm(
     # at (i, cols[i]). `start` redraws a random P.
     cols = start = None
     if init == "barycenter":
-        # Z of the flat P = 1 1^T / m, without forming it; its distance to
-        # every vertex is sqrt(m - 1).
+        # Z of the flat P = 1 1^T / m, without forming it.
         z = np.outer(problem.x2.sum(axis=0), problem.y2.sum(axis=0)) / m
-        bound = m - 1.0
     else:
         start = copy.deepcopy(rng)
-        p = _random_doubly_stochastic(rng, m)
-        z = problem.summary(p)
-        sq_norm = np.vdot(p, p)
-        # A lower bound on ||Q - P||^2 = m - 2 <P, Q> + ||P||^2 over the
-        # vertices Q, as <P, Q> <= sum_i max_j P_ij; at least about
-        # (m - 1) / 4, as every entry of P is at least 1 / 2m.
-        bound = m - 2.0 * p.max(axis=1).sum() + sq_norm
-        del p
+        z = problem.summary(_random_doubly_stochastic(rng, m))
     unique, capped = True, False
 
     for iteration in range(1, max_iters + 1):
         lap = _direction_lap(problem.gradient(z))
         direction, unique = lap.perm, unique and lap.unique
         dz = problem.vertex_summary(direction) - z
-        delta = 0.0
-        # f is convex, so the exact line search on [P, Q] ends at P or
-        # at Q. Between vertices ||Q - P||^2 is twice the rows they
-        # disagree on.
-        if problem.gain(z, dz) > 0.0:
-            if cols is not None:
-                squared = 2.0 * np.count_nonzero(cols != direction)
-            elif start is not None and np.sqrt(bound) < eps:
-                p = _random_doubly_stochastic(start, m)
-                squared = m - 2.0 * p[np.arange(m), direction].sum() + sq_norm
-                del p
-            else:
-                # From the barycenter the bound is the distance. From a
-                # random start only `delta < eps` reads it, and a bound
-                # whose root reaches eps decides that. The distance above
-                # is the bound's expression with the row maxima replaced
-                # by the entries P[i, q_i], no larger, each side a fresh
-                # length-m vector summed by ndarray.sum in the same order.
-                # Rounding is monotone, so the computed bound is at most
-                # the computed distance too: no margin is needed.
-                squared = bound
-            delta = float(np.sqrt(squared))
-            cols = direction
-            z = z + dz
-        if delta < eps:
+        # f is convex, so the exact line search on [P, Q] ends at P or at
+        # Q: the solve stops when it stays, or when Q is the vertex it is at.
+        if problem.gain(z, dz) <= 0.0 or (cols is not None and np.array_equal(cols, direction)):
             break
+        cols, z = direction, z + dz
     else:
         capped = True
-        logger.warning("sgm stopped at max_iters=%d before converging (eps=%g)", max_iters, eps)
+        logger.warning("sgm stopped at max_iters=%d before converging", max_iters)
 
     if cols is None:
         # The solve never moved: project its start.
@@ -306,7 +278,6 @@ def soft_sgm(
     runs: int = 10,
     master_seed=0,
     max_iters: int = 30,
-    eps: float = 0.03,
     shuffle_input: bool = True,
 ) -> np.ndarray:
     """Stack the matchings of ``runs`` SGM runs with random initializations.
@@ -330,7 +301,6 @@ def soft_sgm(
                 s,
                 np.random.default_rng(child),
                 max_iters=max_iters,
-                eps=eps,
                 shuffle_input=shuffle_input,
                 init="randomized",
             ).perm

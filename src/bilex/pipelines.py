@@ -102,7 +102,6 @@ class ExperimentSpec:
     max_words: int | None = None
     normalize_passes: int = 1
     sgm_max_iters: int = 30
-    sgm_eps: float = 0.03
     shuffle_input: bool = True
 
     def validate(self) -> list[str]:
@@ -125,10 +124,6 @@ class ExperimentSpec:
                 problems.append(f"{name} must be a non-negative integer")
         if self.max_words is not None and self.max_words < 1:
             problems.append("max_words must be a positive integer")
-        if not self.sgm_eps > 0:  # also rejects NaN
-            problems.append("sgm_eps must be positive")
-        elif not np.isfinite(self.sgm_eps):  # FW would stop after one step
-            problems.append("sgm_eps must be finite")
         return problems
 
 
@@ -212,7 +207,6 @@ def _sgm_run(x, y, spec: ExperimentSpec, seeds, rng):
             s=len(seeds),
             rng=rng,
             max_iters=spec.sgm_max_iters,
-            eps=spec.sgm_eps,
             shuffle_input=spec.shuffle_input,
         )
         perm, unique = matching.perm, matching.unique
@@ -361,7 +355,6 @@ def _single(spec: ExperimentSpec, ds: Dataset) -> HypothesisSet:
         runs=spec.soft_runs,
         master_seed=master,
         max_iters=spec.sgm_max_iters,
-        eps=spec.sgm_eps,
         shuffle_input=spec.shuffle_input,
     )
     return top_k_from_distribution(dist, spec.top_k, src_words, tgt_words)
@@ -494,7 +487,13 @@ def _check_working_set(spec: ExperimentSpec, ds: Dataset) -> None:
     """Raise WorkingSetError when one graph solve of ``spec`` on ``ds``
     would not fit in physical memory. The estimate takes the first solve's
     m, the dataset's test pairs, and counts only its m x m arrays: 1.25,
-    from the barycenter or a random start alike."""
+    from the barycenter or a random start alike.
+
+    The first solve's m bounds every later one, as no later solve has
+    fewer seeds than the gold seeds. Hard seeding puts every seed pair in
+    both directions' top-1, so the seeds of an Add-All or Active round
+    contain the previous round's; Stochastic-Add and the combined cycle
+    admit the gold seeds by construction."""
     if METHODS[spec.method][1] == "proc":
         return
     # One solve holds one m x m float64 array at a time, the gradient or a

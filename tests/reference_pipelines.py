@@ -187,7 +187,6 @@ def _sgm_run(
             s=len(pairs),
             rng=rng,
             max_iters=spec.sgm_max_iters,
-            eps=spec.sgm_eps,
             shuffle_input=spec.shuffle_input,
         )
     entries = {
@@ -246,7 +245,6 @@ def run_single(spec: ExperimentSpec, dataset: Dataset | None = None):
             runs=spec.soft_runs,
             master_seed=master,
             max_iters=spec.sgm_max_iters,
-            eps=spec.sgm_eps,
             shuffle_input=spec.shuffle_input,
         )
         indexed = top_k_from_distribution(dist, k=spec.top_k)

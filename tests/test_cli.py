@@ -1,9 +1,12 @@
 """CLI subcommands, exit codes, and file round-trips."""
 
+import argparse
 import dataclasses
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,6 +367,28 @@ class TestExitCodes:
             main(["run", "--method", "warp"])
         assert err.value.code == EXIT_USAGE
 
+    def test_removed_sgm_eps_flag_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--sgm-eps", "0.03"])
+        assert err.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --sgm-eps 0.03" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            ("sgm_eps=0.03", "error: unknown config key 'sgm_eps'"),
+            ("shuffle-input=maybe",
+             "error: config key 'shuffle_input': expected a boolean, got 'maybe'"),
+            ("seeds 3", ":5: expected key=value"),
+        ],
+        ids=["unknown-key", "non-boolean", "no-equals-sign"],
+    )
+    def test_bad_config_line_is_usage_error(self, tmp_path, capsys, line, problem):
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"{REQUIRED_CONFIG}{line}\n", encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == EXIT_USAGE
+        assert problem in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", list(CHOICES))
     def test_unknown_choice_is_usage_error(self, tmp_path, name, capsys):
         assert f"{name} must be one of" in " ".join(
@@ -387,26 +412,6 @@ class TestExitCodes:
         ])
         assert code == EXIT_USAGE
         assert "seeds" in capsys.readouterr().err
-
-    def test_nan_sgm_eps_is_usage_error(self, planted_files, capsys):
-        src, tgt, dictionary = planted_files(n=10, d=4, seed=7)
-        code = main([
-            "run", "--method", "sgm", "--seeds", "3", "--sgm-eps", "nan",
-            "--src-emb", str(src), "--tgt-emb", str(tgt),
-            "--dict", str(dictionary),
-        ])
-        assert code == EXIT_USAGE
-        assert "sgm_eps must be positive" in capsys.readouterr().err
-
-    def test_infinite_sgm_eps_is_usage_error(self, planted_files, capsys):
-        src, tgt, dictionary = planted_files(n=10, d=4, seed=7)
-        code = main([
-            "run", "--method", "sgm", "--seeds", "3", "--sgm-eps", "inf",
-            "--src-emb", str(src), "--tgt-emb", str(tgt),
-            "--dict", str(dictionary),
-        ])
-        assert code == EXIT_USAGE
-        assert "sgm_eps must be finite" in capsys.readouterr().err
 
     def test_negative_rng_seed_rejected_before_reading_files(self, tmp_path, capsys):
         # The files do not exist: reading any of them would exit 2.
@@ -474,8 +479,11 @@ class TestExitCodes:
             ("a\tb\t1\t0.9\na\tc\t2\t0.8\na\tb\t3\t0.7\n", ":3: duplicate target"),
             ("a\tb\t1\t0.5\na\tc\t2\t0.9\n", "not sorted by score"),
             ("a\tb\t1\t1.0\na\tc\t2\tnan\na\td\t3\t2.0\n", ":2: non-finite score"),
+            ("a\tb\tone\t0.9\n", ":1: unparseable rank or score"),
+            ("a\tb\t1\t0.9\na\tc\t3\t0.8\n", ":2: rank 3 out of sequence for 'a'"),
         ],
-        ids=["repeated-target", "repeated-target-apart", "unsorted-scores", "nan-score"],
+        ids=["repeated-target", "repeated-target-apart", "unsorted-scores", "nan-score",
+             "unparseable-rank", "rank-out-of-sequence"],
     )
     def test_inconsistent_hyps_list_is_parse_error(self, tmp_path, capsys, dump, problem):
         hyps = tmp_path / "h.tsv"
@@ -485,3 +493,20 @@ class TestExitCodes:
         assert code == EXIT_PARSE
         err = capsys.readouterr().err
         assert f"parse error: {hyps}:" in err and problem in err
+
+
+def test_every_flag_in_the_readme_cli_section_is_accepted():
+    # A flag that is renamed or removed must leave the README with it.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    parser = _build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {
+        flag
+        for command in (parser, *commands.choices.values())
+        for action in command._actions
+        for flag in action.option_strings
+    }
+    assert {"--config", "--dict", "--no-shuffle-input", "--sgm-max-iters"} <= named
+    assert named - accepted == set()

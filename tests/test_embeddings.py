@@ -37,6 +37,10 @@ class TestLoad:
         path = _write(tmp_path / "a.vec", "2 3\na 1 0 0\nb 0 1 0\n")
         assert load_embeddings(path, max_words=1).vocab == ("a",)
 
+    def test_non_positive_max_words_raises_before_reading(self, tmp_path):
+        with pytest.raises(ValueError, match="max_words must be a positive integer"):
+            load_embeddings(tmp_path / "missing.vec", max_words=0)
+
     def test_truncation_is_a_prefix(self, tmp_path):
         rng = np.random.default_rng(0)
         rows = "\n".join(
@@ -218,6 +222,10 @@ class TestNormalize:
         assert err.value.row == 0
         assert "before unit scaling" in str(err.value)
 
+    def test_negative_pass_count_raises(self):
+        with pytest.raises(ValueError, match="passes must be non-negative"):
+            normalize(EmbeddingMatrix(("a",), np.array([[1.0, 0.0]])), passes=-1)
+
     def test_output_rows_unit_norm(self):
         rng = np.random.default_rng(2)
         emb = EmbeddingMatrix(
@@ -293,6 +301,10 @@ class TestMatrixInvariants:
     def test_duplicate_vocab_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             EmbeddingMatrix(("a", "a"), np.eye(2))
+
+    def test_one_dimensional_vectors_rejected(self):
+        with pytest.raises(ValueError, match="2-d matrix"):
+            EmbeddingMatrix(("a", "b"), np.ones(2))
 
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -99,6 +99,16 @@ class TestSgm:
         with pytest.raises(ValueError, match="seed count"):
             sgm(g, g, 3, np.random.default_rng(0))
 
+    @pytest.mark.parametrize(
+        "option, problem",
+        [({"max_iters": 0}, "max_iters must be positive"), ({"init": "x"}, "init must be one of")],
+        ids=["max-iters", "init"],
+    )
+    def test_bad_option_raises(self, option, problem):
+        g = np.eye(3)
+        with pytest.raises(ValueError, match=problem):
+            sgm(g, g, 0, np.random.default_rng(0), **option)
+
     def test_small_instances_near_optimal(self):
         rng = np.random.default_rng(2)
         hits = 0
@@ -132,10 +142,10 @@ class TestSgm:
             gx, gy, _ = correlated_pair(9, 2, 0.3, rng)
             # A solve stopped after t iterations returns its iterate then.
             solve = sgm(gx, gy, 2, np.random.default_rng(trial), init="randomized",
-                        eps=1e-9, max_iters=40)
+                        max_iters=40)
             objectives = [
                 sgm(gx, gy, 2, np.random.default_rng(trial), init="randomized",
-                    eps=1e-9, max_iters=t).objective
+                    max_iters=t).objective
                 for t in range(1, solve.iterations + 1)
             ]
             for before, after in zip(objectives, objectives[1:]):
@@ -275,11 +285,11 @@ class TestUniqueFlag:
         # A solve that moved ends at a vertex, whose projection is itself
         # and unique, so it makes one LAP per iteration and no more.
         gx, gy = self.continuous()
-        matching, flags = self.solve_recording_laps(monkeypatch, gx, gy, eps=1e-9)
+        matching, flags = self.solve_recording_laps(monkeypatch, gx, gy)
         assert matching.unique and all(flags)
         assert matching.iterations >= 2 and len(flags) == matching.iterations
         for clear in range(len(flags)):
-            assert not self.solve_recording_laps(monkeypatch, gx, gy, clear, eps=1e-9)[0].unique
+            assert not self.solve_recording_laps(monkeypatch, gx, gy, clear)[0].unique
 
     @pytest.mark.parametrize("init", graph_matching.INIT_MODES)
     def test_solve_that_never_moves_projects_its_start(self, monkeypatch, init):
@@ -351,6 +361,10 @@ class TestSoftSgm:
         hyps = top_k_from_distribution(perms, k=8)
         for src in range(8):
             assert sum(p for _, p in hyps.entries[src]) == pytest.approx(1.0)
+
+    def test_distribution_k_must_be_positive(self):
+        with pytest.raises(ValueError, match="k must be positive"):
+            top_k_from_distribution(np.array([[0, 1], [1, 0]]), k=0)
 
     def test_runs_must_be_positive(self):
         g = np.eye(3)

@@ -437,19 +437,13 @@ class TestRunDispatch:
         with pytest.raises(ValueError, match="method"):
             run(make_spec(method="nonsense"), planted_dataset(n=20, seeds=5))
 
-    @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan")])
-    def test_non_positive_sgm_eps_rejected(self, eps):
-        # A NaN eps would never meet the FW stopping test delta < eps.
-        assert "sgm_eps must be positive" in make_spec(sgm_eps=eps).validate()
-
-    def test_infinite_sgm_eps_rejected(self):
-        # delta < inf always holds, so FW would stop after one step.
-        assert make_spec(sgm_eps=float("inf")).validate() == ["sgm_eps must be finite"]
-
     def test_negative_rng_seed_rejected(self):
         problem = "rng_seed must be a non-negative integer"
         assert make_spec(rng_seed=-1).validate() == [problem]
         assert make_spec(rng_seed=0).validate() == []
+
+    def test_zero_max_words_rejected(self):
+        assert make_spec(max_words=0).validate() == ["max_words must be a positive integer"]
 
     @pytest.mark.parametrize("method", list(pipelines.METHODS))
     def test_each_method_reaches_only_its_pipeline(self, method, monkeypatch):

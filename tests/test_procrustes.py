@@ -50,6 +50,10 @@ class TestSolveProcrustes:
         with pytest.raises(ValueError):
             solve_procrustes(np.ones((3, 2)), np.ones((4, 2)))
 
+    def test_no_seed_rows_raises(self):
+        with pytest.raises(ValueError, match="at least one seed pair is required"):
+            solve_procrustes(np.empty((0, 2)), np.empty((0, 2)))
+
     def test_preserves_pairwise_distances(self):
         rng = np.random.default_rng(2)
         w = solve_procrustes(rng.normal(size=(9, 5)), rng.normal(size=(9, 5)))
@@ -104,6 +108,8 @@ class TestSolveProcrustes:
         assert OrthogonalMap(np.diag([1.0, 0.0]), rank=1).rank == 1
         with pytest.raises(ValueError, match="rank-2 projector"):
             OrthogonalMap(np.diag([1.0, 0.0]))
+        with pytest.raises(ValueError, match="map must be square"):
+            OrthogonalMap(np.eye(2, 3))
 
 
 def assert_seed_span_map(x, y, rank):
@@ -305,6 +311,10 @@ class TestExtractHypotheses:
     def test_empty_source_set_raises(self):
         with pytest.raises(ValueError, match="source set is empty"):
             extract_hypotheses(np.empty((0, 2)), np.eye(2), top_k=1)
+
+    def test_top_k_must_be_positive(self):
+        with pytest.raises(ValueError, match="top_k must be positive"):
+            extract_hypotheses(np.eye(2), np.eye(2), top_k=0)
 
 
 class FakeBlas:

@@ -93,25 +93,18 @@ def assert_same_solve(gx, gy, s, seed, max_iters=30, eps=0.03, **options):
     """The solve stopped after each iteration t against the dense loop
     stopped there: equal permutations, and the iterate's objective once it
     moved; the solve reports t iterations, capped when step t moved by
-    eps or more, and its matching's objective. Its step sizes equal the
-    dense loop's to 1e-9: with eps just above or below one, both stop at
-    the same iteration."""
+    eps or more, and its matching's objective."""
 
-    def stopped_after(solver, t, eps=eps, **extra):
-        return solver(gx, gy, s, np.random.default_rng(seed), max_iters=t, eps=eps,
-                      **options, **extra)
+    def stopped_after(solver, t, **extra):
+        return solver(gx, gy, s, np.random.default_rng(seed), max_iters=t, **options, **extra)
 
-    def dense_history(eps=eps):
-        history = []
-        stopped_after(dense_sgm, max_iters, eps, history=history)
-        return history
-
-    steps = dense_history()
+    steps = []
+    stopped_after(dense_sgm, max_iters, eps=eps, history=steps)
     moved = False
     for t, step in enumerate(steps, start=1):
         stop = max_iters if t == len(steps) else t  # the last is the whole solve
         fast = stopped_after(sgm, stop)
-        np.testing.assert_array_equal(fast.perm, stopped_after(dense_sgm, stop).perm)
+        np.testing.assert_array_equal(fast.perm, stopped_after(dense_sgm, stop, eps=eps).perm)
         assert (fast.iterations, fast.capped) == (t, step["delta"] >= eps)
         want = trace_objective(gx, gy, s, np.eye(len(gx) - s)[fast.perm[s:] - s])
         assert fast.objective == pytest.approx(want, abs=1e-9 * max(1.0, abs(want)))
@@ -119,10 +112,6 @@ def assert_same_solve(gx, gy, s, seed, max_iters=30, eps=0.03, **options):
         if moved:  # the dense iterate is the vertex the solve returns
             scale = max(1.0, abs(step["objective"]))
             assert fast.objective == pytest.approx(step["objective"], abs=1e-9 * scale)
-        for near in (step["delta"] * (1 - 1e-9), step["delta"] * (1 + 1e-9)):
-            if near > 0.0:
-                stops = len(dense_history(near))
-                assert stopped_after(sgm, max_iters, near).iterations == stops
     return len(steps)
 
 
@@ -227,14 +216,6 @@ def test_peak_memory_bound_of_a_solve_that_never_moves(init):
     assert peak < _PEAK_ARRAYS * 8 * 1000 * 1000
 
 
-def first_move_bound(rng, m):
-    """The lower bound on a random start's first move that a shuffling
-    ``sgm`` takes from ``rng``: m - 2 sum_i max_j P_ij + ||P||^2."""
-    rng.permutation(m)
-    p = _random_doubly_stochastic(rng, m)
-    return m - 2.0 * p.max(axis=1).sum() + np.vdot(p, p)
-
-
 def counting_draws(monkeypatch):
     """A list that grows by one with every random start ``sgm`` draws."""
     draws = []
@@ -259,86 +240,68 @@ class TestRandomStart:
         y[self.S :] *= free_scale
         return build_graph(x), build_graph(y)
 
-    def first_delta(self, gx, gy, seed):
-        history = []
-        dense_sgm(gx, gy, self.S, np.random.default_rng(seed), eps=0.0, max_iters=1,
-                  init="randomized", history=history)
-        assert history[0]["alpha"] == 1.0  # the first step moves
-        return history[0]["delta"]
-
-    @pytest.mark.parametrize("case", ["moves", "never_moves", "redraws_first_move"])
+    @pytest.mark.parametrize("case", ["moves", "never_moves"])
     @pytest.mark.parametrize("shuffle_input", [True, False])
     def test_generator_is_consumed_by_one_draw(self, monkeypatch, case, shuffle_input):
         # The caller's generator ends where the relabeling and one start
         # leave it, also when the solve redraws its start.
         gx, gy = self.graphs(0.0 if case == "never_moves" else 1.0)
-        eps = 0.03
-        if case == "redraws_first_move":
-            eps = 1.01 * self.first_delta(gx, gy, 0)
         draws = counting_draws(monkeypatch)
         rng = np.random.default_rng(0)
-        matching = sgm(gx, gy, self.S, rng, eps=eps, init="randomized",
-                       shuffle_input=shuffle_input)
+        matching = sgm(gx, gy, self.S, rng, init="randomized", shuffle_input=shuffle_input)
         assert len(draws) == (1 if case == "moves" else 2)
         want = np.random.default_rng(0)
         if shuffle_input:
             want.permutation(self.N - self.S)
         _random_doubly_stochastic(want, self.N - self.S)
         assert rng.bit_generator.state == want.bit_generator.state
-        dense = dense_sgm(gx, gy, self.S, np.random.default_rng(0), eps=eps,
-                          init="randomized", shuffle_input=shuffle_input)
+        dense = dense_sgm(gx, gy, self.S, np.random.default_rng(0), init="randomized",
+                          shuffle_input=shuffle_input)
         np.testing.assert_array_equal(matching.perm, dense.perm)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_eps_above_the_first_move_bound_redraws_the_start(self, monkeypatch, seed):
-        # Between the bound and the first move's distance only the
-        # redrawn start tells that the solve goes on: taking the bound as
-        # the distance would stop after one step.
-        gx, gy = self.graphs()
-        m = self.N - self.S
-        low = np.sqrt(first_move_bound(np.random.default_rng(seed), m))
-        high = self.first_delta(gx, gy, seed)
-        eps = (low + high) / 2.0
-        assert low < eps < high
-        steps = assert_same_solve(gx, gy, self.S, seed, eps=eps, init="randomized")
-        assert steps >= 2
-        draws = counting_draws(monkeypatch)
-        assert sgm(gx, gy, self.S, np.random.default_rng(seed), eps=eps,
-                   init="randomized").iterations == steps
-        assert len(draws) == 2
 
-    def test_a_bound_whose_root_reaches_eps_decides_the_stop_test(self, monkeypatch):
-        # The boundary itself: at eps = sqrt(bound) the solve keeps
-        # moving without a redraw, one ulp above it redraws; both as the
-        # dense loop.
-        gx, gy = self.graphs()
-        m = self.N - self.S
-        root = float(np.sqrt(first_move_bound(np.random.default_rng(1), m)))
-        assert root < self.first_delta(gx, gy, 1)
-        draws = counting_draws(monkeypatch)
-        for eps, want_draws in ((root, 1), (np.nextafter(root, np.inf), 2)):
-            draws.clear()
-            fast = sgm(gx, gy, self.S, np.random.default_rng(1), eps=eps, init="randomized")
-            assert len(draws) == want_draws
-            dense = dense_sgm(gx, gy, self.S, np.random.default_rng(1), eps=eps,
-                              init="randomized")
-            np.testing.assert_array_equal(fast.perm, dense.perm)
-            assert fast.iterations >= 2
+def stop_rule_instances(rng, count):
+    """(gx, gy, s) of random, grid-tied and duplicate-row instances with m
+    from 1 to 60 free vertices.
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 7, 64, 300])
-    def test_computed_bound_never_exceeds_the_computed_distance(self, m):
-        # What lets the bound decide the stop test with no margin: summed
-        # as sgm sums them, row maxima never give a larger squared
-        # distance than the entries of any vertex, the row argmax included.
-        rng = np.random.default_rng(m)
-        for _ in range(5):
-            p = _random_doubly_stochastic(rng, m)
-            norm = np.vdot(p, p)
-            bound = m - 2.0 * p.max(axis=1).sum() + norm
-            rows = np.arange(m)
-            for cols in (p.argmax(axis=1), rng.permutation(m), rows):
-                assert bound <= m - 2.0 * p[rows, cols].sum() + norm
-            assert bound == m - 2.0 * p[rows, p.argmax(axis=1)].sum() + norm
+    Where every free row of a graph is the same, every P has the same
+    objective: each step gains zero in exact arithmetic, and the dense
+    line search and sgm's gain round it to either side. Such instances,
+    and one-column grids, which often gain exactly zero, are left out:
+    there only rounding would be compared, not stop rules."""
+    while count:
+        m, s, d = int(rng.integers(1, 61)), int(rng.integers(0, 4)), int(rng.integers(1, 6))
+        n = m + s
+        if count % 3 == 0:
+            x, y = noisy_planted_rows(n, d, s, 0.5, rng)
+        elif count % 3 == 1:  # small integer rows tie many gradient entries
+            x, y = rng.integers(-1, 2, size=(2, n, max(d, 2))).astype(float)
+        else:
+            distinct = rng.normal(size=(int(rng.integers(2, 5)), d))
+            x, y = distinct[rng.integers(0, len(distinct), size=(2, n))]
+        if m == 1 or all(len(np.unique(rows[s:], axis=0)) > 1 for rows in (x, y)):
+            count -= 1
+            yield build_graph(x), build_graph(y), s
+
+
+@pytest.mark.parametrize("eps", [1e-12, 0.03, 0.49])
+def test_stop_rule_is_the_dense_eps_test_below_one_half(eps):
+    # Every move is at least 1/2 long (see sgm), so stopping at the first
+    # step that does not move is the dense loop's delta < eps.
+    rng = np.random.default_rng(28)
+    for trial, (gx, gy, s) in enumerate(stop_rule_instances(rng, 60)):
+        options = {
+            "max_iters": int(rng.integers(1, 31)),
+            "init": INIT_MODES[trial % 2],
+            "shuffle_input": trial % 4 < 2,
+        }
+        ours, theirs = np.random.default_rng(trial), np.random.default_rng(trial)
+        fast = sgm(gx, gy, s, ours, **options)
+        steps = []
+        dense = dense_sgm(gx, gy, s, theirs, eps=eps, history=steps, **options)
+        np.testing.assert_array_equal(fast.perm, dense.perm)
+        assert (fast.iterations, fast.capped) == (len(steps), steps[-1]["delta"] >= eps)
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_factored_objective_and_gain_on_random_summaries():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import reference_pipelines as reference
-from bilex import EmbeddingMatrix, Lexicon, build_dataset, pipelines, run
+from bilex import EmbeddingMatrix, Lexicon, build_dataset, graph_matching, pipelines, run
 from conftest import make_planted, make_spec
 
 D = 20  # embedding dimension; the planted vocabulary has 80 words
@@ -287,6 +287,39 @@ def test_saturated_sgm_round_solves_nothing_and_returns_the_reverse(solves):
         fresh_sgm(ds, spec, pairs, pipelines._REVERSE)
     )
     assert len(inter) == n
+
+
+@pytest.mark.parametrize(
+    "method, strategy",
+    [("sgm", "add_all"), ("softsgm", "add_all"), ("itersgm", "add_all"),
+     ("itersgm", "stochastic"), ("itersgm", "active"), ("combined", "add_all")],
+)
+def test_no_graph_solve_has_fewer_seeds_than_the_gold_seeds(method, strategy, monkeypatch):
+    # What lets the working-set guard take the first solve's m. Tie-heavy
+    # graphs keep Add-All's later rounds solving; the combined cycle's
+    # Procrustes component needs the unit rows they lack.
+    seed_counts = []
+    original = graph_matching.sgm
+
+    def recorded(*args, **kwargs):
+        matching = original(*args, **kwargs)
+        seed_counts.append(matching.seed_count)
+        return matching
+
+    monkeypatch.setattr(graph_matching, "sgm", recorded)  # soft_sgm's restarts
+    monkeypatch.setattr(pipelines, "sgm", recorded)
+    datasets = [dataset(SGM_SEEDS, noise=SGM_NOISE)]
+    if method != "combined":
+        datasets += [tie_heavy(seed) for seed in range(4)]
+    later = 0
+    for ds in datasets:
+        seed_counts.clear()
+        spec = make_spec(method=method, strategy=strategy, seeds=len(ds.gold_seeds), iters=3,
+                         h=4, soft_runs=2, proc_inner=1)
+        run(spec, ds)
+        assert seed_counts and min(seed_counts) >= len(ds.gold_seeds)
+        later += len(seed_counts) > 2
+    assert later or method in ("sgm", "softsgm")  # a later round solved
 
 
 @pytest.mark.parametrize("method", ["procrustes", "sgm"])
