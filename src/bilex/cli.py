@@ -107,20 +107,15 @@ def _build_parser() -> _Parser:
 
 def _add_spec_arguments(parser) -> None:
     """One flag per ExperimentSpec field: ``--field-name``, except
-    ``--dict`` for ``dictionary`` and ``--no-shuffle-input``."""
-    s = argparse.SUPPRESS
+    ``--dict`` for ``dictionary``."""
     g = parser.add_argument_group("experiment spec")
     for name, kind in _SPEC_TYPES.items():
-        dashed = "dict" if name == "dictionary" else name.replace("_", "-")
-        if kind is bool:
-            g.add_argument(f"--no-{dashed}", dest=name, action="store_false", default=s)
-            continue
         g.add_argument(
-            f"--{dashed}",
+            "--dict" if name == "dictionary" else "--" + name.replace("_", "-"),
             dest=name,
             type=kind,
             choices=pipelines.CHOICES.get(name),
-            default=s,
+            default=argparse.SUPPRESS,
             help=_SPEC_HELP.get(name),
         )
 
@@ -128,14 +123,7 @@ def _add_spec_arguments(parser) -> None:
 def _coerce(key: str, raw: str):
     if key not in _SPEC_TYPES:
         raise ValueError(f"unknown config key {key!r}")
-    if _SPEC_TYPES[key] is not bool:
-        return _SPEC_TYPES[key](raw)
-    lowered = raw.lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"config key {key!r}: expected a boolean, got {raw!r}")
+    return _SPEC_TYPES[key](raw)
 
 
 def _read_config(path) -> dict:

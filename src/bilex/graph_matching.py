@@ -73,12 +73,10 @@ class _FactoredProblem:
     <dZ, 2 (S + Z) + dZ>``, and f(P) itself is ``<S, S> + gain(0, Z)``.
     Z is linear in P and a row gather at a permutation vertex, so a
     Frank-Wolfe step updates it in O(m dx dy); only the gradient costs
-    O(m^2 d). ``relabel`` reorders the rows of Y first.
+    O(m^2 d).
     """
 
-    def __init__(self, gx: np.ndarray, gy: np.ndarray, s: int, relabel=None):
-        if relabel is not None:
-            gy = gy[relabel]
+    def __init__(self, gx: np.ndarray, gy: np.ndarray, s: int):
         self.x2, self.y2 = gx[s:], gy[s:]
         self.seed = gx[:s].T @ gy[:s]
         self.fixed = float((self.seed * self.seed).sum())
@@ -142,18 +140,20 @@ def sgm(
     s: int,
     rng: np.random.Generator,
     max_iters: int = 30,
-    shuffle_input: bool = True,
     init: str = "barycenter",
 ) -> Matching:
     """Seeded graph matching by Frank-Wolfe over doubly-stochastic matrices.
 
-    Seeds must occupy indices 0..s-1 in both graph orders. When
-    ``shuffle_input`` is on, the non-seed rows/columns of ``gy`` are
-    randomly relabeled before solving and the relabeling is inverted on
-    the returned matching; this removes index-order bias from LAP
-    tie-breaking. ``init`` selects the starting point: the flat
-    barycenter (default, deterministic) or a random interior point,
-    the barycenter averaged with a Sinkhorn-balanced random matrix.
+    Seeds must occupy indices 0..s-1 in both graph orders. The non-seed
+    rows/columns of ``gy`` are always randomly relabeled before solving
+    and the relabeling is inverted on the returned matching. Ties among
+    LAP optima break toward the smaller index, so without it a caller
+    that puts gold pair i at (i, i), as ``pipelines`` does in the
+    restricted vocabulary, would get the gold alignment back wherever a
+    LAP ties.
+    ``init`` selects the starting point: the flat barycenter (default,
+    deterministic) or a random interior point, the barycenter averaged
+    with a Sinkhorn-balanced random matrix.
 
     Iteration stops at the first step that does not move, or after
     ``max_iters`` steps. A step does not move when the exact line search
@@ -206,11 +206,8 @@ def sgm(
         raise ValueError(f"init must be one of {INIT_MODES}, got {init!r}")
 
     m = n - s
-    sigma = relabel = None
-    if shuffle_input:
-        sigma = rng.permutation(m)
-        relabel = np.concatenate([np.arange(s), s + sigma])
-    problem = _FactoredProblem(gx, gy, s, relabel)
+    sigma = rng.permutation(m)
+    problem = _FactoredProblem(gx, gy[np.concatenate([np.arange(s), s + sigma])], s)
 
     # Until its first move the iterate is the start P, which the solve
     # does not hold; from then on it is the permutation vertex with a one
@@ -244,10 +241,8 @@ def sgm(
         else:
             lap = _direction_lap(_random_doubly_stochastic(start, m))
             cols, unique = lap.perm, unique and lap.unique
-    solved = sigma[cols] if sigma is not None else cols
-    perm = np.concatenate([np.arange(s), s + solved])
     return Matching(
-        perm=perm,
+        perm=np.concatenate([np.arange(s), s + sigma[cols]]),
         seed_count=s,
         unique=unique,
         iterations=iteration,
@@ -278,7 +273,6 @@ def soft_sgm(
     runs: int = 10,
     master_seed=0,
     max_iters: int = 30,
-    shuffle_input: bool = True,
 ) -> np.ndarray:
     """Stack the matchings of ``runs`` SGM runs with random initializations.
 
@@ -301,7 +295,6 @@ def soft_sgm(
                 s,
                 np.random.default_rng(child),
                 max_iters=max_iters,
-                shuffle_input=shuffle_input,
                 init="randomized",
             ).perm
             for child in master.spawn(runs)

@@ -102,7 +102,6 @@ class ExperimentSpec:
     max_words: int | None = None
     normalize_passes: int = 1
     sgm_max_iters: int = 30
-    shuffle_input: bool = True
 
     def validate(self) -> list[str]:
         """All problems with this spec, as human-readable messages."""
@@ -207,7 +206,6 @@ def _sgm_run(x, y, spec: ExperimentSpec, seeds, rng):
             s=len(seeds),
             rng=rng,
             max_iters=spec.sgm_max_iters,
-            shuffle_input=spec.shuffle_input,
         )
         perm, unique = matching.perm, matching.unique
     ones = np.ones((n, 1))
@@ -355,7 +353,6 @@ def _single(spec: ExperimentSpec, ds: Dataset) -> HypothesisSet:
         runs=spec.soft_runs,
         master_seed=master,
         max_iters=spec.sgm_max_iters,
-        shuffle_input=spec.shuffle_input,
     )
     return top_k_from_distribution(dist, spec.top_k, src_words, tgt_words)
 
@@ -461,7 +458,7 @@ def _combined(spec: ExperimentSpec, ds: Dataset):
             {
                 "iteration": cycle,
                 "components": components,
-                "forward_p1": components[-1]["forward_p1"] if components else None,
+                "forward_p1": components[-1]["forward_p1"],
             }
         )
 

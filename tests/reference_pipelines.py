@@ -187,7 +187,6 @@ def _sgm_run(
             s=len(pairs),
             rng=rng,
             max_iters=spec.sgm_max_iters,
-            shuffle_input=spec.shuffle_input,
         )
     entries = {
         a_words[order_a[i]]: ((b_words[order_b[int(j)]], 1.0),)
@@ -245,7 +244,6 @@ def run_single(spec: ExperimentSpec, dataset: Dataset | None = None):
             runs=spec.soft_runs,
             master_seed=master,
             max_iters=spec.sgm_max_iters,
-            shuffle_input=spec.shuffle_input,
         )
         indexed = top_k_from_distribution(dist, k=spec.top_k)
         src_words, tgt_words = _words(ds)

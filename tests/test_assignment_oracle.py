@@ -160,9 +160,10 @@ def test_duals_stopped_by_the_pass_cap(monkeypatch):
     # only the n-pass cap ends it.
     oracle = test_sgm_factored.TestDenseOracle()
     laps = recorded_laps(monkeypatch, *(
-        functools.partial(oracle.test_duplicate_embedding_rows, 3, init, shuffle_input)
+        functools.partial(oracle.test_duplicate_embedding_rows, s, init, forward)
+        for s in (0, 3)
         for init in INIT_MODES
-        for shuffle_input in (True, False)
+        for forward in (True, False)
     ))
     capped = 0
     for cost, perm in laps:

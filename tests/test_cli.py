@@ -31,10 +31,7 @@ REQUIRED_CONFIG = "src-emb=s.vec\ntgt-emb=t.vec\ndictionary=d.tsv\nseeds=3\n"
 
 
 def spec_flag(name: str, raw: str) -> list[str]:
-    """The ``bilex run`` arguments that set spec field ``name`` to ``raw``
-    (the boolean's flag can only set it false)."""
-    if name == "shuffle_input":
-        return ["--no-shuffle-input"]
+    """The ``bilex run`` arguments that set spec field ``name`` to ``raw``."""
     return ["--dict" if name == "dictionary" else "--" + name.replace("_", "-"), raw]
 
 
@@ -218,7 +215,6 @@ class TestRun:
         "int": ("7", 7),
         "int | None": ("7", 7),
         "float": ("0.25", 0.25),
-        "bool": ("false", False),
     }
 
     @pytest.mark.parametrize(
@@ -373,15 +369,24 @@ class TestExitCodes:
         assert err.value.code == EXIT_USAGE
         assert "unrecognized arguments: --sgm-eps 0.03" in capsys.readouterr().err
 
+    def test_removed_shuffle_input_flag_and_key_are_usage_errors(self, tmp_path, capsys):
+        # Every graph solve relabels its free vertices; nothing turns it off.
+        with pytest.raises(SystemExit) as err:
+            main(["run", "--no-shuffle-input"])
+        assert err.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --no-shuffle-input" in capsys.readouterr().err
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"{REQUIRED_CONFIG}shuffle_input=false\n", encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == EXIT_USAGE
+        assert "error: unknown config key 'shuffle_input'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "line, problem",
         [
             ("sgm_eps=0.03", "error: unknown config key 'sgm_eps'"),
-            ("shuffle-input=maybe",
-             "error: config key 'shuffle_input': expected a boolean, got 'maybe'"),
             ("seeds 3", ":5: expected key=value"),
         ],
-        ids=["unknown-key", "non-boolean", "no-equals-sign"],
+        ids=["unknown-key", "no-equals-sign"],
     )
     def test_bad_config_line_is_usage_error(self, tmp_path, capsys, line, problem):
         config = tmp_path / "exp.cfg"
@@ -508,5 +513,18 @@ def test_every_flag_in_the_readme_cli_section_is_accepted():
         for action in command._actions
         for flag in action.option_strings
     }
-    assert {"--config", "--dict", "--no-shuffle-input", "--sgm-max-iters"} <= named
+    assert {"--config", "--dict", "--sgm-max-iters"} <= named
     assert named - accepted == set()
+
+
+def test_run_spec_flags_are_the_spec_field_names():
+    # README "CLI": the run flags are the field names written with -,
+    # except --dict; a new exception must change the README with it.
+    parser = _build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    (group,) = (g for g in commands.choices["run"]._action_groups if g.title == "experiment spec")
+    flags = {flag for action in group._group_actions for flag in action.option_strings}
+    assert flags == {
+        "--dict" if field.name == "dictionary" else "--" + field.name.replace("_", "-")
+        for field in SPEC_FIELDS
+    }

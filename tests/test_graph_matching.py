@@ -254,7 +254,6 @@ class TestUniqueFlag:
     )
     def test_flag_does_not_depend_on_the_relabeling(self, instance, unique):
         gx, gy = getattr(self, instance)()
-        assert sgm(gx, gy, self.S, np.random.default_rng(0), shuffle_input=False).unique == unique
         for seed in range(5):
             assert sgm(gx, gy, self.S, np.random.default_rng(seed)).unique == unique
 

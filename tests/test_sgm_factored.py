@@ -122,23 +122,27 @@ def noisy_planted_rows(n, d, s, noise, rng):
     return x, x[hidden] + noise * rng.normal(size=(n, d))
 
 
-@pytest.mark.parametrize("shuffle_input", [True, False])
+def directed(x, y, forward):
+    """The graphs of rows x and y in the order of a forward solve, or
+    exchanged, as the reverse direction of a pipeline round solves them."""
+    return (build_graph(x), build_graph(y)) if forward else (build_graph(y), build_graph(x))
+
+
+@pytest.mark.parametrize("forward", [True, False])
 @pytest.mark.parametrize("init", INIT_MODES)
 @pytest.mark.parametrize("s", [0, 3])
 class TestDenseOracle:
-    def test_gram_graphs(self, s, init, shuffle_input):
+    def test_gram_graphs(self, s, init, forward):
         rng = np.random.default_rng(100 + s)
         iterations = 0
         for trial in range(8):
             n = int(rng.integers(s + 4, 40))
             x, y = noisy_planted_rows(n, int(rng.integers(2, 8)), s, 0.5, rng)
-            iterations += assert_same_solve(
-                build_graph(x), build_graph(y), s, trial,
-                init=init, shuffle_input=shuffle_input, eps=1e-6,
-            )
+            iterations += assert_same_solve(*directed(x, y, forward), s, trial,
+                                            init=init, eps=1e-6)
         assert iterations > 16  # the instances make Frank-Wolfe work
 
-    def test_duplicate_embedding_rows(self, s, init, shuffle_input):
+    def test_duplicate_embedding_rows(self, s, init, forward):
         # Repeated rows make whole blocks of the gradient equal, so most
         # directions come from the LAP's lex-min tie-breaking.
         rng = np.random.default_rng(400 + s)
@@ -147,17 +151,16 @@ class TestDenseOracle:
             n = int(rng.integers(s + 4, 30))
             x = distinct[rng.integers(0, len(distinct), size=n)]
             y = distinct[rng.integers(0, len(distinct), size=n)]
-            assert_same_solve(build_graph(x), build_graph(y), s, trial,
-                              init=init, shuffle_input=shuffle_input)
+            assert_same_solve(*directed(x, y, forward), s, trial, init=init)
 
 
-@pytest.mark.parametrize("shuffle_input", [True, False])
+@pytest.mark.parametrize("forward", [True, False])
 @pytest.mark.parametrize("init", INIT_MODES)
 @pytest.mark.parametrize("s", [0, 1])
-def test_dense_oracle_on_diag4(s, init, shuffle_input):
-    gx, gy = build_graph(DIAG4_X), build_graph(DIAG4_Y)
+def test_dense_oracle_on_diag4(s, init, forward):
+    gx, gy = directed(DIAG4_X, DIAG4_Y, forward)
     for trial in range(5):
-        assert_same_solve(gx, gy, s, trial, init=init, shuffle_input=shuffle_input)
+        assert_same_solve(gx, gy, s, trial, init=init)
 
 
 def test_dense_oracle_at_pipeline_scale():
@@ -235,28 +238,26 @@ class TestRandomStart:
 
     N, S = 10, 2
 
-    def graphs(self, free_scale=1.0):
+    def graphs(self, free_scale, forward):
         x, y = noisy_planted_rows(self.N, 3, self.S, 0.5, np.random.default_rng(10))
         y[self.S :] *= free_scale
-        return build_graph(x), build_graph(y)
+        return directed(x, y, forward)
 
     @pytest.mark.parametrize("case", ["moves", "never_moves"])
-    @pytest.mark.parametrize("shuffle_input", [True, False])
-    def test_generator_is_consumed_by_one_draw(self, monkeypatch, case, shuffle_input):
+    @pytest.mark.parametrize("forward", [True, False])
+    def test_generator_is_consumed_by_one_draw(self, monkeypatch, case, forward):
         # The caller's generator ends where the relabeling and one start
         # leave it, also when the solve redraws its start.
-        gx, gy = self.graphs(0.0 if case == "never_moves" else 1.0)
+        gx, gy = self.graphs(0.0 if case == "never_moves" else 1.0, forward)
         draws = counting_draws(monkeypatch)
         rng = np.random.default_rng(0)
-        matching = sgm(gx, gy, self.S, rng, init="randomized", shuffle_input=shuffle_input)
+        matching = sgm(gx, gy, self.S, rng, init="randomized")
         assert len(draws) == (1 if case == "moves" else 2)
         want = np.random.default_rng(0)
-        if shuffle_input:
-            want.permutation(self.N - self.S)
+        want.permutation(self.N - self.S)
         _random_doubly_stochastic(want, self.N - self.S)
         assert rng.bit_generator.state == want.bit_generator.state
-        dense = dense_sgm(gx, gy, self.S, np.random.default_rng(0), init="randomized",
-                          shuffle_input=shuffle_input)
+        dense = dense_sgm(gx, gy, self.S, np.random.default_rng(0), init="randomized")
         np.testing.assert_array_equal(matching.perm, dense.perm)
 
 
@@ -290,11 +291,7 @@ def test_stop_rule_is_the_dense_eps_test_below_one_half(eps):
     # step that does not move is the dense loop's delta < eps.
     rng = np.random.default_rng(28)
     for trial, (gx, gy, s) in enumerate(stop_rule_instances(rng, 60)):
-        options = {
-            "max_iters": int(rng.integers(1, 31)),
-            "init": INIT_MODES[trial % 2],
-            "shuffle_input": trial % 4 < 2,
-        }
+        options = {"max_iters": int(rng.integers(1, 31)), "init": INIT_MODES[trial % 2]}
         ours, theirs = np.random.default_rng(trial), np.random.default_rng(trial)
         fast = sgm(gx, gy, s, ours, **options)
         steps = []
