@@ -28,8 +28,9 @@ logger = logging.getLogger(__name__)
 _ZERO_NORM = 1e-12
 
 # Rows handled at once: lines of a vector file parsed per np.loadtxt
-# call, and rows squared per block of row norms. A chunk of 300-wide
-# "%.6f" rows holds about 0.8 MB of text; see README "Notes on scale".
+# call, rows checked per block for finiteness, and rows squared per
+# block of row norms. A chunk of 300-wide "%.6f" rows holds about 0.8 MB
+# of text; see README "Notes on scale".
 _CHUNK_ROWS = 256
 
 # What errors="surrogateescape" makes of bytes that do not decode.
@@ -74,7 +75,10 @@ class EmbeddingMatrix:
             )
         if len(set(vocab)) != len(vocab):
             raise ValueError("vocabulary contains duplicate tokens")
-        if vectors.size and not np.isfinite(vectors).all():
+        if not all(
+            np.isfinite(vectors[start : start + _CHUNK_ROWS]).all()
+            for start in range(0, len(vectors), _CHUNK_ROWS)
+        ):
             raise ValueError("vectors contain non-finite entries")
 
     @property

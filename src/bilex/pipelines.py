@@ -170,8 +170,8 @@ def _proc_run(x, y, spec: ExperimentSpec, seeds):
     """One Euclidean run: fit W on the seed pairs, extract top-k via CSLS.
 
     Returns (forward, reverse) in row order. At every rank of W its
-    transpose is the reverse problem's map, so the reverse ranks each
-    target's sources from the same scores.
+    transpose is the reverse problem's map, so the reverse holds each
+    target's best source from the same scores.
     """
     mapping = solve_procrustes(x[seeds[:, 0]], y[seeds[:, 1]])
     rows, columns = extract_hypotheses(

@@ -13,8 +13,8 @@ where ``avg_k(v)`` is v's mean cosine to its k nearest neighbors in the
 opposite space (k = 10 unless stated otherwise); at r < d the cosine of
 a mapped row is its inner product with the target. CSLS is symmetric,
 and ``W^T`` maps the reverse problem at every rank, since
-``Y^T X = (X^T Y)^T``: so the same pass also ranks the sources of each
-target, which is the reverse direction's extraction.
+``Y^T X = (X^T Y)^T``: so the same pass also finds each target's best
+source, which is the reverse direction's top-1.
 """
 
 from __future__ import annotations
@@ -88,13 +88,13 @@ def solve_procrustes(src_seed: np.ndarray, tgt_seed: np.ndarray) -> OrthogonalMa
 _BLOCK_BYTES = 4 << 20
 
 # Bytes of one chunk of a block that a selection copies: the means, the
-# row top-k and the column floor take a few rows (or columns) at a time,
-# so that no block is held twice.
+# row top-k and the column winners take a few rows (or columns) at a
+# time, so that no block is held twice.
 _CHUNK_BYTES = 256 << 10
 
 # Most threads that score blocks at once, the calling thread included:
 # more have not been measured, and each holds one block buffer and its
-# own column candidates.
+# own column winners.
 _MAX_WORKERS = 2
 
 
@@ -146,7 +146,7 @@ def _workers() -> int:
 
 def _in_runs(work, blocks: list[slice], buffers: list) -> list:
     """``work(run, buffer)`` for each run of consecutive blocks, in run
-    order.
+    order, which is row order.
 
     The blocks are cut into ``min(len(buffers), len(blocks))`` runs whose
     block counts differ by at most one, and run i gets ``buffers[i]``.
@@ -220,64 +220,18 @@ def _top_k_means(sims: np.ndarray, k: int, sequential: bool, overwrite: bool = F
     return means
 
 
-def _column_floor(scores: np.ndarray, k: int) -> np.ndarray:
-    """Each column's k-th largest score, over chunks of a few columns."""
-    n_rows, n_cols = scores.shape
-    floor = np.empty(n_cols)
-    for cols in _chunks(n_cols, n_rows):
-        floor[cols] = np.partition(scores[:, cols], n_rows - k, axis=0)[n_rows - k]
-    return floor
+def _column_best(scores: np.ndarray, first_row: int, best: np.ndarray, arg: np.ndarray) -> None:
+    """Raise ``best[j]`` to column j's largest score where that is strictly
+    higher, and set ``arg[j]`` to its first row counted from ``first_row``.
 
-
-class _ColumnTopK:
-    """Running top-k of every column over row blocks taken in row order.
-
-    A score is a candidate when it is at least its column's floor, a
-    value that k scores already seen reach; ties are kept, so no block
-    order can lose one. Candidates are merged, by descending score then
-    ascending row, only once they outnumber the kept ones. The parts of
-    several instances over consecutive row ranges, concatenated in row
-    order, merge as one instance over all the rows would.
+    Rows are searched only in the columns that rose, a few at a time.
     """
-
-    def __init__(self, n_cols: int, k: int):
-        self.k = k
-        self.floor = np.full(n_cols, -np.inf)
-        # (rows, cols, scores) of the kept entries, then of the candidates
-        self.parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
-        self.pending = 0
-
-    def add(self, first_row: int, scores: np.ndarray) -> None:
-        if scores.shape[0] >= self.k and np.isneginf(self.floor).all():
-            # While no column has a floor, a block's k-th value per column
-            # is one at once, so the first block does not become
-            # candidates wholesale.
-            self.floor = _column_floor(scores, self.k)
-        flat = np.flatnonzero(scores >= self.floor)
-        rows, cols = np.divmod(flat, scores.shape[1])
-        self.parts.append((rows + first_row, cols, scores.ravel()[flat]))
-        self.pending += flat.size
-        if self.pending > self.k * self.floor.size:
-            self._merge()
-
-    def _merge(self) -> None:
-        rows, cols, vals = (np.concatenate(part) for part in zip(*self.parts))
-        # Equal (column, score) entries already appear by ascending row:
-        # kept rows precede later blocks' rows, and each block is scanned
-        # row-major. The stable sort keeps that order as the tie-break.
-        order = np.lexsort((-vals, cols))
-        rank = np.arange(order.size) - np.searchsorted(cols[order], cols[order])
-        order, rank = order[rank < self.k], rank[rank < self.k]
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        kth = rank == self.k - 1
-        self.floor[cols[kth]] = vals[kth]
-        self.parts, self.pending = [(rows, cols, vals)], 0
-
-    def result(self) -> TopK:
-        self._merge()
-        rows, _, vals = self.parts[0]
-        shape = (self.floor.size, self.k)
-        return TopK(rows.reshape(shape), vals.reshape(shape))
+    top = scores.max(axis=0)
+    rose = np.flatnonzero(top > best)
+    for part in _chunks(rose.size, scores.shape[0]):
+        cols = rose[part]
+        arg[cols] = first_row + scores.T[cols].argmax(axis=1)
+        best[cols] = top[cols]
 
 
 def _row_top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -308,15 +262,17 @@ def extract_hypotheses(
     top_k: int = 5,
     csls_k: int = 10,
 ) -> tuple[TopK, TopK]:
-    """Top ``top_k`` targets per source row and sources per target column.
+    """Top ``top_k`` targets per source row, and the best source per
+    target column.
 
     Returns ``(rows, columns)``: ``rows`` ranks the targets of each
-    source, ``columns`` the sources of each target, both by descending
-    score with ties toward the smaller index, from the same scores.
-    Several sources may share a target (many-to-one is allowed); lists
-    are shorter than ``top_k`` only when the candidate set is. When
+    source by descending score with ties toward the smaller target;
+    ``columns``, an (n_tgt, 1) ``TopK`` from the same scores, holds each
+    target's best source, ties toward the smaller source. Several
+    sources may share a target (many-to-one is allowed); row lists are
+    shorter than ``top_k`` only when the candidate set is. When
     ``mapped_src`` is ``X W`` for a map from :func:`solve_procrustes`,
-    ``columns`` is the reverse direction's extraction at every rank of W,
+    ``columns`` is the reverse direction's top-1 at every rank of W,
     since the reverse map is ``W^T``: CSLS is symmetric in its two
     arguments.
 
@@ -328,11 +284,14 @@ def extract_hypotheses(
     buffer per call, for the largest block of either pass; every block
     product it takes is written there, and the selections over a block
     copy a few rows or columns at a time, never the whole block.
+    Beyond that, each thread keeps two n_tgt vectors of column winners.
 
     BLAS runs on one thread. When this process has more CPUs, each pass
     cuts its blocks into runs, one per block thread, the calling thread
     included (:func:`_in_runs`). A run takes the row top-k of its blocks
-    and keeps its own column candidates; those are merged in row order.
+    and keeps its own column winners; those are merged in row order, and
+    a later run's winner replaces an earlier one only when its score is
+    strictly higher.
     Blocks, sums and ties are the same whatever the number of threads,
     so the results are equal bit for bit.
     """
@@ -385,13 +344,15 @@ def extract_hypotheses(
     ranked = TopK(np.empty((n_src, k), dtype=np.intp), np.empty((n_src, k)))
 
     def rank(run, buffer):
-        columns = _ColumnTopK(n_tgt, min(top_k, n_src))
+        best, arg = np.full(n_tgt, -np.inf), np.zeros(n_tgt, dtype=np.intp)
         for rows in run:  # runs write disjoint rows of ranked
             scores = score(rows, buffer)
             ranked.index[rows], ranked.score[rows] = _row_top_k(scores, k)
-            columns.add(rows.start, scores)
-        return columns.parts
+            _column_best(scores, rows.start, best, arg)
+        return best, arg
 
-    columns = _ColumnTopK(n_tgt, min(top_k, n_src))
-    columns.parts += sum(_in_runs(rank, src_blocks, buffers), [])
-    return ranked, columns.result()
+    (best, arg), *later = _in_runs(rank, src_blocks, buffers)
+    for run_best, run_arg in later:  # in row order: a tie keeps the earlier row
+        rose = run_best > best
+        best[rose], arg[rose] = run_best[rose], run_arg[rose]
+    return ranked, TopK(arg[:, None], best[:, None])

@@ -8,10 +8,10 @@ hypothesis entries, scores included. ``blocked_score_blocks`` and
 ``blocked_extract_hypotheses`` are the row-only blocked extractor that
 the column pass replaced, kept verbatim apart from their names; they use
 the package's ``_row_blocks``, so a patched ``_BLOCK_BYTES`` reaches
-both. ``top_k_means``, ``row_top_k`` and ``column_floor`` are the
-package's selections as they were before they took a block a few rows or
-columns at a time, kept verbatim apart from their names. The package
-scores CSLS only; the oracle keeps its cosine branch.
+both. ``top_k_means`` and ``row_top_k`` are the package's selections as
+they were before they took a block a few rows at a time, kept verbatim
+apart from their names. The package scores CSLS only; the oracle keeps
+its cosine branch.
 """
 
 from __future__ import annotations
@@ -242,9 +242,3 @@ def row_top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         vals[r] = scores[r, cand[r]]
     return cand, vals
 
-
-def column_floor(scores: np.ndarray, k: int) -> np.ndarray:
-    """Each column's k-th largest score: the first block's floor in the
-    running column top-k."""
-    n_rows = scores.shape[0]
-    return np.partition(scores, n_rows - k, axis=0)[n_rows - k].copy()

@@ -296,6 +296,20 @@ class TestNormalize:
         assert peaks["reference"] > 2.0
         assert peaks["new"] <= 1.25
 
+    def test_finiteness_check_adds_no_full_size_temporary(self):
+        # One copy, and the check on the returned matrix takes a few rows
+        # at a time: a boolean mask of every entry at once would add 0.125.
+        rng = np.random.default_rng(8)
+        emb = EmbeddingMatrix(tuple(f"w{i}" for i in range(4000)), rng.normal(size=(4000, 300)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            normalize(emb)
+            peak = (tracemalloc.get_traced_memory()[1] - base) / emb.vectors.nbytes
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1
+
 
 class TestMatrixInvariants:
     def test_duplicate_vocab_rejected(self):

@@ -1,10 +1,11 @@
 """Blocked CSLS extraction against the dense code kept in
 ``reference_extraction``: equal hypothesis entries, scores bit for bit;
-its column rankings against the dense code run on the transposed
-problem; its row rankings against the row-only blocked extractor they
-replaced; plus its memory bound, its determinism across BLAS thread
-counts and block workers, and its worker threads' lifecycle. The package
-scores CSLS only; ``scorer`` names the reference's scoring it must equal."""
+its column winners against the first of the dense code's rankings on
+the transposed problem; its row rankings against the row-only blocked
+extractor they replaced; plus its memory bound, its determinism across
+BLAS thread counts and block workers, and its worker threads'
+lifecycle. The package scores CSLS only; ``scorer`` names the
+reference's scoring it must equal."""
 
 import json
 import os
@@ -146,27 +147,43 @@ def test_float_inputs_over_many_blocks_agree_with_dense(monkeypatch):
 
 
 def column_entries(src, tgt, **kwargs):
-    return extract(src, tgt, **kwargs)[1].hypotheses().entries
+    """Each target's one (best source, score) entry; the columns are one wide."""
+    columns = extract(src, tgt, **kwargs)[1]
+    assert columns.index.shape == columns.score.shape == (len(tgt), 1)
+    return columns.hypotheses().entries
 
 
 def assert_columns_solve_transposed(src, tgt, scorer="csls", **kwargs):
-    """Column j ranks the sources of target j as the transposed problem
-    (targets mapped onto sources) ranks them, scores included."""
+    """Column j holds the best source of target j as the transposed
+    problem (targets mapped onto sources) ranks them first, score
+    included."""
     want = reference.extract_hypotheses(tgt, src, scorer=scorer, **kwargs).entries
+    want = {j: ranked[:1] for j, ranked in want.items()}
     assert list(column_entries(src, tgt, **kwargs).items()) == list(want.items())
 
 
 def assert_columns_of_dense_scores(src, tgt, top_k, scorer, csls_k):
-    """Column j is column j of the dense score matrix, ranked by
-    descending score, then ascending source."""
+    """Column j holds the first source of column j of the dense score
+    matrix ranked by descending score, then ascending source."""
     scores = reference._score_matrix(src, tgt, scorer, csls_k)
     rows = np.arange(scores.shape[0])
     want = {}
     for j, column in enumerate(scores.T):
-        best = np.lexsort((rows, -column))[:top_k]
+        best = np.lexsort((rows, -column))[:1]
         want[j] = tuple((int(i), float(column[i])) for i in best)
     got = column_entries(src, tgt, top_k=top_k, csls_k=csls_k)
     assert list(got.items()) == list(want.items())
+
+
+def tied_winners(src, tgt, csls_k, part_of_row):
+    """How many columns of the dense scores hold their largest score in
+    rows of more than one part (block or run), ``part_of_row`` giving
+    each row's part."""
+    scores = reference._score_matrix(src, tgt, "csls", csls_k)
+    return sum(
+        len(set(part_of_row[np.flatnonzero(column == column.max())])) > 1
+        for column in scores.T
+    )
 
 
 @pytest.mark.parametrize("scorer", ["csls"])
@@ -208,7 +225,7 @@ def test_columns_rank_the_forward_scores(monkeypatch, rows, scorer):
 @pytest.mark.parametrize("scorer", ["csls"])
 def test_column_ties_across_blocks_solve_transposed_problem(monkeypatch, scorer):
     # Every source repeats, so each column holds equal scores in rows of
-    # different 3-row blocks, and the running top-k must keep the first.
+    # different 3-row blocks, and the column pass must keep the first.
     rng = np.random.default_rng(39)
     monkeypatch.setattr(procrustes, "_BLOCK_BYTES", 8 * 3 * 40)
     tgt = grid_rows(rng, 40)
@@ -218,10 +235,7 @@ def test_column_ties_across_blocks_solve_transposed_problem(monkeypatch, scorer)
         for csls_k in (2, 4):
             kwargs = dict(top_k=top_k, csls_k=csls_k)
             assert_columns_solve_transposed(src, tgt, scorer, **kwargs)
-            for ranked in column_entries(src, tgt, **kwargs).values():
-                straddling += any(
-                    a[1] == b[1] and a[0] // 3 != b[0] // 3 for a, b in zip(ranked, ranked[1:])
-                )
+            straddling += tied_winners(src, tgt, csls_k, np.minimum(np.arange(40) // 3, 12))
     assert straddling > 0
 
 
@@ -237,7 +251,7 @@ def test_column_ties_across_runs_solve_transposed_problem(monkeypatch, scorer):
     # Source i repeats source i % 6, so each column holds equal scores in
     # rows 6 apart; with 13 blocks of 3 rows, some of them sit in
     # different runs of 2 and of 3 threads, and merging the runs' column
-    # candidates must keep the first.
+    # winners must keep the first.
     rng = np.random.default_rng(47)
     monkeypatch.setattr(procrustes, "_BLOCK_BYTES", 8 * 3 * 40)
     tgt = grid_rows(rng, 40)
@@ -248,22 +262,19 @@ def test_column_ties_across_runs_solve_transposed_problem(monkeypatch, scorer):
         for csls_k in (2, 4):
             kwargs = dict(top_k=top_k, csls_k=csls_k)
             assert_columns_solve_transposed(src, tgt, scorer, **kwargs)
-            for ranked in column_entries(src, tgt, **kwargs).values():
-                for workers, run in runs.items():
-                    straddling[workers] += any(
-                        a[1] == b[1] and run[a[0]] != run[b[0]] for a, b in zip(ranked, ranked[1:])
-                    )
+            for workers, run in runs.items():
+                straddling[workers] += tied_winners(src, tgt, csls_k, run)
     assert all(straddling.values()), straddling
 
 
 def test_clamped_k_columns_solve_transposed_problem():
-    # top_k beyond the sources shortens every column; csls_k beyond
-    # either side clamps to 2 or 4 here, which keeps grid scores exact.
+    # top_k beyond the sources leaves every column one wide; csls_k
+    # beyond either side clamps to 2 or 4 here, which keeps grid scores
+    # exact.
     rng = np.random.default_rng(40)
     for n_src, n_tgt in ((4, 6), (6, 4), (4, 4), (2, 9), (9, 2)):
         src, tgt = grid_rows(rng, n_src), grid_rows(rng, n_tgt)
         assert_columns_solve_transposed(src, tgt, top_k=9, csls_k=10)
-        assert all(len(ranked) == n_src for ranked in column_entries(src, tgt, top_k=9).values())
 
 
 @pytest.mark.parametrize("budget_rows", [7, None])
@@ -277,9 +288,9 @@ def test_float_columns_agree_with_transposed_problem(monkeypatch, budget_rows):
     want = reference.extract_hypotheses(tgt, src, top_k=5).entries
     assert list(got) == list(want)
     for j in want:
-        assert [i for i, _ in got[j]] == [i for i, _ in want[j]]
+        assert [i for i, _ in got[j]] == [i for i, _ in want[j][:1]]
         np.testing.assert_allclose(
-            [s for _, s in got[j]], [s for _, s in want[j]], rtol=0, atol=1e-14
+            [s for _, s in got[j]], [s for _, s in want[j][:1]], rtol=0, atol=1e-14
         )
 
 
@@ -322,6 +333,15 @@ def edges_with_equal_neighbours(lines, pieces):
     )
 
 
+def column_best(scores, blocks):
+    """``_column_best`` over the row ``blocks`` in order: the bytes of each
+    column's best score and of its first row."""
+    best, arg = np.full(scores.shape[1], -np.inf), np.zeros(scores.shape[1], dtype=np.intp)
+    for rows in blocks:
+        procrustes._column_best(scores[rows], rows.start, best, arg)
+    return best.tobytes(), arg.tobytes()
+
+
 @pytest.mark.parametrize("chunk", [2, 3])
 def test_chunked_selections_equal_unchunked_bit_for_bit(monkeypatch, chunk):
     # Heights 1 .. 3 chunk + 1 leave every remainder, a one-row one
@@ -349,9 +369,13 @@ def test_chunked_selections_equal_unchunked_bit_for_bit(monkeypatch, chunk):
                     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
                 monkeypatch.setattr(procrustes, "_CHUNK_BYTES", 8 * chunk * n_rows)
                 column_chunks = procrustes._chunks(n_cols, n_rows)
-                for k in range(1, n_rows + 1):
-                    got, want = procrustes._column_floor(scores, k), reference.column_floor(scores, k)
-                    assert got.tobytes() == want.tobytes()
+                # The column pass over all rows as one block, then as two,
+                # where only some columns rise in the second, against the
+                # unchunked column max and its first row.
+                want = scores.max(axis=0).tobytes(), scores.argmax(axis=0).tobytes()
+                for cut in range(n_rows):
+                    blocks = [slice(0, cut), slice(cut, n_rows)] if cut else [slice(0, n_rows)]
+                    assert column_best(scores, blocks) == want
             straddling["rows"] += edges_with_equal_neighbours(grid, row_chunks)
             straddling["columns"] += edges_with_equal_neighbours(grid.T, column_chunks)
     assert all(straddling.values()), straddling
@@ -386,11 +410,11 @@ def test_row_blocks_do_not_follow_the_blas_setting(monkeypatch):
 def test_peak_memory_is_a_few_blocks(monkeypatch):
     # The dense scorer held several 3000 x 3000 float64 matrices (72 MB
     # each); the blocked one holds one block buffer per block thread, a
-    # few rows of a block at a time for its selections, O(n top_k)
-    # column candidates, and the results. Here each thread's candidates
-    # and chunks take less than one more block: with numpy 2.4 the peak
-    # was 7.9 MB on one thread and 14.6 MB on two, so a thread that held
-    # a second copy of its block would fail.
+    # few rows or columns of a block at a time for its selections, two
+    # n_tgt vectors of column winners per thread, and the results. Here
+    # each thread's chunks and winners take less than one more block:
+    # with numpy 2.4 the peak was 4.8 MB on one thread and 9.3 MB on two,
+    # so a thread that held a second copy of its block would fail.
     rng = np.random.default_rng(36)
     n, d = 3000, 32
     src = unit_rows(rng.normal(size=(n, d)))

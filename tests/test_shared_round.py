@@ -1,6 +1,6 @@
 """When a round solves once.
 
-A Procrustes round takes its reverse hypotheses from the columns of the
+A Procrustes round takes its reverse top-1 from the columns of the
 forward scores wherever both directions hold the same seed pairs:
 ``W^T`` is the reverse problem's map at every rank of ``X^T Y``. A graph
 round takes the inverse of the forward matching only where both
@@ -97,6 +97,7 @@ def test_shared_reverse_equals_independent_solve(seeds, vocab_mode, calls):
         rows(ds, spec), spec, "proc", index_seeds, index_seeds, (3, 0, 1)
     )
     assert calls == {"solve_procrustes": 1, "extract_hypotheses": 1}
+    assert reverse[1].index.shape == reverse[1].score.shape == (len(reverse[0]), 1)
     forward = words(ds, spec, forward)
     reverse = words(ds, spec, reverse, pipelines._REVERSE)
     want_forward = reference._proc_run(ds, spec, gold, reverse=False)
@@ -108,9 +109,9 @@ def test_shared_reverse_equals_independent_solve(seeds, vocab_mode, calls):
     )
     assert list(reverse.entries) == list(want_reverse.entries)
     for word, ranked in want_reverse.entries.items():
-        assert [t for t, _ in reverse.entries[word]] == [t for t, _ in ranked]
-        got = [score for _, score in reverse.entries[word]]
-        assert got == pytest.approx([score for _, score in ranked], rel=0, abs=1e-14)
+        ((target, score),) = reverse.entries[word]
+        assert target == ranked[0][0]
+        assert score == pytest.approx(ranked[0][1], rel=0, abs=1e-14)
 
 
 def test_add_all_round_with_unique_map_scores_once(calls):
