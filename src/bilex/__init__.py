@@ -18,14 +18,7 @@ from .embeddings import (
     normalize,
 )
 from .evaluation import MetricsReport, metrics_report, p_at_1, prf_at_5
-from .graph_matching import (
-    build_graph,
-    sgm,
-    soft_sgm,
-    top_k_from_distribution,
-    trace_gradient,
-    trace_objective,
-)
+from .graph_matching import build_graph, sgm, soft_sgm, top_k_from_distribution
 from .hypotheses import HypothesisSet, Matching, TopK
 from .lexicon import (
     DictionaryFormatError,
@@ -82,6 +75,4 @@ __all__ = [
     "solve_procrustes",
     "split",
     "top_k_from_distribution",
-    "trace_gradient",
-    "trace_objective",
 ]

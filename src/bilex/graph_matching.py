@@ -31,6 +31,7 @@ import logging
 
 import numpy as np
 
+from ._threads import _pinned_blas
 from .assignment import solve_lap
 from .hypotheses import HypothesisSet, Matching
 
@@ -100,18 +101,6 @@ class _FactoredProblem:
         return self.x2 @ (2.0 * (self.seed + z)) @ self.y2.T
 
 
-def trace_objective(gx: np.ndarray, gy: np.ndarray, s: int, p: np.ndarray) -> float:
-    """tr(Gx^T Q Gy Q^T) with Q = diag(I_s, P), for a doubly-stochastic P."""
-    problem = _FactoredProblem(gx, gy, s)
-    return problem.objective(problem.summary(np.asarray(p, dtype=np.float64)))
-
-
-def trace_gradient(gx: np.ndarray, gy: np.ndarray, s: int, p: np.ndarray) -> np.ndarray:
-    """Gradient of :func:`trace_objective` with respect to the free block P."""
-    problem = _FactoredProblem(gx, gy, s)
-    return problem.gradient(problem.summary(np.asarray(p, dtype=np.float64)))
-
-
 def _random_doubly_stochastic(rng: np.random.Generator, m: int) -> np.ndarray:
     """Sinkhorn-balanced random matrix, averaged with the barycenter.
 
@@ -134,6 +123,7 @@ def _random_doubly_stochastic(rng: np.random.Generator, m: int) -> np.ndarray:
     return k
 
 
+@_pinned_blas()
 def sgm(
     gx: np.ndarray,
     gy: np.ndarray,
@@ -266,6 +256,7 @@ def _direction_lap(gradient: np.ndarray) -> Matching:
     return solve_lap(gradient)
 
 
+@_pinned_blas()
 def soft_sgm(
     gx: np.ndarray,
     gy: np.ndarray,

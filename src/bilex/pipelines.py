@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evaluation
+from ._threads import _pinned_blas
 from .embeddings import EmbeddingMatrix, load_embeddings, normalize
 from .graph_matching import (
     build_graph,
@@ -35,7 +36,7 @@ from .graph_matching import (
 )
 from .hypotheses import HypothesisSet, TopK
 from .lexicon import Lexicon, drop_missing, filter_one_to_one, load_dictionary, split
-from .procrustes import _pinned_blas, extract_hypotheses, solve_procrustes
+from .procrustes import extract_hypotheses, solve_procrustes
 
 # What each method runs: (pipeline, engine). Soft SGM is an ensemble of
 # restarts and the combined cycle alternates both engines, so neither

@@ -15,18 +15,18 @@ a mapped row is its inner product with the target. CSLS is symmetric,
 and ``W^T`` maps the reverse problem at every rank, since
 ``Y^T X = (X^T Y)^T``: so the same pass also finds each target's best
 source, which is the reverse direction's top-1.
+
+Fitting and applying a map and extraction hold the BLAS pin of
+:mod:`bilex._threads`, and extraction scores on its block pool.
 """
 
 from __future__ import annotations
 
-import ctypes
-import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _threads
 # Nothing here calls solve_lap; perfbench/tracer.py wraps this name.
 from .assignment import solve_lap  # noqa: F401
 from .hypotheses import TopK
@@ -44,6 +44,7 @@ class OrthogonalMap:
     w: np.ndarray
     rank: int | None = None
 
+    @_threads._pinned_blas()
     def __post_init__(self):
         w = np.asarray(self.w, dtype=np.float64)
         object.__setattr__(self, "w", w)
@@ -54,10 +55,12 @@ class OrthogonalMap:
         if np.abs(p @ p - p).max() > 1e-8 or abs(np.trace(p) - rank) > 1e-8:
             raise ValueError(f"map is not a partial isometry: W^T W is not a rank-{rank} projector")
 
+    @_threads._pinned_blas()
     def apply(self, vectors: np.ndarray) -> np.ndarray:
         return np.asarray(vectors, dtype=np.float64) @ self.w
 
 
+@_threads._pinned_blas()
 def solve_procrustes(src_seed: np.ndarray, tgt_seed: np.ndarray) -> OrthogonalMap:
     """The seed-span map ``U_r V_r^T`` of ``X^T Y = U S V^T``, for
     X = src_seed and Y = tgt_seed; when r = d, the orthogonal map that
@@ -91,76 +94,6 @@ _BLOCK_BYTES = 4 << 20
 # row top-k and the column winners take a few rows (or columns) at a
 # time, so that no block is held twice.
 _CHUNK_BYTES = 256 << 10
-
-# Most threads that score blocks at once, the calling thread included:
-# more have not been measured, and each holds one block buffer and its
-# own column winners.
-_MAX_WORKERS = 2
-
-
-def _blas_thread_calls():
-    """numpy's OpenBLAS (set, get) thread-count calls; None for MKL or Accelerate."""
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy 1.x
-        from numpy.core import _multiarray_umath as umath
-    lib = ctypes.CDLL(umath.__file__)
-    for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
-                 "openblas_{}_num_threads"):
-        if hasattr(lib, name.format("set")) and hasattr(lib, name.format("get")):
-            return (ctypes.CFUNCTYPE(None, ctypes.c_int)((name.format("set"), lib)),
-                    ctypes.CFUNCTYPE(ctypes.c_int)((name.format("get"), lib)))
-    return None
-
-
-_BLAS_THREADS = _blas_thread_calls()
-
-
-@contextmanager
-def _pinned_blas():
-    """numpy's BLAS on one thread for the body, process-wide; a no-op without thread calls."""
-    if _BLAS_THREADS is None:
-        yield
-        return
-    set_threads, get_threads = _BLAS_THREADS
-    threads = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(threads)
-
-
-def _workers() -> int:
-    """Threads that score blocks: up to ``_MAX_WORKERS`` of this process's
-    CPUs when numpy's BLAS can be pinned to one thread, else 1 (an
-    unpinned BLAS may already run each product on every CPU)."""
-    if _BLAS_THREADS is None:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(_MAX_WORKERS, cpus)
-
-
-def _in_runs(work, blocks: list[slice], buffers: list) -> list:
-    """``work(run, buffer)`` for each run of consecutive blocks, in run
-    order, which is row order.
-
-    The blocks are cut into ``min(len(buffers), len(blocks))`` runs whose
-    block counts differ by at most one, and run i gets ``buffers[i]``.
-    The calling thread works the first run; a pool made for the call
-    works the others, and its threads are joined before this returns,
-    also when a run raises.
-    """
-    n = min(len(buffers), len(blocks))
-    runs = [blocks[len(blocks) * i // n : len(blocks) * (i + 1) // n] for i in range(n)]
-    if n < 2:
-        return [work(run, buffer) for run, buffer in zip(runs, buffers)]
-    with ThreadPoolExecutor(n - 1) as pool:
-        rest = [pool.submit(work, run, buffer) for run, buffer in zip(runs[1:], buffers[1:])]
-        return [work(runs[0], buffers[0])] + [future.result() for future in rest]
 
 
 def _slices(n_rows: int, n_cols: int, nbytes: int) -> list[slice]:
@@ -255,7 +188,7 @@ def _row_top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return cand, vals
 
 
-@_pinned_blas()
+@_threads._pinned_blas()
 def extract_hypotheses(
     mapped_src: np.ndarray,
     tgt: np.ndarray,
@@ -288,10 +221,10 @@ def extract_hypotheses(
 
     BLAS runs on one thread. When this process has more CPUs, each pass
     cuts its blocks into runs, one per block thread, the calling thread
-    included (:func:`_in_runs`). A run takes the row top-k of its blocks
-    and keeps its own column winners; those are merged in row order, and
-    a later run's winner replaces an earlier one only when its score is
-    strictly higher.
+    included (``_threads._in_runs``). A run takes the row top-k of its
+    blocks and keeps its own column winners; those are merged in row
+    order, and a later run's winner replaces an earlier one only when its
+    score is strictly higher.
     Blocks, sums and ties are the same whatever the number of threads,
     so the results are equal bit for bit.
     """
@@ -313,7 +246,7 @@ def extract_hypotheses(
         + [(rows.stop - rows.start) * n_src for rows in tgt_blocks],
         default=0,
     )
-    n_buffers = min(_workers(), max(len(src_blocks), len(tgt_blocks)))
+    n_buffers = min(_threads._workers(), max(len(src_blocks), len(tgt_blocks)))
     buffers = [np.empty(cells) for _ in range(n_buffers)]
 
     def product(a, rows, b, buffer):
@@ -329,7 +262,7 @@ def extract_hypotheses(
             for rows in run
         ]
 
-    tgt_avgs = np.concatenate(sum(_in_runs(target_means, tgt_blocks, buffers), []))
+    tgt_avgs = np.concatenate(sum(_threads._in_runs(target_means, tgt_blocks, buffers), []))
 
     def score(rows, buffer):
         scores = product(mapped_src, rows, tgt, buffer)
@@ -351,7 +284,7 @@ def extract_hypotheses(
             _column_best(scores, rows.start, best, arg)
         return best, arg
 
-    (best, arg), *later = _in_runs(rank, src_blocks, buffers)
+    (best, arg), *later = _threads._in_runs(rank, src_blocks, buffers)
     for run_best, run_arg in later:  # in row order: a tie keeps the earlier row
         rose = run_best > best
         best[rose], arg[rose] = run_best[rose], run_arg[rose]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import bilex
-from bilex import EmbeddingMatrix, ExperimentSpec, Lexicon, normalize, pipelines
+from bilex import EmbeddingMatrix, ExperimentSpec, Lexicon, graph_matching, normalize, pipelines
 
 
 def make_planted(n=60, d=10, noise=0.0, seed=0):
@@ -55,6 +55,15 @@ def frobenius(gx, gy, perm) -> float:
     """||Gx - Gy[perm][:, perm]||_F^2, the matching objective SGM minimizes."""
     perm = np.asarray(perm)
     return float(((gram(gx) - gram(gy)[np.ix_(perm, perm)]) ** 2).sum())
+
+
+def trace_form(gx, gy, s, p) -> tuple[float, np.ndarray]:
+    """``tr(Gx^T Q Gy Q^T)`` with ``Q = diag(I_s, P)`` for a doubly-stochastic
+    P, and its gradient with respect to P, as the solver states them
+    (``graph_matching._FactoredProblem``)."""
+    problem = graph_matching._FactoredProblem(gx, gy, s)
+    z = problem.summary(np.asarray(p, dtype=np.float64))
+    return problem.objective(z), problem.gradient(z)
 
 
 def correlated_pair(n, s, noise, rng, d=4):

@@ -21,7 +21,8 @@ import test_assignment
 import test_graph_matching
 import test_sgm_factored
 from bilex import assignment, build_graph, graph_matching, solve_lap
-from bilex.graph_matching import INIT_MODES, trace_gradient
+from bilex.graph_matching import INIT_MODES
+from conftest import trace_form
 
 
 def assert_same_refinement(cost):
@@ -51,7 +52,7 @@ def frank_wolfe_gradients(gx, gy, s, moves):
     p = np.full((m, m), 1.0 / m)
     costs = []
     for _ in range(moves + 1):
-        costs.append(-trace_gradient(gx, gy, s, p))
+        costs.append(-trace_form(gx, gy, s, p)[1])
         p = vertex(solve_lap(costs[-1]).perm)
     return costs
 
@@ -107,7 +108,8 @@ def test_reduced_cost_on_frank_wolfe_gradients():
     rng = np.random.default_rng(13)
     x, y = test_sgm_factored.noisy_planted_rows(600, 30, 100, 1.5, rng)
     gx, gy = build_graph(x), build_graph(y)
-    randomized = -trace_gradient(gx, gy, 100, graph_matching._random_doubly_stochastic(rng, 500))
+    start = graph_matching._random_doubly_stochastic(rng, 500)
+    randomized = -trace_form(gx, gy, 100, start)[1]
     for cost in frank_wolfe_gradients(gx, gy, 100, moves=3) + [randomized]:
         assert assert_reduction_keeps_the_optimum(cost)
 
@@ -131,7 +133,8 @@ def test_reduced_cost_with_equal_rows():
     rng = np.random.default_rng(15)
     x, y = test_sgm_factored.noisy_planted_rows(220, 10, 20, 1.0, rng)
     x[21:] = x[20]
-    cost = -trace_gradient(build_graph(x), build_graph(y), 20, np.full((200, 200), 1.0 / 200))
+    barycenter = np.full((200, 200), 1.0 / 200)
+    cost = -trace_form(build_graph(x), build_graph(y), 20, barycenter)[1]
     assert (cost == cost[0]).all()
     for tied in (cost, np.round(4.0 * cost) / 4.0):
         assert not assert_reduction_keeps_the_optimum(tied)

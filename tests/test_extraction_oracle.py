@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import reference_extraction as reference
-from bilex import extract_hypotheses, procrustes
+from bilex import _threads, extract_hypotheses, procrustes
 from conftest import blas_env
 
 B = 4  # rows per source block in the small-budget grid
@@ -30,8 +30,8 @@ def one_block_thread(monkeypatch):
     """Every test here that does not set the number of block threads
     itself scores on one thread, and the references compute on the one
     BLAS thread that extraction pins, whatever this host has."""
-    monkeypatch.setattr(procrustes, "_workers", lambda: 1)
-    with procrustes._pinned_blas():
+    monkeypatch.setattr(_threads, "_workers", lambda: 1)
+    with _threads._pinned_blas():
         yield
 
 
@@ -59,7 +59,7 @@ def extract(src, tgt, **kwargs):
     results = []
     with pytest.MonkeyPatch.context() as patch:
         for workers in (1, 2, 3):
-            patch.setattr(procrustes, "_workers", lambda: workers)
+            patch.setattr(_threads, "_workers", lambda: workers)
             results.append(extract_hypotheses(src, tgt, **kwargs))
     first = results[0]
     for other in results[1:]:
@@ -242,7 +242,7 @@ def test_column_ties_across_blocks_solve_transposed_problem(monkeypatch, scorer)
 def run_of_row(n_rows, n_cols, workers):
     """The run that scores each row when ``workers`` threads score blocks."""
     blocks = procrustes._row_blocks(n_rows, n_cols)
-    runs = procrustes._in_runs(lambda run, buffer: run, blocks, [None] * workers)
+    runs = _threads._in_runs(lambda run, buffer: run, blocks, [None] * workers)
     return np.repeat(np.arange(len(runs)), [run[-1].stop - run[0].start for run in runs])
 
 
@@ -386,7 +386,7 @@ def test_runs_cover_blocks_in_order_with_near_equal_counts(workers):
     buffers = [object() for _ in range(workers)]
     for n_blocks in range(8):
         blocks = [slice(2 * i, 2 * i + 2) for i in range(n_blocks)]
-        runs = procrustes._in_runs(lambda run, buffer: (run, buffer), blocks, buffers)
+        runs = _threads._in_runs(lambda run, buffer: (run, buffer), blocks, buffers)
         assert [buffer for _, buffer in runs] == buffers[: len(runs)]
         runs = [run for run, _ in runs]
         assert len(runs) == min(workers, n_blocks)
@@ -399,9 +399,9 @@ def test_row_blocks_do_not_follow_the_blas_setting(monkeypatch):
     monkeypatch.setattr(procrustes, "_BLOCK_BYTES", 8 * 48 * 10)
     want = [slice(0, 48), slice(48, 96), slice(96, 100)]
     for workers in (1, 2, 3):
-        monkeypatch.setattr(procrustes, "_workers", lambda: workers)
+        monkeypatch.setattr(_threads, "_workers", lambda: workers)
         assert procrustes._row_blocks(100, 10) == want
-    monkeypatch.setattr(procrustes, "_BLAS_THREADS", None)  # BLAS cannot be pinned
+    monkeypatch.setattr(_threads, "_BLAS_THREADS", None)  # BLAS cannot be pinned
     assert procrustes._row_blocks(100, 10) == want
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     assert procrustes._row_blocks(100, 10) == want
@@ -422,7 +422,7 @@ def test_peak_memory_is_a_few_blocks(monkeypatch):
     for workers in (1, 2):
         bound = 2 * workers * procrustes._BLOCK_BYTES
         assert bound < n * n * 8 / 2
-        monkeypatch.setattr(procrustes, "_workers", lambda: workers)
+        monkeypatch.setattr(_threads, "_workers", lambda: workers)
         tracemalloc.start()
         try:
             extract_hypotheses(src, tgt, top_k=5)
@@ -515,8 +515,8 @@ def test_iterproc_dump_identical_on_one_and_two_block_workers():
     def dump_digest(cpus) -> str:
         script = (
             f"import os\nos.sched_setaffinity(0, {set(cpus)!r})\n"
-            "from bilex import procrustes\n"
-            "print(procrustes._workers(), end=' ')\n"
+            "from bilex import _threads\n"
+            "print(_threads._workers(), end=' ')\n"
         ) + _THREADED_ITERPROC
         done = subprocess.run(
             [sys.executable, "-c", script], env=blas_env("1"),
@@ -544,7 +544,7 @@ def test_two_workers_score_on_the_calling_thread_and_one_more(monkeypatch):
     monkeypatch.setattr(procrustes, "_BLOCK_BYTES", 8 * B * 40)
     rng = np.random.default_rng(44)
     src, tgt = scalar_rows(rng, 40), scalar_rows(rng, 40)
-    monkeypatch.setattr(procrustes, "_workers", lambda: 2)
+    monkeypatch.setattr(_threads, "_workers", lambda: 2)
     got = extract_hypotheses(src, tgt, top_k=3)[0].hypotheses()
     assert len(scoring_threads) == 2 and threading.get_ident() in scoring_threads
     want = reference.extract_hypotheses(src, tgt, top_k=3)
@@ -552,7 +552,7 @@ def test_two_workers_score_on_the_calling_thread_and_one_more(monkeypatch):
 
 
 def test_worker_error_reaches_the_caller_and_no_thread_outlives_the_call(monkeypatch):
-    monkeypatch.setattr(procrustes, "_workers", lambda: 2)
+    monkeypatch.setattr(_threads, "_workers", lambda: 2)
     monkeypatch.setattr(procrustes, "_BLOCK_BYTES", 8 * B * 20)
     rng = np.random.default_rng(45)
     src, tgt = 3.0 * unit_rows(rng.normal(size=(20, 4))), unit_rows(rng.normal(size=(20, 4)))

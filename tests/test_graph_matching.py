@@ -14,10 +14,8 @@ from bilex import (
     soft_sgm,
     solve_lap,
     top_k_from_distribution,
-    trace_gradient,
-    trace_objective,
 )
-from conftest import DIAG4_X, DIAG4_Y, correlated_pair, frobenius, gram, sinkhorn
+from conftest import DIAG4_X, DIAG4_Y, correlated_pair, frobenius, gram, sinkhorn, trace_form
 from reference_pipelines import top_k_from_distribution as per_source_loop
 
 
@@ -187,10 +185,10 @@ class TestSgm:
                 - 2 * np.trace(a.T @ gy_moved)
             )
             assert lhs == pytest.approx(rhs, abs=1e-9 * max(1.0, abs(rhs)))
-            # and the block trace_objective agrees with the full-matrix trace
+            # and the block trace form agrees with the full-matrix trace
             p = np.zeros((n - s, n - s))
             p[np.arange(n - s), tail] = 1.0
-            assert trace_objective(gx, gy, s, p) == pytest.approx(
+            assert trace_form(gx, gy, s, p)[0] == pytest.approx(
                 float(np.trace(a.T @ gy_moved)), abs=1e-9
             )
 
@@ -207,7 +205,7 @@ class TestSgm:
             x = rng.normal(size=(n, 4))
             y = rng.normal(size=(n, 4))
             for gx, gy in ((x, y), (x4, y3), (x4, y)):
-                grad = trace_gradient(gx, gy, s, p)
+                grad = trace_form(gx, gy, s, p)[1]
                 step = 1e-6
                 fd = np.zeros_like(grad)
                 for i in range(m):
@@ -215,8 +213,8 @@ class TestSgm:
                         bump = np.zeros((m, m))
                         bump[i, j] = step
                         fd[i, j] = (
-                            trace_objective(gx, gy, s, p + bump)
-                            - trace_objective(gx, gy, s, p - bump)
+                            trace_form(gx, gy, s, p + bump)[0]
+                            - trace_form(gx, gy, s, p - bump)[0]
                         ) / (2 * step)
                 rel = np.abs(grad - fd).max() / max(1e-12, np.abs(fd).max())
                 assert rel < 1e-6

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 from scipy.optimize import quadratic_assignment
 
-from bilex import build_graph, graph_matching, pipelines, sgm, solve_lap, trace_objective
+from bilex import build_graph, graph_matching, pipelines, sgm, solve_lap
 from bilex.graph_matching import INIT_MODES, _random_doubly_stochastic
 from bilex.hypotheses import Matching
-from conftest import DIAG4_X, DIAG4_Y, blas_env, gram
+from conftest import DIAG4_X, DIAG4_Y, blas_env, gram, trace_form
 
 
 def _best_step(a: float, b: float) -> float:
@@ -106,7 +106,7 @@ def assert_same_solve(gx, gy, s, seed, max_iters=30, eps=0.03, **options):
         fast = stopped_after(sgm, stop)
         np.testing.assert_array_equal(fast.perm, stopped_after(dense_sgm, stop, eps=eps).perm)
         assert (fast.iterations, fast.capped) == (t, step["delta"] >= eps)
-        want = trace_objective(gx, gy, s, np.eye(len(gx) - s)[fast.perm[s:] - s])
+        want = trace_form(gx, gy, s, np.eye(len(gx) - s)[fast.perm[s:] - s])[0]
         assert fast.objective == pytest.approx(want, abs=1e-9 * max(1.0, abs(want)))
         moved = moved or step["alpha"] == 1.0
         if moved:  # the dense iterate is the vertex the solve returns
@@ -409,7 +409,7 @@ class TestScipyFaq:
 
         p = np.zeros((n - s, n - s))
         p[np.arange(n - s), planted[s:] - s] = 1.0
-        assert trace_objective(gx, gy, s, p) == pytest.approx(theirs.fun, rel=1e-9)
+        assert trace_form(gx, gy, s, p)[0] == pytest.approx(theirs.fun, rel=1e-9)
 
 
 _THREADED_SOLVE = """
