@@ -18,7 +18,7 @@ from .embeddings import (
     normalize,
 )
 from .evaluation import MetricsReport, metrics_report, p_at_1, prf_at_5
-from .graph_matching import build_graph, sgm, soft_sgm, top_k_from_distribution
+from .graph_matching import WorkingSetError, build_graph, sgm, soft_sgm, top_k_from_distribution
 from .hypotheses import HypothesisSet, Matching, TopK
 from .lexicon import (
     DictionaryFormatError,
@@ -33,7 +33,6 @@ from .pipelines import (
     Dataset,
     ExperimentSpec,
     RunResult,
-    WorkingSetError,
     assemble,
     build_dataset,
     run,

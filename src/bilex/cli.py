@@ -25,7 +25,7 @@ import json
 import math
 import sys
 import typing
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,7 @@ import numpy as np
 from . import __version__, pipelines
 from .embeddings import EmbeddingFormatError, NormalizationError, load_embeddings, open_text
 from .evaluation import metrics_report
+from .graph_matching import WorkingSetError
 from .hypotheses import HypothesisSet
 from .lexicon import (
     DictionaryFormatError,
@@ -56,6 +57,8 @@ _SPEC_TYPES = {
     name: next(a for a in typing.get_args(hint) or (hint,) if a is not type(None))
     for name, hint in typing.get_type_hints(pipelines.ExperimentSpec).items()
 }
+# ExperimentSpec fields without a default, in field order.
+_SPEC_REQUIRED = [f.name for f in fields(pipelines.ExperimentSpec) if f.default is MISSING]
 _SPEC_HELP = {"h": "Stochastic-Add sample growth", "iters": "iterations / cycles N"}
 
 
@@ -146,8 +149,7 @@ def _build_spec(args) -> pipelines.ExperimentSpec:
     merged.update(
         {key: value for key, value in vars(args).items() if key in _SPEC_TYPES}
     )
-    required = ("src_emb", "tgt_emb", "dictionary", "seeds")
-    missing = [key for key in required if key not in merged]
+    missing = [key for key in _SPEC_REQUIRED if key not in merged]
     if missing:
         raise ValueError(f"missing required option(s): {', '.join(missing)}")
     return pipelines.ExperimentSpec(**merged)
@@ -291,7 +293,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except pipelines.WorkingSetError as exc:
+    except WorkingSetError as exc:
         print(f"memory error: {exc}", file=sys.stderr)
         return EXIT_MEMORY
     except (EmbeddingFormatError, DictionaryFormatError, HypothesisFormatError) as exc:

@@ -241,10 +241,13 @@ def normalize(emb: EmbeddingMatrix, passes: int = 1) -> EmbeddingMatrix:
 
     The three steps run in that order, once per pass (one pass by
     default). Raises :class:`NormalizationError` naming the first
-    offending row if any row has, or acquires, zero norm.
+    offending row if any row has, or acquires, zero norm. A matrix
+    without rows, which has no column mean, is returned unchanged.
     """
     if passes < 0:
         raise ValueError("passes must be non-negative")
+    if not len(emb.vectors):
+        return emb
     vectors = emb.vectors.copy()
     for _ in range(passes):
         _unit_rows(vectors, "before unit scaling")

@@ -31,22 +31,16 @@ class MetricsReport:
         }
 
 
-def _tally(hyps: HypothesisSet, gold_test: Lexicon, depth: int | None) -> MetricsReport:
-    """All metrics in one pass over the test words.
-
-    The @5 figures read the first ``depth`` hypotheses of each test word;
-    with ``depth`` None a test word's list longer than 5 is an error.
-    """
+def _tally(hyps: HypothesisSet, gold_test: Lexicon) -> MetricsReport:
+    """All metrics in one pass over the test words, each reading the first
+    5 hypotheses of a test word's list."""
     if len(gold_test) == 0:
         raise ValueError("test set is empty")
     if not gold_test.is_one_to_one():
         raise ValueError("gold test lexicon must be one-to-one")
     hits = total = covered = 0
     for src, tgt in gold_test.pairs:
-        ranked = hyps.entries.get(src, ())
-        if depth is None and len(ranked) > 5:
-            raise ValueError(f"hypothesis list for {src!r} longer than 5")
-        top = [cand for cand, _ in ranked[:depth]]
+        top = [cand for cand, _ in hyps.entries.get(src, ())[:5]]
         hits += bool(top) and top[0] == tgt
         total += len(top)
         covered += tgt in top
@@ -70,20 +64,21 @@ def p_at_1(hyps: HypothesisSet, gold_test: Lexicon) -> float:
 
     Test words with no hypothesis count as wrong.
     """
-    return _tally(hyps, gold_test, 5).p_at_1
+    return _tally(hyps, gold_test).p_at_1
 
 
 def prf_at_5(hyps: HypothesisSet, gold_test: Lexicon):
-    """(precision, recall, f1, total_hyps) over test-word hypothesis lists.
+    """(precision, recall, f1, total_hyps) over test-word hypothesis lists
+    truncated to 5, as in :func:`metrics_report`.
 
     Precision counts correct (source, target) pairs over all emitted
     pairs; recall counts test words whose gold target appears anywhere
     in their list; F1 is the harmonic mean (zero when both are zero).
     """
-    report = _tally(hyps, gold_test, None)
+    report = _tally(hyps, gold_test)
     return report.precision_at_5, report.recall_at_5, report.f1_at_5, report.total_hyps
 
 
 def metrics_report(hyps: HypothesisSet, gold_test: Lexicon) -> MetricsReport:
     """Full report; hypothesis lists are truncated to 5 for the @5 metrics."""
-    return _tally(hyps, gold_test, 5)
+    return _tally(hyps, gold_test)

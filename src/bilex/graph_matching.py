@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import copy
 import logging
+import os
 
 import numpy as np
 
@@ -38,6 +39,18 @@ from .hypotheses import HypothesisSet, Matching
 logger = logging.getLogger(__name__)
 
 INIT_MODES = ("barycenter", "randomized")
+
+
+class WorkingSetError(MemoryError):
+    """A graph solve would need more than physical memory."""
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
 
 
 def build_graph(vectors: np.ndarray, order=None) -> np.ndarray:
@@ -183,7 +196,10 @@ def sgm(
     ``rng`` taken before the draw, only to project a start that never
     moved. ``rng`` itself is consumed by the relabeling and one draw of
     the start. So a solve from either start holds one m x m float64
-    array at a time; the LAP's refinement works in row blocks.
+    array at a time; the LAP's refinement works in row blocks. Before it
+    touches ``rng`` or makes any m x m array, a solve whose estimate of
+    1.25 such arrays exceeds physical memory raises
+    :class:`WorkingSetError`.
     """
     n = len(gx)
     if n != len(gy):
@@ -196,6 +212,17 @@ def sgm(
         raise ValueError(f"init must be one of {INIT_MODES}, got {init!r}")
 
     m = n - s
+    # One m x m float64 array at a time, the gradient or a redrawn random
+    # start: 1.24 arrays measured at m = 1000 from the barycenter, 1.21
+    # from a random start, moving or not.
+    arrays = 1.25
+    need, have = arrays * 8.0 * m * m, _physical_memory()
+    if have is not None and need > have:
+        raise WorkingSetError(
+            f"a graph solve at m = {m} free vertices needs about {need / 2**30:.1f} GiB "
+            f"({arrays} m x m float64 arrays), more than the {have / 2**30:.1f} GiB "
+            "of physical memory"
+        )
     sigma = rng.permutation(m)
     problem = _FactoredProblem(gx, gy[np.concatenate([np.arange(s), s + sigma])], s)
 

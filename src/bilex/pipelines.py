@@ -19,7 +19,6 @@ from the experiment's single rng seed and fixed structural indices
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from dataclasses import dataclass
 
@@ -469,45 +468,6 @@ def _combined(spec: ExperimentSpec, ds: Dataset):
     return records, _hypotheses(src_words, tgt_words, final)
 
 
-class WorkingSetError(MemoryError):
-    """The graph solves of a run would need more than physical memory."""
-
-
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where the system does not say."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, OSError, ValueError):
-        return None
-
-
-def _check_working_set(spec: ExperimentSpec, ds: Dataset) -> None:
-    """Raise WorkingSetError when one graph solve of ``spec`` on ``ds``
-    would not fit in physical memory. The estimate takes the first solve's
-    m, the dataset's test pairs, and counts only its m x m arrays: 1.25,
-    from the barycenter or a random start alike.
-
-    The first solve's m bounds every later one, as no later solve has
-    fewer seeds than the gold seeds. Hard seeding puts every seed pair in
-    both directions' top-1, so the seeds of an Add-All or Active round
-    contain the previous round's; Stochastic-Add and the combined cycle
-    admit the gold seeds by construction."""
-    if METHODS[spec.method][1] == "proc":
-        return
-    # One solve holds one m x m float64 array at a time, the gradient or a
-    # redrawn random start (1.24 measured at m = 1000 from the barycenter,
-    # 1.21 from a random start, moving or not).
-    arrays = 1.25
-    m = len(ds.gold_test)
-    need, have = arrays * 8.0 * m * m, _physical_memory()
-    if have is not None and need > have:
-        raise WorkingSetError(
-            f"{spec.method} at m = {m} free vertices needs about {need / 2**30:.1f} GiB "
-            f"({arrays} m x m float64 arrays), more than the {have / 2**30:.1f} GiB "
-            "of physical memory"
-        )
-
-
 @dataclass
 class RunResult:
     """Structured outcome of one experiment run."""
@@ -521,10 +481,10 @@ class RunResult:
 def run(spec: ExperimentSpec, dataset: Dataset | None = None) -> RunResult:
     """Dispatch an experiment by method and evaluate the final hypotheses.
 
-    Before a graph solve starts, raises WorkingSetError when its m x m
-    arrays would exceed physical memory (see ``_check_working_set``).
-    numpy's BLAS runs on one thread, process-wide, until this returns or
-    raises, so the dump does not depend on its thread count.
+    Each graph solve raises WorkingSetError before it starts when its
+    m x m arrays would exceed physical memory (see ``sgm``). numpy's
+    BLAS runs on one thread, process-wide, until this returns or raises,
+    so the dump does not depend on its thread count.
     """
     problems = spec.validate()
     if problems:
@@ -534,7 +494,6 @@ def run(spec: ExperimentSpec, dataset: Dataset | None = None) -> RunResult:
         started = time.perf_counter()
         ds = dataset if dataset is not None else assemble(spec)
         timings["prepare_s"] = time.perf_counter() - started
-        _check_working_set(spec, ds)
 
         started = time.perf_counter()
         pipeline = METHODS[spec.method][0]

@@ -145,10 +145,11 @@ def _top_k_means(sims: np.ndarray, k: int, sequential: bool, overwrite: bool = F
             top = top[:, n_cols - k :]
         means.append((np.asfortranarray(top) if sequential else top).mean(axis=1))
     means = np.concatenate(means)
-    if (np.abs(means) > 1.0 + 1e-9).any():
+    # Stated so that NaN fails it too: NaN scores would rank as ties.
+    if not (np.abs(means) <= 1.0 + 1e-9).all():
         raise ValueError(
-            "neighborhood averages outside [-1, 1]; "
-            "rows must be unit-norm for cosine scoring"
+            "neighborhood averages outside [-1, 1] or not finite; "
+            "rows must be finite and unit-norm for cosine scoring"
         )
     return means
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bilex import ExperimentSpec, pipelines
+from bilex import ExperimentSpec, graph_matching
 from bilex.cli import (
     EXIT_IO,
     EXIT_MEMORY,
@@ -274,7 +274,7 @@ class TestExitCodes:
     def test_solve_beyond_physical_memory_is_memory_error(self, tmp_path, planted_files,
                                                           monkeypatch, capsys):
         src, tgt, dictionary = planted_files(n=30, d=6, seed=4)
-        monkeypatch.setattr(pipelines, "_physical_memory", lambda: 1024)
+        monkeypatch.setattr(graph_matching, "_physical_memory", lambda: 1024)
         code = main([
             "run", "--method", "sgm", "--seeds", "8", "--src-emb", str(src),
             "--tgt-emb", str(tgt), "--dict", str(dictionary), "--out", str(tmp_path / "r.json"),
@@ -432,7 +432,9 @@ class TestExitCodes:
     def test_missing_required_spec_key_is_usage_error(self, capsys):
         code = main(["run", "--method", "sgm"])
         assert code == EXIT_USAGE
-        assert "missing required" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: missing required option(s): src_emb, tgt_emb, dictionary, seeds\n"
+        )
 
     def test_zero_vector_row_is_numeric_error(self, tmp_path):
         write_vec(tmp_path / "s.vec", ["a", "b", "c"], np.array(
@@ -447,6 +449,20 @@ class TestExitCodes:
             "--dict", str(tmp_path / "d.tsv"),
         ])
         assert code == EXIT_NUMERIC
+
+    def test_empty_embedding_file_is_usage_error_without_warnings(self, tmp_path, capsys):
+        write_vec(tmp_path / "s.vec", [], np.empty((0, 3)))
+        write_pairs(tmp_path / "d.tsv", [("a", "1")])
+        code = main([
+            "run", "--method", "procrustes", "--seeds", "1",
+            "--src-emb", str(tmp_path / "s.vec"),
+            "--tgt-emb", str(tmp_path / "s.vec"),
+            "--dict", str(tmp_path / "d.tsv"),
+        ])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: seed count 1 must be smaller than lexicon size 0\n"
+        )
 
     def test_eval_fixtures_mirror_metric_examples(self, tmp_path, capsys):
         gold = tmp_path / "gold.tsv"

@@ -222,6 +222,11 @@ class TestNormalize:
         assert err.value.row == 0
         assert "before unit scaling" in str(err.value)
 
+    def test_no_rows_are_returned_unchanged(self):
+        # No column mean exists; numpy's empty-mean warnings are errors here.
+        out = normalize(EmbeddingMatrix((), np.empty((0, 3))))
+        assert out.vocab == () and out.vectors.shape == (0, 3)
+
     def test_negative_pass_count_raises(self):
         with pytest.raises(ValueError, match="passes must be non-negative"):
             normalize(EmbeddingMatrix(("a",), np.array([[1.0, 0.0]])), passes=-1)

@@ -87,10 +87,14 @@ class TestPrfAt5:
         assert precision == pytest.approx(100 * want_correct / want_total, abs=1e-9)
         assert recall == pytest.approx(100 * want_correct / 40, abs=1e-9)
 
-    def test_list_longer_than_five_rejected(self):
-        gold = lex(("a", "1"))
-        with pytest.raises(ValueError, match="longer than 5"):
-            prf_at_5(hyp({"a": ["1", "2", "3", "4", "5", "6"]}), gold)
+    def test_list_longer_than_five_is_truncated_as_in_the_report(self):
+        gold = lex(("a", "6"), ("b", "1"))
+        hyps = hyp({"a": ["1", "2", "3", "4", "5", "6"], "b": ["1"]})
+        report = metrics_report(hyps, gold)
+        assert prf_at_5(hyps, gold) == (
+            report.precision_at_5, report.recall_at_5, report.f1_at_5, report.total_hyps
+        )
+        assert report.total_hyps == 6 and report.correct_hyps == 1
 
     def test_precision_recall_identity(self):
         # With one-to-one gold: precision == recall * |test| / total_hyps.

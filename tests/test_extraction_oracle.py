@@ -561,7 +561,8 @@ def test_worker_error_reaches_the_caller_and_no_thread_outlives_the_call(monkeyp
         extract_hypotheses(src, tgt, top_k=2)
     assert type(raised.value) is ValueError
     assert str(raised.value) == (
-        "neighborhood averages outside [-1, 1]; rows must be unit-norm for cosine scoring"
+        "neighborhood averages outside [-1, 1] or not finite; "
+        "rows must be finite and unit-norm for cosine scoring"
     )
     assert threading.active_count() == threads
     # Only the last targets are off the unit sphere: only the pool's run raises.

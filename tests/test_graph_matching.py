@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -387,6 +388,44 @@ class TestSoftSgm:
             got = graph_matching._random_doubly_stochastic(np.random.default_rng(seed), m)
             want = sinkhorn_then_average(np.random.default_rng(seed))
             assert got.tobytes() == want.tobytes()
+
+
+class TestWorkingSetGuard:
+    """Each solve refuses to start when its 1.25 m x m float64 arrays would
+    not fit in physical memory. The memory figure is patched; nothing large
+    is allocated."""
+
+    N, S = 12, 3
+
+    def graphs(self):
+        rng = np.random.default_rng(60)
+        return rng.normal(size=(self.N, 4)), rng.normal(size=(self.N, 4))
+
+    @pytest.mark.parametrize("init", graph_matching.INIT_MODES)
+    def test_sgm_refuses_before_any_work(self, monkeypatch, init):
+        gx, gy = self.graphs()
+        need = 1.25 * 8 * (self.N - self.S) ** 2
+        rng = np.random.default_rng(61)
+        state = rng.bit_generator.state
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the solve started")
+
+        monkeypatch.setattr(graph_matching, "_physical_memory", lambda: math.floor(need) - 1)
+        with monkeypatch.context() as patched:
+            for name in ("_direction_lap", "_random_doubly_stochastic"):
+                patched.setattr(graph_matching, name, no_work)
+            with pytest.raises(graph_matching.WorkingSetError, match="physical memory"):
+                sgm(gx, gy, self.S, rng, init=init)
+            with pytest.raises(graph_matching.WorkingSetError, match="physical memory"):
+                soft_sgm(gx, gy, self.S, runs=2)
+        assert rng.bit_generator.state == state
+        monkeypatch.setattr(graph_matching, "_physical_memory", lambda: math.ceil(need))
+        guarded = sgm(gx, gy, self.S, rng, init=init)
+        monkeypatch.setattr(graph_matching, "_physical_memory", lambda: None)
+        unknown = sgm(gx, gy, self.S, np.random.default_rng(61), init=init)
+        np.testing.assert_array_equal(guarded.perm, unknown.perm)
+        assert soft_sgm(gx, gy, self.S, runs=2).shape == (2, self.N)
 
 
 class TestTopKFromDistribution:

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import re
 import typing
 from pathlib import Path
 
@@ -36,6 +37,28 @@ def test_only_the_thread_module_imports_thread_machinery():
             if any(name.split(".")[0] in machinery for name in names):
                 importers.add(path.name)
     assert importers == {"_threads.py"}
+
+
+def test_only_graph_matching_reads_physical_memory():
+    # Each graph solve checks its own working set (``graph_matching.sgm``).
+    readers = {
+        path.name
+        for path in Path(bilex.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "sysconf"
+    }
+    assert readers == {"graph_matching.py"}
+    for name in ("WorkingSetError", "_physical_memory", "_check_working_set", "os"):
+        assert not hasattr(pipelines, name)
+    assert bilex.WorkingSetError is graph_matching.WorkingSetError
+
+
+def test_readme_layout_names_every_module():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    layout = readme.read_text(encoding="utf-8").split("## Library layout")[1].split("\n## ")[0]
+    listed = re.findall(r"^\| `bilex\.(\w+)`", layout, flags=re.MULTILINE)
+    modules = {path.stem for path in Path(bilex.__file__).parent.glob("*.py")} - {"__init__"}
+    assert sorted(listed) == sorted(modules)
 
 
 def test_run_and_assemble_are_the_only_public_functions_taking_a_spec():

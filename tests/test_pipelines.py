@@ -15,6 +15,7 @@ from bilex import (
     TopK,
     build_dataset,
     evaluation,
+    graph_matching,
     normalize,
     pipelines,
     run,
@@ -570,39 +571,80 @@ class TestRunDispatch:
 
 
 class TestWorkingSetGuard:
-    """``run`` refuses a graph solve whose m x m float64 arrays would not
-    fit in physical memory. The memory figure is patched; nothing large is
-    allocated."""
+    """Each graph solve of a run refuses to start when its m x m float64
+    arrays would not fit in physical memory (``graph_matching.sgm``). The
+    memory figure is patched; nothing large is allocated."""
+
+    @staticmethod
+    def no_graph_work(patched):
+        """Make any Frank-Wolfe gradient, graph LAP or random start fail."""
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a graph solve started")
+
+        patched.setattr(graph_matching._FactoredProblem, "gradient", fail)
+        for name in ("_direction_lap", "_random_doubly_stochastic"):
+            patched.setattr(graph_matching, name, fail)
 
     @pytest.mark.parametrize(
         "method, arrays", [("sgm", 1.25), ("itersgm", 1.25), ("combined", 1.25), ("softsgm", 1.25)]
     )
     def test_refused_before_any_solve_when_it_would_not_fit(self, monkeypatch, method, arrays):
+        # combined starts with its graph component here; from iterproc, see below.
         ds = planted_dataset()
-        spec = make_spec(method=method, iters=1, soft_runs=2)
+        spec = make_spec(method=method, iters=1, soft_runs=2, start="sgm")
         need = arrays * 8 * len(ds.gold_test) ** 2  # m = 45 free vertices
-
-        def no_solve(*args, **kwargs):
-            raise AssertionError("a graph solve started")
-
-        monkeypatch.setattr(pipelines, "_physical_memory", lambda: math.floor(need) - 1)
+        monkeypatch.setattr(graph_matching, "_physical_memory", lambda: math.floor(need) - 1)
         with monkeypatch.context() as patched:
-            patched.setattr(pipelines, "sgm", no_solve)
-            patched.setattr(pipelines, "soft_sgm", no_solve)
-            with pytest.raises(pipelines.WorkingSetError, match="physical memory"):
+            self.no_graph_work(patched)
+            patched.setattr(pipelines, "solve_procrustes", None)  # nor a Procrustes round
+            with pytest.raises(graph_matching.WorkingSetError, match="physical memory"):
                 run(spec, ds)
-        monkeypatch.setattr(pipelines, "_physical_memory", lambda: math.ceil(need))
+        monkeypatch.setattr(graph_matching, "_physical_memory", lambda: math.ceil(need))
         assert run(spec, ds).metrics.p_at_1 == 100.0
+
+    def test_combined_from_iterproc_is_refused_at_its_first_graph_solve(self, monkeypatch):
+        # Five seeds under ten dimensions: the Procrustes round leaves free
+        # vertices, and the cycle's one graph solve comes after it.
+        ds = planted_dataset(seeds=5)
+        spec = make_spec(method="combined", seeds=5, iters=1, proc_inner=1)
+        free, solve = [], pipelines.sgm
+
+        def recorded(gx, gy, s, *args, **kwargs):
+            free.append(len(gx) - s)
+            return solve(gx, gy, s, *args, **kwargs)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(graph_matching, "_physical_memory", lambda: None)
+            patched.setattr(pipelines, "sgm", recorded)
+            unguarded = run(spec, ds)
+        assert 0 < free[0] < len(ds.gold_test)
+        need = 1.25 * 8 * free[0] ** 2
+
+        fits, fit = [], pipelines.solve_procrustes
+        monkeypatch.setattr(graph_matching, "_physical_memory", lambda: math.floor(need) - 1)
+        with monkeypatch.context() as patched:
+            self.no_graph_work(patched)
+            patched.setattr(pipelines, "solve_procrustes", lambda *a: fits.append(1) or fit(*a))
+            with pytest.raises(graph_matching.WorkingSetError, match="physical memory"):
+                run(spec, ds)
+        assert fits == [1]
+        monkeypatch.setattr(graph_matching, "_physical_memory", lambda: math.ceil(need))
+        guarded = run(spec, ds)
+        assert guarded.hypotheses == unguarded.hypotheses
+        assert guarded.iterations == unguarded.iterations
 
     @pytest.mark.parametrize("method", ["procrustes", "iterproc"])
     def test_euclidean_runs_are_not_checked(self, monkeypatch, method):
-        monkeypatch.setattr(pipelines, "_physical_memory", lambda: 0)
+        reads = []
+        monkeypatch.setattr(graph_matching, "_physical_memory", lambda: reads.append(1) or 0)
         assert run(make_spec(method=method, iters=1), planted_dataset()).metrics.p_at_1 == 100.0
+        assert reads == []
 
     def test_unknown_memory_is_not_checked(self, monkeypatch):
-        monkeypatch.setattr(pipelines, "_physical_memory", lambda: None)
+        monkeypatch.setattr(graph_matching, "_physical_memory", lambda: None)
         assert run(make_spec(method="sgm"), planted_dataset()).metrics.p_at_1 == 100.0
 
     def test_physical_memory_is_a_positive_byte_count_or_unknown(self):
-        have = pipelines._physical_memory()
+        have = graph_matching._physical_memory()
         assert have is None or (isinstance(have, int) and have > 0)

@@ -296,9 +296,11 @@ def test_saturated_sgm_round_solves_nothing_and_returns_the_reverse(solves):
      ("itersgm", "stochastic"), ("itersgm", "active"), ("combined", "add_all")],
 )
 def test_no_graph_solve_has_fewer_seeds_than_the_gold_seeds(method, strategy, monkeypatch):
-    # What lets the working-set guard take the first solve's m. Tie-heavy
-    # graphs keep Add-All's later rounds solving; the combined cycle's
-    # Procrustes component needs the unit rows they lack.
+    # No graph solve has more free vertices than the run has test pairs,
+    # so each solve's working-set check in ``sgm`` passes whenever one at
+    # the test-pair count would. Tie-heavy graphs keep Add-All's later
+    # rounds solving; the combined cycle's Procrustes component needs the
+    # unit rows they lack.
     seed_counts = []
     original = graph_matching.sgm
 

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from bilex import _threads, extract_hypotheses, pipelines, procrustes, soft_sgm
+from bilex import _threads, extract_hypotheses, graph_matching, pipelines, procrustes, soft_sgm
 from conftest import blas_env, make_planted, make_spec
 from test_procrustes import unit_rows
 
@@ -197,13 +197,29 @@ class TestBlasPin:
             extract_hypotheses(np.full((2, 2), 2.0), np.ones((2, 2)))
         assert blas.threads == 3
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("side", [0, 1], ids=["source", "target"])
+    def test_non_finite_rows_are_refused(self, monkeypatch, side, workers):
+        # One NaN reaches every neighbourhood mean, and NaN scores would
+        # rank every row's candidates as ties.
+        blas = FakeBlas(3)
+        monkeypatch.setattr(_threads, "_BLAS_THREADS", blas.calls())
+        monkeypatch.setattr(_threads, "_workers", lambda: workers)
+        monkeypatch.setattr(procrustes, "_BLOCK_BYTES", 8 * 2 * 8)  # blocks of two rows
+        rng = np.random.default_rng(51)
+        rows = [unit_rows(rng.normal(size=(8, 3))) for _ in range(2)]
+        rows[side][5, 1] = np.nan
+        with pytest.raises(ValueError, match="not finite"):
+            extract_hypotheses(*rows, top_k=2, csls_k=2)
+        assert blas.threads == 3
+
     def test_run_restores_the_count_when_it_raises(self, monkeypatch):
         blas = FakeBlas(2)
         monkeypatch.setattr(_threads, "_BLAS_THREADS", blas.calls())
-        monkeypatch.setattr(pipelines, "_physical_memory", lambda: 0)
+        monkeypatch.setattr(graph_matching, "_physical_memory", lambda: 0)
         src, tgt, lexicon = make_planted(n=30, d=4, seed=3)
         dataset = pipelines.build_dataset(src, tgt, lexicon, 10)
-        with pytest.raises(pipelines.WorkingSetError):
+        with pytest.raises(graph_matching.WorkingSetError):
             pipelines.run(make_spec(method="sgm", seeds=10), dataset)
         assert blas.sets == [1, 2] and blas.threads == 2
 
