@@ -24,7 +24,6 @@ import argparse
 import json
 import math
 import sys
-import typing
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
@@ -51,12 +50,6 @@ EXIT_PARSE = 3
 EXIT_NUMERIC = 4
 EXIT_MEMORY = 5
 
-# ExperimentSpec field -> the type a config value is coerced to
-# (``int | None`` coerces as ``int``).
-_SPEC_TYPES = {
-    name: next(a for a in typing.get_args(hint) or (hint,) if a is not type(None))
-    for name, hint in typing.get_type_hints(pipelines.ExperimentSpec).items()
-}
 # ExperimentSpec fields without a default, in field order.
 _SPEC_REQUIRED = [f.name for f in fields(pipelines.ExperimentSpec) if f.default is MISSING]
 _SPEC_HELP = {"h": "Stochastic-Add sample growth", "iters": "iterations / cycles N"}
@@ -112,7 +105,7 @@ def _add_spec_arguments(parser) -> None:
     """One flag per ExperimentSpec field: ``--field-name``, except
     ``--dict`` for ``dictionary``."""
     g = parser.add_argument_group("experiment spec")
-    for name, kind in _SPEC_TYPES.items():
+    for name, kind in pipelines.SPEC_TYPES.items():
         g.add_argument(
             "--dict" if name == "dictionary" else "--" + name.replace("_", "-"),
             dest=name,
@@ -123,13 +116,8 @@ def _add_spec_arguments(parser) -> None:
         )
 
 
-def _coerce(key: str, raw: str):
-    if key not in _SPEC_TYPES:
-        raise ValueError(f"unknown config key {key!r}")
-    return _SPEC_TYPES[key](raw)
-
-
 def _read_config(path) -> dict:
+    """The spec fields of a ``key=value`` file, each value of its field's type."""
     values = {}
     with open_text(path, ValueError) as handle:
         for lineno, raw in enumerate(handle, start=1):
@@ -139,15 +127,23 @@ def _read_config(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+            key, value = key.strip().replace("-", "_"), value.strip()
+            kind = pipelines.SPEC_TYPES.get(key)
+            if kind is None:
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            try:
+                values[key] = kind(value)
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: {key} must be {kind.__name__}, got {value!r}"
+                ) from None
     return values
 
 
 def _build_spec(args) -> pipelines.ExperimentSpec:
-    config = _read_config(args.config) if args.config else {}
-    merged = {key: _coerce(key, raw) for key, raw in config.items()}
+    merged = _read_config(args.config) if args.config else {}
     merged.update(
-        {key: value for key, value in vars(args).items() if key in _SPEC_TYPES}
+        {key: value for key, value in vars(args).items() if key in pipelines.SPEC_TYPES}
     )
     missing = [key for key in _SPEC_REQUIRED if key not in merged]
     if missing:
@@ -234,11 +230,6 @@ def _cmd_prep(args) -> int:
 
 def _cmd_run(args) -> int:
     spec = _build_spec(args)
-    problems = spec.validate()
-    if problems:
-        for problem in problems:
-            print(f"spec error: {problem}", file=sys.stderr)
-        return EXIT_USAGE
     result = pipelines.run(spec)
     if args.hyps:
         _write_hypotheses(args.hyps, result.hypotheses)

@@ -31,8 +31,8 @@ class MetricsReport:
         }
 
 
-def _tally(hyps: HypothesisSet, gold_test: Lexicon) -> MetricsReport:
-    """All metrics in one pass over the test words, each reading the first
+def metrics_report(hyps: HypothesisSet, gold_test: Lexicon) -> MetricsReport:
+    """Every metric in one pass over the test words, each reading the first
     5 hypotheses of a test word's list."""
     if len(gold_test) == 0:
         raise ValueError("test set is empty")
@@ -64,7 +64,7 @@ def p_at_1(hyps: HypothesisSet, gold_test: Lexicon) -> float:
 
     Test words with no hypothesis count as wrong.
     """
-    return _tally(hyps, gold_test).p_at_1
+    return metrics_report(hyps, gold_test).p_at_1
 
 
 def prf_at_5(hyps: HypothesisSet, gold_test: Lexicon):
@@ -75,10 +75,6 @@ def prf_at_5(hyps: HypothesisSet, gold_test: Lexicon):
     pairs; recall counts test words whose gold target appears anywhere
     in their list; F1 is the harmonic mean (zero when both are zero).
     """
-    report = _tally(hyps, gold_test)
+    report = metrics_report(hyps, gold_test)
     return report.precision_at_5, report.recall_at_5, report.f1_at_5, report.total_hyps
 
-
-def metrics_report(hyps: HypothesisSet, gold_test: Lexicon) -> MetricsReport:
-    """Full report; hypothesis lists are truncated to 5 for the @5 metrics."""
-    return _tally(hyps, gold_test)

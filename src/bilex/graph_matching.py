@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import copy
 import logging
+import operator
 import os
 
 import numpy as np
@@ -56,7 +57,9 @@ def _physical_memory() -> int | None:
 def build_graph(vectors: np.ndarray, order=None) -> np.ndarray:
     """Gram graph of the selected embedding rows: g[i][j] = <row_i, row_j>.
 
-    Vertex i is embedding row ``order[i]`` (default: every row in turn).
+    Vertex i is embedding row ``order[i]`` (default: every row in turn);
+    an entry that is not an integer, such as a float or a string, raises
+    TypeError.
     The graph is returned as those rows, ``vectors[order]`` in float64;
     no n x n matrix is formed.
     """
@@ -65,7 +68,7 @@ def build_graph(vectors: np.ndarray, order=None) -> np.ndarray:
         raise ValueError("embedding rows must form a 2-D array")
     if order is None:
         order = range(vectors.shape[0])
-    order = [int(i) for i in order]
+    order = [operator.index(i) for i in order]
     if any(i < 0 or i >= vectors.shape[0] for i in order):
         raise IndexError("order contains out-of-range row indices")
     if len(set(order)) != len(order):
@@ -147,7 +150,8 @@ def sgm(
 ) -> Matching:
     """Seeded graph matching by Frank-Wolfe over doubly-stochastic matrices.
 
-    Seeds must occupy indices 0..s-1 in both graph orders. The non-seed
+    Seeds must occupy indices 0..s-1 in both graph orders; an ``s`` that
+    is not an integer raises TypeError. The non-seed
     rows/columns of ``gy`` are always randomly relabeled before solving
     and the relabeling is inverted on the returned matching. Ties among
     LAP optima break toward the smaller index, so without it a caller
@@ -201,7 +205,7 @@ def sgm(
     1.25 such arrays exceeds physical memory raises
     :class:`WorkingSetError`.
     """
-    n = len(gx)
+    n, s = len(gx), operator.index(s)
     if n != len(gy):
         raise ValueError(f"graph sizes differ: {n} vs {len(gy)}")
     if not 0 <= s < n:
@@ -288,35 +292,20 @@ def soft_sgm(
     gx: np.ndarray,
     gy: np.ndarray,
     s: int,
-    runs: int = 10,
-    master_seed=0,
+    rngs: list[np.random.Generator],
     max_iters: int = 30,
 ) -> np.ndarray:
-    """Stack the matchings of ``runs`` SGM runs with random initializations.
+    """Stack the matchings of one randomized-start SGM solve per generator.
 
-    Row ``r`` of the returned ``(runs, n)`` array is run ``r``'s ``perm``.
-    Run ``r`` draws its generator from child ``r`` of a fresh copy of
-    ``master_seed`` (an int or a ``SeedSequence``, which is not consumed):
-    the substream of ``master_seed``'s spawn key extended by ``r``. Runs
-    therefore do not depend on scheduling and could execute in parallel.
+    Row ``r`` of the returned ``(len(rngs), n)`` array is the ``perm`` of
+    the solve that draws from ``rngs[r]``, a non-empty sequence of
+    generators. Each solve has a stream of its own, so the solves do not
+    depend on scheduling and could execute in parallel.
     """
-    if runs < 1:
-        raise ValueError("runs must be positive")
-    if not isinstance(master_seed, np.random.SeedSequence):
-        master_seed = np.random.SeedSequence(master_seed)
-    master = np.random.SeedSequence(master_seed.entropy, spawn_key=master_seed.spawn_key)
+    if not rngs:
+        raise ValueError("soft_sgm needs at least one generator")
     return np.stack(
-        [
-            sgm(
-                gx,
-                gy,
-                s,
-                np.random.default_rng(child),
-                max_iters=max_iters,
-                init="randomized",
-            ).perm
-            for child in master.spawn(runs)
-        ]
+        [sgm(gx, gy, s, rng, max_iters=max_iters, init="randomized").perm for rng in rngs]
     )
 
 

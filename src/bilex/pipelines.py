@@ -5,8 +5,8 @@ extraction) and the graph engine (seeded Frank-Wolfe matching) into
 single runs, bidirectional iterative refinement (Add-All,
 Stochastic-Add, Active-Learning) and the combined cyclic system where
 the two engines alternately seed each other. ``run`` is the one entry
-point: it validates the spec, dispatches it by ``METHODS`` and
-evaluates the final hypotheses.
+point: it dispatches a spec, which checked itself when built, by
+``METHODS`` and evaluates the final hypotheses.
 
 Both framings work on the dictionary-restricted vocabulary by default:
 the graph vertices (and the Euclidean candidate set) are the seed words
@@ -19,8 +19,10 @@ from the experiment's single rng seed and fixed structural indices
 from __future__ import annotations
 
 import itertools
+import numbers
 import time
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -103,8 +105,13 @@ class ExperimentSpec:
     normalize_passes: int = 1
     sgm_max_iters: int = 30
 
-    def validate(self) -> list[str]:
-        """All problems with this spec, as human-readable messages."""
+    def __post_init__(self):
+        """Refuse a spec with one ValueError naming each of its problems.
+
+        The integer fields are those annotated ``int``; each must be an
+        integral value other than a bool, at least 1, or at least 0 for
+        ``_AT_LEAST_ZERO``. A field whose default is None may be None.
+        """
         problems = [
             f"{name} must be one of {allowed}, got {getattr(self, name)!r}"
             for name, allowed in CHOICES.items()
@@ -112,18 +119,29 @@ class ExperimentSpec:
         ]
         if self.vocab_mode == "top_n" and METHODS.get(self.method, (None, None))[1] != "proc":
             problems.append(
-                "vocab_mode 'top_n' only applies to procrustes/iterproc; the "
+                "vocab_mode 'top_n' only applies to procrustes/iterproc, since the "
                 "graph framing needs equal-size restricted vocabularies"
             )
-        for name in ("seeds", "h", "iters", "csls_k", "soft_runs", "top_k", "sgm_max_iters"):
-            if getattr(self, name) < 1:
-                problems.append(f"{name} must be a positive integer")
-        for name in ("proc_inner", "normalize_passes", "rng_seed"):
-            if getattr(self, name) < 0:
-                problems.append(f"{name} must be a non-negative integer")
-        if self.max_words is not None and self.max_words < 1:
-            problems.append("max_words must be a positive integer")
-        return problems
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if SPEC_TYPES[field.name] is not int or (value is None and field.default is None):
+                continue
+            least = 0 if field.name in _AT_LEAST_ZERO else 1
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                kind = "non-negative" if least == 0 else "positive"
+                problems.append(f"{field.name} must be a {kind} integer, got {value!r}")
+        if problems:
+            raise ValueError("; ".join(problems))
+
+
+# ExperimentSpec field -> the type of its values (``int | None`` gives
+# ``int``); the CLI parses flags and config values with it.
+SPEC_TYPES = {
+    name: next(a for a in typing.get_args(hint) or (hint,) if a is not type(None))
+    for name, hint in typing.get_type_hints(ExperimentSpec).items()
+}
+# The integer fields that may be 0.
+_AT_LEAST_ZERO = ("proc_inner", "normalize_passes", "rng_seed")
 
 
 @dataclass(frozen=True)
@@ -329,7 +347,7 @@ def _sample(pool, count, rng):
 
 
 # ---------------------------------------------------------------------------
-# Pipelines. Only ``run`` calls them, on a spec it has validated.
+# Pipelines. Only ``run`` calls them.
 
 
 def _single(spec: ExperimentSpec, ds: Dataset) -> HypothesisSet:
@@ -345,13 +363,11 @@ def _single(spec: ExperimentSpec, ds: Dataset) -> HypothesisSet:
         result = _engine_run(rows, spec, engine, gold_full[:s], _FORWARD, (_RNG_SINGLE_SGM,))[0]
         return _hypotheses(src_words, tgt_words, result)
     # Gold seeds already occupy the leading restricted rows.
-    master = np.random.SeedSequence(entropy=spec.rng_seed, spawn_key=(_RNG_SOFT,))
     dist = soft_sgm(
         build_graph(rows[0]),
         build_graph(rows[1]),
         s=s,
-        runs=spec.soft_runs,
-        master_seed=master,
+        rngs=[_rng(spec.rng_seed, _RNG_SOFT, r) for r in range(spec.soft_runs)],
         max_iters=spec.sgm_max_iters,
     )
     return top_k_from_distribution(dist, spec.top_k, src_words, tgt_words)
@@ -486,9 +502,6 @@ def run(spec: ExperimentSpec, dataset: Dataset | None = None) -> RunResult:
     BLAS runs on one thread, process-wide, until this returns or raises,
     so the dump does not depend on its thread count.
     """
-    problems = spec.validate()
-    if problems:
-        raise ValueError("; ".join(problems))
     with _pinned_blas():
         timings: dict[str, float] = {}
         started = time.perf_counter()

@@ -87,7 +87,9 @@ def solve_procrustes(src_seed: np.ndarray, tgt_seed: np.ndarray) -> OrthogonalMa
 # Bytes of one float64 block of similarities. Each block thread scores
 # its blocks in one buffer of this size, allocated once per extraction,
 # so extraction's extra memory is O(_BLOCK_BYTES) per thread plus the
-# O((n_src + n_tgt) d) inputs, whatever the vocabulary sizes.
+# O((n_src + n_tgt) d) inputs, whatever the vocabulary sizes. The size
+# does not follow the number of block threads, so a run scores the same
+# blocks on any number of them.
 _BLOCK_BYTES = 4 << 20
 
 # Bytes of one chunk of a block that a selection copies: the means, the
@@ -110,21 +112,6 @@ def _slices(n_rows: int, n_cols: int, nbytes: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n_rows])]
 
 
-def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
-    """The blocks of an extraction pass: row slices of about
-    ``_BLOCK_BYTES`` of float64 each.
-
-    The size does not follow the number of block threads, so a run
-    scores the same blocks on any number of them.
-    """
-    return _slices(n_rows, n_cols, _BLOCK_BYTES)
-
-
-def _chunks(n_rows: int, n_cols: int) -> list[slice]:
-    """Row slices of about ``_CHUNK_BYTES`` of float64, for selections."""
-    return _slices(n_rows, n_cols, _CHUNK_BYTES)
-
-
 def _top_k_means(sims: np.ndarray, k: int, sequential: bool, overwrite: bool = False) -> np.ndarray:
     """Mean of each row's k largest cosines, over chunks of a few rows.
 
@@ -136,7 +123,7 @@ def _top_k_means(sims: np.ndarray, k: int, sequential: bool, overwrite: bool = F
     """
     n_cols = sims.shape[1]
     means = []
-    for rows in _chunks(*sims.shape):
+    for rows in _slices(*sims.shape, _CHUNK_BYTES):
         top = sims[rows]
         if k < n_cols:
             if not overwrite:
@@ -162,7 +149,7 @@ def _column_best(scores: np.ndarray, first_row: int, best: np.ndarray, arg: np.n
     """
     top = scores.max(axis=0)
     rose = np.flatnonzero(top > best)
-    for part in _chunks(rose.size, scores.shape[0]):
+    for part in _slices(rose.size, scores.shape[0], _CHUNK_BYTES):
         cols = rose[part]
         arg[cols] = first_row + scores.T[cols].argmax(axis=1)
         best[cols] = top[cols]
@@ -173,7 +160,7 @@ def _row_top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     with ties toward the smaller column, over chunks of a few rows."""
     n_rows, n_cols = scores.shape
     cand, vals = np.empty((n_rows, k), dtype=np.intp), np.empty((n_rows, k))
-    for rows in _chunks(n_rows, n_cols):
+    for rows in _slices(n_rows, n_cols, _CHUNK_BYTES):
         chunk = scores[rows]
         best = np.argpartition(chunk, n_cols - k, axis=1)[:, n_cols - k :]
         top = np.take_along_axis(chunk, best, axis=1)
@@ -241,7 +228,8 @@ def extract_hypotheses(
     csls_k = min(csls_k, n_tgt, n_src)
     if csls_k < 1:
         raise ValueError("k must be positive")
-    src_blocks, tgt_blocks = _row_blocks(n_src, n_tgt), _row_blocks(n_tgt, n_src)
+    src_blocks = _slices(n_src, n_tgt, _BLOCK_BYTES)
+    tgt_blocks = _slices(n_tgt, n_src, _BLOCK_BYTES)
     cells = max(
         [(rows.stop - rows.start) * n_tgt for rows in src_blocks]
         + [(rows.stop - rows.start) * n_src for rows in tgt_blocks],

@@ -6,8 +6,9 @@ The dense ``_score_matrix``, ``build_csls_index``, ``_top_k_row_mean``,
 oracle for ``bilex.procrustes``: on the same inputs they must give equal
 hypothesis entries, scores included. ``blocked_score_blocks`` and
 ``blocked_extract_hypotheses`` are the row-only blocked extractor that
-the column pass replaced, kept verbatim apart from their names; they use
-the package's ``_row_blocks``, so a patched ``_BLOCK_BYTES`` reaches
+the column pass replaced, kept verbatim apart from their names and their
+slicing; they cut blocks with the package's ``_slices`` and read its
+``_BLOCK_BYTES`` at call time, so a patched ``_BLOCK_BYTES`` reaches
 both. ``top_k_means`` and ``row_top_k`` are the package's selections as
 they were before they took a block a few rows at a time, kept verbatim
 apart from their names. The package scores CSLS only; the oracle keeps
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from bilex import procrustes
 from bilex.hypotheses import HypothesisSet
-from bilex.procrustes import _row_blocks
 
 SCORERS = ("csls", "cosine")
 
@@ -162,10 +163,10 @@ def blocked_score_blocks(mapped_src, tgt, scorer: str = "csls", csls_k: int = 10
         tgt_avgs = np.concatenate(
             [
                 top_k_means(tgt[rows] @ mapped_src.T, k, sequential=True)
-                for rows in _row_blocks(n_tgt, n_src)
+                for rows in procrustes._slices(n_tgt, n_src, procrustes._BLOCK_BYTES)
             ]
         )
-    for rows in _row_blocks(n_src, n_tgt):
+    for rows in procrustes._slices(n_src, n_tgt, procrustes._BLOCK_BYTES):
         cosines = mapped_src[rows] @ tgt.T
         if scorer == "cosine":
             yield rows, cosines

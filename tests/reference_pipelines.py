@@ -8,7 +8,10 @@ same records, seed log and final hypotheses. ``run_single`` and the
 index-keyed ``top_k_from_distribution`` it ranks soft SGM with are kept
 verbatim too, except that the two engine calls of ``run_single`` name
 the forward direction of those helpers, which compute the same forward
-run. The word-level combiners (intersection, union, oracle judge) and
+run, and that its soft SGM hands ``soft_sgm`` one generator per child
+that it spawns itself from the soft master ``SeedSequence``, where
+``soft_sgm`` once took the master and spawned them. The word-level
+combiners (intersection, union, oracle judge) and
 the Stochastic-Add sampler are kept here, since the package now works
 on index arrays; ``oracle_judge`` reads the gold pairs as
 ``frozenset(gold_full.pairs)``, and the graph run builds its own
@@ -241,8 +244,7 @@ def run_single(spec: ExperimentSpec, dataset: Dataset | None = None):
             build_graph(x),
             build_graph(y),
             s=len(gold),
-            runs=spec.soft_runs,
-            master_seed=master,
+            rngs=[np.random.default_rng(child) for child in master.spawn(spec.soft_runs)],
             max_iters=spec.sgm_max_iters,
         )
         indexed = top_k_from_distribution(dist, k=spec.top_k)

@@ -378,12 +378,12 @@ class TestExitCodes:
         config = tmp_path / "exp.cfg"
         config.write_text(f"{REQUIRED_CONFIG}shuffle_input=false\n", encoding="utf-8")
         assert main(["run", "--config", str(config)]) == EXIT_USAGE
-        assert "error: unknown config key 'shuffle_input'" in capsys.readouterr().err
+        assert f"error: {config}:5: unknown config key 'shuffle_input'" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "line, problem",
         [
-            ("sgm_eps=0.03", "error: unknown config key 'sgm_eps'"),
+            ("sgm_eps=0.03", ":5: unknown config key 'sgm_eps'"),
             ("seeds 3", ":5: expected key=value"),
         ],
         ids=["unknown-key", "no-equals-sign"],
@@ -392,17 +392,33 @@ class TestExitCodes:
         config = tmp_path / "exp.cfg"
         config.write_text(f"{REQUIRED_CONFIG}{line}\n", encoding="utf-8")
         assert main(["run", "--config", str(config)]) == EXIT_USAGE
-        assert problem in capsys.readouterr().err
+        assert f"error: {config}{problem}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            ("seeds=ten", ":5: seeds must be int, got 'ten'"),
+            ("iters=2.5", ":5: iters must be int, got '2.5'"),
+        ],
+        ids=["seeds", "iters"],
+    )
+    def test_config_value_of_the_wrong_type_names_file_line_and_key(
+        self, tmp_path, capsys, line, problem
+    ):
+        config = tmp_path / "exp.cfg"
+        config.write_text(f"{REQUIRED_CONFIG}{line}\n", encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {config}{problem}\n"
 
     @pytest.mark.parametrize("name", list(CHOICES))
     def test_unknown_choice_is_usage_error(self, tmp_path, name, capsys):
-        assert f"{name} must be one of" in " ".join(
-            ExperimentSpec("s.vec", "t.vec", "d.tsv", 3, **{name: "warp"}).validate()
-        )
+        with pytest.raises(ValueError, match=f"{name} must be one of"):
+            ExperimentSpec("s.vec", "t.vec", "d.tsv", 3, **{name: "warp"})
         config = tmp_path / "exp.cfg"
         config.write_text(f"{REQUIRED_CONFIG}{name}=warp\n", encoding="utf-8")
         assert main(["run", "--config", str(config)]) == EXIT_USAGE
-        assert f"spec error: {name} must be one of" in capsys.readouterr().err
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {name} must be one of")
         with pytest.raises(SystemExit) as err:
             main(["run", *spec_flag(name, "warp")])
         assert err.value.code == EXIT_USAGE

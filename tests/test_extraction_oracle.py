@@ -241,7 +241,7 @@ def test_column_ties_across_blocks_solve_transposed_problem(monkeypatch, scorer)
 
 def run_of_row(n_rows, n_cols, workers):
     """The run that scores each row when ``workers`` threads score blocks."""
-    blocks = procrustes._row_blocks(n_rows, n_cols)
+    blocks = procrustes._slices(n_rows, n_cols, procrustes._BLOCK_BYTES)
     runs = _threads._in_runs(lambda run, buffer: run, blocks, [None] * workers)
     return np.repeat(np.arange(len(runs)), [run[-1].stop - run[0].start for run in runs])
 
@@ -316,7 +316,7 @@ def test_rows_equal_row_only_extractor_bit_for_bit(monkeypatch, budget_rows, sco
 def test_row_blocks_cover_rows_without_single_row_blocks(monkeypatch, n_cols):
     monkeypatch.setattr(procrustes, "_BLOCK_BYTES", 8 * 3 * n_cols)
     for n_rows in range(0, 30):
-        blocks = procrustes._row_blocks(n_rows, n_cols)
+        blocks = procrustes._slices(n_rows, n_cols, procrustes._BLOCK_BYTES)
         covered = [i for rows in blocks for i in range(rows.start, rows.stop)]
         assert covered == list(range(n_rows))
         sizes = [rows.stop - rows.start for rows in blocks]
@@ -357,7 +357,7 @@ def test_chunked_selections_equal_unchunked_bit_for_bit(monkeypatch, chunk):
             grid = src @ tgt.T
             for scores in (rng.uniform(-1.0, 1.0, size=(n_rows, n_cols)), grid):
                 monkeypatch.setattr(procrustes, "_CHUNK_BYTES", 8 * chunk * n_cols)
-                row_chunks = procrustes._chunks(n_rows, n_cols)
+                row_chunks = procrustes._slices(n_rows, n_cols, procrustes._CHUNK_BYTES)
                 for k in range(1, n_cols + 1):
                     for sequential in (False, True):
                         want = reference.top_k_means(scores, k, sequential).tobytes()
@@ -368,7 +368,7 @@ def test_chunked_selections_equal_unchunked_bit_for_bit(monkeypatch, chunk):
                     got, want = procrustes._row_top_k(scores, k), reference.row_top_k(scores, k)
                     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
                 monkeypatch.setattr(procrustes, "_CHUNK_BYTES", 8 * chunk * n_rows)
-                column_chunks = procrustes._chunks(n_cols, n_rows)
+                column_chunks = procrustes._slices(n_cols, n_rows, procrustes._CHUNK_BYTES)
                 # The column pass over all rows as one block, then as two,
                 # where only some columns rise in the second, against the
                 # unchunked column max and its first row.
@@ -400,11 +400,11 @@ def test_row_blocks_do_not_follow_the_blas_setting(monkeypatch):
     want = [slice(0, 48), slice(48, 96), slice(96, 100)]
     for workers in (1, 2, 3):
         monkeypatch.setattr(_threads, "_workers", lambda: workers)
-        assert procrustes._row_blocks(100, 10) == want
+        assert procrustes._slices(100, 10, procrustes._BLOCK_BYTES) == want
     monkeypatch.setattr(_threads, "_BLAS_THREADS", None)  # BLAS cannot be pinned
-    assert procrustes._row_blocks(100, 10) == want
+    assert procrustes._slices(100, 10, procrustes._BLOCK_BYTES) == want
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    assert procrustes._row_blocks(100, 10) == want
+    assert procrustes._slices(100, 10, procrustes._BLOCK_BYTES) == want
 
 
 def test_peak_memory_is_a_few_blocks(monkeypatch):

@@ -57,6 +57,21 @@ class TestBuildGraph:
         with pytest.raises(IndexError):
             build_graph(np.eye(3), order=[0, 1, 5])
 
+    @pytest.mark.parametrize(
+        "order",
+        [[0.7, 1.2, 2.9, 3.0], ["1", "0"], np.array([0.0, 1.0])],
+        ids=["floats", "strings", "float-array"],
+    )
+    def test_non_integer_order_raises(self, order):
+        # Floats were truncated to rows 0..3 and strings parsed as rows.
+        with pytest.raises(TypeError):
+            build_graph(np.eye(4), order)
+
+    def test_integer_order_of_any_integer_type_is_kept(self):
+        rows = np.arange(12).reshape(4, 3)
+        for order in (np.array([2, 0], dtype=np.int32), [np.int64(2), 0]):
+            np.testing.assert_array_equal(build_graph(rows, order), rows[[2, 0]])
+
     def test_repeated_order_raises(self):
         with pytest.raises(ValueError, match="repeated"):
             build_graph(np.eye(3), order=[0, 1, 1])
@@ -92,6 +107,15 @@ class TestSgm:
     def test_size_mismatch_raises(self):
         with pytest.raises(ValueError, match="sizes differ"):
             sgm(np.eye(3), np.eye(4), 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("s", [1.5, 1.0, "1"])
+    def test_non_integer_seed_count_raises(self, s):
+        # s = 1.5 failed with a numpy AxisError inside the solve.
+        g = np.eye(4)
+        with pytest.raises(TypeError):
+            sgm(g, g, s, np.random.default_rng(0))
+        with pytest.raises(TypeError):
+            soft_sgm(g, g, s, [np.random.default_rng(0)])
 
     def test_seed_count_out_of_range_raises(self):
         g = np.eye(3)
@@ -310,6 +334,11 @@ class TestUniqueFlag:
             assert matching.unique == all(flags)
 
 
+def generators(seed, count):
+    """``count`` independent generators derived from ``seed``."""
+    return [np.random.default_rng([seed, r]) for r in range(count)]
+
+
 def first_column_stack(targets, n=8):
     """A permutation stack whose column 0 holds ``targets`` run by run."""
     return np.array([[t] + [j for j in range(n) if j != t] for t in targets])
@@ -322,7 +351,7 @@ class TestSoftSgm:
         # distribution is degenerate.
         rng = np.random.default_rng(300)
         rows = rng.normal(size=(7, 3)) * rng.uniform(0.5, 2.0, size=(7, 1))
-        perms = soft_sgm(rows, rows, 2, runs=6, master_seed=0)
+        perms = soft_sgm(rows, rows, 2, generators(0, 6))
         np.testing.assert_array_equal(perms, np.tile(np.arange(7), (6, 1)))
         hyps = top_k_from_distribution(perms, k=5)
         assert hyps.entries == {src: ((src, 1.0),) for src in range(7)}
@@ -331,27 +360,30 @@ class TestSoftSgm:
         rng = np.random.default_rng(10)
         gx = rng.normal(size=(6, 3))
         gy = rng.normal(size=(6, 3))
-        perms = soft_sgm(gx, gy, 1, runs=1, master_seed=42)
-        single = sgm(
-            gx, gy, 1,
-            np.random.default_rng(np.random.SeedSequence(42, spawn_key=(0,))),
-            init="randomized",
-        )
+        perms = soft_sgm(gx, gy, 1, [np.random.default_rng(42)])
+        single = sgm(gx, gy, 1, np.random.default_rng(42), init="randomized")
         np.testing.assert_array_equal(perms, single.perm[None, :])
-        # Restart r of the pipeline's soft master draws _rng(seed, _RNG_SOFT, r).
-        master = np.random.SeedSequence(entropy=7, spawn_key=(pipelines._RNG_SOFT,))
-        perms = soft_sgm(gx, gy, 1, runs=3, master_seed=master)
-        for r, perm in enumerate(perms):
-            want = sgm(gx, gy, 1, pipelines._rng(7, pipelines._RNG_SOFT, r), init="randomized")
+        # Row r is the solve on generator r, in order.
+        perms = soft_sgm(gx, gy, 1, generators(7, 3), max_iters=4)
+        for perm, rng in zip(perms, generators(7, 3)):
+            want = sgm(gx, gy, 1, rng, max_iters=4, init="randomized")
             np.testing.assert_array_equal(perm, want.perm)
-        # The caller's SeedSequence is not consumed: a second call is equal.
-        np.testing.assert_array_equal(soft_sgm(gx, gy, 1, runs=3, master_seed=master), perms)
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_pipeline_streams_are_the_spawned_children_of_the_soft_master(self, seed):
+        # ``_single`` hands soft_sgm _rng(seed, _RNG_SOFT, r) for restart r;
+        # soft_sgm once spawned its restarts from this master.
+        master = np.random.SeedSequence(entropy=seed, spawn_key=(pipelines._RNG_SOFT,))
+        for r, child in enumerate(master.spawn(10)):
+            want = np.random.default_rng(child).uniform(size=8)
+            got = pipelines._rng(seed, pipelines._RNG_SOFT, r).uniform(size=8)
+            assert got.tobytes() == want.tobytes()
 
     def test_every_row_is_a_permutation(self):
         rng = np.random.default_rng(11)
         gx = rng.normal(size=(8, 3))
         gy = rng.normal(size=(8, 3))
-        perms = soft_sgm(gx, gy, 2, runs=9, master_seed=5)
+        perms = soft_sgm(gx, gy, 2, generators(5, 9))
         assert perms.shape == (9, 8)
         for perm in perms:
             assert sorted(perm.tolist()) == list(range(8))
@@ -366,8 +398,8 @@ class TestSoftSgm:
 
     def test_runs_must_be_positive(self):
         g = np.eye(3)
-        with pytest.raises(ValueError):
-            soft_sgm(g, g, 1, runs=0)
+        with pytest.raises(ValueError, match="at least one generator"):
+            soft_sgm(g, g, 1, [])
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 50, 700, 1001])
     def test_randomized_start_equals_the_averaged_expression(self, m):
@@ -418,14 +450,14 @@ class TestWorkingSetGuard:
             with pytest.raises(graph_matching.WorkingSetError, match="physical memory"):
                 sgm(gx, gy, self.S, rng, init=init)
             with pytest.raises(graph_matching.WorkingSetError, match="physical memory"):
-                soft_sgm(gx, gy, self.S, runs=2)
+                soft_sgm(gx, gy, self.S, generators(62, 2))
         assert rng.bit_generator.state == state
         monkeypatch.setattr(graph_matching, "_physical_memory", lambda: math.ceil(need))
         guarded = sgm(gx, gy, self.S, rng, init=init)
         monkeypatch.setattr(graph_matching, "_physical_memory", lambda: None)
         unknown = sgm(gx, gy, self.S, np.random.default_rng(61), init=init)
         np.testing.assert_array_equal(guarded.perm, unknown.perm)
-        assert soft_sgm(gx, gy, self.S, runs=2).shape == (2, self.N)
+        assert soft_sgm(gx, gy, self.S, generators(62, 2)).shape == (2, self.N)
 
 
 class TestTopKFromDistribution:

@@ -62,8 +62,8 @@ def test_readme_layout_names_every_module():
 
 
 def test_run_and_assemble_are_the_only_public_functions_taking_a_spec():
-    # ``run`` validates a spec and pins BLAS once; a second public way to
-    # run one would skip both.
+    # ``run`` pins BLAS once for a whole run; a second public way to run
+    # a spec would skip that.
     takers = {
         name
         for name, obj in vars(pipelines).items()

@@ -1,5 +1,6 @@
 """Experiment orchestration: single runs, iteration strategies, combination."""
 
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -465,41 +466,72 @@ def test_graph_runs_get_no_hint_from_the_gold_order(method, options):
 
 
 class TestRunDispatch:
-    def test_run_validates_spec(self):
+    def test_spec_with_unknown_method_refuses_itself(self):
         with pytest.raises(ValueError, match="method"):
-            run(make_spec(method="nonsense"), planted_dataset(n=20, seeds=5))
+            make_spec(method="nonsense")
 
     def test_negative_rng_seed_rejected(self):
-        problem = "rng_seed must be a non-negative integer"
-        assert make_spec(rng_seed=-1).validate() == [problem]
-        assert make_spec(rng_seed=0).validate() == []
+        with pytest.raises(ValueError, match="^rng_seed must be a non-negative integer, got -1$"):
+            make_spec(rng_seed=-1)
+        assert make_spec(rng_seed=0).rng_seed == 0
 
     def test_zero_max_words_rejected(self):
-        assert make_spec(max_words=0).validate() == ["max_words must be a positive integer"]
+        with pytest.raises(ValueError, match="^max_words must be a positive integer, got 0$"):
+            make_spec(max_words=0)
+        assert make_spec(max_words=None).max_words is None
+
+    @pytest.mark.parametrize(
+        "method, bad",
+        [
+            ("iterproc", {"iters": 2.5}),
+            ("iterproc", {"iters": True}),
+            ("itersgm", {"h": 2.5}),
+            ("procrustes", {"seeds": "10"}),
+            ("softsgm", {"soft_runs": 4.0}),
+            ("combined", {"proc_inner": False}),
+            ("sgm", {"rng_seed": "3"}),
+            ("procrustes", {"max_words": 1e3}),
+        ],
+        ids=lambda v: v if isinstance(v, str) else repr(v),
+    )
+    def test_non_integer_in_an_integer_field_refuses_at_construction(self, method, bad):
+        # iters=2.5 once ran 3 rounds of iterproc, h=2.5 failed after
+        # round 1, and seeds="10" failed comparing a str with an int.
+        ((name, value),) = bad.items()
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be a ")) as err:
+            make_spec(method=method, **bad)
+        assert str(err.value).endswith(f"integer, got {value!r}")
+
+    def test_integral_values_of_any_integer_type_are_kept(self):
+        spec = make_spec(method="iterproc", iters=np.int64(2), seeds=np.intp(15))
+        assert (spec.iters, spec.seeds) == (2, 15)
+
+    def test_every_problem_is_named_in_one_error(self):
+        with pytest.raises(ValueError) as err:
+            make_spec(method="sgm", vocab_mode="top_n", iters=0, rng_seed=-1, h=2.5)
+        problems = str(err.value).split("; ")
+        assert len(problems) == 4
+        assert [p.split()[0] for p in problems] == ["vocab_mode", "h", "iters", "rng_seed"]
+
+    def test_spec_types_follow_the_field_annotations(self):
+        assert pipelines.SPEC_TYPES["max_words"] is int
+        assert {name for name, kind in pipelines.SPEC_TYPES.items() if kind is str} == {
+            "src_emb", "tgt_emb", "dictionary", *pipelines.CHOICES
+        }
 
     @pytest.mark.parametrize("method", list(pipelines.METHODS))
     def test_each_method_reaches_only_its_pipeline(self, method, monkeypatch):
         assert pipelines_reached(method, monkeypatch) == ["_" + pipelines.METHODS[method][0]]
 
-    def test_top_n_rejected_for_graph_methods(self, monkeypatch):
-        for method in ("sgm", "softsgm", "itersgm", "combined"):
-            spec = make_spec(method=method, vocab_mode="top_n")
-            assert any("top_n" in p for p in spec.validate())
-
-        def never(*args, **kwargs):
-            raise AssertionError("a refused spec ran an engine")
-
-        for engine in ("_engine_run", "soft_sgm"):
-            monkeypatch.setattr(pipelines, engine, never)
-        # run refuses them before any engine runs: graph seeds index
-        # restricted rows.
-        ds = planted_dataset(n=20, seeds=5)
+    def test_top_n_rejected_for_graph_methods(self):
+        # Graph seeds index restricted rows, so no such spec can be built.
         for method in ("sgm", "softsgm", "itersgm", "combined"):
             with pytest.raises(ValueError, match="top_n"):
-                run(make_spec(method=method, seeds=5, vocab_mode="top_n"), ds)
-        # So does every other spec that validate() rejects: a bogus strategy
-        # would run a Stochastic-Add variant, a bogus pull the SGM result,
-        # and iters=0 one round.
+                make_spec(method=method, vocab_mode="top_n")
+        assert make_spec(method="iterproc", vocab_mode="top_n").vocab_mode == "top_n"
+        # Neither can any other refused spec, replaced fields included: a
+        # bogus strategy would run a Stochastic-Add variant, a bogus pull
+        # the SGM result, and iters=0 one round.
         for method, bad in (
             ("procrustes", {"strategy": "bogus"}),
             ("itersgm", {"strategy": "bogus"}),
@@ -507,10 +539,8 @@ class TestRunDispatch:
             ("combined", {"pull": "bogus"}),
             ("combined", {"iters": 0}),
         ):
-            spec = make_spec(method=method, seeds=5, **bad)
-            (problem,) = spec.validate()
-            with pytest.raises(ValueError, match=re.escape(problem)):
-                run(spec, ds)
+            with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be "):
+                dataclasses.replace(make_spec(method=method, seeds=5), **bad)
 
     def test_run_returns_consistent_result(self):
         ds = planted_dataset(n=30, seeds=8)

@@ -168,7 +168,7 @@ class TestBlasPin:
         blas = FakeBlas(3)
         monkeypatch.setattr(_threads, "_BLAS_THREADS", blas.calls())
         x = np.random.default_rng(51).normal(size=(8, 3))
-        soft_sgm(x, x, 2, runs=3)
+        soft_sgm(x, x, 2, [np.random.default_rng(r) for r in range(3)])
         assert blas.threads == 3 and blas.sets == [1, 3]
 
     def test_without_thread_calls_nothing_is_pinned(self, monkeypatch):
@@ -294,7 +294,8 @@ x, eye = np.random.default_rng(0).normal(size=(8, 3)), np.eye(3)
 calls = {
     "sgm": (lambda: sgm(x, x, 2, np.random.default_rng(1)),
             lambda: sgm(x, x[:7], 2, np.random.default_rng(1))),
-    "soft_sgm": (lambda: soft_sgm(x, x, 2, runs=2), lambda: soft_sgm(x, x, 2, runs=0)),
+    "soft_sgm": (lambda: soft_sgm(x, x, 2, [np.random.default_rng(1)] * 2),
+                 lambda: soft_sgm(x, x, 2, [])),
     "solve_procrustes": (lambda: solve_procrustes(Rows(x), x),
                          lambda: solve_procrustes(Rows(x), x[:7])),
     "OrthogonalMap": (lambda: OrthogonalMap(Rows(eye)), lambda: OrthogonalMap(Rows(2 * eye))),
