@@ -206,6 +206,10 @@ def _read_hypotheses(path) -> HypothesisSet:
 
 
 def _cmd_prep(args) -> int:
+    entries = args.seed_counts.split(",")
+    for entry in entries:
+        if not entry.strip().isdecimal() or int(entry) < 1:
+            raise ValueError(f"--seed-counts entry {entry!r} is not a positive integer")
     lexicon = load_dictionary(args.dict)
     filtered = filter_one_to_one(lexicon)
     print(f"{len(filtered)} pairs retained after one-to-one filtering ({len(lexicon)} read)")
@@ -217,7 +221,7 @@ def _cmd_prep(args) -> int:
     print(f"{len(usable)} usable pairs")
 
     # Every count is split before any file is written, so a bad one leaves no output.
-    splits = [(count, split(usable, count)) for count in map(int, args.seed_counts.split(","))]
+    splits = [(count, split(usable, count)) for count in map(int, entries)]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_lexicon(out_dir / "filtered.tsv", usable)

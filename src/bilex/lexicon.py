@@ -32,9 +32,6 @@ class Lexicon:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def __iter__(self):
-        return iter(self.pairs)
-
     def sources(self) -> tuple[str, ...]:
         return tuple(s for s, _ in self.pairs)
 

@@ -241,8 +241,6 @@ def _engine_run(rows, spec, engine: str, seeds, direction: int, key: tuple):
     returns the result of the opposite direction on the same seeds. The
     graph engine draws its rng substream from ``(*key, direction)``.
     """
-    if not len(seeds):
-        raise ValueError("empty seed set after conflict resolution")
     if direction == _REVERSE:
         rows, seeds = rows[::-1], seeds[:, ::-1]
     if engine == "proc":
@@ -297,6 +295,8 @@ def _index_space(ds: Dataset, spec: ExperimentSpec):
     The restricted space keeps the gold words' rows, seeds first, so gold
     pair i is (i, i); ``top_n`` keeps every row of both vocabularies.
     """
+    if not len(ds.gold_seeds):
+        raise ValueError("the dataset has no gold seed pairs")
     pairs = ds.gold_seeds.pairs + ds.gold_test.pairs
     gold = np.array(
         [(ds.src_full.index[a], ds.tgt_full.index[b]) for a, b in pairs], dtype=np.intp
@@ -335,8 +335,10 @@ def _union(fwd, rev) -> np.ndarray:
 
 
 def _admit(gold, pairs) -> np.ndarray:
-    """Gold, then in order the pairs sharing no word with it. Both inputs must
-    be one-to-one; the result is then ``filter_one_to_one`` of both in turn."""
+    """Gold, then in order the pairs sharing no word with it: both engines'
+    seed rule. Both inputs must be one-to-one; the result is then
+    ``filter_one_to_one`` of both in turn. A graph round's pairs come back
+    unchanged: hard seeds make them begin with its seeds, and so with gold."""
     assert all(len(np.unique(side)) == len(side) for side in (*gold.T, *pairs.T))
     free = ~np.isin(pairs[:, 0], gold[:, 0]) & ~np.isin(pairs[:, 1], gold[:, 1])
     return np.concatenate((gold, pairs[free]))
@@ -378,18 +380,16 @@ def _iterate(spec: ExperimentSpec, ds: Dataset):
     (``iterproc`` or ``itersgm``) with one of the three strategies.
 
     Iteration 1 always runs on the gold seeds alone; hypothesis-derived
-    seeds first appear at iteration 2. Add-All feeds the whole
-    forward/reverse intersection back (plus gold for the Euclidean
-    engine, whose seeding is soft). Stochastic-Add feeds gold plus a
-    fresh sample of min((t-1)*H, pool) intersection pairs, drawn
-    independently for each direction; past ``iters`` it goes on until
-    the sample covers the pool or MAX_ITERATIONS is reached. Active-Learning
-    feeds the oracle-verified subset of the union of both directions.
-    Each round solves both directions; a round whose directions share
-    their seed pairs takes the reverse from the forward run (the
-    Procrustes scores at any seed count, or the inverse graph matching
-    when every LAP was unique; see ``_round``), and otherwise solves it
-    afresh.
+    seeds first appear at iteration 2, after gold (``_admit``, for both
+    engines). Add-All feeds the whole forward/reverse intersection back.
+    Stochastic-Add feeds gold plus a fresh sample of min((t-1)*H, pool)
+    intersection pairs, drawn independently for each direction; past
+    ``iters`` it goes on until the sample covers the pool or
+    MAX_ITERATIONS is reached. Active-Learning feeds the oracle-verified
+    subset of the union of both directions. Graph seeds are hard, so for
+    ``itersgm`` the intersection and the verified union already begin
+    with the round's seeds, and so with gold, and admission keeps them
+    as they are. Each round solves both directions (see ``_round``).
 
     Rounds work on index arrays; the final forward result alone becomes
     word-keyed.
@@ -400,8 +400,6 @@ def _iterate(spec: ExperimentSpec, ds: Dataset):
     engine_id = 0 if engine == "proc" else 1
     rows, src_words, tgt_words, gold_full = _index_space(ds, spec)
     gold = gold_full[: len(ds.gold_seeds)]
-    # Gold seeds are kept by the Euclidean engine, whose seeding is soft.
-    base = gold if engine == "proc" else gold[:0]
     seeds_fwd = seeds_rev = gold
     records: list[dict] = []
     pool_covered = spec.strategy != "stochastic"
@@ -421,10 +419,10 @@ def _iterate(spec: ExperimentSpec, ds: Dataset):
         if t >= spec.iters and (pool_covered or t >= MAX_ITERATIONS):
             break
         if spec.strategy == "add_all":
-            seeds_fwd = seeds_rev = _admit(base, inter)
+            seeds_fwd = seeds_rev = _admit(gold, inter)
         elif spec.strategy == "active":
             union = _union(_top1(forward), _top1(reverse))
-            seeds_fwd = seeds_rev = _admit(base, union[_member(union, gold_full)])
+            seeds_fwd = seeds_rev = _admit(gold, union[_member(union, gold_full)])
         else:  # stochastic
             pool = inter[~_member(inter, gold)]
             take = min(t * spec.h, len(pool))

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bilex import ExperimentSpec, graph_matching
+from bilex import ExperimentSpec, cli, graph_matching
 from bilex.cli import (
     EXIT_IO,
     EXIT_MEMORY,
@@ -21,6 +21,7 @@ from bilex.cli import (
     EXIT_USAGE,
     _build_parser,
     _build_spec,
+    _read_hypotheses,
     main,
 )
 from bilex.pipelines import CHOICES
@@ -99,6 +100,25 @@ class TestPrep:
             "--seed-counts", counts,
         ])
         assert code == EXIT_USAGE
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("counts, entry", [("1,ten", "ten"), ("0", "0"), ("2,-1", "-1"),
+                                               ("3,", "")])
+    def test_bad_seed_count_is_refused_before_any_file_is_read(self, tmp_path, capsys,
+                                                              counts, entry):
+        # The .vec files do not exist: reading them would exit 2.
+        write_pairs(tmp_path / "d.tsv", [(f"s{i}", f"t{i}") for i in range(6)])
+        code = main([
+            "prep", "--dict", str(tmp_path / "d.tsv"),
+            "--src-emb", str(tmp_path / "missing.vec"),
+            "--tgt-emb", str(tmp_path / "missing.vec"),
+            "--out-dir", str(tmp_path / "out"),
+            "--seed-counts", counts,
+        ])
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: --seed-counts entry {entry!r} is not a positive integer\n"
         assert not (tmp_path / "out").exists()
 
 
@@ -501,6 +521,17 @@ class TestExitCodes:
         assert main(["eval", "--hyps", str(three_of_four), "--gold", str(gold)]) == EXIT_OK
         assert '"p_at_1": 75.0' in capsys.readouterr().out
 
+    def test_blank_lines_in_a_dump_are_skipped(self, tmp_path):
+        plain, spaced = tmp_path / "plain.tsv", tmp_path / "spaced.tsv"
+        plain.write_text("a\tb\t1\t0.9\na\tc\t2\t0.8\nd\te\t1\t0.7\n", encoding="utf-8")
+        spaced.write_text(
+            "\na\tb\t1\t0.9\n \na\tc\t2\t0.8\n\t\nd\te\t1\t0.7\n\n", encoding="utf-8"
+        )
+        assert _read_hypotheses(spaced) == _read_hypotheses(plain)
+        assert _read_hypotheses(spaced).entries == {
+            "a": (("b", 0.9), ("c", 0.8)), "d": (("e", 0.7),)
+        }
+
     def test_malformed_hyps_tsv_is_parse_error(self, tmp_path):
         (tmp_path / "h.tsv").write_text("a\tb\n", encoding="utf-8")
         write_pairs(tmp_path / "g.tsv", [("a", "b")])
@@ -547,6 +578,17 @@ def test_every_flag_in_the_readme_cli_section_is_accepted():
     }
     assert {"--config", "--dict", "--sgm-max-iters"} <= named
     assert named - accepted == set()
+
+
+def test_exit_codes_sentences_name_the_exit_constants():
+    # The module docstring and README "CLI" each state the codes in one
+    # sentence; a code that is added, removed or renumbered must change both.
+    codes = [value for name, value in vars(cli).items() if name.startswith("EXIT_")]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    for text in (cli.__doc__, section):
+        (sentence,) = re.findall(r"Exit codes:(.*?)\.(?:\s|$)", text, re.S)
+        assert [int(code) for code in re.findall(r"(?:^|,)\s*(\d+)\s", sentence)] == codes
 
 
 def test_run_spec_flags_are_the_spec_field_names():

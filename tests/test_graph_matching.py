@@ -459,6 +459,19 @@ class TestWorkingSetGuard:
         np.testing.assert_array_equal(guarded.perm, unknown.perm)
         assert soft_sgm(gx, gy, self.S, generators(62, 2)).shape == (2, self.N)
 
+    @pytest.mark.parametrize("error", [OSError, ValueError, AttributeError])
+    def test_memory_is_unknown_when_sysconf_fails(self, monkeypatch, error):
+        gx, gy = self.graphs()
+        want = sgm(gx, gy, self.S, np.random.default_rng(61))
+
+        def fails(name):
+            raise error(name)
+
+        monkeypatch.setattr(graph_matching.os, "sysconf", fails)
+        assert graph_matching._physical_memory() is None
+        # Unknown memory leaves the solve unguarded, not refused.
+        np.testing.assert_array_equal(sgm(gx, gy, self.S, np.random.default_rng(61)).perm, want.perm)
+
 
 class TestTopKFromDistribution:
     def test_degenerate_gives_single_hypothesis(self):

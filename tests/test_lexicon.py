@@ -32,6 +32,11 @@ class TestLoad:
         tabbed.write_text("dog\tHund\ncat\tKatze\n", encoding="utf-8")
         assert load_dictionary(spaced).pairs == load_dictionary(tabbed).pairs
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "d.tsv"
+        path.write_text("dog Hund\n\n \t \ncat Katze\n\n", encoding="utf-8")
+        assert load_dictionary(path).pairs == (("dog", "Hund"), ("cat", "Katze"))
+
     def test_wrong_field_count_raises(self, tmp_path):
         path = tmp_path / "d.tsv"
         path.write_text("dog Hund\nbad\n", encoding="utf-8")

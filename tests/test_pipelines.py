@@ -325,15 +325,51 @@ class TestIterate:
         reverse_sets = [set(r) for _, r in seed_log[1:]]
         assert any(f != r for f, r in zip(forward_sets, reverse_sets))
 
-    def test_gold_seeds_never_dropped_for_proc_engine(self, seed_log):
-        ds = planted_dataset(n=40, seeds=10, noise=0.3, seed=5)
-        gold = set(ds.gold_seeds.pairs)
-        for strategy in ("add_all", "stochastic", "active"):
-            seed_log.clear()
-            run(make_spec(method="iterproc", strategy=strategy, iters=3, seeds=10, h=5), ds)
-            for fwd_seeds, rev_seeds in seed_log:
-                assert gold <= set(fwd_seeds)
-                assert gold <= set(rev_seeds)
+    def test_every_round_seed_set_begins_with_gold(self, seed_log, monkeypatch):
+        # Both engines admit their pairs after gold (``_admit``); the
+        # reference adds gold for Procrustes alone, since hard graph seeds
+        # make a graph round's pairs begin with gold. On the tie-heavy
+        # corpus the graph solves are not unique, so their reverses are
+        # fresh solves, and records, seed logs and dumps must still equal
+        # the reference's.
+        unique, solve = [], pipelines.sgm
+
+        def recorded(*args, **kwargs):
+            matching = solve(*args, **kwargs)
+            unique.append(matching.unique)
+            return matching
+
+        monkeypatch.setattr(pipelines, "sgm", recorded)
+        iterative = [
+            {"method": method, "strategy": strategy}
+            for method in ("iterproc", "itersgm")
+            for strategy in ("add_all", "stochastic", "active")
+        ]
+        combined = [{"method": "combined", "start": start} for start in ("iterproc", "sgm")]
+        planted = planted_dataset(n=40, seeds=10, noise=0.3, seed=5)
+        tied = tied_dataset(1, n=60)
+        graph = [case for case in iterative if case["method"] == "itersgm"] + combined
+        for ds, cases in ((planted, iterative + combined), (tied, graph)):
+            gold = list(ds.gold_seeds.pairs)
+            for case in cases:
+                spec = make_spec(iters=3, seeds=10, h=5, proc_inner=1, **case)
+                seed_log.clear()
+                result = run(spec, ds)
+                assert len(seed_log) >= 3
+                for fwd_seeds, rev_seeds in seed_log:
+                    assert fwd_seeds[: len(gold)] == gold
+                    assert rev_seeds[: len(gold)] == gold
+                if ds is not tied:
+                    continue
+                want_log = []
+                if case["method"] == "itersgm":
+                    want = reference.iterate(spec, "sgm", ds, seed_log=want_log)
+                    assert seed_log == want_log
+                else:
+                    want = reference.run_combined(spec, ds)
+                assert result.iterations == want[0]
+                assert list(result.hypotheses.entries.items()) == list(want[1].entries.items())
+        assert not all(unique)
 
     def test_sgm_seed_sets_always_one_to_one(self, seed_log):
         ds = planted_dataset(n=40, seeds=10, noise=0.3, seed=6)
@@ -518,6 +554,21 @@ class TestRunDispatch:
         assert {name for name, kind in pipelines.SPEC_TYPES.items() if kind is str} == {
             "src_emb", "tgt_emb", "dictionary", *pipelines.CHOICES
         }
+
+    @pytest.mark.parametrize("method", list(pipelines.METHODS))
+    def test_a_dataset_without_gold_seeds_is_refused_before_any_engine(self, method, monkeypatch):
+        # softsgm once ran unseeded on such a dataset, and the other
+        # methods refused only inside an engine run.
+        def fail(*args, **kwargs):
+            raise AssertionError("an engine ran")
+
+        for name in ("_engine_run", "sgm", "soft_sgm", "solve_procrustes"):
+            monkeypatch.setattr(pipelines, name, fail)
+        unseeded = dataclasses.replace(planted_dataset(n=20, seeds=5), gold_seeds=Lexicon(()))
+        spec = make_spec(method=method, seeds=5, iters=1, proc_inner=1, soft_runs=2)
+        with pytest.raises(ValueError, match="^the dataset has no gold seed pairs$") as err:
+            run(spec, unseeded)
+        assert err.traceback[-1].name == "_index_space"
 
     @pytest.mark.parametrize("method", list(pipelines.METHODS))
     def test_each_method_reaches_only_its_pipeline(self, method, monkeypatch):

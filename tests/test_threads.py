@@ -223,6 +223,15 @@ class TestBlasPin:
             pipelines.run(make_spec(method="sgm", seeds=10), dataset)
         assert blas.sets == [1, 2] and blas.threads == 2
 
+    def test_no_thread_calls_without_their_names(self, monkeypatch):
+        # MKL and Accelerate export none of OpenBLAS's names.
+        class Bare:
+            def __init__(self, path):
+                pass
+
+        monkeypatch.setattr(_threads.ctypes, "CDLL", Bare)
+        assert _threads._blas_thread_calls() is None
+
     def test_thread_calls_are_found_for_openblas(self):
         # A numpy whose OpenBLAS renames its thread calls fails here
         # instead of quietly scoring on one block thread.
