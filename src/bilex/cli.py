@@ -206,6 +206,8 @@ def _read_hypotheses(path) -> HypothesisSet:
 
 
 def _cmd_prep(args) -> int:
+    if args.max_words is not None and args.max_words < 1:
+        raise ValueError("--max-words must be a positive integer")
     entries = args.seed_counts.split(",")
     for entry in entries:
         if not entry.strip().isdecimal() or int(entry) < 1:

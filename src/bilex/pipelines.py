@@ -96,11 +96,9 @@ class ExperimentSpec:
     proc_inner: int = 5
     start: str = "iterproc"
     pull: str = "proc"
-    csls_k: int = 10
     soft_runs: int = 10
     rng_seed: int = 0
     vocab_mode: str = "restricted"
-    top_k: int = 5
     max_words: int | None = None
     normalize_passes: int = 1
     sgm_max_iters: int = 30
@@ -141,7 +139,7 @@ SPEC_TYPES = {
     for name, hint in typing.get_type_hints(ExperimentSpec).items()
 }
 # The integer fields that may be 0.
-_AT_LEAST_ZERO = ("proc_inner", "normalize_passes", "rng_seed")
+_AT_LEAST_ZERO = ("normalize_passes", "rng_seed")
 
 
 @dataclass(frozen=True)
@@ -192,9 +190,7 @@ def _proc_run(x, y, spec: ExperimentSpec, seeds):
     target's best source from the same scores.
     """
     mapping = solve_procrustes(x[seeds[:, 0]], y[seeds[:, 1]])
-    rows, columns = extract_hypotheses(
-        mapped_src=mapping.apply(x), tgt=y, top_k=spec.top_k, csls_k=spec.csls_k
-    )
+    rows, columns = extract_hypotheses(mapped_src=mapping.apply(x), tgt=y)
     return (np.arange(len(x)), rows), (np.arange(len(y)), columns)
 
 
@@ -293,14 +289,21 @@ def _index_space(ds: Dataset, spec: ExperimentSpec):
     gold index pairs, seeds first).
 
     The restricted space keeps the gold words' rows, seeds first, so gold
-    pair i is (i, i); ``top_n`` keeps every row of both vocabularies.
+    pair i is (i, i); ``top_n`` keeps every row of both vocabularies. A
+    dataset without seed or test pairs, or with a gold word that has no
+    embedding row, is refused here, before any engine runs.
     """
     if not len(ds.gold_seeds):
         raise ValueError("the dataset has no gold seed pairs")
+    if not len(ds.gold_test):
+        raise ValueError("the dataset has no gold test pairs")
     pairs = ds.gold_seeds.pairs + ds.gold_test.pairs
-    gold = np.array(
-        [(ds.src_full.index[a], ds.tgt_full.index[b]) for a, b in pairs], dtype=np.intp
-    ).reshape(-1, 2)
+    try:
+        gold = np.array(
+            [(ds.src_full.index[a], ds.tgt_full.index[b]) for a, b in pairs], dtype=np.intp
+        )
+    except KeyError as missing:
+        raise ValueError(f"gold word {missing.args[0]!r} has no embedding row") from None
     if spec.vocab_mode == "top_n":
         rows = ds.src_full.vectors, ds.tgt_full.vectors
         return rows, ds.src_full.vocab, ds.tgt_full.vocab, gold
@@ -364,15 +367,14 @@ def _single(spec: ExperimentSpec, ds: Dataset) -> HypothesisSet:
     if engine is not None:
         result = _engine_run(rows, spec, engine, gold_full[:s], _FORWARD, (_RNG_SINGLE_SGM,))[0]
         return _hypotheses(src_words, tgt_words, result)
-    # Gold seeds already occupy the leading restricted rows.
+    # The restricted rows are the graphs themselves, gold seeds first.
     dist = soft_sgm(
-        build_graph(rows[0]),
-        build_graph(rows[1]),
+        *rows,
         s=s,
         rngs=[_rng(spec.rng_seed, _RNG_SOFT, r) for r in range(spec.soft_runs)],
         max_iters=spec.sgm_max_iters,
     )
-    return top_k_from_distribution(dist, spec.top_k, src_words, tgt_words)
+    return top_k_from_distribution(dist, keys=src_words, labels=tgt_words)
 
 
 def _iterate(spec: ExperimentSpec, ds: Dataset):
@@ -438,11 +440,10 @@ def _combined(spec: ExperimentSpec, ds: Dataset):
     """The cyclic system: single bidirectional SGM and Add-All inner
     Euclidean refinement alternately seed each other for ``iters`` cycles.
 
-    The final hypotheses are pulled from the most recent forward run of
-    the component named by ``spec.pull``; if that component never
-    executed (for instance ``proc_inner = 0``), one fresh forward run is
-    made with the final seed state. Rounds work on index arrays, as in
-    ``_iterate``.
+    Each cycle runs one SGM round and ``proc_inner`` (at least 1)
+    Procrustes rounds, in the order ``spec.start`` sets. The final
+    hypotheses are the last forward result of the engine named by
+    ``spec.pull``. Rounds work on index arrays, as in ``_iterate``.
 
     Returns (per-cycle records, final hypotheses).
     """
@@ -455,8 +456,6 @@ def _combined(spec: ExperimentSpec, ds: Dataset):
         components = []
         for engine in order:
             rounds = 1 if engine == "sgm" else spec.proc_inner
-            if rounds == 0:
-                continue
             for _ in range(rounds):
                 forward, _, inter = _round(
                     rows, spec, engine, seeds, seeds, (_RNG_COMBINED, cycle)
@@ -475,11 +474,7 @@ def _combined(spec: ExperimentSpec, ds: Dataset):
                 "forward_p1": components[-1]["forward_p1"],
             }
         )
-
-    final = last_forward.get(spec.pull)
-    if final is None:
-        final = _engine_run(rows, spec, spec.pull, seeds, _FORWARD, (_RNG_COMBINED, 0))[0]
-    return records, _hypotheses(src_words, tgt_words, final)
+    return records, _hypotheses(src_words, tgt_words, last_forward[spec.pull])
 
 
 @dataclass

@@ -22,7 +22,10 @@ lexicon, once stored on ``Dataset``, are gathered here word by word
 ``MAX_ITERATIONS``, as the package does; the code it was copied from
 stopped every strategy there. Helpers
 whose code did not change are imported from the package; the row-only
-blocked extractor comes from ``reference_extraction``.
+blocked extractor comes from ``reference_extraction``. The spec no
+longer carries ``top_k`` or ``csls_k``, so both rankings take their
+defaults (5 candidates, CSLS k = 10), and it refuses ``proc_inner = 0``,
+so ``run_combined`` lost its branches for a component that never ran.
 """
 
 from __future__ import annotations
@@ -96,9 +99,7 @@ def _proc_run(ds: Dataset, spec: ExperimentSpec, seeds, reverse: bool) -> Hypoth
     ybar = other_full.vectors[[other_full.index[b] for _, b in pairs]]
     mapping = solve_procrustes(xbar, ybar)
     mapped = mapping.apply(side_mat)
-    indexed = extract_hypotheses(
-        mapped, cand_mat, top_k=spec.top_k, scorer="csls", csls_k=spec.csls_k
-    )
+    indexed = extract_hypotheses(mapped, cand_mat, scorer="csls")
     return HypothesisSet(
         {
             side_words[i]: tuple((cand_words[j], score) for j, score in ranked)
@@ -247,7 +248,7 @@ def run_single(spec: ExperimentSpec, dataset: Dataset | None = None):
             rngs=[np.random.default_rng(child) for child in master.spawn(spec.soft_runs)],
             max_iters=spec.sgm_max_iters,
         )
-        indexed = top_k_from_distribution(dist, k=spec.top_k)
+        indexed = top_k_from_distribution(dist)
         src_words, tgt_words = _words(ds)
         hyps = HypothesisSet(
             {
@@ -352,9 +353,7 @@ def run_combined(spec: ExperimentSpec, dataset: Dataset | None = None):
     Euclidean refinement alternately seed each other for ``iters`` cycles.
 
     The final hypotheses are pulled from the most recent forward run of
-    the component named by ``spec.pull``; if that component never
-    executed (for instance ``proc_inner = 0``), one fresh forward run is
-    made with the final seed state.
+    the component named by ``spec.pull``.
 
     Returns (per-cycle records, final hypotheses).
     """
@@ -389,10 +388,8 @@ def run_combined(spec: ExperimentSpec, dataset: Dataset | None = None):
             "seeds_after": len(seeds),
         }
 
-    def proc_component(cycle: int) -> dict | None:
+    def proc_component(cycle: int) -> dict:
         nonlocal seeds
-        if spec.proc_inner == 0:
-            return None
         inter: list = []
         forward = None
         for _ in range(spec.proc_inner):
@@ -416,22 +413,14 @@ def run_combined(spec: ExperimentSpec, dataset: Dataset | None = None):
     for cycle in range(1, spec.iters + 1):
         components = []
         for name in order:
-            info = sgm_component(cycle) if name == "sgm" else proc_component(cycle)
-            if info is not None:
-                components.append(info)
+            components.append(sgm_component(cycle) if name == "sgm" else proc_component(cycle))
         records.append(
             {
                 "iteration": cycle,
                 "components": components,
-                "forward_p1": components[-1]["forward_p1"] if components else None,
+                "forward_p1": components[-1]["forward_p1"],
             }
         )
 
     pull = "proc" if spec.pull == "proc" else "sgm"
-    final = last_forward[pull]
-    if final is None:
-        final = _engine_run(
-            ds, spec, pull, seeds, False,
-            _rng(spec.rng_seed, _RNG_COMBINED, 0, _FORWARD),
-        )
-    return records, final
+    return records, last_forward[pull]

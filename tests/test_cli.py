@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bilex import ExperimentSpec, cli, graph_matching
+from bilex import ExperimentSpec, cli, graph_matching, pipelines
 from bilex.cli import (
     EXIT_IO,
     EXIT_MEMORY,
@@ -119,6 +119,23 @@ class TestPrep:
         assert code == EXIT_USAGE
         assert out == ""
         assert err == f"error: --seed-counts entry {entry!r} is not a positive integer\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("max_words", ["0", "-3"])
+    def test_bad_max_words_is_refused_before_any_file_is_read(self, tmp_path, capsys,
+                                                             max_words):
+        # No input exists: reading the dictionary or a .vec file would exit 2.
+        code = main([
+            "prep", "--dict", str(tmp_path / "missing.tsv"),
+            "--src-emb", str(tmp_path / "missing.vec"),
+            "--tgt-emb", str(tmp_path / "missing.vec"),
+            "--out-dir", str(tmp_path / "out"),
+            "--max-words", max_words,
+        ])
+        out, err = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: --max-words must be a positive integer\n"
         assert not (tmp_path / "out").exists()
 
 
@@ -391,14 +408,17 @@ class TestExitCodes:
 
     def test_removed_shuffle_input_flag_and_key_are_usage_errors(self, tmp_path, capsys):
         # Every graph solve relabels its free vertices; nothing turns it off.
-        with pytest.raises(SystemExit) as err:
-            main(["run", "--no-shuffle-input"])
-        assert err.value.code == EXIT_USAGE
-        assert "unrecognized arguments: --no-shuffle-input" in capsys.readouterr().err
+        # Every run ranks five candidates by CSLS over 10 neighbours.
+        for flag in (["--no-shuffle-input"], ["--csls-k", "10"], ["--top-k", "5"]):
+            with pytest.raises(SystemExit) as err:
+                main(["run", *flag])
+            assert err.value.code == EXIT_USAGE
+            assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         config = tmp_path / "exp.cfg"
-        config.write_text(f"{REQUIRED_CONFIG}shuffle_input=false\n", encoding="utf-8")
-        assert main(["run", "--config", str(config)]) == EXIT_USAGE
-        assert f"error: {config}:5: unknown config key 'shuffle_input'" in capsys.readouterr().err
+        for key, value in (("shuffle_input", "false"), ("csls_k", "10"), ("top_k", "5")):
+            config.write_text(f"{REQUIRED_CONFIG}{key}={value}\n", encoding="utf-8")
+            assert main(["run", "--config", str(config)]) == EXIT_USAGE
+            assert f"error: {config}:5: unknown config key {key!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "line, problem",
@@ -589,6 +609,16 @@ def test_exit_codes_sentences_name_the_exit_constants():
     for text in (cli.__doc__, section):
         (sentence,) = re.findall(r"Exit codes:(.*?)\.(?:\s|$)", text, re.S)
         assert [int(code) for code in re.findall(r"(?:^|,)\s*(\d+)\s", sentence)] == codes
+
+
+def test_below_zero_sentence_names_the_fields_that_may_be_zero():
+    # README "CLI" lists the integer flags that may be 0; a field that
+    # joins or leaves pipelines._AT_LEAST_ZERO must change the sentence.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    (sentence,) = re.findall(r"below 0 for (.*?);", section, re.S)
+    flags = re.findall(r"`--([a-z-]+)`", sentence)
+    assert tuple(flag.replace("-", "_") for flag in flags) == pipelines._AT_LEAST_ZERO
 
 
 def test_run_spec_flags_are_the_spec_field_names():

@@ -230,18 +230,18 @@ class TestRunSingle:
 
     def test_noisy_outputs_are_valid_hypothesis_sets(self):
         # HypothesisSet does not check its lists, so the engines must build
-        # them ranked, repeat-free and at most top_k long. At this noise
-        # softsgm's restarts disagree, so some of its lists reach top_k.
+        # them ranked, repeat-free and at most five long. At this noise
+        # softsgm's restarts disagree, so some of its lists are longer than one.
         ds = planted_dataset(noise=1.2, seed=3)
         for method in ("procrustes", "sgm", "softsgm", "iterproc", "itersgm", "combined"):
-            spec = make_spec(method=method, soft_runs=6, top_k=2, iters=2, proc_inner=2)
+            spec = make_spec(method=method, soft_runs=6, iters=2, proc_inner=2)
             hyps = run(spec, ds).hypotheses
             assert isinstance(hyps, HypothesisSet)
             assert set(hyps.entries) == set(ds.gold_seeds.sources() + ds.gold_test.sources())
             for ranked in hyps.entries.values():
                 targets = [tgt for tgt, _ in ranked]
                 scores = [score for _, score in ranked]
-                assert 1 <= len(ranked) <= spec.top_k
+                assert 1 <= len(ranked) <= 5
                 assert len(set(targets)) == len(targets), method
                 assert scores == sorted(scores, reverse=True), method
 
@@ -413,9 +413,10 @@ class TestRunCombined:
         assert len(result.iterations) == 3
 
     def test_degenerate_config_reduces_to_single_sgm_pass(self):
+        # One cycle from sgm pulls its first round: an SGM pass on gold alone.
         ds = planted_dataset(seed=4)
         combined = run(
-            make_spec(method="combined", iters=1, proc_inner=0,
+            make_spec(method="combined", iters=1, proc_inner=1,
                       start="sgm", pull="sgm", rng_seed=5), ds,
         ).hypotheses
         single = run(make_spec(method="sgm", rng_seed=5), ds).hypotheses
@@ -442,16 +443,6 @@ class TestRunCombined:
             names = [c["component"] for c in record["components"]]
             assert names == ["proc", "sgm"]  # default start is iterproc
             assert record["forward_p1"] == record["components"][-1]["forward_p1"]
-
-    def test_pull_component_fresh_run_when_never_executed(self):
-        ds = planted_dataset(n=30, seeds=8)
-        hyps = run(
-            make_spec(method="combined", iters=1, proc_inner=0,
-                      start="sgm", pull="proc", seeds=8), ds,
-        ).hypotheses
-        # proc never ran inside the cycle; the pull still produces
-        # Euclidean-style top-k lists
-        assert all(len(r) == 5 for r in hyps.entries.values())
 
 
 class TestBehavioralContrast:
@@ -557,18 +548,27 @@ class TestRunDispatch:
 
     @pytest.mark.parametrize("method", list(pipelines.METHODS))
     def test_a_dataset_without_gold_seeds_is_refused_before_any_engine(self, method, monkeypatch):
-        # softsgm once ran unseeded on such a dataset, and the other
-        # methods refused only inside an engine run.
+        # softsgm once ran unseeded on a dataset without seeds, and the
+        # other methods refused only inside an engine run. Without test
+        # pairs, iterproc, itersgm and combined divided by zero, softsgm
+        # refused its seed count, and procrustes and sgm refused an empty
+        # test set after solving; a gold word without a row was a KeyError.
         def fail(*args, **kwargs):
             raise AssertionError("an engine ran")
 
         for name in ("_engine_run", "sgm", "soft_sgm", "solve_procrustes"):
             monkeypatch.setattr(pipelines, name, fail)
-        unseeded = dataclasses.replace(planted_dataset(n=20, seeds=5), gold_seeds=Lexicon(()))
+        ds = planted_dataset(n=20, seeds=5)
         spec = make_spec(method=method, seeds=5, iters=1, proc_inner=1, soft_runs=2)
-        with pytest.raises(ValueError, match="^the dataset has no gold seed pairs$") as err:
-            run(spec, unseeded)
-        assert err.traceback[-1].name == "_index_space"
+        for bad, problem in (
+            ({"gold_seeds": Lexicon(())}, "the dataset has no gold seed pairs"),
+            ({"gold_test": Lexicon(())}, "the dataset has no gold test pairs"),
+            ({"gold_test": Lexicon((*ds.gold_test.pairs, ("s-new", "t-new")))},
+             "gold word 's-new' has no embedding row"),
+        ):
+            with pytest.raises(ValueError, match=f"^{problem}$") as err:
+                run(spec, dataclasses.replace(ds, **bad))
+            assert err.traceback[-1].name == "_index_space"
 
     @pytest.mark.parametrize("method", list(pipelines.METHODS))
     def test_each_method_reaches_only_its_pipeline(self, method, monkeypatch):
@@ -582,13 +582,15 @@ class TestRunDispatch:
         assert make_spec(method="iterproc", vocab_mode="top_n").vocab_mode == "top_n"
         # Neither can any other refused spec, replaced fields included: a
         # bogus strategy would run a Stochastic-Add variant, a bogus pull
-        # the SGM result, and iters=0 one round.
+        # the SGM result, iters=0 one round, and proc_inner=0 a cycle
+        # without a Procrustes round.
         for method, bad in (
             ("procrustes", {"strategy": "bogus"}),
             ("itersgm", {"strategy": "bogus"}),
             ("iterproc", {"iters": 0}),
             ("combined", {"pull": "bogus"}),
             ("combined", {"iters": 0}),
+            ("combined", {"proc_inner": 0}),
         ):
             with pytest.raises(ValueError, match=f"^{next(iter(bad))} must be "):
                 dataclasses.replace(make_spec(method=method, seeds=5), **bad)

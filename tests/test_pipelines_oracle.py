@@ -25,7 +25,7 @@ ITERATE_GRID = [
 
 COMBINED_GRID = [
     dict(start=start, pull=pull, proc_inner=inner)
-    for start, pull, inner in itertools.product(("iterproc", "sgm"), ("proc", "sgm"), (0, 1, 2))
+    for start, pull, inner in itertools.product(("iterproc", "sgm"), ("proc", "sgm"), (1, 2))
 ]
 
 
